@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -28,8 +29,13 @@ from .plot import ball_csv, ball_svg, format_float
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a token such as '-1,0' is a vector value, not an unknown option
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # input errors exit 1, not argparse's 2
-        self.exit(1, f"error: {message}\n")
+        self.exit(1, f"input error: {message}\n")
 
 
 def _check_exact_ints(node, where: str) -> None:

@@ -12,8 +12,6 @@ only congruence or local obstructions certify absence.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -28,14 +26,6 @@ DEFAULT_ENUM_CAP = 10**8
 DEFAULT_RESIDUE_CAP = 5_000_000
 LADDER_RESIDUE_CAP = 200_000
 DEFAULT_WITNESS_HEIGHT = 8
-
-
-def worker_count() -> int:
-    """Worker cap from HYPERLAT_THREADS; defaults to 1 (fully sequential)."""
-    try:
-        return max(1, int(os.environ.get("HYPERLAT_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # -- box enumeration -----------------------------------------------------------
@@ -61,11 +51,10 @@ def _norm_bounds_by_depth(gram, height):
     return bounds
 
 
-def _scan_box(gram, m, height, first_values, bounds):
+def _scan_box(gram, m, height, bounds):
     """DFS over canonical representatives (first nonzero coordinate > 0).
 
-    Yields tuples in lexicographic order within the given first-coordinate
-    values; callers keep ordering by concatenating partitions in order.
+    Returns tuples in lexicographic order.
     """
     n = len(gram)
     out = []
@@ -77,8 +66,6 @@ def _scan_box(gram, m, height, first_values, bounds):
             return
         qlo, qhi = bounds[depth + 1]
         values = range(0, height + 1) if zero_prefix else range(-height, height + 1)
-        if depth == 0 and first_values is not None:
-            values = first_values
         row = gram[depth]
         for t in values:
             new_partial = partial + row[depth] * t * t + lin[depth] * t
@@ -113,16 +100,7 @@ def enumerate_norm_vectors(lattice: GramLattice, m: int, height: int, *,
     if (2 * height + 1) ** n > cap:
         raise BudgetExceeded(f"box (2*{height}+1)^{n} exceeds cap {cap}")
     gram = lattice.gram
-    bounds = _norm_bounds_by_depth(gram, height)
-    workers = worker_count()
-    if workers <= 1 or n == 1:
-        hits = _scan_box(gram, m, height, None, bounds)
-    else:
-        firsts = list(range(0, height + 1))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda t: _scan_box(gram, m, height, [t], bounds), firsts))
-        hits = [v for part in parts for v in part]
+    hits = _scan_box(gram, m, height, _norm_bounds_by_depth(gram, height))
     return [LatticeVector(v) for v in hits]
 
 

@@ -198,19 +198,21 @@ LOXODROMIC_TYPE = "LoxodromicType"
 NOT_DETECTED = "NotDetectedElementary"
 
 
-def _fixes_ray_projectively(gen: Isometry, ray) -> bool:
-    """Does g map the exact ray to a positive multiple of itself?
+def _fixes_ray_projectively(gen: Isometry, ray, target=None) -> bool:
+    """Does g map the exact ray to a positive multiple of target (default:
+    the ray itself)?
 
     Works for integer rays and for algebraic-coordinate rays alike.
     """
     coords = list(ray)
     image = [sum_mul(gen.matrix[i], coords) for i in range(len(coords))]
-    pivot = next(i for i, c in enumerate(coords) if _nonzero(c))
-    if not _nonzero(image[pivot]):
+    tgt = coords if target is None else list(target)
+    pivot = next(i for i, c in enumerate(tgt) if c)
+    if not image[pivot]:
         return False
-    scale = _div_any(image[pivot], coords[pivot])
-    for a, b in zip(image, coords):
-        if _sub_any(a, _mul_any(scale, b)):
+    scale = _div_any(image[pivot], tgt[pivot])
+    for a, b in zip(image, tgt):
+        if a - scale * b:
             return False
     return _sign_any(scale) > 0
 
@@ -218,25 +220,9 @@ def _fixes_ray_projectively(gen: Isometry, ray) -> bool:
 def sum_mul(row, coords):
     acc = None
     for m, c in zip(row, coords):
-        term = _mul_any(c, m)
-        acc = term if acc is None else _add_any(acc, term)
+        term = c * m
+        acc = term if acc is None else acc + term
     return acc
-
-
-def _nonzero(x):
-    return bool(x)
-
-
-def _mul_any(x, k):
-    return x * k
-
-
-def _add_any(x, y):
-    return x + y
-
-
-def _sub_any(x, y):
-    return x - y
 
 
 def _div_any(x, y):
@@ -295,23 +281,9 @@ def _preserves_pair(gen: Isometry, pair) -> bool:
     r1, r2 = pair[0].ray, pair[1].ray
     for ray in (r1, r2):
         if not (_fixes_ray_projectively(gen, ray)
-                or _maps_ray_to(gen, ray, r2 if ray is r1 else r1)):
+                or _fixes_ray_projectively(gen, ray, r2 if ray is r1 else r1)):
             return False
     return True
-
-
-def _maps_ray_to(gen: Isometry, ray, target) -> bool:
-    coords = list(ray)
-    image = [sum_mul(gen.matrix[i], coords) for i in range(len(coords))]
-    tgt = list(target)
-    pivot = next(i for i, c in enumerate(tgt) if _nonzero(c))
-    if not _nonzero(image[pivot]):
-        return False
-    scale = _div_any(image[pivot], tgt[pivot])
-    for a, b in zip(image, tgt):
-        if _sub_any(a, _mul_any(scale, b)):
-            return False
-    return _sign_any(scale) > 0
 
 
 # -- Dirichlet domains ---------------------------------------------------------------

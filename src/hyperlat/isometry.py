@@ -47,9 +47,7 @@ class Classification:
 class Isometry:
     """Integer matrix preserving the form and the chosen cone component.
 
-    Classification is computed lazily, exactly once; concurrent readers see
-    either the unset or the final value (assignment of a computed attribute
-    is atomic and the computation is deterministic).
+    Classification is computed lazily, exactly once.
     """
 
     __slots__ = ("orientation", "matrix", "_charpoly", "_classification")
@@ -122,8 +120,11 @@ def _classify(g: Isometry) -> Classification:
     p = g.charpoly
     q = pol.squarefree_part(p)
     above = pol.count_roots_gt(q, Fraction(1))
-    if above > 0:
-        assert above == 1, "an isometry of a (1,n) form has at most one scale > 1"
+    if above > 1:
+        raise ArithmeticError(
+            "characteristic polynomial has more than one root > 1; input is "
+            "not an isometry of a (1,n) form")
+    if above == 1:
         lo, hi = pol.bracket_largest_root_above(q, Fraction(1))
         lo, hi = pol.refine_bracket(q, lo, hi, _BRACKET_EPS)
         minpoly = pol.minimal_polynomial_of_root(q, lo, hi)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -174,23 +173,3 @@ def rank1(m: int) -> GramLattice:
 def vector(coords: Iterable[int]) -> LatticeVector:
     c = tuple(int(x) for x in coords)
     return LatticeVector(coords=c)
-
-
-def is_primitive(v) -> bool:
-    c = coords_of(v)
-    return linalg.vec_content(c) == 1
-
-
-def primitive_part(v) -> IntVec:
-    c = coords_of(v)
-    g = linalg.vec_content(c)
-    if g == 0:
-        raise InvalidParameter("zero vector")
-    return tuple(x // g for x in c)
-
-
-def gcd_of(v) -> int:
-    g = 0
-    for x in coords_of(v):
-        g = gcd(g, abs(x))
-    return g

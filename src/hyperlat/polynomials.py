@@ -133,7 +133,8 @@ def squarefree_part(p):
     if degree(g) <= 0:
         return to_primitive_int(p)
     quot, rem = poly_divmod(p, g)
-    assert not rem
+    if rem:
+        raise ArithmeticError("gcd(p, p') does not divide p")
     return to_primitive_int(quot)
 
 
@@ -159,11 +160,11 @@ def charpoly(mat) -> list[int]:
                 continue
             term = poly_mul(term, [Fraction(-xj, xi - xj), Fraction(1, xi - xj)])
         poly = poly_add(poly, term)
-    out = []
-    for c in poly:
-        assert Fraction(c).denominator == 1
-        out.append(int(c))
-    assert out[-1] == 1, "characteristic polynomial must be monic"
+    if any(Fraction(c).denominator != 1 for c in poly):
+        raise ArithmeticError("interpolated characteristic polynomial is not integral")
+    out = [int(c) for c in poly]
+    if out[-1] != 1:
+        raise ArithmeticError("characteristic polynomial must be monic")
     return out
 
 
@@ -288,41 +289,46 @@ def cyclotomic(n: int) -> tuple[int, ...]:
     for d in range(1, n):
         if n % d == 0:
             q = poly_int_div_exact(p, list(cyclotomic(d)))
-            assert q is not None
+            if q is None:
+                raise ArithmeticError(f"cyclotomic({d}) does not divide x^{n} - 1")
             p = q
     return tuple(p)
+
+
+def _strip_cyclotomic(p) -> tuple[list[tuple[int, int]], list[int]]:
+    """Divide every cyclotomic factor out of the integer polynomial p.
+
+    Returns ([(order, multiplicity), ...], remainder), the remainder with
+    positive leading coefficient; the candidates are all orders d with
+    phi(d) <= deg p, which forces d <= 2 deg^2 since phi(d) >= sqrt(d/2).
+    """
+    rem = list(p)
+    if rem[-1] < 0:
+        rem = poly_neg(rem)
+    factors = []
+    for d in range(1, 2 * degree(p) ** 2 + 3):
+        if euler_phi(d) > degree(rem):
+            continue
+        mult = 0
+        while (q := poly_int_div_exact(rem, list(cyclotomic(d)))) is not None:
+            rem = q
+            mult += 1
+        if mult:
+            factors.append((d, mult))
+    return factors, rem
 
 
 def cyclotomic_factorization(p) -> list[tuple[int, int]] | None:
     """Write p as a product of cyclotomic polynomials, or None.
 
     Returns [(order, multiplicity), ...] when p is exactly (up to sign)
-    such a product; the candidates are all orders d with phi(d) <= deg p.
+    such a product.
     """
     p = trim(p)
     if not p:
         return None
-    deg = degree(p)
-    rem = list(p)
-    if rem[-1] < 0:
-        rem = poly_neg(rem)
-    factors = []
-    d = 1
-    while d <= 2 * deg * deg + 2:
-        if euler_phi(d) <= deg:
-            mult = 0
-            while True:
-                q = poly_int_div_exact(rem, list(cyclotomic(d)))
-                if q is None:
-                    break
-                rem = q
-                mult += 1
-            if mult:
-                factors.append((d, mult))
-        d += 1
-    if rem == [1]:
-        return factors
-    return None
+    factors, rem = _strip_cyclotomic(p)
+    return factors if rem == [1] else None
 
 
 def lcm_of(values) -> int:
@@ -333,27 +339,22 @@ def lcm_of(values) -> int:
 
 
 def minimal_polynomial_of_root(p, lo: Fraction, hi: Fraction) -> list[int]:
-    """Irreducible integer factor of p having its root in the bracket (lo, hi].
+    """Minimal polynomial of the scale lambda > 1, the root of p in (lo, hi].
 
-    Factorization over Z is delegated to sympy; root membership is decided
-    by exact Sturm counts, so the result is certificate-grade.
+    Premise: p is the squarefree characteristic polynomial of an isometry
+    of a (1, n) form with exactly one root > 1, which isometry._classify
+    establishes.  The other roots are then 1/lambda and roots on the unit
+    circle.  By Kronecker's theorem an irreducible integer factor whose
+    roots all lie on the unit circle is cyclotomic.  A factor holding
+    1/lambda but not lambda would have an integer constant term of
+    absolute value 1/lambda < 1, which is impossible.  So the minimal
+    polynomial of lambda is what remains of p once its cyclotomic factors
+    are divided out.  Root membership is still decided by an exact Sturm
+    count, so the result is certificate-grade.
     """
-    import sympy
-
-    x = sympy.Symbol("x")
-    expr = sympy.Poly(list(reversed(to_primitive_int(p))), x, domain="ZZ")
-    hits = []
-    for factor, _mult in expr.factor_list()[1]:
-        coeffs = [int(c) for c in reversed(factor.all_coeffs())]
-        if degree(coeffs) < 1:
-            continue
-        if count_roots_in(coeffs, lo, hi) == 1:
-            hits.append(coeffs)
-    if len(hits) != 1:
-        raise ArithmeticError("bracket does not isolate a root among irreducible factors")
-    out = hits[0]
-    if out[-1] < 0:
-        out = poly_neg(out)
+    _factors, out = _strip_cyclotomic(to_primitive_int(p))
+    if count_roots_in(out, lo, hi) != 1:
+        raise ArithmeticError("bracket does not isolate a root of the non-cyclotomic part")
     return out
 
 
@@ -470,11 +471,6 @@ class AlgebraicNumber:
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("not a rational element")
-        return self.coeffs[0]
 
     def sign(self) -> int:
         """Exact sign via interval Horner on a shrinking root bracket."""

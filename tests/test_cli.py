@@ -173,7 +173,28 @@ def test_exit_code_input_errors(files):
 
     proc = run_cli(["info", "--lattice", "um2.json", "--no-such-flag"], files)
     assert proc.returncode == 1
+    assert proc.stderr.startswith("input error:")
     assert "--no-such-flag" in proc.stderr
+
+
+def test_negative_vector_value_after_space(files):
+    # '-1,0' is a value, not an unknown option; the sign flip lands in the cone
+    args = ["orbit", "--lattice", "d12.json", "--group", "pell_group.json",
+            "--depth", "2", "--point"]
+    flipped = out_json(run_cli(args + ["-1,0"], files))
+    assert flipped["config"]["point"] == "-1,0"
+    assert flipped["result"] == out_json(run_cli(args + ["1,0"], files))["result"]
+
+
+def test_classify_without_sympy(files):
+    code = ("import sys; sys.modules['sympy'] = None\n"
+            "from hyperlat.cli import main\n"
+            "sys.exit(main(['classify', '--lattice', 'd12.json',"
+            " '--isometry', 'pell.json']))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=files)
+    rep = out_json(proc)
+    assert rep["result"]["lambda_minpoly"] == [1, -6, 1]
 
 
 def test_exit_code_budget_error(files):
