@@ -124,7 +124,8 @@ def _pointed_double_description(rows, r: int):
             seed_rows.append(list(row))
         if len(seed_idx) == r:
             break
-    assert len(seed_idx) == r, "quotient cone must have full-rank constraints"
+    if len(seed_idx) != r:
+        raise ArithmeticError("quotient cone must have full-rank constraints")
     rays = []
     for k in range(r):
         rhs = [Fraction(1 if j == k else 0) for j in range(r)]

@@ -114,7 +114,8 @@ def uniform_lattice_family(k: int) -> tuple[GramLattice, GramLattice]:
     rank3 = build_lattice([[4, 0, 0], [0, -8, 0], [0, 0, -12 * k]])
     rank4 = build_lattice([[4, 0, 0, 0], [0, -8, 0, 0],
                            [0, 0, -12, 0], [0, 0, 0, -12 * k]])
-    assert signature(rank3) == (1, 2) and signature(rank4) == (1, 3)
+    if signature(rank3) != (1, 2) or signature(rank4) != (1, 3):
+        raise ArithmeticError("uniform family lattices must have signature (1, 2) and (1, 3)")
     return rank3, rank4
 
 
@@ -133,7 +134,8 @@ def convex_cocompact_rank5_family(selector: str, value: int) -> GramLattice:
         out = direct_sum(direct_sum(rank1(2 * 3 ** (2 * value - 1)), a2), a2)
     else:
         raise InvalidParameter(f"unknown family selector {selector!r}")
-    assert signature(out) == (1, 4)
+    if signature(out) != (1, 4):
+        raise ArithmeticError("rank-5 family lattice must have signature (1, 4)")
     return out
 
 

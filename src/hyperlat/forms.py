@@ -489,7 +489,8 @@ def root_existence(lattice: GramLattice, root_norm: int = -2, height: int = 10, 
     hits = enumerate_norm_vectors(lattice, root_norm, height, cap=enum_cap)
     if hits:
         witness = hits[0]
-        assert lattice.norm(witness.coords) == root_norm
+        if lattice.norm(witness.coords) != root_norm:
+            raise ArithmeticError("enumerated witness does not have the requested norm")
         return SearchVerdict(kind="witness", norm=root_norm, height_bound=height,
                              witness=witness, notes=tuple(sorted(set(notes))))
     return SearchVerdict(kind="none_up_to_height", norm=root_norm,

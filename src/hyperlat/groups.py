@@ -58,28 +58,19 @@ def group(*generators: Isometry) -> FGGroup:
 def _letters(g: FGGroup):
     """Symmetric generator set: each generator followed by its inverse.
 
-    Returns (matrices, inverse_index, labels); duplicates collapse so an
-    involution contributes one letter.
+    Returns (matrices, labels, inverse_index); duplicates and the identity
+    collapse, so an involution contributes one letter.
     """
-    mats = []
-    labels = []
+    ident = linalg.identity_matrix(g.lattice.rank)
+    mats, labels, inverses = [], [], []
     for i, gen in enumerate(g.generators):
-        for mat, label in ((gen.matrix, i + 1), (gen.inverse().matrix, -(i + 1))):
-            if mat not in mats:
+        inv = gen.inverse().matrix
+        for mat, mat_inv, label in ((gen.matrix, inv, i + 1), (inv, gen.matrix, -(i + 1))):
+            if mat != ident and mat not in mats:
                 mats.append(mat)
                 labels.append(label)
-    n = g.lattice.rank
-    ident = linalg.identity_matrix(n)
-    mats2, labels2 = [], []
-    for mat, label in zip(mats, labels):
-        if mat != ident:
-            mats2.append(mat)
-            labels2.append(label)
-    inverse_index = []
-    for mat in mats2:
-        inv = linalg.int_matrix_inverse(mat)
-        inverse_index.append(mats2.index(inv) if inv in mats2 else None)
-    return mats2, labels2, inverse_index
+                inverses.append(mat_inv)
+    return mats, labels, [mats.index(mat) for mat in inverses]
 
 
 def elements_up_to(g: FGGroup, word_budget: int, *, include_identity: bool = True,
@@ -204,9 +195,8 @@ def _fixes_ray_projectively(gen: Isometry, ray, target=None) -> bool:
 
     Works for integer rays and for algebraic-coordinate rays alike.
     """
-    coords = list(ray)
-    image = [sum_mul(gen.matrix[i], coords) for i in range(len(coords))]
-    tgt = coords if target is None else list(target)
+    image = linalg.mat_vec(gen.matrix, ray)
+    tgt = ray if target is None else target
     pivot = next(i for i, c in enumerate(tgt) if c)
     if not image[pivot]:
         return False
@@ -215,14 +205,6 @@ def _fixes_ray_projectively(gen: Isometry, ray, target=None) -> bool:
         if a - scale * b:
             return False
     return _sign_any(scale) > 0
-
-
-def sum_mul(row, coords):
-    acc = None
-    for m, c in zip(row, coords):
-        term = c * m
-        acc = term if acc is None else acc + term
-    return acc
 
 
 def _div_any(x, y):
@@ -362,15 +344,14 @@ def tiling_check(cone: PolyhedralCone, g: FGGroup, samples: int, word_budget: in
     by some word within the budget; failures are counted, not hidden.
     """
     o = g.orientation
-    elems = [(e, w) for e, w in elements_up_to(g, word_budget)
-             if e.matrix != linalg.identity_matrix(g.lattice.rank)]
+    elems = [e for e, _ in elements_up_to(g, word_budget, include_identity=False)]
     inside = sample_cone_points(
         o, samples, seed, predicate=lambda p: ray_satisfies(cone, p.ray, strict=True))
     overlaps = 0
+    # the word ball is closed under inversion: some g^-1 moves pt inside iff some g does
     for pt in inside:
-        for elem, _ in elems:
-            moved = elem.inverse().apply(pt.ray)
-            if ray_satisfies(cone, moved, strict=True):
+        for elem in elems:
+            if ray_satisfies(cone, elem.apply(pt.ray), strict=True):
                 overlaps += 1
                 break
     anywhere = sample_cone_points(o, samples, seed + 1)
@@ -378,7 +359,7 @@ def tiling_check(cone: PolyhedralCone, g: FGGroup, samples: int, word_budget: in
     for pt in anywhere:
         reached = ray_satisfies(cone, pt.ray)
         if not reached:
-            for elem, _ in elems:
+            for elem in elems:
                 if ray_satisfies(cone, elem.apply(pt.ray)):
                     reached = True
                     break

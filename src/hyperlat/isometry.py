@@ -78,7 +78,15 @@ class Isometry:
         return Isometry(self.orientation, linalg.mat_mul(self.matrix, other.matrix))
 
     def inverse(self) -> "Isometry":
-        return Isometry(self.orientation, linalg.int_matrix_inverse(self.matrix))
+        """g^-1 = adj(G) g^t G / det G, divided exactly in integers.
+        Precondition: g^t G g = G; make_isometry establishes it, and compose,
+        power and inverse keep it."""
+        lat, det = self.lattice, self.lattice.determinant
+        prod = linalg.mat_mul(lat.adjugate,
+                              linalg.mat_mul(linalg.transpose(self.matrix), lat.gram))
+        if any(x % det for row in prod for x in row):
+            raise ArithmeticError("adj(G) g^t G is not divisible by det G: g^t G g != G")
+        return Isometry(self.orientation, tuple(tuple(x // det for x in row) for row in prod))
 
     def power(self, k: int) -> "Isometry":
         if k < 0:
@@ -184,12 +192,14 @@ def fixed_boundary_points(g: Isometry) -> list[BoundaryRay]:
         rows = [tuple(Fraction(g.matrix[i][j] - (1 if i == j else 0)) for j in range(n))
                 for i in range(n)]
         kernel = linalg.kernel_basis(rows)
-        assert kernel, "parabolic isometry must fix a nonzero vector"
+        if not kernel:
+            raise ArithmeticError("parabolic isometry must fix a nonzero vector")
         # radical of gram restricted to the fixed space
         restricted = [[linalg.frac_pairing(lat.gram, u, v) for v in kernel] for u in kernel]
         rad_rows = [tuple(row) for row in restricted]
         rad = linalg.kernel_basis(rad_rows)
-        assert len(rad) == 1, "parabolic fixed space has a one-dimensional radical"
+        if len(rad) != 1:
+            raise ArithmeticError("parabolic fixed space has a one-dimensional radical")
         ray = [Fraction(0)] * n
         for c, basis_vec in zip(rad[0], kernel):
             for i in range(n):
@@ -197,7 +207,8 @@ def fixed_boundary_points(g: Isometry) -> list[BoundaryRay]:
         prim = linalg.primitive_vector(ray)
         if lat.pair(prim, o.base) < 0:
             prim = linalg.vec_neg(prim)
-        assert lat.norm(prim) == 0
+        if lat.norm(prim) != 0:
+            raise ArithmeticError("parabolic fixed ray is not isotropic")
         return [BoundaryRay(orientation=o, ray=prim, rational=True)]
     # loxodromic: solve (M - s I) v = 0 over Q(s) for s the scale and 1/s
     fld = cls.scale_field
@@ -214,7 +225,8 @@ def _algebraic_eigenray(g: Isometry, fld, eigval) -> BoundaryRay:
     rows = [[fld.rational(g.matrix[i][j]) - (eigval if i == j else fld.rational(0))
              for j in range(n)] for i in range(n)]
     kernel = _field_kernel(rows, fld)
-    assert len(kernel) == 1, "expanding eigenvalue of a (1,n) isometry is simple"
+    if len(kernel) != 1:
+        raise ArithmeticError("expanding eigenvalue of a (1,n) isometry is simple")
     vec = kernel[0]
     # orient towards the cone: the pairing with the base is nonzero exactly
     pairing = fld.rational(0)

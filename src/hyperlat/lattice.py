@@ -9,7 +9,7 @@ diagonalization, never from numerical eigenvalues.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -35,13 +35,22 @@ class GramLattice:
     def norm(self, v) -> int:
         return self.pair(v, v)
 
-    @property
+    @cached_property
     def determinant(self) -> int:
-        return _determinant(self)
+        return linalg.bareiss_det(self.gram)
 
-    @property
+    @cached_property
+    def adjugate(self) -> linalg.IntMat:
+        """adj(G) = det(G) G^-1, an integer matrix."""
+        return linalg.adjugate(self.gram)
+
+    @cached_property
     def signature(self) -> tuple[int, int]:
-        return signature(self)
+        """Inertia (p, q) of the form; p + q = rank by nondegeneracy."""
+        p, q = linalg.signature_of_gram(self.gram)
+        if p + q != self.rank:
+            raise ArithmeticError("inertia counts do not add up to the rank")
+        return p, q
 
     def __repr__(self):
         return f"GramLattice(rank={self.rank}, gram={[list(r) for r in self.gram]})"
@@ -94,22 +103,15 @@ def build_lattice(gram: Sequence[Sequence[int]]) -> GramLattice:
         for j in range(i + 1, n):
             if mat[i][j] != mat[j][i]:
                 raise NotSymmetric(f"gram[{i}][{j}] != gram[{j}][{i}]")
-    if linalg.bareiss_det(mat) == 0:
+    lattice = GramLattice(gram=mat, rank=n)
+    if lattice.determinant == 0:
         raise Degenerate("gram matrix has determinant 0")
-    return GramLattice(gram=mat, rank=n)
+    return lattice
 
 
-@lru_cache(maxsize=None)
-def _determinant(lattice: GramLattice) -> int:
-    return linalg.bareiss_det(lattice.gram)
-
-
-@lru_cache(maxsize=None)
 def signature(lattice: GramLattice) -> tuple[int, int]:
     """Inertia (p, q) of the form; p + q = rank by nondegeneracy."""
-    p, q = linalg.signature_of_gram(lattice.gram)
-    assert p + q == lattice.rank
-    return p, q
+    return lattice.signature
 
 
 def inner_product(lattice: GramLattice, u, v) -> int:

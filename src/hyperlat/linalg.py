@@ -103,6 +103,17 @@ def bareiss_det(mat) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def adjugate(mat) -> IntMat:
+    """Transposed cofactor matrix of an integer matrix: adj(M) M = det(M) I."""
+    n = len(mat)
+    if n == 1:
+        return ((1,),)
+    minors = [[[r[:j] + r[j + 1:] for r in mat[:i] + mat[i + 1:]] for j in range(n)]
+              for i in range(n)]
+    return tuple(tuple((-1) ** (i + j) * bareiss_det(minors[j][i]) for j in range(n))
+                 for i in range(n))
+
+
 def vec_content(v) -> int:
     g = 0
     for x in v:
@@ -195,22 +206,6 @@ def solve_linear(rows, rhs):
     for i, pc in enumerate(pivots):
         x[pc] = rref[i][-1]
     return x
-
-
-def int_matrix_inverse(mat):
-    """Exact inverse of an integer matrix with determinant +-1."""
-    n = len(mat)
-    aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(mat)]
-    rref, pivots = row_echelon(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    inv = tuple(tuple(int(x) if x.denominator == 1 else x for x in row[n:]) for row in rref)
-    for row in inv:
-        for x in row:
-            if isinstance(x, Fraction):
-                raise ValueError("inverse is not integral (determinant not a unit)")
-    return inv
 
 
 # -- symmetric forms ----------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
 from . import linalg
 from .errors import (DifferentAmbient, InvalidParameter, NotInCone,
@@ -37,6 +37,16 @@ class ConeOrientation:
             raise WrongSignature(f"positive cone needs signature (1, n), got ({p}, {q})")
         if self.lattice.norm(self.base) <= 0:
             raise InvalidParameter("cone base vector must have positive norm")
+
+    @cached_property
+    def frame(self):
+        """Rational orthogonal frame (base first) plus float normalizers."""
+        frame = linalg.gram_schmidt_frame(self.lattice.gram, self.base)
+        norms = [linalg.frac_pairing(self.lattice.gram, f, f) for f in frame]
+        if norms[0] <= 0 or any(n >= 0 for n in norms[1:]):
+            raise WrongSignature("frame norms are not (+, -, ..., -)")
+        scales = [math.sqrt(abs(float(n))) for n in norms]
+        return frame, norms, scales
 
 
 def pick_cone(lattice: GramLattice, base=None) -> ConeOrientation:
@@ -195,25 +205,13 @@ def horoballs_disjoint(b1: Horoball, b2: Horoball) -> DisjointnessWitness:
 
 # -- model conversions -----------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _frame(orientation: ConeOrientation):
-    """Rational orthogonal frame (base first) plus float normalizers."""
-    lat = orientation.lattice
-    frame = linalg.gram_schmidt_frame(lat.gram, orientation.base)
-    norms = [linalg.frac_pairing(lat.gram, f, f) for f in frame]
-    if norms[0] <= 0 or any(n >= 0 for n in norms[1:]):
-        raise WrongSignature("frame norms are not (+, -, ..., -)")
-    scales = [math.sqrt(abs(float(n))) for n in norms]
-    return frame, norms, scales
-
-
 def minkowski_coords(orientation: ConeOrientation, ray) -> tuple[float, ...]:
     """Float coordinates of the exact ray in the orthonormalized frame.
 
     Index 0 is the timelike coordinate; (a0, a1, ..., an) satisfies
     ray.ray = a0^2 - sum ai^2 up to rounding.
     """
-    frame, norms, scales = _frame(orientation)
+    frame, norms, scales = orientation.frame
     lat = orientation.lattice
     out = []
     for f, n, s in zip(frame, norms, scales):
@@ -243,7 +241,7 @@ def to_ball(orientation: ConeOrientation, obj) -> tuple[float, ...]:
 
 
 def minkowski_coords_numeric(orientation: ConeOrientation, ray_floats) -> tuple[float, ...]:
-    frame, norms, scales = _frame(orientation)
+    frame, norms, scales = orientation.frame
     lat = orientation.lattice
     gram = [[float(x) for x in row] for row in lat.gram]
     out = []
@@ -263,7 +261,7 @@ def from_ball(orientation: ConeOrientation, ball_coords) -> tuple[float, ...]:
         raise InvalidParameter("ball-model points have Euclidean norm < 1")
     a0 = (1.0 + nb2) / (1.0 - nb2)
     rest = [2.0 * x / (1.0 - nb2) for x in b]
-    frame, norms, scales = _frame(orientation)
+    frame, norms, scales = orientation.frame
     coords = [0.0] * orientation.lattice.rank
     for a, f, s in zip([a0] + rest, frame, scales):
         c = a / s

@@ -223,12 +223,15 @@ def cauchy_bound(p) -> Fraction:
 def bracket_largest_root_above(p, a: Fraction) -> tuple[Fraction, Fraction]:
     """Isolating interval (lo, hi] for the unique root of squarefree p in (a, inf).
 
-    Precondition: exactly one such root exists and it is the largest real root.
+    Raises ArithmeticError unless exactly one such root exists; it is then
+    the largest real root.
     """
-    assert count_roots_gt(p, a) == 1
     q = trim([Fraction(c) for c in p])
     if q[-1] < 0:
         q = poly_neg(q)
+    chain = sturm_chain(q)
+    if variations_at(chain, a) - variations_at_pos_inf(chain) != 1:
+        raise ArithmeticError("expected exactly one root above the bracket start")
     lo, hi = a, cauchy_bound(q)
     # beyond the largest root the (positive-leading) polynomial is positive
     for _ in range(20000):
@@ -242,7 +245,7 @@ def bracket_largest_root_above(p, a: Fraction) -> tuple[Fraction, Fraction]:
             hi = mid
         else:
             lo = mid
-        if count_roots_in(q, lo, hi) == 1 and hi - lo < 1:
+        if hi - lo < 1 and variations_at(chain, lo) - variations_at(chain, hi) == 1:
             break
     return lo, hi
 

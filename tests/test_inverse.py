@@ -1,0 +1,110 @@
+"""Isometry inverses from the form: the adjugate, g.g^-1 = I on random
+words, and the closure of the word ball under inversion."""
+
+import ast
+import random
+from pathlib import Path
+
+import pytest
+import sympy
+
+import hyperlat
+from hyperlat import (direct_sum, group, make_isometry, pick_cone, rank1,
+                      reflection, standard_lattice)
+from hyperlat.groups import elements_up_to
+from hyperlat.isometry import Isometry
+from hyperlat.linalg import adjugate, bareiss_det, identity_matrix, mat_mul
+
+U = standard_lattice("U")
+D12 = direct_sum(rank1(1), rank1(-2))
+O_D12 = pick_cone(D12, (1, 0))
+PELL = make_isometry(O_D12, [[3, 4], [2, 3]])
+
+
+def _random_symmetric(rng, n):
+    while True:
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.randint(-3, 3)
+        mat = tuple(tuple(r) for r in rows)
+        if bareiss_det(mat) != 0:
+            return mat
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_adjugate_against_sympy(n):
+    rng = random.Random(1000 + n)
+    for _ in range(3):
+        gram = _random_symmetric(rng, n)
+        adj = adjugate(gram)
+        det = bareiss_det(gram)
+        assert mat_mul(adj, gram) == tuple(tuple(det * x for x in row)
+                                           for row in identity_matrix(n))
+        assert [list(row) for row in adj] == sympy.Matrix(gram).adjugate().tolist()
+
+
+def _root_reflections(lat):
+    """Reflections in the roots (1,-1,0..), (0,0,e_i), (1,0,e_1), (0,1,e_k)."""
+    n = lat.rank
+    orientation = pick_cone(lat, (1, 1) + (0,) * (n - 2))
+    roots = [(1, -1) + (0,) * (n - 2)]
+    for i in range(2, n):
+        roots.append(tuple(1 if j == i else 0 for j in range(n)))
+    roots.append((1, 0, 1) + (0,) * (n - 3))
+    roots.append((0, 1) + (0,) * (n - 3) + (1,))
+    return [reflection(orientation, r) for r in roots]
+
+
+WORD_LETTERS = {
+    "<1>+<-2>": [PELL, reflection(O_D12, (0, 1)), reflection(O_D12, (4, 3))],
+    "U+<-2>": _root_reflections(direct_sum(U, rank1(-2))),
+    "U+A2+<-2>": _root_reflections(
+        direct_sum(direct_sum(U, standard_lattice("A2")), rank1(-2))),
+    "U+E8": _root_reflections(direct_sum(U, standard_lattice("E8"))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORD_LETTERS))
+def test_inverse_of_random_words(name):
+    letters = WORD_LETTERS[name]
+    rng = random.Random(31)
+    ident = identity_matrix(letters[0].lattice.rank)
+    for _ in range(40):
+        g = letters[rng.randrange(len(letters))]
+        for _ in range(rng.randint(0, 9)):
+            g = g.compose(letters[rng.randrange(len(letters))])
+        inv = g.inverse()
+        assert mat_mul(g.matrix, inv.matrix) == ident
+        assert mat_mul(inv.matrix, g.matrix) == ident
+
+
+def test_inverse_refuses_a_matrix_that_breaks_the_form():
+    with pytest.raises(ArithmeticError):
+        Isometry(O_D12, ((1, 1), (0, 1))).inverse()
+
+
+BALL_GROUPS = {
+    "pell": group(PELL),
+    "U+<-2> reflections": group(*_root_reflections(direct_sum(U, rank1(-2)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BALL_GROUPS))
+def test_word_ball_closed_under_inversion(name):
+    # the premise that lets tiling_check apply g where it used to apply g^-1
+    for budget in range(5):
+        mats = {e.matrix for e, _ in elements_up_to(BALL_GROUPS[name], budget)}
+        inverses = {tuple(tuple(int(x) for x in row)
+                          for row in sympy.Matrix(m).inv().tolist()) for m in mats}
+        assert inverses == mats
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips asserts; invariants must raise typed errors instead
+    offenders = []
+    for path in sorted(Path(hyperlat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert offenders == []

@@ -8,7 +8,8 @@ import sympy
 
 from hyperlat import direct_sum, pick_cone, rank1, reflection, standard_lattice
 from hyperlat.isometry import LOXODROMIC
-from hyperlat.polynomials import (cyclotomic_factorization,
+from hyperlat.polynomials import (bracket_largest_root_above,
+                                  cyclotomic_factorization,
                                   minimal_polynomial_of_root, squarefree_part)
 
 U = standard_lattice("U")
@@ -85,6 +86,16 @@ def test_minimal_polynomial_requires_a_root_in_the_bracket():
     # the non-cyclotomic part of (x - 1)(x^2 - 6x + 1)
     cubic = [-1, 7, -7, 1]
     assert minimal_polynomial_of_root(cubic, Fraction(5), Fraction(6)) == [1, -6, 1]
+
+
+def test_bracket_largest_root_above_counts_its_precondition():
+    q = [1, -6, 1]  # roots 3 -+ 2 sqrt 2, about 0.17 and 5.83
+    lo, hi = bracket_largest_root_above(q, Fraction(1))
+    assert lo < 3 + 2 * sympy.sqrt(2) <= hi and hi - lo < 1
+    with pytest.raises(ArithmeticError):
+        bracket_largest_root_above(q, Fraction(0))  # two roots above 0
+    with pytest.raises(ArithmeticError):
+        bracket_largest_root_above(q, Fraction(6))  # none above 6
 
 
 def test_cyclotomic_factorization():
