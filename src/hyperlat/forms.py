@@ -22,7 +22,7 @@ from .lattice import GramLattice, LatticeVector, direct_sum, rank1
 INFINITE_PLACE = "infinity"
 
 DEFAULT_MODULUS_LADDER = (3, 4, 5, 7, 8, 9, 16, 25, 27)
-DEFAULT_ENUM_CAP = 10**8
+DEFAULT_ENUM_CAP = 2_000_000  # candidate coordinate values tested per call
 DEFAULT_RESIDUE_CAP = 5_000_000
 LADDER_RESIDUE_CAP = 200_000
 DEFAULT_WITNESS_HEIGHT = 8
@@ -51,39 +51,68 @@ def _norm_bounds_by_depth(gram, height):
     return bounds
 
 
-def _scan_box(gram, m, height, bounds):
+def _scan_box(gram, m, height, *, cap, tested=0, first=False, accept=None):
     """DFS over canonical representatives (first nonzero coordinate > 0).
 
-    Returns tuples in lexicographic order.
+    Visits the box in lexicographic order and returns (hits, tested): the
+    hits as tuples in that order, and `tested` advanced by the candidate
+    coordinate values tried.  `accept` filters hits; with first=True the
+    scan stops at the first accepted hit, which is then the lex-first one.
+    Raises BudgetExceeded before more than `cap` candidates are tried.
     """
+    if height < 1:
+        raise InvalidParameter("height must be >= 1")
     n = len(gram)
+    bounds = _norm_bounds_by_depth(gram, height)
+    steps = [[2 * x for x in row] for row in gram]
+    lin = [0] * n  # lin[j] = 2 * sum_{i < depth} g_ij v_i, updated in place
+    prefix = []
     out = []
 
-    def rec(depth, prefix, partial, lin, zero_prefix):
+    def rec(depth, partial, zero_prefix):
+        nonlocal tested
         if depth == n:
             if partial == m and not zero_prefix:
-                out.append(tuple(prefix))
-            return
+                v = tuple(prefix)
+                if accept is None or accept(v):
+                    out.append(v)
+                    return first
+            return False
+        lo = 0 if zero_prefix else -height
+        if tested + height - lo + 1 > cap:
+            raise BudgetExceeded(
+                f"box enumeration (norm {m}, height {height}): {tested} candidates "
+                f"tested, the next {height - lo + 1} would exceed the budget of {cap}")
+        tested += height - lo + 1
         qlo, qhi = bounds[depth + 1]
-        values = range(0, height + 1) if zero_prefix else range(-height, height + 1)
-        row = gram[depth]
-        for t in values:
-            new_partial = partial + row[depth] * t * t + lin[depth] * t
-            if t == 0:
-                new_lin = lin
-            else:
-                new_lin = list(lin)
-                for j in range(depth + 1, n):
-                    new_lin[j] += 2 * row[j] * t
-            # remaining linear freedom: each later coordinate within [-H, H]
-            slack = sum(abs(new_lin[j]) for j in range(depth + 1, n)) * height
-            if new_partial + qlo - slack <= m <= new_partial + qhi + slack:
+        gdd = gram[depth][depth]
+        ld = lin[depth]
+        step = steps[depth]
+        tail = range(depth + 1, n)
+        for j in tail:
+            lin[j] += step[j] * (lo - 1)
+        for t in range(lo, height + 1):
+            # move lin to this t and sum the remaining linear freedom in one pass:
+            # each later coordinate ranges over [-H, H]
+            slack = 0
+            for j in tail:
+                x = lin[j] + step[j]
+                lin[j] = x
+                slack += x if x >= 0 else -x
+            slack *= height
+            p = partial + (gdd * t + ld) * t
+            if p + qlo - slack <= m <= p + qhi + slack:
                 prefix.append(t)
-                rec(depth + 1, prefix, new_partial, new_lin, zero_prefix and t == 0)
+                if rec(depth + 1, p, zero_prefix and t == 0):
+                    tested -= height - t  # the values after t were not tried
+                    return True
                 prefix.pop()
+        for j in tail:
+            lin[j] -= step[j] * height
+        return False
 
-    rec(0, [], 0, [0] * n, True)
-    return out
+    rec(0, 0, True)
+    return out, tested
 
 
 def enumerate_norm_vectors(lattice: GramLattice, m: int, height: int, *,
@@ -91,17 +120,30 @@ def enumerate_norm_vectors(lattice: GramLattice, m: int, height: int, *,
     """All vectors v != 0 with sup-norm <= height and v.v = m.
 
     One representative per +-pair (first nonzero coordinate positive), in
-    lexicographic order.  Raises BudgetExceeded when the candidate box
-    exceeds the cap.
+    lexicographic order.  Raises BudgetExceeded once the search would test
+    more than `cap` candidate coordinate values.
     """
-    if height < 1:
-        raise InvalidParameter("height must be >= 1")
-    n = lattice.rank
-    if (2 * height + 1) ** n > cap:
-        raise BudgetExceeded(f"box (2*{height}+1)^{n} exceeds cap {cap}")
-    gram = lattice.gram
-    hits = _scan_box(gram, m, height, _norm_bounds_by_depth(gram, height))
+    hits, _ = _scan_box(lattice.gram, m, height, cap=cap)
     return [LatticeVector(v) for v in hits]
+
+
+def first_norm_vector(lattice: GramLattice, m: int, height: int, *,
+                      cap: int = DEFAULT_ENUM_CAP, tested: int = 0,
+                      accept=None) -> tuple[LatticeVector | None, int]:
+    """The first vector enumerate_norm_vectors would list (and `accept`
+    takes), or None, with the candidate count advanced from `tested`.
+
+    The search stops at that vector.  `cap` bounds the running count, so a
+    caller that chains several searches passes the count on to keep one
+    budget for all of them.
+    """
+    hits, tested = _scan_box(lattice.gram, m, height, cap=cap, tested=tested,
+                             first=True, accept=accept)
+    if not hits:
+        return None, tested
+    if lattice.norm(hits[0]) != m:
+        raise ArithmeticError("enumerated witness does not have the requested norm")
+    return LatticeVector(hits[0]), tested
 
 
 def primitive_isotropic_vectors(lattice: GramLattice, height: int, *,
@@ -349,11 +391,13 @@ def _prod(xs):
 
 
 def _search_isotropic_witness(lattice: GramLattice, max_height: int) -> LatticeVector | None:
-    h = 1
+    """First primitive isotropic vector at the first doubling height that has one."""
+    h, tested = 1, 0
     while h <= max_height:
-        hits = primitive_isotropic_vectors(lattice, h)
-        if hits:
-            return hits[0]
+        witness, tested = first_norm_vector(lattice, 0, h, tested=tested,
+                                            accept=lambda v: linalg.vec_content(v) == 1)
+        if witness is not None:
+            return witness
         h *= 2
     return None
 
@@ -448,7 +492,7 @@ def root_existence(lattice: GramLattice, root_norm: int = -2, height: int = 10, 
        the orthogonal extension by <-root_norm> is isotropic;
     2. congruence scan over the modulus ladder, run once per square divisor
        class of root_norm so imprimitive vectors cannot slip through;
-    3. bounded enumeration up to the height.
+    3. bounded search up to the height, stopped at the lex-first witness.
 
     Oversized ladder moduli are skipped (recorded in notes), never treated
     as obstructions.
@@ -486,11 +530,8 @@ def root_existence(lattice: GramLattice, root_norm: int = -2, height: int = 10, 
         return SearchVerdict(kind="certified_none", norm=root_norm,
                              certificate=cert, notes=tuple(sorted(set(notes))))
 
-    hits = enumerate_norm_vectors(lattice, root_norm, height, cap=enum_cap)
-    if hits:
-        witness = hits[0]
-        if lattice.norm(witness.coords) != root_norm:
-            raise ArithmeticError("enumerated witness does not have the requested norm")
+    witness, _ = first_norm_vector(lattice, root_norm, height, cap=enum_cap)
+    if witness is not None:
         return SearchVerdict(kind="witness", norm=root_norm, height_bound=height,
                              witness=witness, notes=tuple(sorted(set(notes))))
     return SearchVerdict(kind="none_up_to_height", norm=root_norm,

@@ -270,13 +270,24 @@ def _preserves_pair(gen: Isometry, pair) -> bool:
 
 # -- Dirichlet domains ---------------------------------------------------------------
 
+def _pull_back(g: Isometry, gram_h) -> tuple[int, ...]:
+    """g^-1 h = adj(G) g^t (G h) / det G from gram_h = G h: two
+    matrix-vector products and an exact division, without forming g^-1."""
+    lat = g.lattice
+    det = lat.determinant
+    w = linalg.mat_vec(lat.adjugate, linalg.mat_vec(linalg.transpose(g.matrix), gram_h))
+    if any(x % det for x in w):
+        raise ArithmeticError("adj(G) g^t G h is not divisible by det G: g^t G g != G")
+    return tuple(x // det for x in w)
+
+
 def dirichlet_halfspace(h: HyperboloidPoint, g: Isometry) -> HalfSpace:
     """Bisector inequality selecting the h-side: (g^-1 h - h, x) >= 0.
 
     Exactly equivalent to d(h, x) <= d(h, g x) because g^-1 h and h share
     the same exact norm.  The normal is returned primitive.
     """
-    moved = g.inverse().apply(h.ray)
+    moved = _pull_back(g, linalg.mat_vec(g.lattice.gram, h.ray))
     if tuple(moved) == tuple(h.ray):
         raise FixedBasepoint("basepoint is fixed; choose another basepoint")
     normal = linalg.vec_sub(moved, h.ray)
@@ -299,8 +310,9 @@ def dirichlet_domain(g: FGGroup, h: HyperboloidPoint, word_budget: int, *,
            for gen in g.generators):
         raise FixedBasepoint("a generator fixes the basepoint")
     normals = []
+    gram_h = linalg.mat_vec(g.lattice.gram, h.ray)
     for elem, _word in elements_up_to(g, word_budget, include_identity=False, cap=cap):
-        moved = elem.inverse().apply(h.ray)
+        moved = _pull_back(elem, gram_h)
         if tuple(moved) == tuple(h.ray):
             continue
         normals.append(linalg.vec_sub(moved, h.ray))

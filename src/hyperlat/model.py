@@ -53,16 +53,13 @@ def pick_cone(lattice: GramLattice, base=None) -> ConeOrientation:
     """Designate a positive cone, finding a small base vector when not given."""
     if base is not None:
         return ConeOrientation(lattice=lattice, base=coords_of(base))
-    from .forms import enumerate_norm_vectors  # local import avoids a cycle
+    from .forms import first_norm_vector  # local import avoids a cycle
+    tested = 0  # one candidate budget for the whole norm x height search
     for height in (1, 2, 3, 5, 8):
-        best = None
         for m in range(1, 4 * height * height + 1):
-            hits = enumerate_norm_vectors(lattice, m, height)
-            if hits:
-                best = hits[0].coords
-                break
-        if best is not None:
-            return ConeOrientation(lattice=lattice, base=best)
+            best, tested = first_norm_vector(lattice, m, height, tested=tested)
+            if best is not None:
+                return ConeOrientation(lattice=lattice, base=best.coords)
     raise InvalidParameter("no small positive-norm vector found; pass a base explicitly")
 
 

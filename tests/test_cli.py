@@ -2,10 +2,14 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 
 import pytest
+
+from hyperlat import direct_sum, standard_lattice
 
 CLI = [sys.executable, "-m", "hyperlat.cli"]
 
@@ -202,6 +206,40 @@ def test_exit_code_budget_error(files):
                     "--norm", "-2", "--height", "10000"], files)
     assert proc.returncode == 2
     assert "budget" in proc.stderr
+
+
+def _write_u_e8(files, name, scale=1):
+    lat = direct_sum(standard_lattice("U"), standard_lattice("E8"))
+    gram = [[scale * x for x in row] for row in lat.gram]
+    (files / name).write_text(json.dumps({"gram": gram}))
+    return gram
+
+
+def test_criteria_k3_u_e8_default_height(files):
+    # the rank-10 box at height 10 is 21^10 wide; the first-hit search
+    # stops at the lex-first root instead of refusing the box up front
+    gram = _write_u_e8(files, "ue8.json")
+    rep = out_json(run_cli(["criteria", "k3", "--lattice", "ue8.json"], files))
+    verdict = rep["result"]["lattice_verdict"]
+    assert verdict["kind"] == "NotLattice"
+    w = verdict["evidence"]["witness"]
+    assert verdict["evidence"]["norm"] == -2
+    assert sum(w[i] * gram[i][j] * w[j] for i in range(10) for j in range(10)) == -2
+
+
+def test_roots_budget_refusal_rank10(files):
+    # 11(U+E8) has no root; the search runs until the work budget is spent
+    _write_u_e8(files, "x11.json", scale=11)
+    start = time.perf_counter()
+    proc = run_cli(["roots", "--lattice", "x11.json", "--height", "10"], files)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2, proc.stderr
+    assert elapsed < 5
+    found = re.search(r"budget error: box enumeration .*: (\d+) candidates tested"
+                      r".* budget of (\d+)", proc.stderr)
+    assert found, proc.stderr
+    tested, budget = int(found.group(1)), int(found.group(2))
+    assert budget // 2 < tested <= budget
 
 
 def test_degenerate_lattice_rejected(files):

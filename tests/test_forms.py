@@ -10,9 +10,9 @@ import pytest
 from hyperlat import (build_lattice, congruence_obstruction, direct_sum,
                       enumerate_norm_vectors, hilbert_symbol,
                       primitive_isotropic_vectors, rank1, rational_isotropy,
-                      root_existence, standard_lattice)
+                      root_existence, signature, standard_lattice)
 from hyperlat.errors import BudgetExceeded, NoPositiveConeSet
-from hyperlat.forms import (INFINITE_PLACE, replay_congruence,
+from hyperlat.forms import (INFINITE_PLACE, first_norm_vector, replay_congruence,
                             replay_rational_certificate, replay_verdict,
                             squarefree_int)
 from hyperlat.model import pick_cone
@@ -23,6 +23,7 @@ FAMILY3 = build_lattice([[4, 0, 0], [0, -8, 0], [0, 0, -12]])
 CC_D4 = direct_sum(rank1(32), standard_lattice("D4"))
 CC_A2 = direct_sum(direct_sum(rank1(54), standard_lattice("A2")),
                    standard_lattice("A2"))
+U_E8 = direct_sum(U, standard_lattice("E8"))
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -265,6 +266,102 @@ def test_root_existence_imprimitive_divisor_classes():
     v = root_existence(U_MINUS2, -8, 2)
     assert v.kind == "witness"
     assert U_MINUS2.norm(v.witness.coords) == -8
+
+
+# -- first-hit witnesses against full listings ---------------------------------------
+
+def _random_forms(seed, count, hyperbolic=False):
+    """Nondegenerate symmetric forms of rank 2 to 4 with entries in [-3, 3]."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, 4)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.randint(-3, 3)
+        try:
+            lat = build_lattice(rows)
+        except Exception:
+            continue  # degenerate
+        if not hyperbolic or signature(lat) == (1, n - 1):
+            out.append(lat)
+    return out
+
+
+WITNESS_LATTICES = [CC_D4, CC_A2, U_E8]
+
+
+def _listing(lat, m, h):
+    """Oracle: the brute-force box up to rank 5, the full DFS listing beyond."""
+    if lat.rank <= 5:
+        return brute_box(lat, m, h)
+    return [v.coords for v in enumerate_norm_vectors(lat, m, h)]
+
+
+def _first_primitive(vectors):
+    return next((v for v in vectors if math.gcd(*v) == 1), None)
+
+
+@pytest.mark.parametrize("norm", (-2, -8))
+def test_root_witness_is_first_of_full_listing(norm):
+    for lat in _random_forms(41, 30) + WITNESS_LATTICES:
+        for h in (1, 2):
+            verdict = root_existence(lat, norm, h)
+            listing = _listing(lat, norm, h)
+            if verdict.kind == "witness":
+                assert verdict.witness.coords == listing[0]
+            else:  # a certificate or an empty box: nothing to list either way
+                assert listing == []
+
+
+def test_isotropic_witness_is_first_primitive_of_full_listing():
+    for lat in _random_forms(43, 30) + WITNESS_LATTICES:
+        verdict = rational_isotropy(lat, witness_height=2)
+        # the witness search doubles the height: 1, then 2
+        expected = (_first_primitive(_listing(lat, 0, 1))
+                    or _first_primitive(_listing(lat, 0, 2)))
+        got = verdict.witness.coords if verdict.witness is not None else None
+        assert got == expected
+        if expected is not None:
+            assert verdict.isotropic
+
+
+def test_pick_cone_base_is_first_of_full_listing():
+    checked = 0
+    for lat in _random_forms(47, 30, hyperbolic=True) + WITNESS_LATTICES:
+        # pick_cone tries norms 1..4h^2 at each height in turn
+        expected = next((listing[0] for h in (1, 2) for m in range(1, 4 * h * h + 1)
+                         if (listing := _listing(lat, m, h))), None)
+        if expected is None:
+            continue  # the base lies beyond height 2, out of the oracle's reach
+        assert pick_cone(lat).base == expected
+        checked += 1
+    assert checked >= 25
+
+
+def test_pinned_witnesses_survive_large_heights():
+    # the old box-volume cap refused height 100 at rank 5 (201^5 > 10^8);
+    # the first hit is the same lex-first root at every height
+    v = root_existence(CC_D4, -2, 100)
+    assert v.kind == "witness"
+    assert v.witness.coords == brute_box(CC_D4, -2, 1)[0] == (0, 0, 0, 0, 1)
+    assert root_existence(U_MINUS2, -2, 100).witness.coords == (0, 0, 1)
+
+
+def test_budget_counts_candidates_tested():
+    with pytest.raises(BudgetExceeded,
+                       match=r"box enumeration .*: (\d+) candidates tested.* budget of 1000$"
+                       ) as info:
+        enumerate_norm_vectors(CC_D4, -2, 100, cap=1000)
+    tested = int(info.value.args[0].split(": ")[1].split()[0])
+    assert 0 < tested <= 1000
+    # a chained search carries its count: the budget covers the whole call
+    witness, tested = first_norm_vector(U_MINUS2, -2, 3)
+    assert witness.coords == (0, 0, 1) and tested > 0
+    assert first_norm_vector(U_MINUS2, -2, 3, tested=500)[1] == 500 + tested
+    with pytest.raises(BudgetExceeded, match="500 candidates tested"):
+        first_norm_vector(U_MINUS2, -2, 3, cap=500, tested=500)
 
 
 def test_enumerate_identical_across_worker_counts(monkeypatch):

@@ -11,9 +11,9 @@ import sympy
 import hyperlat
 from hyperlat import (direct_sum, group, make_isometry, pick_cone, rank1,
                       reflection, standard_lattice)
-from hyperlat.groups import elements_up_to
+from hyperlat.groups import _pull_back, elements_up_to
 from hyperlat.isometry import Isometry
-from hyperlat.linalg import adjugate, bareiss_det, identity_matrix, mat_mul
+from hyperlat.linalg import adjugate, bareiss_det, identity_matrix, mat_mul, mat_vec
 
 U = standard_lattice("U")
 D12 = direct_sum(rank1(1), rank1(-2))
@@ -82,6 +82,22 @@ def test_inverse_of_random_words(name):
 def test_inverse_refuses_a_matrix_that_breaks_the_form():
     with pytest.raises(ArithmeticError):
         Isometry(O_D12, ((1, 1), (0, 1))).inverse()
+    with pytest.raises(ArithmeticError):
+        _pull_back(Isometry(O_D12, ((1, 1), (0, 1))), mat_vec(D12.gram, (1, 0)))
+
+
+@pytest.mark.parametrize("name", sorted(WORD_LETTERS))
+def test_pull_back_matches_the_inverse(name):
+    # dirichlet_domain moves h by g^-1 without forming g^-1
+    letters = WORD_LETTERS[name]
+    lat = letters[0].lattice
+    h = letters[0].orientation.base
+    rng = random.Random(37)
+    for _ in range(40):
+        g = letters[rng.randrange(len(letters))]
+        for _ in range(rng.randint(0, 9)):
+            g = g.compose(letters[rng.randrange(len(letters))])
+        assert _pull_back(g, mat_vec(lat.gram, h)) == g.inverse().apply(h)
 
 
 BALL_GROUPS = {
