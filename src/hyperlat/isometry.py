@@ -4,7 +4,10 @@ Classification never touches a float eigensolver.  A real eigenvalue
 above 1 is detected by Sturm sign counting on the integer characteristic
 polynomial and bracketed by rational bisection; the remaining elements
 split into finite order (elliptic) and unipotent-type (parabolic) through
-exact cyclotomic factorization and matrix powering.
+exact cyclotomic factorization and matrix powering.  All of this runs in
+Python ints; Fractions appear only as the endpoints of the scale's bracket,
+and the scale's field Q(lambda) and the parabolic fixed ray are computed
+over the rationals.
 """
 
 from __future__ import annotations

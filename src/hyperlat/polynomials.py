@@ -1,8 +1,14 @@
 """Exact univariate polynomial arithmetic and real-root isolation.
 
-Polynomials are coefficient lists ordered low degree to high.  Integer
-polynomials stay in Python ints; division-based routines promote to
-Fraction.  Real-root counting uses Sturm chains, never float eigensolvers:
+Polynomials are coefficient lists ordered low degree to high.  The
+classification path works on integer polynomials in Python ints: the
+characteristic polynomial (Faddeev-LeVerrier with checked divisions),
+Sturm chains and squarefree parts (primitive pseudo-remainders), exact
+division, and signs at a rational point num/den.  Bisection keeps its
+bracket as two integers over one denominator, so the bracket endpoints it
+returns are the only Fractions.  Fraction coefficients remain in
+arithmetic in Q(alpha) (RealAlgebraicField, AlgebraicNumber).
+Real-root counting uses Sturm chains, never float eigensolvers:
 loxodromic-vs-parabolic near scaling factor 1 is hostile to floats (Salem
 numbers accumulate at 1).
 """
@@ -11,9 +17,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
-from .linalg import bareiss_det, identity_matrix
+from .linalg import identity_matrix, mat_mul
+
+# bisection steps bracket_largest_root_above may take before it gives up
+_BRACKET_STEPS = 20000
 
 
 def trim(p):
@@ -28,8 +37,8 @@ def degree(p) -> int:
     return len(p) - 1 if p else -1
 
 
-def poly_eval(p, x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def poly_eval(p, x):
+    acc = 0
     for c in reversed(list(p)):
         acc = acc * x + c
     return acc
@@ -78,105 +87,104 @@ def poly_divmod(p, q):
 
 
 def poly_int_div_exact(p, q):
-    """Exact division of integer polynomials; None when not divisible over Q
-    or when the quotient is not integral."""
-    quot, rem = poly_divmod(p, q)
-    if rem:
-        return None
-    out = []
-    for c in quot:
-        if c.denominator != 1:
+    """Exact division of integer polynomials by long division in integers;
+    None when a step or the remainder does not divide, that is, when q does
+    not divide p in Z[x]."""
+    rem, q = trim(p), trim(q)
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    lead, dq = q[-1], len(q) - 1
+    quot = [0] * max(0, len(rem) - dq)
+    for shift in range(len(rem) - 1 - dq, -1, -1):
+        c, r = divmod(rem[shift + dq], lead)
+        if r:
             return None
-        out.append(int(c))
-    return out
+        quot[shift] = c
+        for i in range(dq):
+            rem[shift + i] -= c * q[i]
+    return None if any(rem[:dq]) else quot
 
 
 def derivative(p):
     return trim([i * c for i, c in enumerate(p)][1:])
 
 
-def poly_gcd(p, q):
-    """Monic gcd over the rationals."""
-    a = [Fraction(c) for c in trim(p)]
-    b = [Fraction(c) for c in trim(q)]
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return []
-    lead = a[-1]
-    return [c / lead for c in a]
-
-
-def content(p) -> int:
-    g = 0
-    for c in p:
-        g = gcd(g, abs(c))
-    return g if g else 1
-
-
-def to_primitive_int(p):
-    """Clear denominators and divide out integer content; keeps the sign."""
+def primitive(p):
+    """p divided by the gcd of its integer coefficients; keeps the sign."""
     p = trim(p)
-    denom = 1
-    for c in p:
-        f = Fraction(c)
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(Fraction(c) * denom) for c in p]
-    g = content(ints)
-    return [c // g for c in ints]
+    g = gcd(*p) or 1
+    return [c // g for c in p]
+
+
+def _primitive_remainder(a, b):
+    """The remainder of a by b, times a positive constant, made primitive.
+
+    Pseudo-division with multiplier |lc(b)| per step: each step replaces r
+    by |lc(b)| r - sgn(lc(b)) lc(r) x^s b, which cancels the leading term.
+    """
+    r = list(a)
+    db = len(b) - 1
+    m, sgn = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    while len(r) > db:
+        c, shift = sgn * r[-1], len(r) - 1 - db
+        r = [m * x for x in r]
+        for i in range(db):
+            r[shift + i] -= c * b[i]
+        r = trim(r[:-1])
+    return primitive(r)
 
 
 def squarefree_part(p):
-    """Primitive integer squarefree part p / gcd(p, p')."""
-    g = poly_gcd(p, derivative(p))
+    """Primitive integer squarefree part p / gcd(p, p'), with the sign of p's
+    leading coefficient.  gcd(p, p') is the last member of p's Sturm chain."""
+    p = trim(p)
+    g = sturm_chain(p)[-1]
     if degree(g) <= 0:
-        return to_primitive_int(p)
-    quot, rem = poly_divmod(p, g)
-    if rem:
+        return primitive(p)
+    quot = poly_int_div_exact(p, g if g[-1] > 0 else poly_neg(g))
+    if quot is None:
         raise ArithmeticError("gcd(p, p') does not divide p")
-    return to_primitive_int(quot)
+    return primitive(quot)
 
 
 def charpoly(mat) -> list[int]:
-    """Monic characteristic polynomial det(xI - M) of an integer matrix.
+    """Monic characteristic polynomial det(xI - A) of a square integer matrix.
 
-    Evaluated at x = 0..n by fraction-free determinants, then interpolated
-    exactly; coefficients are certified integers.
+    Faddeev-LeVerrier over the integers: M_1 = I, c_{n-k} = -tr(A M_k) / k
+    and M_{k+1} = A M_k + c_{n-k} I.  Each division is checked exact, and
+    M_{n+1} must vanish (Cayley-Hamilton).
     """
     n = len(mat)
-    xs = list(range(n + 1))
-    ys = []
-    for x in xs:
-        shifted = tuple(tuple((x if i == j else 0) - mat[i][j] for j in range(n))
-                        for i in range(n))
-        ys.append(bareiss_det(shifted))
-    # Lagrange interpolation over Q
-    poly = [Fraction(0)]
-    for i, xi in enumerate(xs):
-        term = [Fraction(ys[i])]
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            term = poly_mul(term, [Fraction(-xj, xi - xj), Fraction(1, xi - xj)])
-        poly = poly_add(poly, term)
-    if any(Fraction(c).denominator != 1 for c in poly):
-        raise ArithmeticError("interpolated characteristic polynomial is not integral")
-    out = [int(c) for c in poly]
-    if out[-1] != 1:
-        raise ArithmeticError("characteristic polynomial must be monic")
+    out = [0] * n + [1]
+    m = identity_matrix(n)
+    for k in range(1, n + 1):
+        am = mat_mul(mat, m)
+        c, r = divmod(-sum(am[i][i] for i in range(n)), k)
+        if r:
+            raise ArithmeticError(f"trace of A M_{k} is not divisible by {k}")
+        out[n - k] = c
+        m = tuple(tuple(x + c if i == j else x for j, x in enumerate(row))
+                  for i, row in enumerate(am))
+    if any(any(row) for row in m):
+        raise ArithmeticError("characteristic polynomial does not annihilate the matrix")
     return out
 
 
 # -- Sturm machinery ----------------------------------------------------------
 
 def sturm_chain(p):
-    chain = [[Fraction(c) for c in trim(p)]]
-    d = derivative(chain[0])
+    """Sturm chain of the integer polynomial p as primitive integer members.
+
+    Each member is a positive multiple of the classical one (p, p', -rem,
+    ...), which leaves every sign-variation count unchanged.  The last
+    member is gcd(p, p') up to a constant factor.
+    """
+    chain = [trim(p)]
+    d = primitive(derivative(chain[0]))
     if d:
         chain.append(d)
         while degree(chain[-1]) > 0:
-            _, r = poly_divmod(chain[-2], chain[-1])
+            r = _primitive_remainder(chain[-2], chain[-1])
             if not r:
                 break
             chain.append(poly_neg(r))
@@ -188,13 +196,18 @@ def _variations(signs) -> int:
     return sum(1 for a, b in zip(seq, seq[1:]) if a * b < 0)
 
 
-def sign_at(p, x: Fraction) -> int:
-    v = poly_eval(p, x)
-    return (v > 0) - (v < 0)
+def sign_at(p, num: int, den: int) -> int:
+    """Sign of the integer polynomial p at num/den, den > 0: the sign of
+    sum c_i num^i den^(d-i), by homogeneous Horner."""
+    acc, scale = 0, 1
+    for c in reversed(p):
+        acc = acc * num + c * scale
+        scale *= den
+    return (acc > 0) - (acc < 0)
 
 
-def variations_at(chain, x: Fraction) -> int:
-    return _variations([sign_at(p, x) for p in chain])
+def variations_at(chain, num: int, den: int) -> int:
+    return _variations([sign_at(p, num, den) for p in chain])
 
 
 def variations_at_pos_inf(chain) -> int:
@@ -204,67 +217,69 @@ def variations_at_pos_inf(chain) -> int:
 def count_roots_in(p, a: Fraction, b: Fraction) -> int:
     """Distinct real roots of squarefree p in the half-open interval (a, b]."""
     chain = sturm_chain(p)
-    return variations_at(chain, a) - variations_at(chain, b)
+    a, b = Fraction(a), Fraction(b)
+    return (variations_at(chain, a.numerator, a.denominator)
+            - variations_at(chain, b.numerator, b.denominator))
 
 
 def count_roots_gt(p, a: Fraction) -> int:
     """Distinct real roots of squarefree p in (a, +inf)."""
     chain = sturm_chain(p)
-    return variations_at(chain, a) - variations_at_pos_inf(chain)
+    a = Fraction(a)
+    return variations_at(chain, a.numerator, a.denominator) - variations_at_pos_inf(chain)
 
 
-def cauchy_bound(p) -> Fraction:
-    """All real roots lie in [-B, B]."""
-    p = trim(p)
-    lead = abs(Fraction(p[-1]))
-    return 1 + max((abs(Fraction(c)) for c in p[:-1]), default=Fraction(0)) / lead
+def _halve(q, lo: int, hi: int, den: int) -> tuple[int, int, int]:
+    """One bisection step on (lo/den, hi/den] for q with positive leading
+    coefficient: the half where q changes sign, over the denominator 2 den.
+    lo == hi when the midpoint is a root."""
+    mid, den = lo + hi, 2 * den
+    s = sign_at(q, mid, den)
+    if s == 0:
+        return mid, mid, den
+    return (2 * lo, mid, den) if s > 0 else (mid, 2 * hi, den)
+
+
+def _positive_leading(p):
+    q = trim(p)
+    return poly_neg(q) if q[-1] < 0 else q
 
 
 def bracket_largest_root_above(p, a: Fraction) -> tuple[Fraction, Fraction]:
-    """Isolating interval (lo, hi] for the unique root of squarefree p in (a, inf).
+    """Isolating interval (lo, hi] of width < 1 for the unique root of
+    squarefree p in (a, inf).
 
-    Raises ArithmeticError unless exactly one such root exists; it is then
-    the largest real root.
+    Raises ArithmeticError unless exactly one such root exists (it is then
+    the largest real root), or if _BRACKET_STEPS bisections do not isolate it.
     """
-    q = trim([Fraction(c) for c in p])
-    if q[-1] < 0:
-        q = poly_neg(q)
+    q = _positive_leading(p)
     chain = sturm_chain(q)
-    if variations_at(chain, a) - variations_at_pos_inf(chain) != 1:
+    a = Fraction(a)
+    if variations_at(chain, a.numerator, a.denominator) - variations_at_pos_inf(chain) != 1:
         raise ArithmeticError("expected exactly one root above the bracket start")
-    lo, hi = a, cauchy_bound(q)
+    # from a to the Cauchy bound 1 + max|c_i| / lc, over the denominator den;
     # beyond the largest root the (positive-leading) polynomial is positive
-    for _ in range(20000):
-        if hi - lo <= 0:
-            break
-        mid = (lo + hi) / 2
-        s = sign_at(q, mid)
-        if s == 0:
-            return mid, mid
-        if s > 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1 and variations_at(chain, lo) - variations_at(chain, hi) == 1:
-            break
-    return lo, hi
+    den = a.denominator * q[-1]
+    lo = a.numerator * q[-1]
+    hi = (q[-1] + max(abs(c) for c in q[:-1])) * a.denominator
+    for _ in range(_BRACKET_STEPS):
+        lo, hi, den = _halve(q, lo, hi, den)
+        if lo == hi or (hi - lo < den
+                        and variations_at(chain, lo, den) - variations_at(chain, hi, den) == 1):
+            return Fraction(lo, den), Fraction(hi, den)
+    raise ArithmeticError(f"no isolating bracket after {_BRACKET_STEPS} bisections")
 
 
 def refine_bracket(p, lo: Fraction, hi: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
     """Bisect a bracket of a simple root down to width <= eps."""
-    q = trim([Fraction(c) for c in p])
-    if q[-1] < 0:
-        q = poly_neg(q)
-    while hi - lo > eps:
-        mid = (lo + hi) / 2
-        s = sign_at(q, mid)
-        if s == 0:
-            return mid, mid
-        if s > 0:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
+    q = _positive_leading(p)
+    lo, hi, eps = Fraction(lo), Fraction(hi), Fraction(eps)
+    den = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    b = hi.numerator * (den // hi.denominator)
+    while (b - a) * eps.denominator > eps.numerator * den:
+        a, b, den = _halve(q, a, b, den)
+    return Fraction(a, den), Fraction(b, den)
 
 
 # -- cyclotomic factors ---------------------------------------------------------
@@ -355,7 +370,7 @@ def minimal_polynomial_of_root(p, lo: Fraction, hi: Fraction) -> list[int]:
     are divided out.  Root membership is still decided by an exact Sturm
     count, so the result is certificate-grade.
     """
-    _factors, out = _strip_cyclotomic(to_primitive_int(p))
+    _factors, out = _strip_cyclotomic(primitive(p))
     if count_roots_in(out, lo, hi) != 1:
         raise ArithmeticError("bracket does not isolate a root of the non-cyclotomic part")
     return out
@@ -371,7 +386,7 @@ class RealAlgebraicField:
         self.minpoly = [Fraction(c) for c in trim(minpoly)]
         lead = self.minpoly[-1]
         self.minpoly = [c / lead for c in self.minpoly]
-        self.minpoly_int = to_primitive_int(minpoly)
+        self.minpoly_int = primitive(minpoly)
         self.degree = degree(self.minpoly)
         self._lo = Fraction(lo)
         self._hi = Fraction(hi)
