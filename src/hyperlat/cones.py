@@ -59,14 +59,9 @@ def cone_from_halfspaces(lattice: GramLattice, normals, *, orientation=None,
 
     Accepts plain vectors or HalfSpace objects.
     """
-    seen = []
-    for w in normals:
-        if isinstance(w, HalfSpace):
-            w = w.normal
-        prim = linalg.primitive_vector(coords_of(w))
-        if prim not in seen:
-            seen.append(prim)
-    return PolyhedralCone(lattice=lattice, halfspaces=tuple(seen),
+    prims = (linalg.primitive_vector(coords_of(w.normal if isinstance(w, HalfSpace) else w))
+             for w in normals)
+    return PolyhedralCone(lattice=lattice, halfspaces=tuple(dict.fromkeys(prims)),
                           orientation=orientation, truncated_at=truncated_at)
 
 
@@ -131,35 +126,38 @@ def _pointed_double_description(rows, r: int):
         rhs = [Fraction(1 if j == k else 0) for j in range(r)]
         sol = linalg.solve_linear(seed_rows, rhs)
         rays.append(linalg.primitive_vector(sol))
-    processed = list(seed_idx)
-
-    def zero_set(ray):
-        return frozenset(i for i in processed if linalg.dot(rows[i], ray) == 0)
-
+    seeds = set(seed_idx)
+    # zero set of each ray over the rows processed so far, as a bitmask
+    zsets = {ray: sum(1 << i for i in seed_idx if linalg.dot(rows[i], ray) == 0)
+             for ray in rays}
     for i, row in enumerate(rows):
-        if i in seed_idx:
+        if i in seeds:
             continue
         values = {ray: linalg.dot(row, ray) for ray in rays}
         pos = [ray for ray in rays if values[ray] > 0]
         zero = [ray for ray in rays if values[ray] == 0]
         neg = [ray for ray in rays if values[ray] < 0]
-        if not neg:
-            processed.append(i)
-            rays = pos + zero
-            continue
-        zsets = {ray: zero_set(ray) for ray in rays}
-        fresh = []
+        fresh = {}
         for p in pos:
             for m in neg:
                 common = zsets[p] & zsets[m]
-                adjacent = not any(zsets[o] >= common
-                                   for o in rays if o is not p and o is not m)
-                if adjacent:
-                    combo = tuple(values[p] * mx - values[m] * px
-                                  for px, mx in zip(p, m))
-                    fresh.append(linalg.primitive_vector(combo))
-        processed.append(i)
-        rays = pos + zero + [f for f in dict.fromkeys(fresh) if f not in pos + zero]
+                if common.bit_count() < r - 2:
+                    continue  # adjacent rays share at least r - 2 active rows
+                if any(zsets[o] & common == common
+                       for o in rays if o is not p and o is not m):
+                    continue
+                combo = tuple(values[p] * mx - values[m] * px for px, mx in zip(p, m))
+                # a positive combination: its zero set is exactly Z(p) & Z(m), plus row i
+                fresh.setdefault(linalg.primitive_vector(combo), common | 1 << i)
+        for ray in zero:
+            zsets[ray] |= 1 << i
+        for ray in neg:
+            del zsets[ray]
+        rays = pos + zero
+        for ray, zset in fresh.items():
+            if ray not in zsets:
+                zsets[ray] = zset
+                rays.append(ray)
     return rays
 
 

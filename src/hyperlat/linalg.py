@@ -2,12 +2,21 @@
 
 Matrices are tuples of tuples (rows); vectors are tuples.  Everything here
 is pure and allocation-cheap at desk scale (rank <= ~10); no floating point.
+
+Fraction-free (Python ints only): the products `mat_mul`, `mat_vec`, `dot`
+and `pairing`, `bareiss_det`, `adjugate`, `primitive_vector`, and the row
+basis behind `rank`, `row_echelon`, `kernel_basis` and `solve_linear`.
+Rational input rows have their denominators cleared first, and
+`row_echelon` runs its `Fraction` reduction only on the at most ncols rows
+of that integer basis.  `congruence_diagonal`, `gram_schmidt_frame` and
+`frac_pairing` work over `Fraction`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 IntVec = tuple[int, ...]
@@ -43,11 +52,11 @@ def transpose(mat):
 
 def mat_mul(a, b):
     bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
 
 
 def mat_vec(a, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 def vec_sub(u, v):
@@ -59,12 +68,12 @@ def vec_neg(v):
 
 
 def dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def pairing(gram, u, v):
     """u^T * gram * v, exact."""
-    return sum(u[i] * sum(gram[i][j] * v[j] for j in range(len(v))) for i in range(len(u)))
+    return sum(map(mul, u, mat_vec(gram, v)))
 
 
 def matrix_power(m, k: int):
@@ -115,10 +124,19 @@ def adjugate(mat) -> IntMat:
 
 
 def vec_content(v) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
+    return gcd(*v)
+
+
+def clear_denominators(v) -> tuple[list[int], int]:
+    """(ints, den) with v = ints / den and den the lcm of v's denominators.
+
+    Integer vectors pass through with den = 1.
+    """
+    if all(type(x) is int for x in v):
+        return list(v), 1
+    fracs = [Fraction(x) for x in v]
+    den = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
 def primitive_vector(v) -> IntVec:
@@ -126,26 +144,53 @@ def primitive_vector(v) -> IntVec:
 
     The sign is kept as given; callers normalize orientation themselves.
     """
-    fracs = [Fraction(x) for x in v]
-    if all(f == 0 for f in fracs):
+    ints, _ = clear_denominators(v)
+    g = gcd(*ints)
+    if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in fracs]
-    g = vec_content(ints)
     return tuple(x // g for x in ints)
 
 
-# -- rational Gaussian elimination -------------------------------------------
+# -- elimination ----------------------------------------------------------------
 
-def _frac_rows(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+def row_basis(rows) -> list[list[int]]:
+    """Primitive integer basis of the row space, by fraction-free elimination.
+
+    Each row, denominators cleared, is reduced against the basis so far in
+    insertion order: v <- b[p] v - v[p] b at basis row b's pivot p.  A basis
+    row is zero at the pivots of the rows before it, so every reduced row is
+    zero at all pivots; a nonzero one joins the basis, divided by its
+    content, with its first nonzero column as pivot.  Stops once the basis
+    has ncols rows.
+    """
+    basis: list[tuple[int, list[int]]] = []
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    for row in rows:
+        v, _ = clear_denominators(row)
+        for p, b in basis:
+            vp = v[p]
+            if vp:
+                bp = b[p]
+                g = gcd(bp, vp)
+                bp, vp = bp // g, vp // g
+                v = [bp * x - vp * y for x, y in zip(v, b)]
+        g = gcd(*v)
+        if g:
+            basis.append((next(c for c, x in enumerate(v) if x), [x // g for x in v]))
+            if len(basis) == ncols:
+                break
+    return [b for _, b in basis]
 
 
 def row_echelon(rows):
-    """Reduced row echelon form; returns (rref rows, pivot column indices)."""
-    a = _frac_rows(rows)
+    """Reduced row echelon form; returns (rref rows, pivot column indices).
+
+    The RREF depends only on the row space, so the `Fraction` Gauss-Jordan
+    runs on the integer `row_basis`, at most ncols rows.
+    """
+    a = [[Fraction(x) for x in row] for row in row_basis(rows)]
     if not a:
         return [], []
     ncols = len(a[0])
@@ -170,9 +215,7 @@ def row_echelon(rows):
 
 
 def rank(rows) -> int:
-    if not rows:
-        return 0
-    return len(row_echelon(rows)[0])
+    return len(row_basis(rows))
 
 
 def kernel_basis(rows) -> list[IntVec]:

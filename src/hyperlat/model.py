@@ -48,6 +48,18 @@ class ConeOrientation:
         scales = [math.sqrt(abs(float(n))) for n in norms]
         return frame, norms, scales
 
+    @cached_property
+    def projection(self):
+        """Integer rows u_k and denominators d_k > 0 with
+        (ray, f_k) / (f_k, f_k) = ray . u_k / d_k for the frame vectors f_k."""
+        frame, norms, _ = self.frame
+        out = []
+        for f, n in zip(frame, norms):
+            ints, den = linalg.clear_denominators(
+                [x / n for x in linalg.mat_vec(self.lattice.gram, f)])
+            out.append((tuple(ints), den))
+        return tuple(out)
+
 
 def pick_cone(lattice: GramLattice, base=None) -> ConeOrientation:
     """Designate a positive cone, finding a small base vector when not given."""
@@ -206,15 +218,13 @@ def minkowski_coords(orientation: ConeOrientation, ray) -> tuple[float, ...]:
     """Float coordinates of the exact ray in the orthonormalized frame.
 
     Index 0 is the timelike coordinate; (a0, a1, ..., an) satisfies
-    ray.ray = a0^2 - sum ai^2 up to rounding.
+    ray.ray = a0^2 - sum ai^2 up to rounding.  Each coordinate is one
+    integer dot product and one int true division, which rounds correctly,
+    as float() of the exact rational does.
     """
-    frame, norms, scales = orientation.frame
-    lat = orientation.lattice
-    out = []
-    for f, n, s in zip(frame, norms, scales):
-        c = linalg.frac_pairing(lat.gram, tuple(Fraction(x) for x in ray), f) / n
-        out.append(float(c) * s)
-    return tuple(out)
+    _, _, scales = orientation.frame
+    return tuple(linalg.dot(ray, u) / d * s
+                 for (u, d), s in zip(orientation.projection, scales))
 
 
 def to_ball(orientation: ConeOrientation, obj) -> tuple[float, ...]:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .linalg import identity_matrix, mat_mul
+from .linalg import identity_matrix, mat_mul, matrix_power
 
 # bisection steps bracket_largest_root_above may take before it gives up
 _BRACKET_STEPS = 20000
@@ -527,11 +527,12 @@ def _interval_eval(p, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
 
 def identity_power_order(mat, candidate_orders) -> int | None:
     """Smallest k among sorted candidates with mat^k = I, else None."""
-    from .linalg import matrix_power
-
     ident = identity_matrix(len(mat))
+    power, done = ident, 0
     for k in sorted(candidate_orders):
-        if matrix_power(mat, k) == ident:
+        power = mat_mul(power, matrix_power(mat, k - done))  # mat^k from mat^done
+        done = k
+        if power == ident:
             return k
     return None
 

@@ -13,7 +13,8 @@ from hyperlat import (Horoball, boundary_from_ray, build_lattice,
                       reflection, standard_lattice, to_ball, to_upper_half)
 from hyperlat.errors import DifferentAmbient, NotIsotropic, SameRay
 from hyperlat.forms import primitive_isotropic_vectors
-from hyperlat.model import ball_distance
+from hyperlat.linalg import frac_pairing
+from hyperlat.model import HyperboloidPoint, ball_distance, minkowski_coords
 
 U = build_lattice([[0, 1], [1, 0]])
 D12 = build_lattice([[1, 0], [0, -2]])
@@ -213,3 +214,50 @@ def test_horoball_bound_is_data():
     ball = Horoball(center=boundary_from_ray(o, (1, 0)), bound=Fraction(2))
     # with a bigger bound the point (1,1) at pairing 1/sqrt(2) is inside
     assert horoball_contains(ball, point_from_ray(o, (1, 1)))
+
+
+def _fraction_minkowski_coords(orientation, ray):
+    """The `Fraction` projection `minkowski_coords` replaced, kept as the oracle."""
+    frame, norms, scales = orientation.frame
+    lat = orientation.lattice
+    out = []
+    for f, n, s in zip(frame, norms, scales):
+        c = frac_pairing(lat.gram, tuple(Fraction(x) for x in ray), f) / n
+        out.append(float(c) * s)
+    return tuple(out)
+
+
+def _fraction_to_ball(orientation, obj):
+    a = _fraction_minkowski_coords(orientation, obj.ray)
+    if isinstance(obj, HyperboloidPoint):
+        s = math.sqrt(obj.norm)
+        x0 = a[0] / s
+        return tuple(x / s / (1.0 + x0) for x in a[1:])
+    return tuple(x / a[0] for x in a[1:])
+
+
+@pytest.mark.parametrize("lat", [D12, U_MINUS2, U_A2, direct_sum(U_A2, rank1(-2))],
+                         ids=["<1>+<-2>", "U+<-2>", "U+A2", "U+A2+<-2>"])
+def test_integer_projection_is_bit_identical(lat):
+    rng = random.Random(9)
+    n = lat.rank
+    bases = [pick_cone(lat).base]
+    while len(bases) < 4:
+        v = tuple(rng.randint(-9, 9) for _ in range(n))
+        if lat.norm(v) > 0:
+            bases.append(v)
+    for base in bases:
+        o = pick_cone(lat, base)
+        for box in (3, 1000, 10**9):
+            for _ in range(100):
+                ray = tuple(rng.randint(-box, box) for _ in range(n))
+                assert minkowski_coords(o, ray) == _fraction_minkowski_coords(o, ray)
+                if lat.norm(ray) > 0:
+                    pt = point_from_ray(o, ray)
+                    assert to_ball(o, pt) == _fraction_to_ball(o, pt)
+        if n > 2:  # <1>+<-2> has no rational isotropic vectors
+            cusps = primitive_isotropic_vectors(lat, 2, orientation=o, in_cone=True)
+            assert cusps
+            for e in cusps:
+                ray = boundary_from_ray(o, e.coords)
+                assert to_ball(o, ray) == _fraction_to_ball(o, ray)
