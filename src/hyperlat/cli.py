@@ -16,7 +16,9 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .criteria import convex_cocompact_rank5_family, k3_report, uniform_lattice_family
+from .cones import polytope_hypothesis_check
+from .criteria import (convex_cocompact_rank5_family, entropy_report, k3_report,
+                       uniform_lattice_family)
 from .errors import BudgetError, HyperlatError, InputError
 from .forms import (enumerate_norm_vectors, primitive_isotropic_vectors,
                     rational_isotropy, root_existence)
@@ -222,7 +224,6 @@ def cmd_classify(args):
 
 
 def cmd_entropy(args):
-    from .criteria import entropy_report
     lat = load_lattice(args.lattice)
     o = _orientation(lat, args)
     grp = load_group(args.group, o)
@@ -261,7 +262,6 @@ def cmd_limits(args):
 
 
 def cmd_dirichlet(args):
-    from .cones import polytope_hypothesis_check
     lat = load_lattice(args.lattice)
     o = _orientation(lat, args)
     grp = load_group(args.group, o)
@@ -362,11 +362,20 @@ def cmd_plot(args):
 
 # -- parser ---------------------------------------------------------------------------
 
-def build_parser() -> _Parser:
+def build_parser(subcommand: str | None = None) -> _Parser:
+    """The hyperlat parser, with only `subcommand`'s subparser when it names one.
+
+    A run parses one subcommand, so building the others is wasted work;
+    any other value (None, an option, an unknown name) gives the full
+    parser, whose help and errors list every subcommand.
+    """
     parser = _Parser(prog="hyperlat",
                      description="exact computations on hyperbolic lattices")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    def wanted(name):
+        return subcommand is None or subcommand == name
 
     def common(p, lattice=True):
         if lattice:
@@ -377,109 +386,128 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=0, help="sampling seed")
         p.add_argument("--v0", help="positive-cone base vector, e.g. '1,0,0'")
 
-    p = sub.add_parser("info", help="rank, determinant, signature")
-    common(p)
-    p.set_defaults(func=cmd_info)
+    if wanted("info"):
+        p = sub.add_parser("info", help="rank, determinant, signature")
+        common(p)
+        p.set_defaults(func=cmd_info)
 
-    p = sub.add_parser("roots", help="root existence with certificates")
-    common(p)
-    p.add_argument("--height", type=int, default=10)
-    p.add_argument("--norm", type=int, default=-2)
-    p.set_defaults(func=cmd_roots)
+    if wanted("roots"):
+        p = sub.add_parser("roots", help="root existence with certificates")
+        common(p)
+        p.add_argument("--height", type=int, default=10)
+        p.add_argument("--norm", type=int, default=-2)
+        p.set_defaults(func=cmd_roots)
 
-    p = sub.add_parser("isotropy", help="rational isotropy verdict")
-    common(p)
-    p.add_argument("--height", type=int, default=10)
-    p.set_defaults(func=cmd_isotropy)
+    if wanted("isotropy"):
+        p = sub.add_parser("isotropy", help="rational isotropy verdict")
+        common(p)
+        p.add_argument("--height", type=int, default=10)
+        p.set_defaults(func=cmd_isotropy)
 
-    p = sub.add_parser("enumerate", help="norm-m vectors up to a height")
-    common(p)
-    p.add_argument("--norm", type=int, required=True)
-    p.add_argument("--height", type=int, default=10)
-    p.add_argument("--primitive", action="store_true")
-    p.set_defaults(func=cmd_enumerate)
+    if wanted("enumerate"):
+        p = sub.add_parser("enumerate", help="norm-m vectors up to a height")
+        common(p)
+        p.add_argument("--norm", type=int, required=True)
+        p.add_argument("--height", type=int, default=10)
+        p.add_argument("--primitive", action="store_true")
+        p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("classify", help="classify one isometry")
-    common(p)
-    p.add_argument("--isometry", required=True, help="isometry JSON file")
-    p.set_defaults(func=cmd_classify)
+    if wanted("classify"):
+        p = sub.add_parser("classify", help="classify one isometry")
+        common(p)
+        p.add_argument("--isometry", required=True, help="isometry JSON file")
+        p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("entropy", help="entropy findings for a generated group")
-    common(p)
-    p.add_argument("--group", required=True, help="group JSON file")
-    p.add_argument("--budget", type=int, default=6)
-    p.add_argument("--rho", type=int, default=0)
-    p.set_defaults(func=cmd_entropy)
+    if wanted("entropy"):
+        p = sub.add_parser("entropy", help="entropy findings for a generated group")
+        common(p)
+        p.add_argument("--group", required=True, help="group JSON file")
+        p.add_argument("--budget", type=int, default=6)
+        p.add_argument("--rho", type=int, default=0)
+        p.set_defaults(func=cmd_entropy)
 
-    p = sub.add_parser("orbit", help="orbit of a rational point")
-    common(p)
-    p.add_argument("--group", required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument("--depth", type=int, default=6)
-    p.set_defaults(func=cmd_orbit)
+    if wanted("orbit"):
+        p = sub.add_parser("orbit", help="orbit of a rational point")
+        common(p)
+        p.add_argument("--group", required=True)
+        p.add_argument("--point", required=True)
+        p.add_argument("--depth", type=int, default=6)
+        p.set_defaults(func=cmd_orbit)
 
-    p = sub.add_parser("limits", help="sampled limit directions")
-    common(p)
-    p.add_argument("--group", required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument("--depth", type=int, default=10)
-    p.set_defaults(func=cmd_limits)
+    if wanted("limits"):
+        p = sub.add_parser("limits", help="sampled limit directions")
+        common(p)
+        p.add_argument("--group", required=True)
+        p.add_argument("--point", required=True)
+        p.add_argument("--depth", type=int, default=10)
+        p.set_defaults(func=cmd_limits)
 
-    p = sub.add_parser("dirichlet", help="budget-truncated Dirichlet domain")
-    common(p)
-    p.add_argument("--group", required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument("--budget", type=int, default=6)
-    p.set_defaults(func=cmd_dirichlet)
+    if wanted("dirichlet"):
+        p = sub.add_parser("dirichlet", help="budget-truncated Dirichlet domain")
+        common(p)
+        p.add_argument("--group", required=True)
+        p.add_argument("--point", required=True)
+        p.add_argument("--budget", type=int, default=6)
+        p.set_defaults(func=cmd_dirichlet)
 
-    p = sub.add_parser("tile-check", help="sampled tiling verification")
-    common(p)
-    p.add_argument("--group", required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument("--budget", type=int, default=6)
-    p.add_argument("--check-budget", type=int, default=8)
-    p.add_argument("--samples", type=int, default=100)
-    p.set_defaults(func=cmd_tile_check)
+    if wanted("tile-check"):
+        p = sub.add_parser("tile-check", help="sampled tiling verification")
+        common(p)
+        p.add_argument("--group", required=True)
+        p.add_argument("--point", required=True)
+        p.add_argument("--budget", type=int, default=6)
+        p.add_argument("--check-budget", type=int, default=8)
+        p.add_argument("--samples", type=int, default=100)
+        p.set_defaults(func=cmd_tile_check)
 
-    p = sub.add_parser("chamber-walk", help="reflect a point into the chamber")
-    common(p)
-    p.add_argument("--point", required=True)
-    p.add_argument("--norm", type=int, default=-2)
-    p.add_argument("--height", type=int, default=10)
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--strict-walls", action="store_true")
-    p.set_defaults(func=cmd_chamber_walk)
+    if wanted("chamber-walk"):
+        p = sub.add_parser("chamber-walk", help="reflect a point into the chamber")
+        common(p)
+        p.add_argument("--point", required=True)
+        p.add_argument("--norm", type=int, default=-2)
+        p.add_argument("--height", type=int, default=10)
+        p.add_argument("--steps", type=int, default=100)
+        p.add_argument("--strict-walls", action="store_true")
+        p.set_defaults(func=cmd_chamber_walk)
 
-    p = sub.add_parser("criteria", help="full criteria report")
-    p.add_argument("kind", choices=["k3"])
-    common(p)
-    p.add_argument("--generators", help="group JSON file (optional)")
-    p.add_argument("--height", type=int, default=10)
-    p.add_argument("--budget", type=int, default=6)
-    p.add_argument("--rho", type=int, default=None)
-    p.set_defaults(func=cmd_criteria)
+    if wanted("criteria"):
+        p = sub.add_parser("criteria", help="full criteria report")
+        p.add_argument("kind", choices=["k3"])
+        common(p)
+        p.add_argument("--generators", help="group JSON file (optional)")
+        p.add_argument("--height", type=int, default=10)
+        p.add_argument("--budget", type=int, default=6)
+        p.add_argument("--rho", type=int, default=None)
+        p.set_defaults(func=cmd_criteria)
 
-    p = sub.add_parser("families", help="emit classified family lattices")
-    common(p, lattice=False)
-    p.add_argument("--uniform", type=int, default=None)
-    p.add_argument("--member", type=int, choices=[3, 4], default=3)
-    p.add_argument("--cc-d4", type=int, default=None)
-    p.add_argument("--cc-a2", type=int, default=None)
-    p.set_defaults(func=cmd_families)
+    if wanted("families"):
+        p = sub.add_parser("families", help="emit classified family lattices")
+        common(p, lattice=False)
+        p.add_argument("--uniform", type=int, default=None)
+        p.add_argument("--member", type=int, choices=[3, 4], default=3)
+        p.add_argument("--cc-d4", type=int, default=None)
+        p.add_argument("--cc-a2", type=int, default=None)
+        p.set_defaults(func=cmd_families)
 
-    p = sub.add_parser("plot", help="CSV/SVG of ball-model orbit coordinates")
-    common(p)
-    p.add_argument("--group", required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument("--depth", type=int, default=8)
-    p.add_argument("--out", required=True, help="output path prefix")
-    p.set_defaults(func=cmd_plot)
+    if wanted("plot"):
+        p = sub.add_parser("plot", help="CSV/SVG of ball-model orbit coordinates")
+        common(p)
+        p.add_argument("--group", required=True)
+        p.add_argument("--point", required=True)
+        p.add_argument("--depth", type=int, default=8)
+        p.add_argument("--out", required=True, help="output path prefix")
+        p.set_defaults(func=cmd_plot)
 
+    if not sub.choices:  # `subcommand` named none of them
+        return build_parser()
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # keyed on argv[0] alone: 'hyperlat -h roots' prints the full parser's help
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         args.func(args)

@@ -220,6 +220,8 @@ def irredundant_halfspaces(cone: PolyhedralCone) -> PolyhedralCone:
         arank = linalg.rank(active) if active else 0
         if arank >= dim - 1:
             keep.append(w)
+    if len(keep) == len(cone.halfspaces):
+        return vrep  # nothing dropped: the V-rep in hand is already the answer
     return extreme_rays(replace(cone, halfspaces=tuple(keep)))
 
 
@@ -230,12 +232,17 @@ def polytope_hypothesis_check(cone: PolyhedralCone,
     Reports the facet count, whether every vertex direction is rational
     (true by construction for integer rays; still computed), the cusp
     candidates (rational isotropic rays), and whether any ray escapes the
-    closed positive cone, which is what "not a polytope" means here.
+    closed positive cone, which is what "not a polytope" means here.  A
+    cone that already carries its V-rep, tagged under this orientation, is
+    reduced from that V-rep instead of a recomputed one.
     """
     o = orientation or cone.orientation
     if o is None:
         raise InvalidParameter("hypothesis check needs a cone orientation")
-    work = extreme_rays(replace(cone, orientation=o, rays=None, ray_tags=None))
+    if cone.ray_tags is not None and o == cone.orientation:
+        work = cone
+    else:
+        work = extreme_rays(replace(cone, orientation=o, rays=None, ray_tags=None))
     reduced = irredundant_halfspaces(work)
     tags = list(reduced.ray_tags or ())
     rays = list(reduced.rays or ())

@@ -329,14 +329,17 @@ def sample_cone_points(orientation: ConeOrientation, count: int, seed: int, *,
                        box: int = SAMPLE_BOX, predicate=None):
     """Random rational points of H^n: integer rays in a box, cone-filtered."""
     rng = random.Random(seed)
-    lat = orientation.lattice
-    n = lat.rank
+    gram = orientation.lattice.gram
+    base = orientation.base
+    n = len(gram)
+    width = 2 * box + 1  # randrange(width) - box draws what randint(-box, box) does
     out = []
     attempts = 0
     while len(out) < count and attempts < 10_000 * count:
         attempts += 1
-        ray = tuple(rng.randint(-box, box) for _ in range(n))
-        if lat.norm(ray) <= 0 or lat.pair(ray, orientation.base) <= 0:
+        ray = tuple(rng.randrange(width) - box for _ in range(n))
+        g_ray = linalg.mat_vec(gram, ray)
+        if linalg.dot(ray, g_ray) <= 0 or linalg.dot(g_ray, base) <= 0:
             continue
         pt = point_from_ray(orientation, ray)
         if predicate is not None and not predicate(pt):

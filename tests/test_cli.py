@@ -1,5 +1,6 @@
 """CLI surface: subcommands, file formats, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import re
@@ -9,7 +10,7 @@ import time
 
 import pytest
 
-from hyperlat import direct_sum, standard_lattice
+from hyperlat import cli, direct_sum, standard_lattice
 
 CLI = [sys.executable, "-m", "hyperlat.cli"]
 
@@ -264,3 +265,128 @@ def test_output_deterministic_across_thread_counts(files):
     b = run_cli(args, files, {"HYPERLAT_THREADS": "8"})
     assert out_json(a) and out_json(b)
     assert a.stdout == b.stdout
+
+
+# -- one-subcommand parser ------------------------------------------------------------
+# representative argvs per subcommand: defaults only, then values given as
+# '--flag value', '--flag=value', a negative vector and an abbreviated option
+PARSE_CASES = {
+    "info": [["info", "--lattice", "l.json"],
+             ["info", "--lattice=l.json", "--prec", "5", "--v0", "1,0,0"]],
+    "roots": [["roots", "--lattice", "l.json"],
+              ["roots", "--lattice", "l.json", "--height=3", "--norm", "-4"]],
+    "isotropy": [["isotropy", "--lattice", "l.json"],
+                 ["isotropy", "--lat", "l.json", "--height", "2", "--seed=7"]],
+    "enumerate": [["enumerate", "--lattice", "l.json", "--norm", "-2"],
+                  ["enumerate", "--lattice", "l.json", "--norm=-2", "--prim", "--height", "4"]],
+    "classify": [["classify", "--lattice", "l.json", "--isometry", "i.json"],
+                 ["classify", "--lattice", "l.json", "--iso=i.json", "--output", "o.json"]],
+    "entropy": [["entropy", "--lattice", "l.json", "--group", "g.json"],
+                ["entropy", "--lattice", "l.json", "--group=g.json", "--bud", "4", "--rho", "3"]],
+    "orbit": [["orbit", "--lattice", "l.json", "--group", "g.json", "--point", "1,0"],
+              ["orbit", "--lattice", "l.json", "--group", "g.json", "--point", "-1,0",
+               "--dep", "3"]],
+    "limits": [["limits", "--lattice", "l.json", "--group", "g.json", "--point", "1,0"],
+               ["limits", "--lattice", "l.json", "--group", "g.json", "--point=-1,0",
+                "--depth=3"]],
+    "dirichlet": [["dirichlet", "--lattice", "l.json", "--group", "g.json", "--point", "1,0"],
+                  ["dirichlet", "--lattice", "l.json", "--group", "g.json", "--point",
+                   "-1,0", "--bud", "4", "--v0=1,0"]],
+    "tile-check": [["tile-check", "--lattice", "l.json", "--group", "g.json", "--point", "1,0"],
+                   ["tile-check", "--lattice", "l.json", "--group", "g.json", "--point=-1,0",
+                    "--check", "2", "--samples=7", "--budget", "3", "--seed", "9"]],
+    "chamber-walk": [["chamber-walk", "--lattice", "l.json", "--point", "2,2,1"],
+                     ["chamber-walk", "--lattice", "l.json", "--point", "-1,2,3",
+                      "--strict", "--steps=5", "--norm", "-4"]],
+    "criteria": [["criteria", "k3", "--lattice", "l.json"],
+                 ["criteria", "k3", "--lattice", "l.json", "--gen", "g.json", "--rho=4",
+                  "--height", "3"]],
+    "families": [["families", "--uniform", "2"],
+                 ["families", "--cc-d4=3", "--mem", "4", "--output", "f.json"]],
+    "plot": [["plot", "--lattice", "l.json", "--group", "g.json", "--point", "1,0",
+              "--out", "p"],
+             ["plot", "--lattice", "l.json", "--group", "g.json", "--point", "-1,0",
+              "--out=p", "--depth", "2", "--precision", "4"]],
+}
+
+
+def _outcome(parser, argv, capsys):
+    """(exit code or None, Namespace or None, stdout, stderr) of one parse."""
+    try:
+        ns, code = parser.parse_args(argv), None
+    except SystemExit as exc:
+        ns, code = None, exc.code
+    captured = capsys.readouterr()
+    return code, ns, captured.out, captured.err
+
+
+def _subcommands(parser):
+    return list(parser._subparsers._group_actions[0].choices)
+
+
+def test_subcommand_parser_covers_every_subcommand():
+    assert sorted(_subcommands(cli.build_parser())) == sorted(PARSE_CASES)
+    for name in PARSE_CASES:
+        assert _subcommands(cli.build_parser(name)) == [name]
+
+
+@pytest.mark.parametrize("name", sorted(PARSE_CASES))
+def test_subcommand_parser_parses_like_full_parser(name, capsys):
+    for argv in PARSE_CASES[name]:
+        one = _outcome(cli.build_parser(name), argv, capsys)
+        assert one[0] is None, one
+        assert one == _outcome(cli.build_parser(), argv, capsys)
+
+
+@pytest.mark.parametrize("name", sorted(PARSE_CASES))
+def test_subcommand_parser_help_and_errors_like_full_parser(name, capsys):
+    required = PARSE_CASES[name][0]
+    argvs = [[name, "--help"],
+             required + ["--no-such-flag"],           # unknown flag
+             required + ["--precision", "many"]]      # bad int
+    if name != "families":  # the one subcommand without --lattice
+        argvs.append([a for a in required if a not in ("--lattice", "l.json")])
+    for argv in argvs:
+        one = _outcome(cli.build_parser(name), argv, capsys)
+        assert one[0] is not None and (one[2] or one[3]), argv
+        assert one == _outcome(cli.build_parser(), argv, capsys)
+    if name != "families":
+        assert "required: --lattice" in one[3] and one[0] == 1
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["-h"], ["-h", "roots"], ["--version"],
+                                  ["no-such-subcommand"], ["--lattice", "l.json", "info"]])
+def test_non_subcommand_argv_gets_full_parser(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    code, (out, err) = exc.value.code, capsys.readouterr()
+    want = _outcome(cli.build_parser(), argv, capsys)
+    assert (code, out, err) == (want[0], want[2], want[3])
+    assert code == (0 if argv[:1] in (["--help"], ["-h"], ["--version"]) else 1)
+    if code == 0 and argv[0] != "--version":
+        assert "{info,roots,isotropy," in out  # every subcommand listed
+
+
+def _count_add_parser(monkeypatch):
+    calls = []
+    real = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        calls.append(name)
+        return real(self, name, **kwargs)
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    return calls
+
+
+def test_run_builds_only_its_subparser(files, monkeypatch, capsys):
+    calls = _count_add_parser(monkeypatch)
+    assert cli.main(["info", "--lattice", str(files / "um2.json")]) == 0
+    assert calls == ["info"]
+    assert json.loads(capsys.readouterr().out)["result"]["rank"] == 3
+
+
+def test_help_builds_every_subparser(monkeypatch, capsys):
+    calls = _count_add_parser(monkeypatch)
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    assert sorted(calls) == sorted(PARSE_CASES)

@@ -1,17 +1,20 @@
 """Orbits, limit sampling, elementary types, Dirichlet domains, tiling,
 chamber walks."""
 
+import random
+from dataclasses import replace
+
 import pytest
 
-from hyperlat import (build_lattice, chamber_walk, dirichlet_domain,
+from hyperlat import (build_lattice, chamber_walk, cones, dirichlet_domain,
                       dirichlet_halfspace, direct_sum, eichler_transvection,
                       elementary_type, group,
-                      limit_points_sample, make_isometry, orbit, pick_cone,
+                      limit_points_sample, linalg, make_isometry, orbit, pick_cone,
                       point_from_ray, polytope_hypothesis_check, rank1,
-                      reflection, tiling_check)
+                      reflection, standard_lattice, tiling_check)
 from hyperlat.cones import cone_from_halfspaces
 from hyperlat.errors import FixedBasepoint, OnWall
-from hyperlat.groups import elements_up_to
+from hyperlat.groups import elements_up_to, sample_cone_points
 from hyperlat.model import to_ball
 
 U = build_lattice([[0, 1], [1, 0]])
@@ -213,3 +216,136 @@ def test_walk_image_stays_in_cone():
     roots = [v.coords for v in
              __import__("hyperlat").enumerate_norm_vectors(lat, -2, 1)]
     assert all(lat.pair(result.point, r) >= 0 for r in roots)
+
+
+# -- Dirichlet domains of the geometry workload, for the oracle tests below -------------
+
+U_A2 = direct_sum(U, standard_lattice("A2"))
+U_A2_M2 = direct_sum(U_A2, rank1(-2))
+O_UA2 = pick_cone(U_A2, (1, 1, 0, 0))
+O_UA2M2 = pick_cone(U_A2_M2, (1, 1, 0, 0, 0))
+REFLECTION_GROUPS = {
+    "u-m2": (O_UM2, ((0, 0, 1), (1, -1, 0), (1, 0, 1), (0, 1, 1))),
+    "u-a2": (O_UA2, ((0, 0, 1, 0), (0, 0, 0, 1), (1, -1, 0, 0), (1, 0, 1, 0))),
+    "u-a2-m2": (O_UA2M2, ((0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1),
+                          (1, -1, 0, 0, 0), (1, 0, 0, 0, 1))),
+}
+
+
+def _reflection_group(name):
+    o, roots = REFLECTION_GROUPS[name]
+    return group(*(reflection(o, r) for r in roots))
+
+
+DOMAINS = [  # (group, basepoint ray, word budget)
+    (lambda: PELL_GROUP, (1, 0), 3), (lambda: PELL_GROUP, (3, 1), 6),
+    (lambda: _reflection_group("u-m2"), (3, 5, 1), 5),
+    (lambda: _reflection_group("u-m2"), (4, 3, 1), 3),
+    (lambda: group(TRANSVECTION, MIRROR), (2, 3, 1), 3),
+    (lambda: _reflection_group("u-a2"), (3, 5, 1, 0), 5),
+    (lambda: _reflection_group("u-a2"), (4, 3, 1, 1), 3),
+    (lambda: _reflection_group("u-a2-m2"), (5, 7, 1, 0, 1), 4),
+]
+
+
+def _old_irredundant_halfspaces(cone):
+    """irredundant_halfspaces as it was before it kept an unchanged V-rep."""
+    vrep = cone if cone.rays is not None else cones.extreme_rays(cone)
+    rays = vrep.rays
+    if not rays:
+        return vrep
+    gram = cone.lattice.gram
+    dim = linalg.rank([list(r) for r in rays])
+    keep = []
+    for w in cone.halfspaces:
+        f = linalg.mat_vec(gram, w)
+        active = [list(r) for r in rays if linalg.dot(f, r) == 0]
+        arank = linalg.rank(active) if active else 0
+        if arank >= dim - 1:
+            keep.append(w)
+    return cones.extreme_rays(replace(cone, halfspaces=tuple(keep)))
+
+
+def _old_polytope_hypothesis_check(cone, orientation=None):
+    """The check as it was when it always recomputed the cone's V-rep."""
+    o = orientation or cone.orientation
+    work = cones.extreme_rays(replace(cone, orientation=o, rays=None, ray_tags=None))
+    reduced = _old_irredundant_halfspaces(work)
+    tags = list(reduced.ray_tags or ())
+    rays = list(reduced.rays or ())
+    cusps = [list(r) for r, t in zip(rays, tags) if t == cones.TAG_ISOTROPIC]
+    escapes = [list(r) for r, t in zip(rays, tags) if t == cones.TAG_OTHER]
+    return {
+        "side_count": len(reduced.halfspaces),
+        "vertex_count": sum(1 for t in tags if t == cones.TAG_INTERIOR),
+        "cusp_candidates": cusps,
+        "all_positive_vertices_rational": True,
+        "all_zero_norm_rays_rational": True,
+        "escaping_rays": escapes,
+        "is_generalized_polytope": bool(rays) and not escapes,
+        "truncated_at": cone.truncated_at,
+    }
+
+
+@pytest.mark.parametrize("make_group, ray, budget", DOMAINS)
+def test_hypothesis_check_reuses_domain_vrep(make_group, ray, budget, monkeypatch):
+    g = make_group()
+    dom = dirichlet_domain(g, point_from_ray(g.orientation, ray), budget)
+    want = _old_polytope_hypothesis_check(dom, g.orientation)
+    calls = []
+    real = cones.extreme_rays
+    monkeypatch.setattr(cones, "extreme_rays",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    assert polytope_hypothesis_check(dom, g.orientation) == want
+    assert polytope_hypothesis_check(dom) == want
+    assert calls == []  # the domain's own V-rep was used, no double description
+
+
+def test_hypothesis_check_reduces_a_redundant_vrep():
+    # (4,-3) is implied by the Pell slab; a V-rep alone does not make it a facet
+    cone = cones.extreme_rays(cones.cone_from_halfspaces(
+        D12, [(1, -1), (1, 1), (4, -3)], orientation=O_D12))
+    report = polytope_hypothesis_check(cone)
+    assert report == _old_polytope_hypothesis_check(cone)
+    assert report["side_count"] == 2
+
+
+def test_hypothesis_check_retags_under_another_orientation():
+    dom = dirichlet_domain(PELL_GROUP, point_from_ray(O_D12, (1, 0)), 3)
+    flipped = pick_cone(D12, (-1, 0))
+    report = polytope_hypothesis_check(dom, flipped)
+    assert report == _old_polytope_hypothesis_check(dom, flipped)
+    assert report["escaping_rays"] and not report["is_generalized_polytope"]
+
+
+def _old_sample_cone_points(orientation, count, seed, *, box=50, predicate=None):
+    """sample_cone_points as it was with randint and the lattice's norm and pair."""
+    rng = random.Random(seed)
+    lat = orientation.lattice
+    n = lat.rank
+    out = []
+    attempts = 0
+    while len(out) < count and attempts < 10_000 * count:
+        attempts += 1
+        ray = tuple(rng.randint(-box, box) for _ in range(n))
+        if lat.norm(ray) <= 0 or lat.pair(ray, orientation.base) <= 0:
+            continue
+        pt = point_from_ray(orientation, ray)
+        if predicate is not None and not predicate(pt):
+            continue
+        out.append(pt)
+    return out
+
+
+@pytest.mark.parametrize("name", ["u-m2", "u-a2-m2"])
+def test_sample_cone_points_match_randint_sampler(name):
+    g = _reflection_group(name)
+    o = g.orientation
+    dom = dirichlet_domain(g, point_from_ray(o, (3, 5, 1) if name == "u-m2"
+                                             else (5, 7, 1, 0, 1)), 3)
+    inside = lambda p: cones.ray_satisfies(dom, p.ray, strict=True)  # noqa: E731
+    for seed in (0, 1, 7, 123):
+        for box, predicate in ((50, None), (50, inside), (3, None)):
+            got = sample_cone_points(o, 25, seed, box=box, predicate=predicate)
+            assert got == _old_sample_cone_points(o, 25, seed, box=box,
+                                                  predicate=predicate)
