@@ -10,13 +10,13 @@ heuristics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import linalg
 from .errors import DimensionBudgetExceeded, InvalidParameter
 from .lattice import GramLattice, coords_of
 from .model import ConeOrientation
+from .record import Record, replace
 
 DIM_BUDGET = 6
 
@@ -25,15 +25,14 @@ TAG_ISOTROPIC = "rational_isotropic"
 TAG_OTHER = "other"
 
 
-@dataclass(frozen=True)
-class HalfSpace:
+class HalfSpace(Record):
     """One inequality (normal, x) >= 0 in the lattice pairing."""
 
-    normal: tuple[int, ...]
+    def __init__(self, normal: tuple[int, ...]):
+        object.__setattr__(self, "normal", normal)
 
 
-@dataclass(frozen=True)
-class PolyhedralCone:
+class PolyhedralCone(Record):
     """H-rep (always) plus optional V-rep with per-ray norm tags.
 
     The V-rep lists extreme rays of the pointed part together with both
@@ -41,12 +40,17 @@ class PolyhedralCone:
     satisfies all inequalities.
     """
 
-    lattice: GramLattice
-    halfspaces: tuple[tuple[int, ...], ...]
-    rays: tuple[tuple[int, ...], ...] | None = None
-    ray_tags: tuple[str, ...] | None = None
-    orientation: ConeOrientation | None = None
-    truncated_at: int | None = None
+    def __init__(self, lattice: GramLattice, halfspaces: tuple[tuple[int, ...], ...],
+                 rays: tuple[tuple[int, ...], ...] | None = None,
+                 ray_tags: tuple[str, ...] | None = None,
+                 orientation: ConeOrientation | None = None,
+                 truncated_at: int | None = None):
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "halfspaces", halfspaces)
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "ray_tags", ray_tags)
+        object.__setattr__(self, "orientation", orientation)
+        object.__setattr__(self, "truncated_at", truncated_at)
 
     @property
     def ambient_rank(self) -> int:

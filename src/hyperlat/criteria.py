@@ -12,14 +12,13 @@ generators generating the full isometry image; that flag is never dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import InvalidParameter, WrongSignature
 from .forms import SearchVerdict, rational_isotropy, root_existence
 from .groups import FGGroup, elements_up_to, word_string
 from .isometry import LOXODROMIC, entropy
 from .lattice import GramLattice, build_lattice, direct_sum, rank1, \
     signature, standard_lattice
+from .record import Record
 
 ISOTROPIC_FIBRATION_FLAG = (
     "genus-one fibration detection identifies fibration classes with "
@@ -41,10 +40,10 @@ def _require_hyperbolic(ns: GramLattice) -> None:
         raise WrongSignature(f"expected signature (1, n), got ({p}, {q})")
 
 
-@dataclass(frozen=True)
-class LatticeVerdict:
-    kind: str  # IsLattice | NotLattice | Unresolved
-    search: SearchVerdict
+class LatticeVerdict(Record):
+    def __init__(self, kind: str, search: SearchVerdict):
+        object.__setattr__(self, "kind", kind)  # IsLattice | NotLattice | Unresolved
+        object.__setattr__(self, "search", search)
 
     def as_json(self) -> dict:
         out = {"kind": self.kind}
@@ -67,12 +66,14 @@ def lattice_criterion(ns: GramLattice, height: int = 10) -> LatticeVerdict:
     return LatticeVerdict(kind=kind, search=verdict)
 
 
-@dataclass(frozen=True)
-class FibrationVerdict:
-    kind: str  # NoGenusOneFibration | FibrationExists | Unresolved
-    isotropy: dict
-    witness: tuple[int, ...] | None = None
-    assumption: str = ISOTROPIC_FIBRATION_FLAG
+class FibrationVerdict(Record):
+    def __init__(self, kind: str, isotropy: dict, witness: tuple[int, ...] | None = None,
+                 assumption: str = ISOTROPIC_FIBRATION_FLAG):
+        # kind is NoGenusOneFibration | FibrationExists | Unresolved
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "isotropy", isotropy)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "assumption", assumption)
 
     def as_json(self) -> dict:
         out = {"kind": self.kind, "isotropy": self.isotropy,
@@ -186,11 +187,11 @@ def convex_cocompact_note(ns: GramLattice, fibration: FibrationVerdict) -> str:
 
 # -- entropy reports ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EntropyFinding:
-    word: str
-    kind: str
-    entropy: float
+class EntropyFinding(Record):
+    def __init__(self, word: str, kind: str, entropy: float):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "entropy", entropy)
 
     def as_json(self) -> dict:
         return {"word": self.word, "class": self.kind, "entropy": self.entropy}
@@ -206,12 +207,13 @@ _RANK_CONTEXT = {
 }
 
 
-@dataclass(frozen=True)
-class EntropyReport:
-    findings: tuple[EntropyFinding, ...]
-    verdict: str
-    conditional_flags: tuple[str, ...] = field(default_factory=tuple)
-    context: str | None = None
+class EntropyReport(Record):
+    def __init__(self, findings: tuple[EntropyFinding, ...], verdict: str,
+                 conditional_flags: tuple[str, ...] = (), context: str | None = None):
+        object.__setattr__(self, "findings", findings)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "conditional_flags", conditional_flags)
+        object.__setattr__(self, "context", context)
 
     def as_json(self) -> dict:
         out = {"findings": [f.as_json() for f in self.findings],
@@ -253,13 +255,15 @@ def entropy_report(g: FGGroup, word_budget: int, rho: int) -> EntropyReport:
 
 # -- the combined report ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CriterionReport:
-    lattice_verdict: LatticeVerdict
-    fibration_verdict: FibrationVerdict
-    convex_cocompact: str
-    entropy: EntropyReport | None
-    conditional_flags: tuple[str, ...]
+class CriterionReport(Record):
+    def __init__(self, lattice_verdict: LatticeVerdict, fibration_verdict: FibrationVerdict,
+                 convex_cocompact: str, entropy: EntropyReport | None,
+                 conditional_flags: tuple[str, ...]):
+        object.__setattr__(self, "lattice_verdict", lattice_verdict)
+        object.__setattr__(self, "fibration_verdict", fibration_verdict)
+        object.__setattr__(self, "convex_cocompact", convex_cocompact)
+        object.__setattr__(self, "entropy", entropy)
+        object.__setattr__(self, "conditional_flags", conditional_flags)
 
     def as_json(self) -> dict:
         out = {

@@ -107,10 +107,6 @@ class OnWall(InputError):
     pass
 
 
-class BudgetExhausted(BudgetError):
-    pass
-
-
 # -- criteria -----------------------------------------------------------------
 
 class WrongSignature(InputError):

@@ -12,12 +12,12 @@ only congruence or local obstructions certify absence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
 from .errors import BudgetExceeded, InvalidParameter, NoPositiveConeSet
 from .lattice import GramLattice, LatticeVector, direct_sum, rank1
+from .record import Record
 
 INFINITE_PLACE = "infinity"
 
@@ -320,14 +320,15 @@ def hilbert_symbol(a, b, place) -> int:
     return sym
 
 
-@dataclass(frozen=True)
-class IsotropyVerdict:
+class IsotropyVerdict(Record):
     """Outcome of the rational isotropy decision, with proof data."""
 
-    isotropic: bool
-    method: str
-    witness: LatticeVector | None = None
-    certificate: dict | None = None
+    def __init__(self, isotropic: bool, method: str, witness: LatticeVector | None = None,
+                 certificate: dict | None = None):
+        object.__setattr__(self, "isotropic", isotropic)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "certificate", certificate)
 
     def as_json(self) -> dict:
         out = {"kind": "Isotropic" if self.isotropic else "Anisotropic",
@@ -450,16 +451,19 @@ def replay_rational_certificate(certificate: dict) -> bool:
 
 # -- the root-existence pipeline ----------------------------------------------------
 
-@dataclass(frozen=True)
-class SearchVerdict:
+class SearchVerdict(Record):
     """Witness / CertifiedNone / NoneUpToHeight for a norm-m vector search."""
 
-    kind: str  # "witness" | "certified_none" | "none_up_to_height"
-    norm: int
-    height_bound: int | None = None
-    witness: LatticeVector | None = None
-    certificate: dict | None = None
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    def __init__(self, kind: str, norm: int, height_bound: int | None = None,
+                 witness: LatticeVector | None = None, certificate: dict | None = None,
+                 notes: tuple[str, ...] = ()):
+        # kind is "witness" | "certified_none" | "none_up_to_height"
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "norm", norm)
+        object.__setattr__(self, "height_bound", height_bound)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "notes", notes)
 
     def as_json(self) -> dict:
         out = {"kind": {"witness": "Witness",

