@@ -10,8 +10,6 @@ heuristics.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import linalg
 from .errors import DimensionBudgetExceeded, InvalidParameter
 from .lattice import GramLattice, coords_of
@@ -86,29 +84,20 @@ def double_description(functionals, n: int):
     if not functionals:
         ident = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
         return [], ident
-    lineality = linalg.kernel_basis(functionals)
-    r = n - len(lineality)
+    rref, pivots = linalg.row_echelon(functionals)
+    lineality = [linalg.primitive_vector(v) for v in linalg.rref_kernel(rref, pivots, n)]
+    r = len(pivots)
     if r == 0:
         return [], lineality
-    # integer complement basis out of standard basis vectors
-    comp = []
-    span_rows = [list(v) for v in lineality]
-    for i in range(n):
-        e = [1 if j == i else 0 for j in range(n)]
-        if linalg.rank(span_rows + [e]) > len(span_rows):
-            comp.append(tuple(e))
-            span_rows.append(e)
-        if len(comp) == r:
-            break
-    projected = [tuple(linalg.dot(f, c) for c in comp) for f in functionals]
-    quotient_rays = _pointed_double_description(projected, r)
+    # complement of the lineality space: e_p at the pivot columns p, the
+    # standard basis vectors a greedy pick modulo ker(functionals) would take
+    projected = [tuple(f[p] for p in pivots) for f in functionals]
     lifted = []
-    for qray in quotient_rays:
+    for qray in _pointed_double_description(projected, r):
         vec = [0] * n
-        for coef, cvec in zip(qray, comp):
-            for i in range(n):
-                vec[i] += coef * cvec[i]
-        lifted.append(linalg.primitive_vector(vec))
+        for coef, p in zip(qray, pivots):
+            vec[p] = coef
+        lifted.append(tuple(vec))
     return sorted(set(lifted)), lineality
 
 
@@ -125,11 +114,10 @@ def _pointed_double_description(rows, r: int):
             break
     if len(seed_idx) != r:
         raise ArithmeticError("quotient cone must have full-rank constraints")
-    rays = []
-    for k in range(r):
-        rhs = [Fraction(1 if j == k else 0) for j in range(r)]
-        sol = linalg.solve_linear(seed_rows, rhs)
-        rays.append(linalg.primitive_vector(sol))
+    # the seed rays solve S x = e_k: the columns of adj(S), signed by det(S)
+    adj = linalg.adjugate(seed_rows)
+    sign = 1 if linalg.bareiss_det(seed_rows) > 0 else -1
+    rays = [linalg.primitive_vector([sign * row[k] for row in adj]) for k in range(r)]
     seeds = set(seed_idx)
     # zero set of each ray over the rows processed so far, as a bitmask
     zsets = {ray: sum(1 << i for i in seed_idx if linalg.dot(rows[i], ray) == 0)
@@ -224,9 +212,8 @@ def irredundant_halfspaces(cone: PolyhedralCone) -> PolyhedralCone:
         arank = linalg.rank(active) if active else 0
         if arank >= dim - 1:
             keep.append(w)
-    if len(keep) == len(cone.halfspaces):
-        return vrep  # nothing dropped: the V-rep in hand is already the answer
-    return extreme_rays(replace(cone, halfspaces=tuple(keep)))
+    # dropping redundant inequalities leaves the cone, and so its V-rep, as it is
+    return replace(vrep, halfspaces=tuple(keep))
 
 
 def polytope_hypothesis_check(cone: PolyhedralCone,

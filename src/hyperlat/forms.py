@@ -486,10 +486,8 @@ def _square_divisors(m: int) -> list[int]:
     return out
 
 
-def root_existence(lattice: GramLattice, root_norm: int = -2, height: int = 10, *,
-                   ladder=DEFAULT_MODULUS_LADDER,
-                   per_modulus_cap: int = LADDER_RESIDUE_CAP,
-                   enum_cap: int = DEFAULT_ENUM_CAP) -> SearchVerdict:
+def root_existence(lattice: GramLattice, root_norm: int = -2,
+                   height: int = 10) -> SearchVerdict:
     """Three-stage search for a vector of the given norm.
 
     1. rational necessary test: the form represents root_norm over Q iff
@@ -518,8 +516,8 @@ def root_existence(lattice: GramLattice, root_norm: int = -2, height: int = 10, 
     for d in _square_divisors(root_norm):
         target = root_norm // (d * d)
         part = None
-        for modulus in sorted(set(ladder)):
-            if modulus ** lattice.rank > per_modulus_cap:
+        for modulus in DEFAULT_MODULUS_LADDER:
+            if modulus ** lattice.rank > LADDER_RESIDUE_CAP:
                 notes.append(f"modulus {modulus} skipped (residue cap)")
                 continue
             if not _scan_residues(lattice.gram, target, modulus):
@@ -534,7 +532,7 @@ def root_existence(lattice: GramLattice, root_norm: int = -2, height: int = 10, 
         return SearchVerdict(kind="certified_none", norm=root_norm,
                              certificate=cert, notes=tuple(sorted(set(notes))))
 
-    witness, _ = first_norm_vector(lattice, root_norm, height, cap=enum_cap)
+    witness, _ = first_norm_vector(lattice, root_norm, height)
     if witness is not None:
         return SearchVerdict(kind="witness", norm=root_norm, height_bound=height,
                              witness=witness, notes=tuple(sorted(set(notes))))

@@ -18,7 +18,7 @@ from .cones import HalfSpace, PolyhedralCone, cone_from_halfspaces, \
 from .errors import (BudgetExceeded, DifferentAmbient, FixedBasepoint,
                      InvalidParameter, OnWall)
 from .forms import enumerate_norm_vectors
-from .isometry import ELLIPTIC, Isometry, reflection
+from .isometry import ELLIPTIC, Isometry, fixed_boundary_points, reflection
 from .lattice import GramLattice
 from .model import ConeOrientation, HyperboloidPoint, point_from_ray, to_ball
 from .record import Record
@@ -215,7 +215,7 @@ def _sign_any(x):
     return x.sign()
 
 
-def elementary_type(g: FGGroup, budget: int = 1) -> str:
+def elementary_type(g: FGGroup) -> str:
     """Exact common-fixed-data analysis of the generator set.
 
     EllipticType: all generators elliptic with a common interior fixed
@@ -224,26 +224,18 @@ def elementary_type(g: FGGroup, budget: int = 1) -> str:
     Anything else is NotDetectedElementary, which deliberately includes
     genuinely non-elementary groups; no discreteness claim is made.
     """
-    if budget < 1:
-        raise InvalidParameter("budget must be >= 1")
     lat = g.lattice
     kinds = [gen.classification.kind for gen in g.generators]
     if all(k == ELLIPTIC for k in kinds):
-        n = lat.rank
-        rows = []
-        for gen in g.generators:
-            for i in range(n):
-                rows.append(tuple(Fraction(gen.matrix[i][j] - (1 if i == j else 0))
-                                  for j in range(n)))
+        rows = [tuple(x - (i == j) for j, x in enumerate(row))
+                for gen in g.generators for i, row in enumerate(gen.matrix)]
         kernel = linalg.kernel_basis(rows)
         if kernel:
-            restricted = [[linalg.frac_pairing(lat.gram, u, v) for v in kernel]
-                          for u in kernel]
+            restricted = [[lat.pair(u, v) for v in kernel] for u in kernel]
             pos, _neg = linalg.signature_of_gram(restricted)
             if pos >= 1:
                 return ELLIPTIC_TYPE
         return NOT_DETECTED
-    from .isometry import fixed_boundary_points
     anchor = next(gen for gen, k in zip(g.generators, kinds) if k != ELLIPTIC)
     candidates = fixed_boundary_points(anchor)
     fixed = [ray for ray in candidates

@@ -5,9 +5,13 @@ above 1 is detected by Sturm sign counting on the integer characteristic
 polynomial and bracketed by rational bisection; the remaining elements
 split into finite order (elliptic) and unipotent-type (parabolic) through
 exact cyclotomic factorization and matrix powering.  All of this runs in
-Python ints; Fractions appear only as the endpoints of the scale's bracket,
-and the scale's field Q(lambda) and the parabolic fixed ray are computed
-over the rationals.
+Python ints; Fractions appear only as the endpoints of the scale's bracket
+and as the coefficients of the scale's field Q(lambda).
+
+Fixed boundary rays: the parabolic one is an integer kernel vector of the
+form on the integer kernel of M - I; the loxodromic eigenrays are read off
+`linalg.gauss_jordan` over Q(lambda), the one Gauss-Jordan elimination of
+the package.
 """
 
 from __future__ import annotations
@@ -151,7 +155,7 @@ def _classify(g: Isometry) -> Classification:
         raise ArithmeticError(
             "characteristic polynomial is neither expanding nor of finite "
             "multiplicative type; input is not an isometry of a (1,n) form")
-    order_bound = pol.lcm_of(d for d, _ in factors)
+    order_bound = math.lcm(*(d for d, _ in factors))
     if order_bound > ORDER_CAP:
         raise OrderCapExceeded(f"elliptic order bound {order_bound} exceeds cap")
     order = pol.identity_power_order(g.matrix, pol.divisors(order_bound))
@@ -193,23 +197,17 @@ def fixed_boundary_points(g: Isometry) -> list[BoundaryRay]:
     if cls.kind == ELLIPTIC:
         raise EllipticHasNoBoundaryFixedPoint("elliptic isometries fix interior points only")
     lat, o = g.lattice, g.orientation
-    n = lat.rank
     if cls.kind == PARABOLIC:
-        rows = [tuple(Fraction(g.matrix[i][j] - (1 if i == j else 0)) for j in range(n))
-                for i in range(n)]
+        rows = [tuple(x - (i == j) for j, x in enumerate(row))
+                for i, row in enumerate(g.matrix)]
         kernel = linalg.kernel_basis(rows)
         if not kernel:
             raise ArithmeticError("parabolic isometry must fix a nonzero vector")
         # radical of gram restricted to the fixed space
-        restricted = [[linalg.frac_pairing(lat.gram, u, v) for v in kernel] for u in kernel]
-        rad_rows = [tuple(row) for row in restricted]
-        rad = linalg.kernel_basis(rad_rows)
+        rad = linalg.kernel_basis([[lat.pair(u, v) for v in kernel] for u in kernel])
         if len(rad) != 1:
             raise ArithmeticError("parabolic fixed space has a one-dimensional radical")
-        ray = [Fraction(0)] * n
-        for c, basis_vec in zip(rad[0], kernel):
-            for i in range(n):
-                ray[i] += Fraction(c) * Fraction(basis_vec[i])
+        ray = linalg.mat_vec(linalg.transpose(kernel), rad[0])
         prim = linalg.primitive_vector(ray)
         if lat.pair(prim, o.base) < 0:
             prim = linalg.vec_neg(prim)
@@ -230,7 +228,8 @@ def _algebraic_eigenray(g: Isometry, fld, eigval) -> BoundaryRay:
     n = g.lattice.rank
     rows = [[fld.rational(g.matrix[i][j]) - (eigval if i == j else fld.rational(0))
              for j in range(n)] for i in range(n)]
-    kernel = _field_kernel(rows, fld)
+    kernel = linalg.rref_kernel(*linalg.gauss_jordan(rows), n,
+                                fld.rational(0), fld.rational(1))
     if len(kernel) != 1:
         raise ArithmeticError("expanding eigenvalue of a (1,n) isometry is simple")
     vec = kernel[0]
@@ -245,36 +244,6 @@ def _algebraic_eigenray(g: Isometry, fld, eigval) -> BoundaryRay:
         vec = [-c for c in vec]
     rational = all(c.is_rational() for c in vec)
     return BoundaryRay(orientation=g.orientation, ray=tuple(vec), rational=rational)
-
-
-def _field_kernel(rows, fld):
-    """Kernel basis of a matrix over a real algebraic field (Gauss)."""
-    m = [row[:] for row in rows]
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [fld.rational(0)] * ncols
-        vec[fc] = fld.rational(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -m[i][fc]
-        basis.append(vec)
-    return basis
 
 
 # -- element factories ------------------------------------------------------------

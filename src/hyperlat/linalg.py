@@ -5,11 +5,15 @@ is pure and allocation-cheap at desk scale (rank <= ~10); no floating point.
 
 Fraction-free (Python ints only): the products `mat_mul`, `mat_vec`, `dot`
 and `pairing`, `bareiss_det`, `adjugate`, `primitive_vector`, and the row
-basis behind `rank`, `row_echelon`, `kernel_basis` and `solve_linear`.
-Rational input rows have their denominators cleared first, and
-`row_echelon` runs its `Fraction` reduction only on the at most ncols rows
-of that integer basis.  `congruence_diagonal`, `gram_schmidt_frame` and
-`frac_pairing` work over `Fraction`.
+basis behind `rank`, `row_echelon` and `kernel_basis`.  Rational input rows
+have their denominators cleared first.
+
+`gauss_jordan` is the one Gauss-Jordan elimination, over any exact field,
+and `rref_kernel` reads a kernel basis off its result.  Over Q,
+`row_echelon` runs it only on the at most ncols rows of the integer row
+basis; `isometry` runs it over the scale's field Q(lambda).
+`congruence_diagonal`, `gram_schmidt_frame` and `frac_pairing` work over
+`Fraction`.
 """
 
 from __future__ import annotations
@@ -184,27 +188,28 @@ def row_basis(rows) -> list[list[int]]:
     return [b for _, b in basis]
 
 
-def row_echelon(rows):
-    """Reduced row echelon form; returns (rref rows, pivot column indices).
+def gauss_jordan(rows):
+    """Reduced row echelon form over any field; returns (rref rows, pivot columns).
 
-    The RREF depends only on the row space, so the `Fraction` Gauss-Jordan
-    runs on the integer `row_basis`, at most ncols rows.
+    Entries need +, -, *, 1 / x and a truth value that is false exactly at
+    zero, as `Fraction` and `polynomials.AlgebraicNumber` have.  Pivots are
+    tested by truth value: `x != 0` on an algebraic number would first build
+    the field's zero.
     """
-    a = [[Fraction(x) for x in row] for row in row_basis(rows)]
+    a = [list(row) for row in rows]
     if not a:
         return [], []
-    ncols = len(a[0])
     pivots = []
     r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+    for c in range(len(a[0])):
+        pivot_row = next((i for i in range(r, len(a)) if a[i][c]), None)
         if pivot_row is None:
             continue
         a[r], a[pivot_row] = a[pivot_row], a[r]
         inv = 1 / a[r][c]
         a[r] = [x * inv for x in a[r]]
         for i in range(len(a)):
-            if i != r and a[i][c] != 0:
+            if i != r and a[i][c]:
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(c)
@@ -212,6 +217,30 @@ def row_echelon(rows):
         if r == len(a):
             break
     return a[:r], pivots
+
+
+def rref_kernel(rref, pivots, ncols: int, zero=0, one=1) -> list[list]:
+    """Kernel basis read off a reduced row echelon form, one vector per free
+    column in increasing order; `zero` and `one` are the field's constants."""
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [zero] * ncols
+        vec[fc] = one
+        for row, pc in zip(rref, pivots):
+            vec[pc] = -row[fc]
+        basis.append(vec)
+    return basis
+
+
+def row_echelon(rows):
+    """Reduced row echelon form over Q; returns (rref rows, pivot column indices).
+
+    The RREF depends only on the row space, so `gauss_jordan` runs on the
+    integer `row_basis`, at most ncols rows.
+    """
+    return gauss_jordan([[Fraction(x) for x in row] for row in row_basis(rows)])
 
 
 def rank(rows) -> int:
@@ -222,33 +251,7 @@ def kernel_basis(rows) -> list[IntVec]:
     """Primitive integer basis of {x : rows * x = 0}, deterministic order."""
     if not rows:
         raise ValueError("kernel of empty row list is ambient; handle at caller")
-    ncols = len(rows[0])
-    rref, pivots = row_echelon(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -rref[i][fc]
-        basis.append(primitive_vector(vec))
-    return basis
-
-
-def solve_linear(rows, rhs):
-    """One exact solution of rows * x = rhs, or None if inconsistent."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    ncols = len(rows[0])
-    rref, pivots = row_echelon(aug)
-    for row in rref:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            return None
-    if pivots and pivots[-1] == ncols:
-        return None
-    x = [Fraction(0)] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = rref[i][-1]
-    return x
+    return [primitive_vector(v) for v in rref_kernel(*row_echelon(rows), len(rows[0]))]
 
 
 # -- symmetric forms ----------------------------------------------------------

@@ -213,12 +213,14 @@ def horoballs_disjoint(b1: Horoball, b2: Horoball) -> DisjointnessWitness:
 # -- model conversions -----------------------------------------------------------
 
 def minkowski_coords(orientation: ConeOrientation, ray) -> tuple[float, ...]:
-    """Float coordinates of the exact ray in the orthonormalized frame.
+    """Float coordinates of the ray in the orthonormalized frame.
 
     Index 0 is the timelike coordinate; (a0, a1, ..., an) satisfies
     ray.ray = a0^2 - sum ai^2 up to rounding.  Each coordinate is one
-    integer dot product and one int true division, which rounds correctly,
-    as float() of the exact rational does.
+    dot product and one true division; for an integer ray these are exact
+    until the division, which rounds correctly, as float() of the exact
+    rational does.  A float ray (an irrational boundary ray's approximation)
+    goes through the same integer rows.
     """
     _, _, scales = orientation.frame
     return tuple(linalg.dot(ray, u) / d * s
@@ -237,25 +239,10 @@ def to_ball(orientation: ConeOrientation, obj) -> tuple[float, ...]:
         x0 = a[0] / s
         return tuple(x / s / (1.0 + x0) for x in a[1:])
     if isinstance(obj, BoundaryRay):
-        if obj.rational:
-            a = minkowski_coords(orientation, obj.ray)
-        else:
-            a = minkowski_coords_numeric(orientation, [c.approx() for c in obj.ray])
+        ray = obj.ray if obj.rational else [c.approx() for c in obj.ray]
+        a = minkowski_coords(orientation, ray)
         return tuple(x / a[0] for x in a[1:])
     raise InvalidParameter(f"cannot map {type(obj).__name__} to the ball model")
-
-
-def minkowski_coords_numeric(orientation: ConeOrientation, ray_floats) -> tuple[float, ...]:
-    frame, norms, scales = orientation.frame
-    lat = orientation.lattice
-    gram = [[float(x) for x in row] for row in lat.gram]
-    out = []
-    for f, n, s in zip(frame, norms, scales):
-        ff = [float(x) for x in f]
-        c = sum(ray_floats[i] * sum(gram[i][j] * ff[j] for j in range(len(ff)))
-                for i in range(len(ff))) / float(n)
-        out.append(c * s)
-    return tuple(out)
 
 
 def from_ball(orientation: ConeOrientation, ball_coords) -> tuple[float, ...]:

@@ -349,13 +349,6 @@ def cyclotomic_factorization(p) -> list[tuple[int, int]] | None:
     return factors if rem == [1] else None
 
 
-def lcm_of(values) -> int:
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
-    return out
-
-
 def minimal_polynomial_of_root(p, lo: Fraction, hi: Fraction) -> list[int]:
     """Minimal polynomial of the scale lambda > 1, the root of p in (lo, hi].
 
@@ -456,6 +449,10 @@ class AlgebraicNumber:
         return self._coerce(other) - self
 
     def __mul__(self, other):
+        if not isinstance(other, AlgebraicNumber):
+            # a rational scalar keeps the degree: nothing to reduce
+            q = Fraction(other)
+            return AlgebraicNumber(self.field, tuple(c * q for c in self.coeffs))
         other = self._coerce(other)
         prod = poly_mul(list(self.coeffs), list(other.coeffs))
         _, rem = poly_divmod(prod, self.field.minpoly)
@@ -485,7 +482,7 @@ class AlgebraicNumber:
         return self * self._coerce(other).inverse()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
+        return self.inverse() * other
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +11,7 @@ from hyperlat import build_lattice, cone_from_halfspaces, extreme_rays, \
 from hyperlat.cones import (TAG_INTERIOR, TAG_ISOTROPIC, double_description,
                             irredundant_halfspaces)
 from hyperlat.errors import DimensionBudgetExceeded
-from hyperlat.linalg import dot, kernel_basis, primitive_vector, rank
+from hyperlat.linalg import dot, kernel_basis, primitive_vector, rank, row_echelon
 
 U = build_lattice([[0, 1], [1, 0]])
 D12 = build_lattice([[1, 0], [0, -2]])
@@ -62,6 +63,131 @@ def test_double_description_vs_brute_force_50_random_cones():
         expected = brute_extreme_rays(fns, n)
         assert sorted(got_rays) == expected, (fns, got_rays, expected)
         done += 1
+
+
+def _old_solve_linear(rows, rhs):
+    """One exact solution of rows * x = rhs, or None if inconsistent."""
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    ncols = len(rows[0])
+    rref, pivots = row_echelon(aug)
+    for row in rref:
+        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
+            return None
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [Fraction(0)] * ncols
+    for i, pc in enumerate(pivots):
+        x[pc] = rref[i][-1]
+    return x
+
+
+def _old_double_description(functionals, n):
+    """double_description as it was: a complement basis out of standard
+    basis vectors by rank probes, and seed rays by solving S x = e_k."""
+    functionals = [tuple(f) for f in functionals]
+    if not functionals:
+        return [], [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    lineality = kernel_basis(functionals)
+    r = n - len(lineality)
+    if r == 0:
+        return [], lineality
+    comp = []
+    span_rows = [list(v) for v in lineality]
+    for i in range(n):
+        e = [1 if j == i else 0 for j in range(n)]
+        if rank(span_rows + [e]) > len(span_rows):
+            comp.append(tuple(e))
+            span_rows.append(e)
+        if len(comp) == r:
+            break
+    projected = [tuple(dot(f, c) for c in comp) for f in functionals]
+    lifted = []
+    for qray in _old_pointed_double_description(projected, r):
+        vec = [0] * n
+        for coef, cvec in zip(qray, comp):
+            for i in range(n):
+                vec[i] += coef * cvec[i]
+        lifted.append(primitive_vector(vec))
+    return sorted(set(lifted)), lineality
+
+
+def _old_pointed_double_description(rows, r):
+    seed_idx = []
+    seed_rows = []
+    for i, row in enumerate(rows):
+        if rank(seed_rows + [list(row)]) > len(seed_rows):
+            seed_idx.append(i)
+            seed_rows.append(list(row))
+        if len(seed_idx) == r:
+            break
+    assert len(seed_idx) == r
+    rays = []
+    for k in range(r):
+        rhs = [Fraction(1 if j == k else 0) for j in range(r)]
+        rays.append(primitive_vector(_old_solve_linear(seed_rows, rhs)))
+    seeds = set(seed_idx)
+    zsets = {ray: sum(1 << i for i in seed_idx if dot(rows[i], ray) == 0)
+             for ray in rays}
+    for i, row in enumerate(rows):
+        if i in seeds:
+            continue
+        values = {ray: dot(row, ray) for ray in rays}
+        pos = [ray for ray in rays if values[ray] > 0]
+        zero = [ray for ray in rays if values[ray] == 0]
+        neg = [ray for ray in rays if values[ray] < 0]
+        fresh = {}
+        for p in pos:
+            for m in neg:
+                common = zsets[p] & zsets[m]
+                if common.bit_count() < r - 2:
+                    continue
+                if any(zsets[o] & common == common
+                       for o in rays if o is not p and o is not m):
+                    continue
+                combo = tuple(values[p] * mx - values[m] * px for px, mx in zip(p, m))
+                fresh.setdefault(primitive_vector(combo), common | 1 << i)
+        for ray in zero:
+            zsets[ray] |= 1 << i
+        for ray in neg:
+            del zsets[ray]
+        rays = pos + zero
+        for ray, zset in fresh.items():
+            if ray not in zsets:
+                zsets[ray] = zset
+                rays.append(ray)
+    return rays
+
+
+def random_functionals(rng, n, count, lineality_dim):
+    """count nonzero functionals on Q^n vanishing on a random subspace of the
+    given dimension, so the cone's lineality space has at least that dimension."""
+    while True:
+        span = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(lineality_dim)]
+        if rank(span) == lineality_dim:
+            break
+    annihilator = kernel_basis(span) if span else [
+        tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    fns = []
+    while len(fns) < count:
+        coefs = [rng.randint(-3, 3) for _ in annihilator]
+        f = tuple(sum(c * a[j] for c, a in zip(coefs, annihilator)) for j in range(n))
+        if any(f):
+            fns.append(f)
+    return fns
+
+
+def test_double_description_matches_old_on_random_cones():
+    rng = random.Random(4049)
+    seen_lineality = 0
+    for k in range(150):
+        n = rng.randint(1, 5)
+        lineality_dim = rng.randint(0, n - 1) if k % 2 else 0
+        fns = random_functionals(rng, n, rng.randint(1, 9), lineality_dim)
+        got = double_description(fns, n)
+        assert got == _old_double_description(fns, n), fns
+        seen_lineality += bool(got[1])
+    assert double_description([], 3) == _old_double_description([], 3)
+    assert seen_lineality >= 50
 
 
 def test_rays_satisfy_all_halfspaces():

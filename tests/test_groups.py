@@ -266,6 +266,58 @@ def _old_irredundant_halfspaces(cone):
     return cones.extreme_rays(replace(cone, halfspaces=tuple(keep)))
 
 
+def _random_cones(seed, count):
+    """Random cones over <1> + <-1>^(n-1), oriented by e_0, some with
+    redundant halfspaces and some with a lineality space."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(2, 4)
+        lat = build_lattice([[(1 if i == 0 else -1) if i == j else 0 for j in range(n)]
+                             for i in range(n)])
+        normals = [tuple(rng.randint(-4, 4) for _ in range(n))
+                   for _ in range(rng.randint(1, 8))]
+        out.append(cone_from_halfspaces(lat, [w for w in normals if any(w)],
+                                        orientation=pick_cone(lat, (1,) + (0,) * (n - 1))))
+    return out
+
+
+def test_irredundant_halfspaces_matches_old_on_random_cones():
+    dropped = 0
+    for cone in _random_cones(2024, 50):
+        if not cone.halfspaces:
+            continue
+        got = cones.irredundant_halfspaces(cone)
+        assert got == _old_irredundant_halfspaces(cone)
+        vrep = cones.extreme_rays(cone)
+        assert cones.irredundant_halfspaces(vrep) == got
+        dropped += len(got.halfspaces) < len(cone.halfspaces)
+    assert dropped >= 10
+
+
+@pytest.mark.parametrize("make_group, ray, budget", DOMAINS)
+def test_dirichlet_domain_runs_one_double_description(make_group, ray, budget,
+                                                      monkeypatch):
+    g = make_group()
+    h = point_from_ray(g.orientation, ray)
+    calls = []
+    real = cones.extreme_rays
+    monkeypatch.setattr(cones, "extreme_rays",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    dom = dirichlet_domain(g, h, budget)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    normals = []
+    for elem, _word in elements_up_to(g, budget, include_identity=False):
+        try:
+            normals.append(dirichlet_halfspace(h, elem))
+        except FixedBasepoint:
+            continue
+    unreduced = cone_from_halfspaces(g.lattice, normals, orientation=g.orientation,
+                                     truncated_at=budget)
+    assert dom == _old_irredundant_halfspaces(unreduced)
+
+
 def _old_polytope_hypothesis_check(cone, orientation=None):
     """The check as it was when it always recomputed the cone's V-rep."""
     o = orientation or cone.orientation

@@ -9,12 +9,13 @@ import pytest
 
 from hyperlat import (build_lattice, classify, direct_sum,
                       eichler_transvection, entropy, fixed_boundary_points,
-                      make_isometry, pick_cone, rank1, reflection)
+                      make_isometry, pick_cone, rank1, reflection, to_ball)
 from hyperlat.errors import (EllipticHasNoBoundaryFixedPoint,
                              NonIntegralResult, NotOrthogonal, WrongComponent,
                              WrongNorm)
 from hyperlat.isometry import ELLIPTIC, LOXODROMIC, PARABOLIC
-from hyperlat.linalg import identity_matrix, mat_mul, transpose
+from hyperlat.linalg import (frac_pairing, identity_matrix, kernel_basis, mat_mul,
+                             primitive_vector, transpose)
 
 U = build_lattice([[0, 1], [1, 0]])
 D12 = build_lattice([[1, 0], [0, -2]])
@@ -321,3 +322,66 @@ def test_parabolic_with_bigger_fixed_space():
     assert classify(t).kind == PARABOLIC
     rays = fixed_boundary_points(t)
     assert rays[0].ray == (1, 0, 0, 0) and rays[0].rational
+
+
+# -- fixed rays against the Fraction code they replaced -----------------------------
+
+def _old_parabolic_ray(g):
+    """The parabolic fixed ray as it was computed: `Fraction` rows for M - I
+    and `frac_pairing` on the kernel."""
+    lat, n = g.lattice, g.lattice.rank
+    rows = [tuple(Fraction(g.matrix[i][j] - (1 if i == j else 0)) for j in range(n))
+            for i in range(n)]
+    kernel = kernel_basis(rows)
+    restricted = [[frac_pairing(lat.gram, u, v) for v in kernel] for u in kernel]
+    rad = kernel_basis([tuple(row) for row in restricted])
+    ray = [Fraction(0)] * n
+    for c, basis_vec in zip(rad[0], kernel):
+        for i in range(n):
+            ray[i] += Fraction(c) * Fraction(basis_vec[i])
+    prim = primitive_vector(ray)
+    return prim if lat.pair(prim, g.orientation.base) >= 0 else tuple(-x for x in prim)
+
+
+def _old_minkowski_coords_numeric(orientation, ray_floats):
+    """The float projection `to_ball` used for irrational boundary rays."""
+    frame, norms, scales = orientation.frame
+    gram = [[float(x) for x in row] for row in orientation.lattice.gram]
+    out = []
+    for f, n, s in zip(frame, norms, scales):
+        ff = [float(x) for x in f]
+        c = sum(ray_floats[i] * sum(gram[i][j] * ff[j] for j in range(len(ff)))
+                for i in range(len(ff))) / float(n)
+        out.append(c * s)
+    return tuple(out)
+
+
+def _ua2_letters():
+    s1 = reflection(O_UA2, (0, 0, 1, 0))
+    s2 = reflection(O_UA2, (1, -1, 0, 0))
+    s3 = reflection(O_UA2, (1, 0, 0, 1))
+    t1 = eichler_transvection(O_UA2, (1, 0, 0, 0), (0, 0, 1, 0))
+    return [(s1, "s1"), (s2, "s2"), (s3, "s3"), (t1, "t1"), (t1.inverse(), "t1i")]
+
+
+@pytest.mark.parametrize("which", ["um2", "d12", "ua2"])
+def test_fixed_rays_match_fraction_code(which):
+    letters = _ua2_letters() if which == "ua2" else _letter_set(which)
+    seen = set()
+    for g in _word_pool(random.Random(43), letters, 50, max_len=5):
+        kind = g.classification.kind
+        seen.add(kind)
+        if kind == ELLIPTIC:
+            continue
+        rays = fixed_boundary_points(g)
+        if kind == PARABOLIC:
+            assert [r.ray for r in rays] == [_old_parabolic_ray(g)]
+            continue
+        for ray in rays:
+            # the float route of a rational ray and the removed float projection agree
+            ball = to_ball(g.orientation, ray)
+            approx = [c.approx() for c in ray.ray]
+            a = _old_minkowski_coords_numeric(g.orientation, approx)
+            assert ball == pytest.approx([x / a[0] for x in a[1:]], rel=1e-9, abs=1e-12)
+            assert sum(x * x for x in ball) == pytest.approx(1.0, abs=1e-9)
+    assert LOXODROMIC in seen

@@ -1,9 +1,10 @@
-"""Fraction-free elimination and primitive vectors against sympy.
+"""Fraction-free elimination, Gauss-Jordan and primitive vectors against sympy.
 
-`rank`, `row_echelon`, `kernel_basis` and `solve_linear` reduce through the
-integer `row_basis`; each is compared with the sympy routine on random
-matrices: square, wide and tall (500 x 6), rank-deficient, with zero rows,
-and with `Fraction` entries as `elementary_type` passes them.
+`rank`, `row_echelon` and `kernel_basis` reduce through the integer
+`row_basis`; each is compared with the sympy routine on random matrices:
+square, wide and tall (500 x 6), rank-deficient, with zero rows, and with
+`Fraction` entries.  `gauss_jordan` and `rref_kernel` are also run on
+`Fraction` rows directly and over a real quadratic field.
 """
 
 import random
@@ -13,8 +14,9 @@ from math import gcd
 import pytest
 import sympy
 
-from hyperlat.linalg import (kernel_basis, primitive_vector, rank, row_basis,
-                             row_echelon, solve_linear)
+from hyperlat.linalg import (gauss_jordan, kernel_basis, mat_vec, primitive_vector,
+                             rank, row_basis, row_echelon, rref_kernel)
+from hyperlat.polynomials import RealAlgebraicField
 
 
 def _low_rank(rng, nrows, ncols, r, spread=5):
@@ -97,25 +99,69 @@ def test_kernel_basis_matches_sympy_nullspace(name, rows):
 
 
 @pytest.mark.parametrize("name,rows", CASES, ids=[c[0] for c in CASES])
-def test_solve_linear_matches_sympy(name, rows):
-    rng = random.Random(len(rows) * 31 + len(rows[0]))
+def test_gauss_jordan_on_raw_rows_matches_sympy(name, rows):
+    """Without the integer row basis first: same RREF, and its kernel is one."""
     ncols = len(rows[0])
-    m = sympy.Matrix(rows)
-    x0 = [rng.randint(-4, 4) for _ in range(ncols)]
-    consistent = [sum(Fraction(a) * b for a, b in zip(row, x0)) for row in rows]
-    shifted = list(consistent)
-    shifted[rng.randrange(len(rows))] += Fraction(1, 3)
-    for rhs in (consistent, shifted):
-        ours = solve_linear(rows, rhs)
-        try:
-            sol, params = m.gauss_jordan_solve(sympy.Matrix([sympy.Rational(x.numerator,
-                                                                            x.denominator)
-                                                             for x in rhs]))
-        except ValueError:  # sympy: the system is inconsistent
-            assert ours is None
+    rref, pivots = sympy.Matrix(rows).rref()
+    ours, our_pivots = gauss_jordan([[Fraction(x) for x in row] for row in rows])
+    assert tuple(our_pivots) == tuple(pivots)
+    assert ours == [[_frac(x) for x in rref.row(i)] for i in range(len(pivots))]
+    kernel = rref_kernel(ours, our_pivots, ncols)
+    assert len(kernel) == ncols - len(pivots)
+    for v in kernel:
+        assert not any(mat_vec(rows, v))
+
+
+def _old_field_kernel(rows, fld):
+    """The Gauss elimination over Q(lambda) that `isometry` used to carry."""
+    m = [row[:] for row in rows]
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
             continue
-        particular = sol.subs({p: 0 for p in params})
-        assert ours == [_frac(x) for x in particular]
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][c].inverse()
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [fld.rational(0)] * ncols
+        vec[fc] = fld.rational(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -m[i][fc]
+        basis.append(vec)
+    return basis
+
+
+def test_gauss_jordan_over_a_quadratic_field_matches_old_kernel():
+    fld = RealAlgebraicField([-2, 0, 1], Fraction(1), Fraction(2))  # Q(sqrt 2)
+    rng = random.Random(5)
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        r = rng.randint(0, min(nrows, ncols))
+        base = [[fld.element([rng.randint(-3, 3), rng.randint(-3, 3)])
+                 for _ in range(ncols)] for _ in range(r)]
+        rows = []
+        for _ in range(nrows):
+            coefs = [fld.element([rng.randint(-2, 2), rng.randint(-2, 2)]) for _ in range(r)]
+            row = [fld.rational(0)] * ncols
+            for c, b in zip(coefs, base):
+                row = [x + c * y for x, y in zip(row, b)]
+            rows.append(row)
+        kernel = rref_kernel(*gauss_jordan(rows), ncols, fld.rational(0), fld.rational(1))
+        assert kernel == _old_field_kernel(rows, fld)
+        for v in kernel:
+            assert not any(sum((a * x for a, x in zip(row, v)), fld.rational(0))
+                           for row in rows)
 
 
 def _primitive_by_fractions(v):

@@ -307,3 +307,21 @@ def test_brackets_match_the_fraction_bisection():
             assert field.bracket(fine) == _fraction_refine_bracket(minpoly, lo, hi, fine)
             words += 1
     assert words == 240
+
+
+@pytest.mark.parametrize("minpoly, lo, hi", [([-2, 0, 1], 1, 2),            # sqrt 2
+                                             ([1, -1, -3, -1, 1], 2, 3)])  # a quartic scale
+def test_rational_scalar_product_matches_field_product(minpoly, lo, hi):
+    """A rational factor skips the reduction by the minimal polynomial; the
+    coefficients must be exactly those of the reduced field product."""
+    fld = polynomials.RealAlgebraicField(minpoly, Fraction(lo), Fraction(hi))
+    rng = random.Random(len(minpoly))
+    for _ in range(100):
+        x = fld.element([Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                         for _ in range(fld.degree)])
+        q = rng.choice((rng.randint(-7, 7), Fraction(rng.randint(-7, 7), rng.randint(1, 6))))
+        assert (x * q).coeffs == (q * x).coeffs == (x * fld.rational(q)).coeffs
+        if x:
+            assert (1 / x).coeffs == (fld.rational(1) * x.inverse()).coeffs
+            assert (q / x).coeffs == (fld.rational(q) * x.inverse()).coeffs
+            assert (x * (1 / x)).coeffs == fld.rational(1).coeffs
