@@ -9,11 +9,11 @@ errors.
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import __version__
 from .cones import polytope_hypothesis_check
@@ -30,16 +30,6 @@ from .model import ConeOrientation, pick_cone, point_from_ray, to_ball
 from .plot import ball_csv, ball_svg, format_float
 
 
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # a token such as '-1,0' is a vector value, not an unknown option
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
-
-    def error(self, message):  # input errors exit 1, not argparse's 2
-        self.exit(1, f"input error: {message}\n")
-
-
 def _check_exact_ints(node, where: str) -> None:
     if isinstance(node, bool):
         raise InputError(f"{where}: booleans are not integers")
@@ -53,13 +43,16 @@ def _check_exact_ints(node, where: str) -> None:
 def load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(
             f"malformed JSON in {path}: {exc.msg} at line {exc.lineno} "
             f"column {exc.colno}") from None
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: top level must be a JSON object")
+    return data
 
 
 def load_lattice(path: str) -> GramLattice:
@@ -83,9 +76,11 @@ def load_group(path: str, o: ConeOrientation) -> FGGroup:
     gens = data.get("generators")
     if not gens:
         raise InputError(f"{path}: missing 'generators'")
+    if not isinstance(gens, list):
+        raise InputError(f"{path}: 'generators' must be a list")
     out = []
     for i, g in enumerate(gens):
-        if "matrix" not in g:
+        if not isinstance(g, dict) or "matrix" not in g:
             raise InputError(f"{path}: generator {i} missing 'matrix'")
         _check_exact_ints(g["matrix"], f"{path}:generators[{i}]")
         out.append(make_isometry(o, g["matrix"]))
@@ -307,8 +302,6 @@ def cmd_chamber_walk(args):
 
 
 def cmd_criteria(args):
-    if args.kind != "k3":
-        raise InputError(f"unknown criteria kind {args.kind!r}")
     lat = load_lattice(args.lattice)
     grp = None
     if args.generators:
@@ -360,156 +353,164 @@ def cmd_plot(args):
           "depth": args.depth, "seed": args.seed})
 
 
-# -- parser ---------------------------------------------------------------------------
+# -- options --------------------------------------------------------------------------
+# One table declares every subcommand and option.  A run's argv is parsed from
+# it by `_parse_run`; `build_parser` turns the same rows into the argparse
+# parser that prints help, the version and every usage error.
 
-def build_parser(subcommand: str | None = None) -> _Parser:
-    """The hyperlat parser, with only `subcommand`'s subparser when it names one.
+def _row(name, kind=str, default=None, required=False, choices=None, help=None):
+    """One option: kind is int, str or bool (a store-true flag); a name
+    without the leading '--' is a positional."""
+    return name, kind, default, required, choices, help
 
-    A run parses one subcommand, so building the others is wasted work;
-    any other value (None, an option, an unknown name) gives the full
-    parser, whose help and errors list every subcommand.
+
+_LATTICE = _row("--lattice", required=True, help="lattice JSON file")
+_COMMON = (
+    _row("--output", help="write the report here instead of stdout"),
+    _row("--precision", int, 12, help="float display digits (default 12)"),
+    _row("--seed", int, 0, help="sampling seed"),
+    _row("--v0", help="positive-cone base vector, e.g. '1,0,0'"),
+)
+_GROUP_POINT = (_row("--group", required=True), _row("--point", required=True))
+
+# subcommand -> (help, handler, rows), in the order help lists them
+_COMMANDS = {
+    "info": ("rank, determinant, signature", cmd_info, (_LATTICE, *_COMMON)),
+    "roots": ("root existence with certificates", cmd_roots, (
+        _LATTICE, *_COMMON, _row("--height", int, 10), _row("--norm", int, -2))),
+    "isotropy": ("rational isotropy verdict", cmd_isotropy, (
+        _LATTICE, *_COMMON, _row("--height", int, 10))),
+    "enumerate": ("norm-m vectors up to a height", cmd_enumerate, (
+        _LATTICE, *_COMMON, _row("--norm", int, required=True),
+        _row("--height", int, 10), _row("--primitive", bool, False))),
+    "classify": ("classify one isometry", cmd_classify, (
+        _LATTICE, *_COMMON, _row("--isometry", required=True, help="isometry JSON file"))),
+    "entropy": ("entropy findings for a generated group", cmd_entropy, (
+        _LATTICE, *_COMMON, _row("--group", required=True, help="group JSON file"),
+        _row("--budget", int, 6), _row("--rho", int, 0))),
+    "orbit": ("orbit of a rational point", cmd_orbit, (
+        _LATTICE, *_COMMON, *_GROUP_POINT, _row("--depth", int, 6))),
+    "limits": ("sampled limit directions", cmd_limits, (
+        _LATTICE, *_COMMON, *_GROUP_POINT, _row("--depth", int, 10))),
+    "dirichlet": ("budget-truncated Dirichlet domain", cmd_dirichlet, (
+        _LATTICE, *_COMMON, *_GROUP_POINT, _row("--budget", int, 6))),
+    "tile-check": ("sampled tiling verification", cmd_tile_check, (
+        _LATTICE, *_COMMON, *_GROUP_POINT, _row("--budget", int, 6),
+        _row("--check-budget", int, 8), _row("--samples", int, 100))),
+    "chamber-walk": ("reflect a point into the chamber", cmd_chamber_walk, (
+        _LATTICE, *_COMMON, _row("--point", required=True), _row("--norm", int, -2),
+        _row("--height", int, 10), _row("--steps", int, 100),
+        _row("--strict-walls", bool, False))),
+    "criteria": ("full criteria report", cmd_criteria, (
+        _row("kind", required=True, choices=("k3",)), _LATTICE, *_COMMON,
+        _row("--generators", help="group JSON file (optional)"),
+        _row("--height", int, 10), _row("--budget", int, 6), _row("--rho", int))),
+    "families": ("emit classified family lattices", cmd_families, (
+        *_COMMON, _row("--uniform", int), _row("--member", int, 3, choices=(3, 4)),
+        _row("--cc-d4", int), _row("--cc-a2", int))),
+    "plot": ("CSV/SVG of ball-model orbit coordinates", cmd_plot, (
+        _LATTICE, *_COMMON, *_GROUP_POINT, _row("--depth", int, 8),
+        _row("--out", required=True, help="output path prefix"))),
+}
+
+# a token such as '-1,0' or '-2' is a value, not an unknown option
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
+
+
+def _dest(name: str) -> str:
+    return name.lstrip("-").replace("-", "_")
+
+
+def _parse_run(argv):
+    """The arguments of a plain run, or None where argparse must answer.
+
+    Takes a subcommand name first, then the table's options by their full
+    names as '--name value' or '--name=value' (a value may start with '-'
+    only as a negative number), store-true flags and the criteria kind.
+    Anything else -- help, --version, '--', an abbreviated or unknown
+    option, a missing value, a bad int or choice, a missing required
+    option -- returns None, and argparse gives its own answer.
     """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, rows = _COMMANDS[argv[0]]
+    options = {row[0]: row for row in rows if row[0].startswith("--")}
+    positional = next((row for row in rows if not row[0].startswith("--")), None)
+    values = {_dest(row[0]): row[2] for row in rows}
+    values.update(subcommand=argv[0], func=func)
+    given = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            name, eq, value = token.partition("=")
+            row = options.get(name)
+            if row is None or (eq and row[1] is bool):
+                return None
+            if row[1] is bool:
+                value = True
+            elif not eq:
+                value = next(tokens, None)
+                if value is None or (value.startswith("-")
+                                     and not _NEGATIVE_NUMBER.match(value)):
+                    return None
+        elif positional is None or positional[0] in given:
+            return None
+        else:
+            row, value = positional, token
+        name, kind, _, _, choices, _ = row
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        given.add(name)
+        values[_dest(name)] = value
+    if any(row[3] and row[0] not in given for row in rows):
+        return None
+    return SimpleNamespace(**values)
+
+
+def build_parser():
+    """The argparse parser of every subcommand, built from the option table."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = _NEGATIVE_NUMBER
+
+        def error(self, message):  # input errors exit 1, not argparse's 2
+            self.exit(1, f"input error: {message}\n")
+
     parser = _Parser(prog="hyperlat",
                      description="exact computations on hyperbolic lattices")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def wanted(name):
-        return subcommand is None or subcommand == name
-
-    def common(p, lattice=True):
-        if lattice:
-            p.add_argument("--lattice", required=True, help="lattice JSON file")
-        p.add_argument("--output", help="write the report here instead of stdout")
-        p.add_argument("--precision", type=int, default=12,
-                       help="float display digits (default 12)")
-        p.add_argument("--seed", type=int, default=0, help="sampling seed")
-        p.add_argument("--v0", help="positive-cone base vector, e.g. '1,0,0'")
-
-    if wanted("info"):
-        p = sub.add_parser("info", help="rank, determinant, signature")
-        common(p)
-        p.set_defaults(func=cmd_info)
-
-    if wanted("roots"):
-        p = sub.add_parser("roots", help="root existence with certificates")
-        common(p)
-        p.add_argument("--height", type=int, default=10)
-        p.add_argument("--norm", type=int, default=-2)
-        p.set_defaults(func=cmd_roots)
-
-    if wanted("isotropy"):
-        p = sub.add_parser("isotropy", help="rational isotropy verdict")
-        common(p)
-        p.add_argument("--height", type=int, default=10)
-        p.set_defaults(func=cmd_isotropy)
-
-    if wanted("enumerate"):
-        p = sub.add_parser("enumerate", help="norm-m vectors up to a height")
-        common(p)
-        p.add_argument("--norm", type=int, required=True)
-        p.add_argument("--height", type=int, default=10)
-        p.add_argument("--primitive", action="store_true")
-        p.set_defaults(func=cmd_enumerate)
-
-    if wanted("classify"):
-        p = sub.add_parser("classify", help="classify one isometry")
-        common(p)
-        p.add_argument("--isometry", required=True, help="isometry JSON file")
-        p.set_defaults(func=cmd_classify)
-
-    if wanted("entropy"):
-        p = sub.add_parser("entropy", help="entropy findings for a generated group")
-        common(p)
-        p.add_argument("--group", required=True, help="group JSON file")
-        p.add_argument("--budget", type=int, default=6)
-        p.add_argument("--rho", type=int, default=0)
-        p.set_defaults(func=cmd_entropy)
-
-    if wanted("orbit"):
-        p = sub.add_parser("orbit", help="orbit of a rational point")
-        common(p)
-        p.add_argument("--group", required=True)
-        p.add_argument("--point", required=True)
-        p.add_argument("--depth", type=int, default=6)
-        p.set_defaults(func=cmd_orbit)
-
-    if wanted("limits"):
-        p = sub.add_parser("limits", help="sampled limit directions")
-        common(p)
-        p.add_argument("--group", required=True)
-        p.add_argument("--point", required=True)
-        p.add_argument("--depth", type=int, default=10)
-        p.set_defaults(func=cmd_limits)
-
-    if wanted("dirichlet"):
-        p = sub.add_parser("dirichlet", help="budget-truncated Dirichlet domain")
-        common(p)
-        p.add_argument("--group", required=True)
-        p.add_argument("--point", required=True)
-        p.add_argument("--budget", type=int, default=6)
-        p.set_defaults(func=cmd_dirichlet)
-
-    if wanted("tile-check"):
-        p = sub.add_parser("tile-check", help="sampled tiling verification")
-        common(p)
-        p.add_argument("--group", required=True)
-        p.add_argument("--point", required=True)
-        p.add_argument("--budget", type=int, default=6)
-        p.add_argument("--check-budget", type=int, default=8)
-        p.add_argument("--samples", type=int, default=100)
-        p.set_defaults(func=cmd_tile_check)
-
-    if wanted("chamber-walk"):
-        p = sub.add_parser("chamber-walk", help="reflect a point into the chamber")
-        common(p)
-        p.add_argument("--point", required=True)
-        p.add_argument("--norm", type=int, default=-2)
-        p.add_argument("--height", type=int, default=10)
-        p.add_argument("--steps", type=int, default=100)
-        p.add_argument("--strict-walls", action="store_true")
-        p.set_defaults(func=cmd_chamber_walk)
-
-    if wanted("criteria"):
-        p = sub.add_parser("criteria", help="full criteria report")
-        p.add_argument("kind", choices=["k3"])
-        common(p)
-        p.add_argument("--generators", help="group JSON file (optional)")
-        p.add_argument("--height", type=int, default=10)
-        p.add_argument("--budget", type=int, default=6)
-        p.add_argument("--rho", type=int, default=None)
-        p.set_defaults(func=cmd_criteria)
-
-    if wanted("families"):
-        p = sub.add_parser("families", help="emit classified family lattices")
-        common(p, lattice=False)
-        p.add_argument("--uniform", type=int, default=None)
-        p.add_argument("--member", type=int, choices=[3, 4], default=3)
-        p.add_argument("--cc-d4", type=int, default=None)
-        p.add_argument("--cc-a2", type=int, default=None)
-        p.set_defaults(func=cmd_families)
-
-    if wanted("plot"):
-        p = sub.add_parser("plot", help="CSV/SVG of ball-model orbit coordinates")
-        common(p)
-        p.add_argument("--group", required=True)
-        p.add_argument("--point", required=True)
-        p.add_argument("--depth", type=int, default=8)
-        p.add_argument("--out", required=True, help="output path prefix")
-        p.set_defaults(func=cmd_plot)
-
-    if not sub.choices:  # `subcommand` named none of them
-        return build_parser()
+    for name, (help_text, func, rows) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kind, default, required, choices, help_ in rows:
+            if kind is bool:
+                p.add_argument(flag, action="store_true", help=help_)
+            elif flag.startswith("--"):
+                p.add_argument(flag, type=int if kind is int else None, default=default,
+                               required=required, choices=choices, help=help_)
+            else:
+                p.add_argument(flag, choices=choices, help=help_)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # keyed on argv[0] alone: 'hyperlat -h roots' prints the full parser's help
-    parser = build_parser(argv[0] if argv else None)
-    args = parser.parse_args(argv)
+    args = _parse_run(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
+        if args.precision < 0:
+            raise InputError(f"--precision must be at least 0, not {args.precision}")
         args.func(args)
     except BudgetError as exc:
         sys.stderr.write(f"budget error: {exc}\n")

@@ -92,10 +92,7 @@ def build_lattice(gram: Sequence[Sequence[int]]) -> GramLattice:
     Raises NotSymmetric for asymmetric input and Degenerate when the
     determinant vanishes.
     """
-    try:
-        mat = linalg.to_int_matrix(gram)
-    except ValueError as exc:
-        raise InvalidParameter(str(exc)) from None
+    mat = linalg.to_int_matrix(gram)
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise NotSymmetric("gram matrix must be square")

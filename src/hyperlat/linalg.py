@@ -23,27 +23,34 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
+from .errors import InvalidParameter
+
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
 
 
 def to_int_matrix(rows: Sequence[Sequence[int]]) -> IntMat:
-    """Validate a rectangular matrix of Python ints (bools rejected)."""
-    out = []
+    """Validate a rectangular matrix of Python ints (bools rejected).
+
+    Raises InvalidParameter for anything else, including a matrix or a row
+    that is not a sequence.
+    """
+    try:
+        out = tuple(tuple(row) for row in rows)
+    except TypeError:
+        raise InvalidParameter("matrix must be a list of rows") from None
     width = None
-    for row in rows:
-        r = tuple(row)
+    for r in out:
         if width is None:
             width = len(r)
         elif len(r) != width:
-            raise ValueError("ragged matrix")
+            raise InvalidParameter("ragged matrix")
         for x in r:
             if not isinstance(x, int) or isinstance(x, bool):
-                raise ValueError(f"matrix entry {x!r} is not an exact integer")
-        out.append(r)
+                raise InvalidParameter(f"matrix entry {x!r} is not an exact integer")
     if not out or width == 0:
-        raise ValueError("empty matrix")
-    return tuple(out)
+        raise InvalidParameter("empty matrix")
+    return out
 
 
 def identity_matrix(n: int) -> IntMat:

@@ -119,7 +119,10 @@ class BoundaryRay(Record):
 
 def point_from_ray(orientation: ConeOrientation, ray) -> HyperboloidPoint:
     """Normalize an exact ray (integers or rationals) to a point of H^n."""
-    prim = linalg.primitive_vector(tuple(ray))
+    ray = tuple(ray)
+    if not any(ray):
+        raise NotInCone("the zero ray has norm 0")
+    prim = linalg.primitive_vector(ray)
     lat = orientation.lattice
     if lat.norm(prim) <= 0:
         raise NotInCone(f"ray {prim} has nonpositive norm")

@@ -1,7 +1,12 @@
 """CLI surface: subcommands, file formats, exit codes, determinism."""
 
 import argparse
+import contextlib
+import io
 import json
+import os
+import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -176,6 +181,46 @@ def test_exit_code_input_errors(files):
     assert "--no-such-flag" in proc.stderr
 
 
+@pytest.mark.parametrize("text, group", [
+    pytest.param('{"gram": 5}', False, id="gram_not_a_matrix"),
+    pytest.param('[{"matrix": [[3, 4], [2, 3]]}]', True, id="group_top_level_list"),
+    pytest.param('{"generators": 7}', True, id="generators_not_a_list"),
+    pytest.param('{"generators": [{"matrix": 5}]}', True, id="generator_matrix_not_a_matrix"),
+    pytest.param('{"matrix": [["x", 4], [2, 3]]}', False, id="isometry_entry_not_an_int"),
+])
+def test_malformed_input_file_is_an_input_error(files, text, group):
+    (files / "bad.json").write_text(text)
+    if group:
+        argv = ["entropy", "--lattice", "d12.json", "--group", "bad.json"]
+    elif "gram" in text:
+        argv = ["info", "--lattice", "bad.json"]
+    else:
+        argv = ["classify", "--lattice", "d12.json", "--isometry", "bad.json"]
+    proc = run_cli(argv, files)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("input error:") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("sub", ["orbit", "limits", "dirichlet", "tile-check", "plot"])
+def test_zero_point_is_not_in_cone(files, sub, capsys):
+    argv = [sub, "--lattice", str(files / "d12.json"),
+            "--group", str(files / "pell_group.json"), "--point", "0,0"]
+    if sub == "plot":
+        argv += ["--out", str(files / "zero")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "input error: the zero ray has norm 0\n"
+
+
+@pytest.mark.parametrize("flag", ["--precision", "--prec"])  # run parse, argparse
+def test_negative_precision_is_an_input_error(files, flag, capsys):
+    argv = ["classify", "--lattice", str(files / "d12.json"),
+            "--isometry", str(files / "pell.json"), flag, "-1"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: --precision must be at least 0, not -1\n"
+
+
 def test_negative_vector_value_after_space(files):
     # '-1,0' is a value, not an unknown option; the sign flip lands in the cone
     args = ["orbit", "--lattice", "d12.json", "--group", "pell_group.json",
@@ -261,7 +306,7 @@ def test_roots_output_deterministic_across_runs(files):
     assert a.stdout == b.stdout
 
 
-# -- one-subcommand parser ------------------------------------------------------------
+# -- run parse and argparse ------------------------------------------------------------
 # representative argvs per subcommand: defaults only, then values given as
 # '--flag value', '--flag=value', a negative vector and an abbreviated option
 PARSE_CASES = {
@@ -314,22 +359,41 @@ def _outcome(parser, argv, capsys):
     return code, ns, captured.out, captured.err
 
 
+def _main_outcome(argv, capsys):
+    """(exit code, stdout, stderr) of a `cli.main` that exits in argparse."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
 def _subcommands(parser):
     return list(parser._subparsers._group_actions[0].choices)
 
 
+def _assert_run_parse_like_argparse(parser, argv, capsys):
+    """Where the run parse takes `argv`, argparse gives the same namespace."""
+    run = cli._parse_run(argv)
+    if run is not None:
+        code, ns, out, err = _outcome(parser, argv, capsys)
+        assert code is None, (argv, err)
+        assert vars(run) == vars(ns), argv
+    return run
+
+
 def test_subcommand_parser_covers_every_subcommand():
-    assert sorted(_subcommands(cli.build_parser())) == sorted(PARSE_CASES)
-    for name in PARSE_CASES:
-        assert _subcommands(cli.build_parser(name)) == [name]
+    assert _subcommands(cli.build_parser()) == list(cli._COMMANDS)
+    assert sorted(cli._COMMANDS) == sorted(PARSE_CASES)
 
 
 @pytest.mark.parametrize("name", sorted(PARSE_CASES))
 def test_subcommand_parser_parses_like_full_parser(name, capsys):
+    parser = cli.build_parser()
     for argv in PARSE_CASES[name]:
-        one = _outcome(cli.build_parser(name), argv, capsys)
-        assert one[0] is None, one
-        assert one == _outcome(cli.build_parser(), argv, capsys)
+        assert _outcome(parser, argv, capsys)[0] is None, argv
+        _assert_run_parse_like_argparse(parser, argv, capsys)
+    # the defaults-only case uses no abbreviation, so the run parse takes it
+    assert cli._parse_run(PARSE_CASES[name][0]) is not None
 
 
 @pytest.mark.parametrize("name", sorted(PARSE_CASES))
@@ -341,11 +405,13 @@ def test_subcommand_parser_help_and_errors_like_full_parser(name, capsys):
     if name != "families":  # the one subcommand without --lattice
         argvs.append([a for a in required if a not in ("--lattice", "l.json")])
     for argv in argvs:
-        one = _outcome(cli.build_parser(name), argv, capsys)
-        assert one[0] is not None and (one[2] or one[3]), argv
-        assert one == _outcome(cli.build_parser(), argv, capsys)
+        assert cli._parse_run(argv) is None, argv
+        one = _main_outcome(argv, capsys)
+        assert one[0] is not None and (one[1] or one[2]), argv
+        code, _, out, err = _outcome(cli.build_parser(), argv, capsys)
+        assert one == (code, out, err)
     if name != "families":
-        assert "required: --lattice" in one[3] and one[0] == 1
+        assert "required: --lattice" in one[2] and one[0] == 1
 
 
 @pytest.mark.parametrize("argv", [[], ["--help"], ["-h"], ["-h", "roots"], ["--version"],
@@ -361,6 +427,57 @@ def test_non_subcommand_argv_gets_full_parser(argv, capsys):
         assert "{info,roots,isotropy," in out  # every subcommand listed
 
 
+def _random_argv(rng, name, mutate):
+    """A well-formed argv of `name` from the option table; with `mutate`, one
+    token is then replaced by a form the run parse must leave to argparse or
+    must still read as argparse does."""
+    _, _, rows = cli._COMMANDS[name]
+    groups, kind = [], None
+    for flag, typ, _, required, choices, _ in rows:
+        if not flag.startswith("--"):
+            kind = [rng.choice(choices)]
+            continue
+        for _ in range(rng.choice((1, 1, 2, 3)) if required else rng.choice((0, 0, 1, 2))):
+            if typ is bool:
+                groups.append([flag])
+                continue
+            if choices:
+                value = str(rng.choice(choices))
+            elif typ is int:
+                value = str(rng.choice((-2, -1, 0, 1, 3, 12, 40)))
+            else:
+                value = rng.choice(("l.json", "1,0", "-1,0", "-2,3,1", "a=b", "", "x y"))
+            groups.append([f"{flag}={value}"] if rng.random() < 0.5 else [flag, value])
+    rng.shuffle(groups)
+    if kind:
+        groups.insert(rng.randrange(len(groups) + 1), kind)
+    argv = [name] + [tok for group in groups for tok in group]
+    if mutate and len(argv) > 1:
+        i = rng.randrange(1, len(argv))
+        tok = argv[i]
+        argv[i] = rng.choice((
+            tok[:4] if tok.startswith("--") else tok,   # abbreviation
+            tok.partition("=")[0] + "=1",               # '=' on a flag
+            "-h", "--", "-x", "-", "--version", "-.5", "-3e", "k3", "nine", "--lattice"))
+        if rng.random() < 0.3:
+            del argv[rng.randrange(1, len(argv))]
+    return argv
+
+
+@pytest.mark.parametrize("name", sorted(PARSE_CASES))
+def test_run_parse_matches_argparse_on_random_argvs(name, capsys):
+    rng = random.Random(f"hyperlat-{name}")
+    parser = cli.build_parser()
+    for _ in range(60):
+        argv = _random_argv(rng, name, mutate=False)
+        assert _assert_run_parse_like_argparse(parser, argv, capsys) is not None, argv
+    taken = 0
+    for _ in range(120):
+        argv = _random_argv(rng, name, mutate=True)
+        taken += _assert_run_parse_like_argparse(parser, argv, capsys) is not None
+    assert 0 < taken < 120
+
+
 def _count_add_parser(monkeypatch):
     calls = []
     real = argparse._SubParsersAction.add_parser
@@ -372,10 +489,10 @@ def _count_add_parser(monkeypatch):
     return calls
 
 
-def test_run_builds_only_its_subparser(files, monkeypatch, capsys):
+def test_run_builds_no_parser(files, monkeypatch, capsys):
     calls = _count_add_parser(monkeypatch)
     assert cli.main(["info", "--lattice", str(files / "um2.json")]) == 0
-    assert calls == ["info"]
+    assert calls == []
     assert json.loads(capsys.readouterr().out)["result"]["rank"] == 3
 
 
@@ -384,3 +501,77 @@ def test_help_builds_every_subparser(monkeypatch, capsys):
     with pytest.raises(SystemExit):
         cli.main(["--help"])
     assert sorted(calls) == sorted(PARSE_CASES)
+
+
+def test_run_imports_no_argparse(files):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import hyperlat.cli; "
+            "rc = hyperlat.cli.main(['roots', '--lattice', sys.argv[2], '--height', '2']); "
+            "print(rc, [m for m in ('argparse', 'gettext', 'shutil', 'locale') "
+            "if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src, str(files / "um2.json")],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert json.loads(proc.stdout[:proc.stdout.rindex("}") + 1])["result"]["kind"] == "Witness"
+
+
+# -- golden help and error bytes --------------------------------------------------------
+# Captured from the argparse-only front end with `python tests/test_cli.py`, which
+# rewrites the fixture; argparse's texts are the interpreter's, so the fixture
+# records the Python version it was taken with.
+GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")
+GOLDEN_COLUMNS = (80, 132)
+
+
+def _golden_argvs():
+    argvs = [["--help"], ["--version"]]
+    for name, cases in PARSE_CASES.items():
+        required = cases[0]
+        argvs += [[name, "--help"],
+                  required + ["--no-such-flag"],           # unknown flag
+                  required + ["--precision", "many"]]      # bad int
+        if "--lattice" in required:
+            argvs.append([a for a in required if a not in ("--lattice", "l.json")])
+    return argvs + [["criteria", "x"], ["families", "--uniform", "1", "--member", "5"]]
+
+
+def _capture(argv, columns):
+    """Exit code, stdout and stderr of `cli.main(argv)` at a terminal width."""
+    saved = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = str(columns)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        if saved is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = saved
+    return {"argv": argv, "columns": columns, "code": code,
+            "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _python():
+    return "%d.%d" % sys.version_info[:2]
+
+
+def test_help_and_error_bytes_match_golden():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    if golden["python"] != _python():
+        pytest.skip(f"argparse texts of Python {_python()}; fixture is {golden['python']}")
+    runs = golden["runs"]
+    assert [(r["argv"], r["columns"]) for r in runs] == \
+        [(argv, c) for c in GOLDEN_COLUMNS for argv in _golden_argvs()]
+    for want in runs:
+        assert _capture(want["argv"], want["columns"]) == want
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(
+        {"python": _python(),
+         "runs": [_capture(argv, c) for c in GOLDEN_COLUMNS for argv in _golden_argvs()]},
+        indent=1) + "\n", encoding="utf-8")

@@ -47,8 +47,9 @@ def test_build_not_symmetric():
 
 
 def test_build_rejects_non_integers():
-    with pytest.raises(InvalidParameter):
-        build_lattice([[1.0, 0], [0, 1]])
+    for gram in ([[1.0, 0], [0, 1]], 5, [1, 2], [["x", 0], [0, 1]], [[[1]]]):
+        with pytest.raises(InvalidParameter):
+            build_lattice(gram)
 
 
 def test_signature_examples():
