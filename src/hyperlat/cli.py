@@ -83,7 +83,10 @@ def load_group(path: str, o: ConeOrientation) -> FGGroup:
         if not isinstance(g, dict) or "matrix" not in g:
             raise InputError(f"{path}: generator {i} missing 'matrix'")
         _check_exact_ints(g["matrix"], f"{path}:generators[{i}]")
-        out.append(make_isometry(o, g["matrix"]))
+        try:
+            out.append(make_isometry(o, g["matrix"]))
+        except InputError as exc:
+            raise type(exc)(f"{path}: generator {i}: {exc}") from None
     return FGGroup(generators=tuple(out))
 
 
@@ -198,7 +201,7 @@ def _ray_json(ray, digits):
     return {
         "rational": False,
         "numeric": [float(format_float(c.approx(), digits)) for c in ray.ray],
-        "field_minpoly": list(field.minpoly_int),
+        "field_minpoly": list(field.minpoly),
         "coordinates": [[str(q) for q in c.coeffs] for c in ray.ray],
     }
 

@@ -195,25 +195,25 @@ def ray_satisfies(cone: PolyhedralCone, ray, strict: bool = False) -> bool:
 def irredundant_halfspaces(cone: PolyhedralCone) -> PolyhedralCone:
     """Drop halfspaces that do not define facets, using the V-rep.
 
-    A halfspace is a facet iff its active rays span a space of dimension
-    dim(cone) - 1.  Halfspaces active on the whole cone (implicit
-    equalities) are kept; they cannot be dropped without growing the cone.
+    Each halfspace cuts out a face, generated by the listed rays it
+    contains; its zero set over those rays is a bitmask.  The facets are
+    the maximal proper faces, so a halfspace is kept when no other proper
+    mask strictly contains its own.  Halfspaces active on the whole cone
+    (implicit equalities) are kept too; they cannot be dropped without
+    growing the cone.
     """
     vrep = cone if cone.rays is not None else extreme_rays(cone)
     rays = vrep.rays
     if not rays:
         return vrep  # the zero cone: every constraint may matter, keep all
-    gram = cone.lattice.gram
-    dim = linalg.rank([list(r) for r in rays])
-    keep = []
-    for w in cone.halfspaces:
-        f = linalg.mat_vec(gram, w)
-        active = [list(r) for r in rays if linalg.dot(f, r) == 0]
-        arank = linalg.rank(active) if active else 0
-        if arank >= dim - 1:
-            keep.append(w)
+    masks = [sum(1 << k for k, r in enumerate(rays) if linalg.dot(f, r) == 0)
+             for f in _functionals(cone)]
+    full = (1 << len(rays)) - 1
+    proper = set(masks) - {full}
+    keep = tuple(w for w, m in zip(cone.halfspaces, masks)
+                 if m == full or not any(o != m and o & m == m for o in proper))
     # dropping redundant inequalities leaves the cone, and so its V-rep, as it is
-    return replace(vrep, halfspaces=tuple(keep))
+    return replace(vrep, halfspaces=keep)
 
 
 def polytope_hypothesis_check(cone: PolyhedralCone,

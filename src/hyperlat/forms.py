@@ -13,6 +13,7 @@ only congruence or local obstructions certify absence.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from . import linalg
 from .errors import BudgetExceeded, InvalidParameter, NoPositiveConeSet
@@ -173,21 +174,6 @@ def primitive_isotropic_vectors(lattice: GramLattice, height: int, *,
 
 # -- congruence certificates -----------------------------------------------------
 
-def _prime_factors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _scan_residues(gram, m, modulus) -> bool:
     """True when some primitive residue vector v has Q(v) = m (mod modulus).
 
@@ -195,7 +181,7 @@ def _scan_residues(gram, m, modulus) -> bool:
     unit mod p; imprimitive residue solutions can mask obstructions.
     """
     n = len(gram)
-    primes = _prime_factors(modulus)
+    primes = [p for p, _ in linalg.factorize(modulus)]
     target = m % modulus
 
     def rec(depth, partial, lin, unit_masks):
@@ -250,7 +236,7 @@ def _normalize_place(place):
     if place in (INFINITE_PLACE, "inf", None) or place == float("inf"):
         return INFINITE_PLACE
     p = int(place)
-    if p < 2 or _prime_factors(p) != [p]:
+    if p < 2 or linalg.factorize(p) != [(p, 1)]:
         raise InvalidParameter(f"place must be a prime or infinity, got {place!r}")
     return p
 
@@ -261,19 +247,11 @@ def squarefree_int(q) -> int:
     if f == 0:
         raise InvalidParameter("zero has no squarefree class")
     n = f.numerator * f.denominator
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    out = 1
-    p = 2
-    while p * p <= n:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
+    out = -1 if n < 0 else 1
+    for p, e in linalg.factorize(n):
         if e % 2:
             out *= p
-        p += 1 if p == 2 else 2
-    return sign * out * n
+    return out
 
 
 def _legendre(a: int, p: int) -> int:
@@ -361,7 +339,7 @@ def _relevant_places(diag) -> list:
     places = [2]
     seen = {2}
     for d in diag:
-        for p in _prime_factors(d):
+        for p, _ in linalg.factorize(d):
             if p not in seen:
                 seen.add(p)
                 places.append(p)
@@ -371,7 +349,7 @@ def _relevant_places(diag) -> list:
 def _locally_isotropic(diag, p) -> bool:
     """Local isotropy of a diagonal form of rank 2..4 at a finite place."""
     n = len(diag)
-    d = squarefree_int(_prod(diag))
+    d = squarefree_int(prod(diag))
     if n == 2:
         return _square_in_qp(squarefree_int(-d), p)
     eps = _hasse_invariant(diag, p)
@@ -382,13 +360,6 @@ def _locally_isotropic(diag, p) -> bool:
             return True
         return eps == hilbert_symbol(-1, -1, p)
     raise AssertionError("rank outside 2..4")
-
-
-def _prod(xs):
-    out = 1
-    for x in xs:
-        out *= x
-    return out
 
 
 def _search_isotropic_witness(lattice: GramLattice, max_height: int) -> LatticeVector | None:
@@ -481,9 +452,8 @@ class SearchVerdict(Record):
 
 
 def _square_divisors(m: int) -> list[int]:
-    """All d >= 1 with d*d dividing m."""
-    out = [d for d in range(1, int(abs(m)) + 1) if d * d <= abs(m) and m % (d * d) == 0]
-    return out
+    """All d >= 1 with d*d dividing m != 0: the divisors of the largest such d."""
+    return linalg.divisors(prod(p ** (e // 2) for p, e in linalg.factorize(m)))
 
 
 def root_existence(lattice: GramLattice, root_norm: int = -2,

@@ -10,7 +10,6 @@ set with exact-matrix deduplication.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from . import linalg
 from .cones import HalfSpace, PolyhedralCone, cone_from_halfspaces, \
@@ -191,28 +190,21 @@ def _fixes_ray_projectively(gen: Isometry, ray, target=None) -> bool:
     """Does g map the exact ray to a positive multiple of target (default:
     the ray itself)?
 
-    Works for integer rays and for algebraic-coordinate rays alike.
+    g v is parallel to w iff every cross product (g v)_i w_p - (g v)_p w_i
+    vanishes at w's first nonzero coordinate p, and the multiple is then
+    positive iff (g v)_p and w_p have one sign.  Works for integer rays and
+    for algebraic-coordinate rays alike, without dividing.
     """
     image = linalg.mat_vec(gen.matrix, ray)
     tgt = ray if target is None else target
-    pivot = next(i for i, c in enumerate(tgt) if c)
-    if not image[pivot]:
+    p = next(i for i, c in enumerate(tgt) if c)
+    if any(a * tgt[p] - image[p] * b for a, b in zip(image, tgt)):
         return False
-    scale = _div_any(image[pivot], tgt[pivot])
-    for a, b in zip(image, tgt):
-        if a - scale * b:
-            return False
-    return _sign_any(scale) > 0
+    return _sign(image[p]) == _sign(tgt[p])
 
 
-def _div_any(x, y):
-    return Fraction(x, y) if isinstance(x, int) and isinstance(y, int) else x / y
-
-
-def _sign_any(x):
-    if isinstance(x, (int, Fraction)):
-        return (x > 0) - (x < 0)
-    return x.sign()
+def _sign(x) -> int:
+    return (x > 0) - (x < 0) if isinstance(x, int) else x.sign()
 
 
 def elementary_type(g: FGGroup) -> str:

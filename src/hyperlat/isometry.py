@@ -5,13 +5,13 @@ above 1 is detected by Sturm sign counting on the integer characteristic
 polynomial and bracketed by rational bisection; the remaining elements
 split into finite order (elliptic) and unipotent-type (parabolic) through
 exact cyclotomic factorization and matrix powering.  All of this runs in
-Python ints; Fractions appear only as the endpoints of the scale's bracket
-and as the coefficients of the scale's field Q(lambda).
+Python ints; Fractions appear only as the endpoints of the scale's bracket.
 
 Fixed boundary rays: the parabolic one is an integer kernel vector of the
-form on the integer kernel of M - I; the loxodromic eigenrays are read off
-`linalg.gauss_jordan` over Q(lambda), the one Gauss-Jordan elimination of
-the package.
+form on the integer kernel of M - I.  The loxodromic eigenrays are columns
+of adj(lambda I - M) for the scale lambda, an algebraic integer, so their
+coordinates lie in Z[lambda]; the ray for 1/lambda is the one of M^-1 for
+lambda.  No division in Q(lambda) is needed.
 """
 
 from __future__ import annotations
@@ -158,7 +158,7 @@ def _classify(g: Isometry) -> Classification:
     order_bound = math.lcm(*(d for d, _ in factors))
     if order_bound > ORDER_CAP:
         raise OrderCapExceeded(f"elliptic order bound {order_bound} exceeds cap")
-    order = pol.identity_power_order(g.matrix, pol.divisors(order_bound))
+    order = pol.identity_power_order(g.matrix, linalg.divisors(order_bound))
     if order is not None:
         return Classification(kind=ELLIPTIC, order=order)
     return Classification(kind=PARABOLIC)
@@ -190,8 +190,8 @@ def fixed_boundary_points(g: Isometry) -> list[BoundaryRay]:
 
     Parabolic: the unique rational ray, extracted as the radical of the
     form restricted to the fixed space ker(M - I).  Loxodromic: the two
-    eigenrays for the scale and its inverse, with exact coordinates in the
-    real algebraic field of the scale; their coordinates are irrational.
+    eigenrays for the scale and its inverse, with exact coordinates in
+    Z[lambda] for the scale lambda; their coordinates are irrational.
     """
     cls = g.classification
     if cls.kind == ELLIPTIC:
@@ -214,36 +214,39 @@ def fixed_boundary_points(g: Isometry) -> list[BoundaryRay]:
         if lat.norm(prim) != 0:
             raise ArithmeticError("parabolic fixed ray is not isotropic")
         return [BoundaryRay(orientation=o, ray=prim, rational=True)]
-    # loxodromic: solve (M - s I) v = 0 over Q(s) for s the scale and 1/s
-    fld = cls.scale_field
-    lam = fld.generator()
-    rays = []
-    for eigval in (lam, lam.inverse()):
-        ray = _algebraic_eigenray(g, fld, eigval)
-        rays.append(ray)
-    return rays
+    # loxodromic: the eigenray of M for the scale, and that of M^-1 for it
+    return [_scale_eigenray(h, cls.scale_field) for h in (g, g.inverse())]
 
 
-def _algebraic_eigenray(g: Isometry, fld, eigval) -> BoundaryRay:
-    n = g.lattice.rank
-    rows = [[fld.rational(g.matrix[i][j]) - (eigval if i == j else fld.rational(0))
-             for j in range(n)] for i in range(n)]
-    kernel = linalg.rref_kernel(*linalg.gauss_jordan(rows), n,
-                                fld.rational(0), fld.rational(1))
-    if len(kernel) != 1:
-        raise ArithmeticError("expanding eigenvalue of a (1,n) isometry is simple")
-    vec = kernel[0]
-    # orient towards the cone: the pairing with the base is nonzero exactly
-    pairing = fld.rational(0)
-    base = g.orientation.base
-    gram = g.lattice.gram
-    for i in range(n):
-        coef = sum(gram[i][j] * base[j] for j in range(n))
-        pairing = pairing + vec[i] * fld.rational(coef)
-    if pairing.sign() < 0:
-        vec = [-c for c in vec]
-    rational = all(c.is_rational() for c in vec)
-    return BoundaryRay(orientation=g.orientation, ray=tuple(vec), rational=rational)
+def _scale_eigenray(h: Isometry, fld) -> BoundaryRay:
+    """The eigenray of h for the scale lambda, a simple eigenvalue, with
+    coordinates in Z[lambda].
+
+    Every nonzero column of adj(lambda I - M) spans the eigenline.  Column j
+    of adj(x I - M) is sum_k u_k x^(n-k) with u_1 = e_j and u_(k+1) =
+    M u_k + c_(n-k) e_j (Faddeev-LeVerrier; c the charpoly coefficients).
+    The first column nonzero modulo the minimal polynomial is divided by
+    the content of its coefficients and oriented towards the cone.
+    """
+    n, c = h.lattice.rank, h.charpoly
+    for j in range(n):
+        us = [[int(i == j) for i in range(n)]]
+        for k in range(1, n):
+            u = list(linalg.mat_vec(h.matrix, us[-1]))
+            u[j] += c[n - k]
+            us.append(u)
+        # coordinate i is the polynomial sum_k u_k[i] x^(n-k), low degree first
+        vec = [fld.element([u[i] for u in reversed(us)]) for i in range(n)]
+        if any(vec):
+            break
+    else:
+        raise ArithmeticError("adj(lambda I - M) vanishes: the scale is not a simple eigenvalue")
+    content = math.gcd(*(x for v in vec for x in v.coeffs))
+    vec = [fld.element([x // content for x in v.coeffs]) for v in vec]
+    # the pairing with the base is nonzero for a nonzero ray of the cone's boundary
+    if linalg.dot(linalg.mat_vec(h.lattice.gram, h.orientation.base), vec).sign() < 0:
+        vec = [-v for v in vec]
+    return BoundaryRay(orientation=h.orientation, ray=tuple(vec), rational=False)
 
 
 # -- element factories ------------------------------------------------------------

@@ -4,14 +4,14 @@ Matrices are tuples of tuples (rows); vectors are tuples.  Everything here
 is pure and allocation-cheap at desk scale (rank <= ~10); no floating point.
 
 Fraction-free (Python ints only): the products `mat_mul`, `mat_vec`, `dot`
-and `pairing`, `bareiss_det`, `adjugate`, `primitive_vector`, and the row
-basis behind `rank`, `row_echelon` and `kernel_basis`.  Rational input rows
-have their denominators cleared first.
+and `pairing`, `bareiss_det`, `adjugate`, `primitive_vector`, the row
+basis behind `rank`, `row_echelon` and `kernel_basis`, and the integer
+`factorize` and `divisors`.  Rational input rows have their denominators
+cleared first.
 
-`gauss_jordan` is the one Gauss-Jordan elimination, over any exact field,
-and `rref_kernel` reads a kernel basis off its result.  Over Q,
-`row_echelon` runs it only on the at most ncols rows of the integer row
-basis; `isometry` runs it over the scale's field Q(lambda).
+`gauss_jordan` is the one Gauss-Jordan elimination, over Q, and
+`rref_kernel` reads a kernel basis off its result; `row_echelon` runs it
+only on the at most ncols rows of the integer row basis.
 `congruence_diagonal`, `gram_schmidt_frame` and `frac_pairing` work over
 `Fraction`.
 """
@@ -162,6 +162,35 @@ def primitive_vector(v) -> IntVec:
     return tuple(x // g for x in ints)
 
 
+# -- integers -------------------------------------------------------------------
+
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of |n| by trial division: (p, e) pairs with p
+    increasing, empty for 0 and +-1."""
+    n = abs(n)
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def divisors(n: int) -> list[int]:
+    """The positive divisors of n != 0, increasing."""
+    out = [1]
+    for p, e in factorize(n):
+        out = [d * p ** k for d in out for k in range(e + 1)]
+    return sorted(out)
+
+
 # -- elimination ----------------------------------------------------------------
 
 def row_basis(rows) -> list[list[int]]:
@@ -196,13 +225,8 @@ def row_basis(rows) -> list[list[int]]:
 
 
 def gauss_jordan(rows):
-    """Reduced row echelon form over any field; returns (rref rows, pivot columns).
-
-    Entries need +, -, *, 1 / x and a truth value that is false exactly at
-    zero, as `Fraction` and `polynomials.AlgebraicNumber` have.  Pivots are
-    tested by truth value: `x != 0` on an algebraic number would first build
-    the field's zero.
-    """
+    """Reduced row echelon form of `Fraction` rows; returns (rref rows,
+    pivot columns)."""
     a = [list(row) for row in rows]
     if not a:
         return [], []
@@ -213,8 +237,8 @@ def gauss_jordan(rows):
         if pivot_row is None:
             continue
         a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
+        pivot = a[r][c]
+        a[r] = [x / pivot for x in a[r]]
         for i in range(len(a)):
             if i != r and a[i][c]:
                 f = a[i][c]
@@ -226,15 +250,15 @@ def gauss_jordan(rows):
     return a[:r], pivots
 
 
-def rref_kernel(rref, pivots, ncols: int, zero=0, one=1) -> list[list]:
+def rref_kernel(rref, pivots, ncols: int) -> list[list]:
     """Kernel basis read off a reduced row echelon form, one vector per free
-    column in increasing order; `zero` and `one` are the field's constants."""
+    column in increasing order."""
     basis = []
     for fc in range(ncols):
         if fc in pivots:
             continue
-        vec = [zero] * ncols
-        vec[fc] = one
+        vec = [0] * ncols
+        vec[fc] = 1
         for row, pc in zip(rref, pivots):
             vec[pc] = -row[fc]
         basis.append(vec)

@@ -6,8 +6,10 @@ characteristic polynomial (Faddeev-LeVerrier with checked divisions),
 Sturm chains and squarefree parts (primitive pseudo-remainders), exact
 division, and signs at a rational point num/den.  Bisection keeps its
 bracket as two integers over one denominator, so the bracket endpoints it
-returns are the only Fractions.  Fraction coefficients remain in
-arithmetic in Q(alpha) (RealAlgebraicField, AlgebraicNumber).
+returns are the only Fractions.  The scale's field (RealAlgebraicField,
+AlgebraicNumber) holds elements of Z[alpha] for a monic minimal polynomial:
+integer coefficients, products reduced by integer long division, and no
+division at all.
 Real-root counting uses Sturm chains, never float eigensolvers:
 loxodromic-vs-parabolic near scaling factor 1 is hostile to floats (Salem
 numbers accumulate at 1).
@@ -17,9 +19,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
-from .linalg import identity_matrix, mat_mul, matrix_power
+from .linalg import factorize, identity_matrix, mat_mul, matrix_power
 
 # bisection steps bracket_largest_root_above may take before it gives up
 _BRACKET_STEPS = 20000
@@ -44,11 +46,6 @@ def poly_eval(p, x):
     return acc
 
 
-def poly_add(p, q):
-    n = max(len(p), len(q))
-    return trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)])
-
-
 def poly_neg(p):
     return [-c for c in p]
 
@@ -63,27 +60,6 @@ def poly_mul(p, q):
         for j, b in enumerate(q):
             out[i + j] += a * b
     return trim(out)
-
-
-def poly_divmod(p, q):
-    """Quotient and remainder over the rationals."""
-    p = [Fraction(c) for c in trim(p)]
-    q = [Fraction(c) for c in trim(q)]
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    rem = p[:]
-    lead = q[-1]
-    while len(rem) >= len(q) and any(c != 0 for c in rem):
-        shift = len(rem) - len(q)
-        c = rem[-1] / lead
-        quot[shift] = c
-        for i, qc in enumerate(q):
-            rem[shift + i] -= c * qc
-        rem = trim(rem)
-        if not rem:
-            break
-    return trim(quot), trim(rem)
 
 
 def poly_int_div_exact(p, q):
@@ -286,18 +262,7 @@ def refine_bracket(p, lo: Fraction, hi: Fraction, eps: Fraction) -> tuple[Fracti
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    out = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out -= out // m
-    return out
+    return prod((p - 1) * p ** (e - 1) for p, e in factorize(n))
 
 
 @lru_cache(maxsize=None)
@@ -369,37 +334,45 @@ def minimal_polynomial_of_root(p, lo: Fraction, hi: Fraction) -> list[int]:
     return out
 
 
-# -- arithmetic in Q(alpha) -----------------------------------------------------
+# -- arithmetic in Z[alpha] -----------------------------------------------------
+
+def _reduce(p, f) -> tuple[int, ...]:
+    """The integer polynomial p modulo the monic integer polynomial f, by
+    long division in integers, as deg f coefficients."""
+    d = len(f) - 1
+    r = list(p) + [0] * (d - len(p))
+    for k in range(len(r) - 1, d - 1, -1):
+        c = r.pop()
+        if c:
+            for i in range(d):
+                r[k - d + i] -= c * f[i]
+    return tuple(r)
+
 
 class RealAlgebraicField:
-    """Q(alpha) for alpha the unique root of an irreducible monic-up-to-sign
-    integer polynomial inside a rational bracket."""
+    """Q(alpha) for alpha the unique root of a monic irreducible integer
+    polynomial inside a rational bracket.  Its elements are those of the
+    ring Z[alpha], which is all that the eigenrays of an integer matrix for
+    the algebraic integer alpha need."""
 
     def __init__(self, minpoly, lo: Fraction, hi: Fraction):
-        self.minpoly = [Fraction(c) for c in trim(minpoly)]
-        lead = self.minpoly[-1]
-        self.minpoly = [c / lead for c in self.minpoly]
-        self.minpoly_int = primitive(minpoly)
-        self.degree = degree(self.minpoly)
+        self.minpoly = trim(minpoly)
+        if self.minpoly[-1] != 1:
+            raise ValueError("Z[alpha] arithmetic needs a monic minimal polynomial")
+        self.degree = len(self.minpoly) - 1
         self._lo = Fraction(lo)
         self._hi = Fraction(hi)
 
     def element(self, coeffs) -> "AlgebraicNumber":
-        c = [Fraction(v) for v in coeffs][: self.degree]
-        c += [Fraction(0)] * (self.degree - len(c))
-        return AlgebraicNumber(self, tuple(c))
+        """The integer polynomial coeffs (low degree first) at alpha."""
+        return AlgebraicNumber(self, _reduce(coeffs, self.minpoly))
 
     def generator(self) -> "AlgebraicNumber":
-        if self.degree == 1:
-            return self.element([-self.minpoly[0]])
         return self.element([0, 1])
-
-    def rational(self, q) -> "AlgebraicNumber":
-        return self.element([Fraction(q)])
 
     def bracket(self, eps: Fraction | None = None) -> tuple[Fraction, Fraction]:
         if eps is not None and self._hi - self._lo > eps:
-            self._lo, self._hi = refine_bracket(self.minpoly_int, self._lo, self._hi, eps)
+            self._lo, self._hi = refine_bracket(self.minpoly, self._lo, self._hi, eps)
         return self._lo, self._hi
 
     def approx_root(self) -> float:
@@ -408,11 +381,12 @@ class RealAlgebraicField:
 
 
 class AlgebraicNumber:
-    """Element of a RealAlgebraicField; exact field arithmetic, exact signs."""
+    """Element of Z[alpha] for a RealAlgebraicField: integer coefficients,
+    exact ring arithmetic (+, -, *) and exact signs."""
 
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: RealAlgebraicField, coeffs: tuple[Fraction, ...]):
+    def __init__(self, field: RealAlgebraicField, coeffs: tuple[int, ...]):
         self.field = field
         self.coeffs = coeffs
 
@@ -421,10 +395,12 @@ class AlgebraicNumber:
             if other.field is not self.field:
                 raise ValueError("mixed algebraic fields")
             return other
-        return self.field.rational(other)
+        if isinstance(other, int):
+            return self.field.element([other])
+        raise TypeError(f"{other!r} is not an element of Z[alpha]")
 
     def __bool__(self):
-        return any(c != 0 for c in self.coeffs)
+        return any(self.coeffs)
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -449,43 +425,13 @@ class AlgebraicNumber:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        if not isinstance(other, AlgebraicNumber):
-            # a rational scalar keeps the degree: nothing to reduce
-            q = Fraction(other)
-            return AlgebraicNumber(self.field, tuple(c * q for c in self.coeffs))
+        if isinstance(other, int):
+            # an integer scalar keeps the degree: nothing to reduce
+            return AlgebraicNumber(self.field, tuple(c * other for c in self.coeffs))
         other = self._coerce(other)
-        prod = poly_mul(list(self.coeffs), list(other.coeffs))
-        _, rem = poly_divmod(prod, self.field.minpoly)
-        rem = list(rem) + [Fraction(0)] * (self.field.degree - len(rem))
-        return AlgebraicNumber(self.field, tuple(rem[: self.field.degree]))
+        return self.field.element(poly_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "AlgebraicNumber":
-        # extended Euclid in Q[x]: u*self + v*minpoly = 1
-        if not self:
-            raise ZeroDivisionError("inverse of zero algebraic number")
-        r0, r1 = self.field.minpoly, list(self.coeffs)
-        s0, s1 = [], [Fraction(1)]
-        while degree(r1) > 0:
-            q, r = poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, poly_add(s0, poly_neg(poly_mul(q, s1)))
-            if not r1:
-                raise ArithmeticError("modulus not irreducible")
-        c = Fraction(r1[0])
-        inv = [x / c for x in s1]
-        inv += [Fraction(0)] * (self.field.degree - len(inv))
-        return AlgebraicNumber(self.field, tuple(inv[: self.field.degree]))
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
 
     def sign(self) -> int:
         """Exact sign via interval Horner on a shrinking root bracket."""
@@ -493,12 +439,12 @@ class AlgebraicNumber:
             return 0
         lo, hi = self.field.bracket()
         for _ in range(256):
-            vlo, vhi = _interval_eval(list(self.coeffs), lo, hi)
+            vlo, vhi = _interval_eval(self.coeffs, lo, hi)
             if vlo > 0:
                 return 1
             if vhi < 0:
                 return -1
-            lo, hi = refine_bracket(self.field.minpoly_int, lo, hi, (hi - lo) / 4)
+            lo, hi = refine_bracket(self.field.minpoly, lo, hi, (hi - lo) / 4)
             self.field._lo, self.field._hi = lo, hi
         raise ArithmeticError("sign refinement did not converge")
 
@@ -532,15 +478,3 @@ def identity_power_order(mat, candidate_orders) -> int | None:
         if power == ident:
             return k
     return None
-
-
-def divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)

@@ -201,6 +201,19 @@ def test_malformed_input_file_is_an_input_error(files, text, group):
     assert proc.stderr.startswith("input error:") and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("generators, message", [
+    pytest.param([{"matrix": 5}], "matrix must be a list of rows", id="not_a_matrix"),
+    pytest.param([{"matrix": [[3, 4], [2, 3]]}, {"matrix": [[1, 1], [0, 1]]}],
+                 "matrix does not preserve the bilinear form", id="not_orthogonal"),
+])
+def test_generator_errors_name_the_file_and_the_generator(files, generators, message):
+    (files / "bad.json").write_text(json.dumps({"generators": generators}))
+    proc = run_cli(["entropy", "--lattice", "d12.json", "--group", "bad.json"], files)
+    assert proc.returncode == 1
+    index = len(generators) - 1
+    assert proc.stderr == f"input error: bad.json: generator {index}: {message}\n"
+
+
 @pytest.mark.parametrize("sub", ["orbit", "limits", "dirichlet", "tile-check", "plot"])
 def test_zero_point_is_not_in_cone(files, sub, capsys):
     argv = [sub, "--lattice", str(files / "d12.json"),

@@ -7,13 +7,13 @@ import pytest
 
 from hyperlat import (build_lattice, chamber_walk, cones, dirichlet_domain,
                       dirichlet_halfspace, direct_sum, eichler_transvection,
-                      elementary_type, group,
+                      elementary_type, fixed_boundary_points, group,
                       limit_points_sample, linalg, make_isometry, orbit, pick_cone,
                       point_from_ray, polytope_hypothesis_check, rank1,
                       reflection, standard_lattice, tiling_check)
 from hyperlat.cones import cone_from_halfspaces
 from hyperlat.errors import FixedBasepoint, OnWall
-from hyperlat.groups import elements_up_to, sample_cone_points
+from hyperlat.groups import _fixes_ray_projectively, elements_up_to, sample_cone_points
 from hyperlat.model import to_ball
 from hyperlat.record import replace
 
@@ -92,6 +92,19 @@ def test_elementary_types():
     # a reflection moving the cusp: nothing detected
     s_moving = reflection(O_UM2, (0, 1, 1))
     assert elementary_type(group(TRANSVECTION, s_moving)) == "NotDetectedElementary"
+
+
+def test_fixes_ray_projectively_needs_a_positive_multiple():
+    # without division: parallel by cross products, positive by the signs at a pivot
+    expanding, contracting = (r.ray for r in fixed_boundary_points(PELL))
+    for ray in (expanding, contracting):
+        assert _fixes_ray_projectively(PELL, ray)
+        assert not _fixes_ray_projectively(PELL, ray, tuple(-c for c in ray))
+    assert not _fixes_ray_projectively(PELL, expanding, contracting)
+    (cusp,) = (r.ray for r in fixed_boundary_points(TRANSVECTION))
+    assert _fixes_ray_projectively(TRANSVECTION, cusp)
+    assert not _fixes_ray_projectively(TRANSVECTION, cusp, tuple(-c for c in cusp))
+    assert not _fixes_ray_projectively(MIRROR, (0, 1, 1))
 
 
 def test_dirichlet_halfspace_pell():

@@ -16,6 +16,7 @@ from hyperlat.errors import (EllipticHasNoBoundaryFixedPoint,
 from hyperlat.isometry import ELLIPTIC, LOXODROMIC, PARABOLIC
 from hyperlat.linalg import (frac_pairing, identity_matrix, kernel_basis, mat_mul,
                              primitive_vector, transpose)
+from hyperlat.polynomials import trim
 
 U = build_lattice([[0, 1], [1, 0]])
 D12 = build_lattice([[1, 0], [0, -2]])
@@ -99,21 +100,13 @@ def test_fixed_rays_transvection():
 def test_fixed_rays_pell():
     rays = fixed_boundary_points(PELL)
     assert len(rays) == 2
-    for ray in rays:
+    inverse = PELL.inverse().matrix
+    for ray, mat in zip(rays, (PELL.matrix, inverse)):
         assert not ray.rational
-        # exact check: M v = s v in the algebraic field of the scale
-        fld = ray.ray[0].field
-        scale = None
-        for eig in (fld.generator(), fld.generator().inverse()):
-            ok = True
-            for i in range(2):
-                image = sum(ray.ray[j] * PELL.matrix[i][j] for j in range(2))
-                if image != eig * ray.ray[i]:
-                    ok = False
-                    break
-            if ok:
-                scale = eig
-        assert scale is not None
+        # exact check in Z[s]: M v = s v for the first ray, M^-1 v = s v for the second
+        scale = ray.ray[0].field.generator()
+        for i in range(2):
+            assert sum(ray.ray[j] * mat[i][j] for j in range(2)) == scale * ray.ray[i]
     numerics = sorted(tuple(c.approx() for c in r.ray) for r in rays)
     root2 = math.sqrt(2)
     assert abs(numerics[0][0] / numerics[0][1] + root2) < 1e-9 or \
@@ -255,7 +248,7 @@ def test_parabolic_rays_rational_loxodromic_rays_irrational():
             assert len(rays) == 2
             for ray in rays:
                 assert not ray.rational
-                assert len(ray.ray[0].field.minpoly_int) >= 3  # degree >= 2
+                assert len(ray.ray[0].field.minpoly) >= 3  # degree >= 2
 
 
 def test_reflections_preserve_form_exactly():
@@ -287,20 +280,19 @@ def test_degree4_loxodromic_exact_fixed_rays():
     assert cls.scale_minpoly == (1, -1, -3, -1, 1)
     rays = fixed_boundary_points(g)
     assert len(rays) == 2
-    fld = rays[0].ray[0].field
-    eigs = (fld.generator(), fld.generator().inverse())
+    scale = rays[0].ray[0].field.generator()
     gram = U_A2.gram
-    for ray, eig in zip(rays, eigs):
+    for ray, mat in zip(rays, (m, g.inverse().matrix)):
         assert not ray.rational
-        # exact eigenray identity M v = s v in Q(s)
+        # exact eigenray identities in Z[s]: M v = s v, and M^-1 v' = s v'
         for i in range(4):
-            image = sum(ray.ray[j] * m[i][j] for j in range(4))
-            assert image == eig * ray.ray[i]
-        # exact isotropy of the fixed ray: (v, v) = 0 in Q(s)
-        norm = fld.rational(0)
+            image = sum(ray.ray[j] * mat[i][j] for j in range(4))
+            assert image == scale * ray.ray[i]
+        # exact isotropy of the fixed ray: (v, v) = 0 in Z[s]
+        norm = 0
         for i in range(4):
             for j in range(4):
-                norm = norm + ray.ray[i] * ray.ray[j] * fld.rational(gram[i][j])
+                norm = norm + ray.ray[i] * ray.ray[j] * gram[i][j]
         assert not norm
 
 
@@ -385,3 +377,138 @@ def test_fixed_rays_match_fraction_code(which):
             assert ball == pytest.approx([x / a[0] for x in a[1:]], rel=1e-9, abs=1e-12)
             assert sum(x * x for x in ball) == pytest.approx(1.0, abs=1e-9)
     assert LOXODROMIC in seen
+
+
+# -- loxodromic eigenrays against the Q(lambda) elimination they replaced -----------
+
+def _q_divmod(p, q):
+    """Quotient and remainder of polynomials over Q, by `Fraction` long division."""
+    rem, q = [Fraction(c) for c in trim(p)], trim(q)
+    quot = [Fraction(0)] * max(0, len(rem) - len(q) + 1)
+    while len(rem) >= len(q):
+        c, shift = rem[-1] / q[-1], len(rem) - len(q)
+        quot[shift] = c
+        for i, qc in enumerate(q):
+            rem[shift + i] -= c * qc
+        rem = trim(rem)
+    return quot, rem
+
+
+def _q_sub(p, q):
+    n = max(len(p), len(q))
+    return trim((p[i] if i < len(p) else 0) - (q[i] if i < len(q) else 0) for i in range(n))
+
+
+def _q_polymul(a, b):
+    prod = [Fraction(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return trim(prod)
+
+
+def _q_mul(a, b, f):
+    return _q_divmod(_q_polymul(a, b), f)[1]
+
+
+def _q_inverse(a, f):
+    """Extended Euclid in Q[x]: u a + v f = 1, as the parent's field had it."""
+    r0, r1 = list(f), trim(a)
+    s0, s1 = [], [Fraction(1)]
+    while len(r1) > 1:
+        q, r = _q_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _q_sub(s0, _q_polymul(q, s1))
+    return [x / r1[0] for x in s1]
+
+
+def _q_sign(a, fld):
+    """Exact sign of a Q(lambda) element: clear its denominators into Z[lambda]."""
+    a = [Fraction(x) for x in a] or [Fraction(0)]
+    den = math.lcm(*(x.denominator for x in a))
+    return fld.element([int(x * den) for x in a]).sign()
+
+
+def _old_eigenray(g, fld, eig):
+    """The kernel of M - eig I by Gauss-Jordan over Q(lambda) with `Fraction`
+    coefficients, oriented towards the cone: the parent's eigenray."""
+    f, n = fld.minpoly, g.lattice.rank
+    rows = [[_q_sub([g.matrix[i][j]], eig if i == j else []) for j in range(n)]
+            for i in range(n)]
+    pivots, r = [], 0
+    for c in range(n):
+        pivot = next((i for i in range(r, n) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = _q_inverse(rows[r][c], f)
+        rows[r] = [_q_mul(x, inv, f) for x in rows[r]]
+        for i in range(n):
+            if i != r and rows[i][c]:
+                fac = rows[i][c]
+                rows[i] = [_q_sub(x, _q_mul(fac, y, f)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    free = [c for c in range(n) if c not in pivots]
+    assert len(free) == 1
+    vec = [[] for _ in range(n)]
+    vec[free[0]] = [Fraction(1)]
+    for i, pc in enumerate(pivots):
+        vec[pc] = _q_sub([], rows[i][free[0]])
+    gb = g.lattice.gram
+    base = [sum(gb[i][j] * g.orientation.base[j] for j in range(n)) for i in range(n)]
+    pairing = []
+    for x, b in zip(vec, base):
+        pairing = _q_sub(pairing, [-b * c for c in x])
+    return vec if _q_sign(pairing, fld) > 0 else [_q_sub([], x) for x in vec]
+
+
+U_A2_M2 = direct_sum(U_A2, rank1(-2))
+O_UA2M2 = pick_cone(U_A2_M2, (1, 1, 0, 0, 0))
+
+
+def _ua2m2_letters():
+    roots = [(1, -1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1),
+             (1, 0, 1, 0, 0), (0, 1, 0, 0, 1)]
+    return [(reflection(O_UA2M2, r), f"s{k}") for k, r in enumerate(roots)]
+
+
+def _loxodromic_pool(letters, count, seed):
+    out = {}
+    rng = random.Random(seed)
+    while len(out) < count:
+        for g in _word_pool(rng, letters, 20, max_len=7):
+            if g.classification.kind == LOXODROMIC and len(out) < count:
+                out.setdefault(g.matrix, g)
+    return list(out.values())
+
+
+def test_adjugate_eigenrays_are_positive_multiples_of_the_old_rays():
+    words = _loxodromic_pool(_letter_set("d12"), 6, 1)  # the Pell powers g^+-1..3
+    words += _loxodromic_pool(_letter_set("um2"), 32, 2)
+    words += _loxodromic_pool(_ua2_letters(), 32, 3)
+    words += _loxodromic_pool(_ua2m2_letters(), 32, 4)
+    assert len(words) >= 100
+    for g in words:
+        fld = g.classification.scale_field
+        scale = fld.generator()
+        inv_scale = _q_inverse([0, 1], fld.minpoly)
+        n, gram = g.lattice.rank, g.lattice.gram
+        rays = fixed_boundary_points(g)
+        assert len(rays) == 2
+        for ray, mat, eig in zip(rays, (g.matrix, g.inverse().matrix),
+                                 ([0, 1], inv_scale)):
+            v = ray.ray
+            assert all(type(c) is int for x in v for c in x.coeffs)
+            # exact M v = s v (first ray) and M^-1 v' = s v' (second ray) in Z[s]
+            for i in range(n):
+                assert sum(mat[i][j] * v[j] for j in range(n)) == scale * v[i]
+            # exact isotropy (v, v) = 0 in Z[s]
+            assert not sum(gram[i][j] * (v[i] * v[j]) for i in range(n) for j in range(n))
+            # a positive Q(s)-multiple of the parent's eigenray of M for s or 1/s
+            w = _old_eigenray(g, fld, eig)
+            p = next(i for i, x in enumerate(w) if x)
+            for i in range(n):
+                assert not _q_sub(_q_mul(v[i].coeffs, w[p], fld.minpoly),
+                                  _q_mul(v[p].coeffs, w[i], fld.minpoly))
+            assert _q_sign(_q_mul(v[p].coeffs, w[p], fld.minpoly), fld) > 0

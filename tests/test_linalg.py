@@ -4,19 +4,21 @@
 `row_basis`; each is compared with the sympy routine on random matrices:
 square, wide and tall (500 x 6), rank-deficient, with zero rows, and with
 `Fraction` entries.  `gauss_jordan` and `rref_kernel` are also run on
-`Fraction` rows directly and over a real quadratic field.
+`Fraction` rows directly.  The integer `factorize` and everything derived
+from it are compared with the trial-division loops they replaced.
 """
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 import sympy
 
-from hyperlat.linalg import (gauss_jordan, kernel_basis, mat_vec, primitive_vector,
-                             rank, row_basis, row_echelon, rref_kernel)
-from hyperlat.polynomials import RealAlgebraicField
+from hyperlat.forms import _square_divisors, squarefree_int
+from hyperlat.linalg import (divisors, factorize, gauss_jordan, kernel_basis, mat_vec,
+                             primitive_vector, rank, row_basis, row_echelon, rref_kernel)
+from hyperlat.polynomials import euler_phi
 
 
 def _low_rank(rng, nrows, ncols, r, spread=5):
@@ -112,58 +114,6 @@ def test_gauss_jordan_on_raw_rows_matches_sympy(name, rows):
         assert not any(mat_vec(rows, v))
 
 
-def _old_field_kernel(rows, fld):
-    """The Gauss elimination over Q(lambda) that `isometry` used to carry."""
-    m = [row[:] for row in rows]
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [fld.rational(0)] * ncols
-        vec[fc] = fld.rational(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -m[i][fc]
-        basis.append(vec)
-    return basis
-
-
-def test_gauss_jordan_over_a_quadratic_field_matches_old_kernel():
-    fld = RealAlgebraicField([-2, 0, 1], Fraction(1), Fraction(2))  # Q(sqrt 2)
-    rng = random.Random(5)
-    for _ in range(60):
-        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
-        r = rng.randint(0, min(nrows, ncols))
-        base = [[fld.element([rng.randint(-3, 3), rng.randint(-3, 3)])
-                 for _ in range(ncols)] for _ in range(r)]
-        rows = []
-        for _ in range(nrows):
-            coefs = [fld.element([rng.randint(-2, 2), rng.randint(-2, 2)]) for _ in range(r)]
-            row = [fld.rational(0)] * ncols
-            for c, b in zip(coefs, base):
-                row = [x + c * y for x, y in zip(row, b)]
-            rows.append(row)
-        kernel = rref_kernel(*gauss_jordan(rows), ncols, fld.rational(0), fld.rational(1))
-        assert kernel == _old_field_kernel(rows, fld)
-        for v in kernel:
-            assert not any(sum((a * x for a, x in zip(row, v)), fld.rational(0))
-                           for row in rows)
-
-
 def _primitive_by_fractions(v):
     """The Fraction path: clear denominators through Fraction, divide the gcd."""
     fracs = [Fraction(x) for x in v]
@@ -199,3 +149,71 @@ def test_primitive_vector_int_path_matches_fraction_path():
 def test_primitive_vector_refuses_the_zero_vector(zero):
     with pytest.raises(ValueError, match="zero vector"):
         primitive_vector(zero)
+
+
+# -- one integer factorization against the loops it replaced ---------------------------
+
+def _old_prime_factors(n):
+    n = abs(n)
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _old_squarefree(n):
+    sign = -1 if n < 0 else 1
+    n = abs(n)
+    out = 1
+    p = 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e % 2:
+            out *= p
+        p += 1 if p == 2 else 2
+    return sign * out * n
+
+
+def _old_euler_phi(n):
+    out, m, p = n, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            out -= out // p
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        out -= out // m
+    return out
+
+
+def test_factorization_and_what_derives_from_it_match_the_old_loops():
+    rng = random.Random(97)
+    values = list(range(-400, 401)) + [rng.randint(-10**7, 10**7) for _ in range(200)]
+    values += [2**20, 3**7 * 5**4, 2 * 999983**2, -(7**5) * 11]
+    for n in values:
+        pairs = factorize(n)
+        assert [p for p, _ in pairs] == _old_prime_factors(n), n
+        product = 1
+        for p, e in pairs:
+            product *= p ** e
+        assert product == max(abs(n), 1) or n == 0
+        if n == 0:
+            continue
+        assert squarefree_int(n) == _old_squarefree(n), n
+        assert _square_divisors(n) == [d for d in range(1, isqrt(abs(n)) + 1)
+                                       if n % (d * d) == 0], n
+        if n > 0:
+            assert euler_phi(n) == _old_euler_phi(n)
+            small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+            assert divisors(n) == sorted(set(small + [n // d for d in small]))

@@ -15,8 +15,7 @@ from hyperlat.isometry import LOXODROMIC
 from hyperlat.polynomials import (bracket_largest_root_above, charpoly,
                                   count_roots_gt, count_roots_in,
                                   cyclotomic_factorization, degree, derivative,
-                                  minimal_polynomial_of_root, poly_divmod,
-                                  poly_neg, refine_bracket, squarefree_part,
+                                  minimal_polynomial_of_root, poly_neg, refine_bracket, squarefree_part,
                                   trim)
 
 U = standard_lattice("U")
@@ -232,13 +231,30 @@ def _fraction_sign(p, x):
     return (acc > 0) - (acc < 0)
 
 
+def _fraction_divmod(p, q):
+    """Quotient and remainder over the rationals: the `Fraction` long
+    division the integer code replaced, kept here as the oracles' reference."""
+    p = [Fraction(c) for c in trim(p)]
+    q = [Fraction(c) for c in trim(q)]
+    quot = [Fraction(0)] * max(0, len(p) - len(q) + 1)
+    rem = p[:]
+    while len(rem) >= len(q) and any(c != 0 for c in rem):
+        shift = len(rem) - len(q)
+        c = rem[-1] / q[-1]
+        quot[shift] = c
+        for i, qc in enumerate(q):
+            rem[shift + i] -= c * qc
+        rem = trim(rem)
+    return trim(quot), trim(rem)
+
+
 def _fraction_sturm_chain(p):
     chain = [[Fraction(c) for c in trim(p)]]
     d = derivative(chain[0])
     if d:
         chain.append(d)
         while degree(chain[-1]) > 0:
-            _, r = poly_divmod(chain[-2], chain[-1])
+            _, r = _fraction_divmod(chain[-2], chain[-1])
             if not r:
                 break
             chain.append(poly_neg(r))
@@ -312,16 +328,27 @@ def test_brackets_match_the_fraction_bisection():
 @pytest.mark.parametrize("minpoly, lo, hi", [([-2, 0, 1], 1, 2),            # sqrt 2
                                              ([1, -1, -3, -1, 1], 2, 3)])  # a quartic scale
 def test_rational_scalar_product_matches_field_product(minpoly, lo, hi):
-    """A rational factor skips the reduction by the minimal polynomial; the
-    coefficients must be exactly those of the reduced field product."""
+    """Z[alpha] reduces by integer long division by the monic minimal
+    polynomial: every product and every element built from a longer
+    polynomial must be its `Fraction` remainder, and an integer factor,
+    which skips the reduction, must give the field product."""
     fld = polynomials.RealAlgebraicField(minpoly, Fraction(lo), Fraction(hi))
     rng = random.Random(len(minpoly))
+
+    def fraction_reduced(p):
+        rem = _fraction_divmod(p, minpoly)[1]
+        return tuple(rem + [0] * (fld.degree - len(rem)))
+
     for _ in range(100):
-        x = fld.element([Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                         for _ in range(fld.degree)])
-        q = rng.choice((rng.randint(-7, 7), Fraction(rng.randint(-7, 7), rng.randint(1, 6))))
-        assert (x * q).coeffs == (q * x).coeffs == (x * fld.rational(q)).coeffs
-        if x:
-            assert (1 / x).coeffs == (fld.rational(1) * x.inverse()).coeffs
-            assert (q / x).coeffs == (fld.rational(q) * x.inverse()).coeffs
-            assert (x * (1 / x)).coeffs == fld.rational(1).coeffs
+        x, y = (fld.element([rng.randint(-99, 99) for _ in range(fld.degree)])
+                for _ in range(2))
+        assert (x * y).coeffs == fraction_reduced(polynomials.poly_mul(x.coeffs, y.coeffs))
+        assert all(type(c) is int for c in (x * y).coeffs)
+        q = rng.randint(-7, 7)
+        assert (x * q).coeffs == (q * x).coeffs == (x * fld.element([q])).coeffs
+        poly = [rng.randint(-9, 9) for _ in range(rng.randint(1, 3 * fld.degree))]
+        assert fld.element(poly).coeffs == fraction_reduced(poly)
+    with pytest.raises(TypeError):
+        x * Fraction(1, 2)
+    with pytest.raises(ValueError, match="monic"):
+        polynomials.RealAlgebraicField([-2, 0, 2], Fraction(lo), Fraction(hi))
