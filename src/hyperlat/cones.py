@@ -10,8 +10,10 @@ heuristics.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from . import linalg
-from .errors import DimensionBudgetExceeded, InvalidParameter
+from .errors import DimensionBudgetExceeded, DimensionMismatch, InvalidParameter
 from .lattice import GramLattice, coords_of
 from .model import ConeOrientation
 from .record import Record, replace
@@ -54,6 +56,12 @@ class PolyhedralCone(Record):
     def ambient_rank(self) -> int:
         return self.lattice.rank
 
+    @cached_property
+    def functionals(self) -> tuple[tuple[int, ...], ...]:
+        """Each normal w as the plain linear functional G w, in halfspace order."""
+        gram = self.lattice.gram
+        return tuple(linalg.mat_vec(gram, w) for w in self.halfspaces)
+
 
 def cone_from_halfspaces(lattice: GramLattice, normals, *, orientation=None,
                          truncated_at=None) -> PolyhedralCone:
@@ -65,11 +73,6 @@ def cone_from_halfspaces(lattice: GramLattice, normals, *, orientation=None,
              for w in normals)
     return PolyhedralCone(lattice=lattice, halfspaces=tuple(dict.fromkeys(prims)),
                           orientation=orientation, truncated_at=truncated_at)
-
-
-def _functionals(cone: PolyhedralCone) -> list[tuple[int, ...]]:
-    gram = cone.lattice.gram
-    return [linalg.mat_vec(gram, w) for w in cone.halfspaces]
 
 
 def double_description(functionals, n: int):
@@ -162,7 +165,7 @@ def extreme_rays(cone: PolyhedralCone, *, max_dim: int = DIM_BUDGET) -> Polyhedr
     if cone.ambient_rank > max_dim:
         raise DimensionBudgetExceeded(
             f"double description budget is rank <= {max_dim}")
-    rays, lineality = double_description(_functionals(cone), cone.ambient_rank)
+    rays, lineality = double_description(cone.functionals, cone.ambient_rank)
     full = list(rays)
     for line in lineality:
         full.append(line)
@@ -186,10 +189,14 @@ def _tag_ray(cone: PolyhedralCone, ray) -> str:
 
 
 def ray_satisfies(cone: PolyhedralCone, ray, strict: bool = False) -> bool:
-    lat = cone.lattice
+    """(w, ray) > 0 (strict) or >= 0 for every normal w: one dot per halfspace."""
+    ray = coords_of(ray)
+    if len(ray) != cone.lattice.rank:
+        raise DimensionMismatch(f"vectors must have length {cone.lattice.rank}")
+    dot = linalg.dot
     if strict:
-        return all(lat.pair(w, ray) > 0 for w in cone.halfspaces)
-    return all(lat.pair(w, ray) >= 0 for w in cone.halfspaces)
+        return all(dot(f, ray) > 0 for f in cone.functionals)
+    return all(dot(f, ray) >= 0 for f in cone.functionals)
 
 
 def irredundant_halfspaces(cone: PolyhedralCone) -> PolyhedralCone:
@@ -207,7 +214,7 @@ def irredundant_halfspaces(cone: PolyhedralCone) -> PolyhedralCone:
     if not rays:
         return vrep  # the zero cone: every constraint may matter, keep all
     masks = [sum(1 << k for k, r in enumerate(rays) if linalg.dot(f, r) == 0)
-             for f in _functionals(cone)]
+             for f in cone.functionals]
     full = (1 << len(rays)) - 1
     proper = set(masks) - {full}
     keep = tuple(w for w, m in zip(cone.halfspaces, masks)

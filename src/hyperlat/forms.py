@@ -267,13 +267,15 @@ def hilbert_symbol(a, b, place) -> int:
 
     Standard closed formulas: sign condition at the real place, Legendre
     symbols at odd primes, the (epsilon, omega) exponent formula at 2.
+    Accepts any nonzero rationals and any spelling of a place.
     """
-    place = _normalize_place(place)
-    a = squarefree_int(a)
-    b = squarefree_int(b)
-    if place == INFINITE_PLACE:
+    return _hilbert(squarefree_int(a), squarefree_int(b), _normalize_place(place))
+
+
+def _hilbert(a: int, b: int, p) -> int:
+    """hilbert_symbol on squarefree integers a, b at a checked place p."""
+    if p == INFINITE_PLACE:
         return -1 if (a < 0 and b < 0) else 1
-    p = place
     if p == 2:
         alpha = 1 if a % 2 == 0 else 0
         beta = 1 if b % 2 == 0 else 0
@@ -319,10 +321,11 @@ class IsotropyVerdict(Record):
 
 
 def _hasse_invariant(diag, p) -> int:
+    """Product of (d_i, d_j)_p over i < j, for squarefree d_i and a checked p."""
     eps = 1
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
-            eps *= hilbert_symbol(diag[i], diag[j], p)
+            eps *= _hilbert(diag[i], diag[j], p)
     return eps
 
 
@@ -347,18 +350,21 @@ def _relevant_places(diag) -> list:
 
 
 def _locally_isotropic(diag, p) -> bool:
-    """Local isotropy of a diagonal form of rank 2..4 at a finite place."""
+    """Local isotropy of a diagonal form of rank 2..4 at a finite place.
+
+    The entries of diag are squarefree integers and p is a checked prime.
+    """
     n = len(diag)
     d = squarefree_int(prod(diag))
     if n == 2:
-        return _square_in_qp(squarefree_int(-d), p)
+        return _square_in_qp(-d, p)
     eps = _hasse_invariant(diag, p)
     if n == 3:
-        return hilbert_symbol(-1, -d, p) == eps
+        return _hilbert(-1, -d, p) == eps
     if n == 4:
         if not _square_in_qp(d, p):
             return True
-        return eps == hilbert_symbol(-1, -1, p)
+        return eps == _hilbert(-1, -1, p)
     raise AssertionError("rank outside 2..4")
 
 
@@ -415,7 +421,7 @@ def replay_rational_certificate(certificate: dict) -> bool:
         if p == INFINITE_PLACE:
             if any(d > 0 for d in diag) and any(d < 0 for d in diag):
                 return False
-        elif _locally_isotropic(diag, p):
+        elif _locally_isotropic([squarefree_int(d) for d in diag], p):
             return False
     return True
 

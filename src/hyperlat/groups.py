@@ -3,8 +3,11 @@ elementary-type detection, Dirichlet domains, tiling checks, chamber walks.
 
 Dirichlet domains are always truncated at a word budget and carry that
 label; exactness of a truncated domain is not decidable here and is never
-claimed.  Word enumeration uses reduced words over the symmetric generator
-set with exact-matrix deduplication.
+claimed.  Words over the symmetric generator set are searched breadth
+first twice: `elements_up_to` deduplicates elements by exact matrix and
+caps their count; `_orbit_ball`, behind orbits and Dirichlet domains,
+deduplicates the points w.x by exact ray and caps their count, with one
+matrix-vector product per candidate and no matrix product.
 """
 
 from __future__ import annotations
@@ -76,6 +79,7 @@ def elements_up_to(g: FGGroup, word_budget: int, *, include_identity: bool = Tru
 
     Breadth-first over reduced words; deduplication is by exact matrix, and
     the returned order (word length, then letter sequence) is canonical.
+    `cap` counts distinct elements, the identity included.
     """
     mats, labels, inv_idx = _letters(g)
     n = g.lattice.rank
@@ -112,23 +116,56 @@ def word_string(word) -> str:
 
 # -- orbits and limit points ------------------------------------------------------
 
+def _orbit_ball(g: FGGroup, ray, depth: int, cap: int = DEFAULT_ORBIT_CAP) -> list:
+    """Distinct orbit points w.x over words w of length <= depth, x first.
+
+    Breadth-first over points: each candidate costs one matrix-vector
+    product.  A level's new points p come in the order of the least key
+    (inv_idx[k], rank of q) over the letters k and the previous level's
+    points q with k.q = p.  That is the order in which `elements_up_to`
+    first reaches an element g with g^-1 x = p: the outer letter of g^-1 x
+    is the inverse of the first letter the element search adds.  Looping
+    over the letters by inverse index, then over q, meets each point first
+    at its least key.  The letter that undoes the one that first reached q
+    is skipped, since it leads back to a known point.  `cap` counts
+    distinct points, x included.
+    """
+    mats, _labels, inv_idx = _letters(g)
+    x = tuple(ray)
+    seen = {x: None}  # insertion-ordered
+    level = [(x, None)]  # (point, index of the letter that first reached it)
+    for _ in range(depth):
+        fresh = []
+        for a in range(len(mats)):
+            k = inv_idx[a]
+            mat = mats[k]
+            for q, last in level:
+                if last == a:
+                    continue  # letter k undoes letter a, which made q
+                p = linalg.mat_vec(mat, q)
+                if p in seen:
+                    continue
+                if len(seen) >= cap:
+                    raise BudgetExceeded(f"orbit cap {cap} hit during orbit search")
+                seen[p] = None
+                fresh.append((p, k))
+        level = fresh
+    return list(seen)
+
+
 def orbit(g: FGGroup, x: HyperboloidPoint, depth: int, *,
           cap: int = DEFAULT_ORBIT_CAP) -> list[HyperboloidPoint]:
-    """Orbit points g.x over reduced words of length <= depth.
+    """Orbit points g.x over words of length <= depth.
 
-    Deduplicated by exact ray equality, canonically ordered.
+    Deduplicated by exact ray equality, sorted by ray; at most `cap`
+    distinct points, else BudgetExceeded.
     """
     if depth < 0:
         raise InvalidParameter("depth must be >= 0")
     if x.orientation != g.orientation:
         raise DifferentAmbient("point and group live over different ambients")
-    rays = set()
-    for elem, _ in elements_up_to(g, depth, cap=cap):
-        ray = tuple(elem.apply(x.ray))
-        rays.add(ray)
-        if len(rays) > cap:
-            raise BudgetExceeded(f"orbit cap {cap} exceeded")
-    return [HyperboloidPoint(orientation=g.orientation, ray=r) for r in sorted(rays)]
+    return [HyperboloidPoint(orientation=g.orientation, ray=r)
+            for r in sorted(_orbit_ball(g, x.ray, depth, cap))]
 
 
 def limit_points_sample(g: FGGroup, x: HyperboloidPoint, depth: int, *,
@@ -280,10 +317,12 @@ def dirichlet_domain(g: FGGroup, h: HyperboloidPoint, word_budget: int, *,
                      cap: int = DEFAULT_ORBIT_CAP) -> PolyhedralCone:
     """Budget-truncated Dirichlet domain around a rational basepoint.
 
-    H-representation from every distinct nontrivial element of word length
-    <= budget (elements fixing h are skipped), then reduced to facets via
-    the exact V-representation.  The result is a superset of the true
-    domain and carries the truncation label.
+    H-representation from the bisectors p - h of the distinct orbit points
+    p != h over words of length <= budget (the ball is closed under
+    inversion, so these are the g^-1 h), in the order `elements_up_to`
+    first reaches them; then reduced to facets via the exact
+    V-representation.  `cap` counts distinct orbit points.  The result is
+    a superset of the true domain and carries the truncation label.
     """
     if h.orientation != g.orientation:
         raise DifferentAmbient("basepoint and group live over different ambients")
@@ -291,13 +330,8 @@ def dirichlet_domain(g: FGGroup, h: HyperboloidPoint, word_budget: int, *,
     if any(gen.matrix != ident and tuple(gen.apply(h.ray)) == tuple(h.ray)
            for gen in g.generators):
         raise FixedBasepoint("a generator fixes the basepoint")
-    normals = []
-    gram_h = linalg.mat_vec(g.lattice.gram, h.ray)
-    for elem, _word in elements_up_to(g, word_budget, include_identity=False, cap=cap):
-        moved = _pull_back(elem, gram_h)
-        if tuple(moved) == tuple(h.ray):
-            continue
-        normals.append(linalg.vec_sub(moved, h.ray))
+    points = _orbit_ball(g, h.ray, word_budget, cap)
+    normals = [linalg.vec_sub(p, points[0]) for p in points[1:]]
     cone = cone_from_halfspaces(g.lattice, normals, orientation=g.orientation,
                                 truncated_at=word_budget)
     if not cone.halfspaces:
@@ -312,16 +346,26 @@ def sample_cone_points(orientation: ConeOrientation, count: int, seed: int, *,
     """Random rational points of H^n: integer rays in a box, cone-filtered."""
     rng = random.Random(seed)
     gram = orientation.lattice.gram
-    base = orientation.base
+    gram_base = linalg.mat_vec(gram, orientation.base)
     n = len(gram)
-    width = 2 * box + 1  # randrange(width) - box draws what randint(-box, box) does
+    width = 2 * box + 1
+    bits = width.bit_length()
+    getrandbits = rng.getrandbits
     out = []
     attempts = 0
     while len(out) < count and attempts < 10_000 * count:
         attempts += 1
-        ray = tuple(rng.randrange(width) - box for _ in range(n))
-        g_ray = linalg.mat_vec(gram, ray)
-        if linalg.dot(ray, g_ray) <= 0 or linalg.dot(g_ray, base) <= 0:
+        # randint(-box, box) per coordinate: randrange(width)'s rejection
+        # loop over getrandbits, inlined
+        coords = []
+        for _ in range(n):
+            r = getrandbits(bits)
+            while r >= width:
+                r = getrandbits(bits)
+            coords.append(r - box)
+        ray = tuple(coords)
+        # (ray, base) first: it is one dot and rejects about half the box
+        if linalg.dot(ray, gram_base) <= 0 or linalg.dot(ray, linalg.mat_vec(gram, ray)) <= 0:
             continue
         pt = point_from_ray(orientation, ray)
         if predicate is not None and not predicate(pt):

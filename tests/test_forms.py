@@ -4,11 +4,12 @@ symbols, rational isotropy, and the stacked root-existence pipeline."""
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from hyperlat import (build_lattice, congruence_obstruction, direct_sum,
-                      enumerate_norm_vectors, hilbert_symbol,
+                      enumerate_norm_vectors, forms, hilbert_symbol,
                       primitive_isotropic_vectors, rank1, rational_isotropy,
                       root_existence, signature, standard_lattice)
 from hyperlat.errors import BudgetExceeded, NoPositiveConeSet
@@ -391,3 +392,52 @@ def test_non_prime_place_rejected():
     from hyperlat.errors import InvalidParameter
     with pytest.raises(InvalidParameter):
         hilbert_symbol(2, 3, 10)
+
+
+# -- the squarefree Hilbert-symbol core -------------------------------------------------
+
+def _squarefree(n):
+    return n != 0 and squarefree_int(n) == n
+
+
+def test_hilbert_core_matches_hilbert_symbol_on_squarefree_grid():
+    values = [n for n in range(-30, 31) if _squarefree(n)]
+    for a, b in itertools.product(values, repeat=2):
+        for p, spelling in ((INFINITE_PLACE, "inf"), (2, 2), (3, "3"), (5, 5.0),
+                            (7, 7), (11, 11), (13, 13), (29, 29)):
+            want = forms._hilbert(a, b, p)
+            assert want == hilbert_symbol(a, b, p)
+            # the public symbol normalises square factors and the place's spelling
+            assert want == hilbert_symbol(a * 4, Fraction(b, 9), spelling)
+
+
+def _old_hasse_invariant(diag, p):
+    eps = 1
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            eps *= hilbert_symbol(diag[i], diag[j], p)
+    return eps
+
+
+def _old_locally_isotropic(diag, p):
+    """_locally_isotropic as it was with the normalising public symbol."""
+    n = len(diag)
+    d = squarefree_int(math.prod(diag))
+    if n == 2:
+        return forms._square_in_qp(squarefree_int(-d), p)
+    eps = _old_hasse_invariant(diag, p)
+    if n == 3:
+        return hilbert_symbol(-1, -d, p) == eps
+    return (not forms._square_in_qp(d, p)) or eps == hilbert_symbol(-1, -1, p)
+
+
+def test_isotropy_verdicts_unchanged_by_the_hilbert_core(monkeypatch):
+    lattices = _random_forms(4242, 150)
+    lattices += [build_lattice([[a, 0, 0], [0, b, 0], [0, 0, c]])
+                 for a, b, c in itertools.product((1, 2, 3, 6, -1, -2, -3, -6), repeat=3)]
+    new = [rational_isotropy(lat, witness_height=1).as_json() for lat in lattices]
+    monkeypatch.setattr(forms, "_locally_isotropic", _old_locally_isotropic)
+    old = [rational_isotropy(lat, witness_height=1).as_json() for lat in lattices]
+    assert new == old
+    kinds = {v["method"] for v in new}
+    assert {"local_obstruction", "local_global", "definite"} <= kinds

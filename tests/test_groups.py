@@ -7,13 +7,14 @@ import pytest
 
 from hyperlat import (build_lattice, chamber_walk, cones, dirichlet_domain,
                       dirichlet_halfspace, direct_sum, eichler_transvection,
-                      elementary_type, fixed_boundary_points, group,
-                      limit_points_sample, linalg, make_isometry, orbit, pick_cone,
-                      point_from_ray, polytope_hypothesis_check, rank1,
+                      elementary_type, enumerate_norm_vectors, fixed_boundary_points,
+                      group, groups, limit_points_sample, linalg, make_isometry, orbit,
+                      pick_cone, point_from_ray, polytope_hypothesis_check, rank1,
                       reflection, standard_lattice, tiling_check)
 from hyperlat.cones import cone_from_halfspaces
-from hyperlat.errors import FixedBasepoint, OnWall
-from hyperlat.groups import _fixes_ray_projectively, elements_up_to, sample_cone_points
+from hyperlat.errors import BudgetExceeded, FixedBasepoint, OnWall
+from hyperlat.groups import (_fixes_ray_projectively, _orbit_ball, elements_up_to,
+                             sample_cone_points)
 from hyperlat.model import to_ball
 from hyperlat.record import replace
 
@@ -414,3 +415,132 @@ def test_sample_cone_points_match_randint_sampler(name):
             got = sample_cone_points(o, 25, seed, box=box, predicate=predicate)
             assert got == _old_sample_cone_points(o, 25, seed, box=box,
                                                   predicate=predicate)
+
+
+# -- the orbit ball: one breadth-first search over points --------------------------------
+
+def _element_ball_points(g, ray, budget):
+    """Oracle: the points g^-1 x in the order elements_up_to first reaches
+    them, with each inverse formed as a matrix."""
+    return list(dict.fromkeys(tuple(elem.inverse().apply(ray))
+                              for elem, _ in elements_up_to(g, budget)))
+
+
+def _random_orbit_cases(seed, count):
+    """(group, basepoint ray) for random reflection groups on U+<-2>, U+A2
+    and U+A2+<-2>; some groups get a product of two reflections as an extra
+    letter, and some basepoints lie on the mirror of r1 r2 r1, so a word
+    of length 3 fixes them."""
+    rng = random.Random(seed)
+    lattices = [O_UM2, O_UA2, O_UA2M2]
+    out = []
+    while len(out) < count:
+        o = rng.choice(lattices)
+        lat = o.lattice
+        roots = [v.coords for v in enumerate_norm_vectors(lat, -2, 1)]
+        picked = rng.sample(roots, rng.randint(2, 4 if lat.rank < 5 else 3))
+        gens = [reflection(o, r) for r in picked]
+        if rng.random() < 0.4:
+            gens.append(gens[0].compose(gens[1]))
+        v = tuple(rng.randint(-4, 6) for _ in range(lat.rank))
+        if rng.random() < 0.5:
+            mirror = gens[0].apply(picked[1])  # the root of r1 r2 r1
+            v = linalg.vec_sub(tuple(-2 * c for c in v),
+                               tuple(lat.pair(v, mirror) * c for c in mirror))
+        if not any(v) or lat.norm(v) <= 0:
+            continue
+        ray = linalg.primitive_vector(v)
+        if lat.pair(ray, o.base) < 0:
+            ray = linalg.vec_neg(ray)
+        if any(tuple(gen.apply(ray)) == ray for gen in gens):
+            continue  # a generator fixes it: dirichlet_domain refuses such a basepoint
+        out.append((group(*gens), ray))
+    return out
+
+
+ORBIT_CASES = _random_orbit_cases(15, 36)
+
+
+@pytest.mark.parametrize("case", range(len(ORBIT_CASES)))
+def test_orbit_ball_matches_element_ball(case):
+    g, ray = ORBIT_CASES[case]
+    budget = 1 + case % 4
+    h = point_from_ray(g.orientation, ray)
+    points = _element_ball_points(g, ray, budget)
+    assert _orbit_ball(g, ray, budget) == points
+    assert [p.ray for p in orbit(g, h, budget)] == sorted(points)
+    assert {p.ray for p in orbit(g, h, budget)} == \
+        {tuple(e.apply(ray)) for e, _ in elements_up_to(g, budget)}
+    normals = []
+    for elem, _word in elements_up_to(g, budget, include_identity=False):
+        try:
+            normals.append(dirichlet_halfspace(h, elem))
+        except FixedBasepoint:
+            continue
+    want = cones.irredundant_halfspaces(cone_from_halfspaces(
+        g.lattice, normals, orientation=g.orientation, truncated_at=budget))
+    assert dirichlet_domain(g, h, budget).halfspaces == want.halfspaces
+
+
+def test_orbit_cases_cover_stabilisers_and_extra_letters():
+    stabilised = extra = 0
+    for case, (g, ray) in enumerate(ORBIT_CASES):
+        budget = 1 + case % 4
+        stabilised += len(_orbit_ball(g, ray, budget)) < len(elements_up_to(g, budget))
+        extra += any(gen.inverse() != gen for gen in g.generators)
+    assert stabilised >= 5 and extra >= 5
+
+
+def test_orbit_cap_counts_points():
+    # two elements of length <= 2 carry (1, 3, 1) to one point, so its ball
+    # of depth 2 has 11 points while the word ball has 12 elements
+    g = _reflection_group("u-m2")
+    ray = (1, 3, 1)
+    points = _orbit_ball(g, ray, 2)
+    assert (len(points), len(elements_up_to(g, 2))) == (11, 12)
+    with pytest.raises(BudgetExceeded, match="element cap 11 "):
+        elements_up_to(g, 2, cap=11)
+    h = point_from_ray(g.orientation, ray)
+    assert len(orbit(g, h, 2, cap=11)) == 11
+    assert dirichlet_domain(g, h, 2, cap=11) == dirichlet_domain(g, h, 2)
+    for run in (lambda: _orbit_ball(g, ray, 2, 10),
+                lambda: orbit(g, h, 2, cap=10),
+                lambda: dirichlet_domain(g, h, 2, cap=10),
+                lambda: limit_points_sample(g, h, 2, cap=10)):
+        with pytest.raises(BudgetExceeded, match="orbit cap 10 "):
+            run()
+
+
+@pytest.mark.parametrize("make_group, ray, budget", DOMAINS)
+def test_orbit_and_domain_multiply_no_matrices(make_group, ray, budget, monkeypatch):
+    g = make_group()
+    h = point_from_ray(g.orientation, ray)
+    want = dirichlet_domain(g, h, budget), orbit(g, h, budget)
+    # the letters' inverses (two products per generator, whatever the budget)
+    # are made once, before the search; the search itself multiplies no matrices
+    letters = groups._letters(g)
+    monkeypatch.setattr(groups, "_letters", lambda _g: letters)
+    calls = []
+    real_mul = linalg.mat_mul
+    monkeypatch.setattr(linalg, "mat_mul", lambda *a: calls.append("mat_mul") or real_mul(*a))
+    monkeypatch.setattr(groups, "elements_up_to",
+                        lambda *a, **k: calls.append("elements_up_to"))
+    assert (dirichlet_domain(g, h, budget), orbit(g, h, budget)) == want
+    limit_points_sample(g, h, budget)
+    assert calls == []
+
+
+def test_ray_satisfies_matches_the_pairing_definition():
+    rng = random.Random(7)
+    outcomes = set()
+    for cone in _random_cones(2024, 50):
+        lat = cone.lattice
+        rays = [tuple(rng.randint(-5, 5) for _ in range(lat.rank)) for _ in range(20)]
+        rays += list(cones.extreme_rays(cone).rays)  # on the boundary
+        for ray in rays:
+            for strict in (False, True):
+                want = all((lat.pair(w, ray) > 0) if strict else (lat.pair(w, ray) >= 0)
+                           for w in cone.halfspaces)
+                assert cones.ray_satisfies(cone, ray, strict=strict) == want
+                outcomes.add((strict, want))
+    assert len(outcomes) == 4
