@@ -144,20 +144,22 @@ def _family_screen(ns: GramLattice) -> list[str]:
     """Determinant/signature screen against the classified rank-5 families.
 
     A match is necessary, not sufficient (no isomorphism testing); the
-    wording of the notes keeps that explicit.
+    wording of the notes keeps that explicit.  The family determinants are
+    closed forms: det D4 = 4 and det A2 = 3 (negative definite, even rank),
+    so <2^k> + D4 has 2^(k+2) and <2*3^(2m-1)> + A2+A2 has 2*3^(2m+1).
     """
     notes = []
     if ns.rank != 5:
         return notes
     det = ns.determinant
     for k in range(5, 40):
-        if det == convex_cocompact_rank5_family("d4", k).determinant:
+        if det == 2 ** (k + 2):
             notes.append(
                 f"determinant/signature match the <2^{k}> + D4 family "
                 "(screen only, not an isomorphism test)")
             break
     for m in range(2, 20):
-        if det == convex_cocompact_rank5_family("a2", m).determinant:
+        if det == 2 * 3 ** (2 * m + 1):
             notes.append(
                 f"determinant/signature match the <2*3^{2*m-1}> + A2+A2 family "
                 "(screen only, not an isomorphism test)")

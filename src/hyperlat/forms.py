@@ -2,7 +2,8 @@
 
 Three engines, stacked by root_existence:
 
-* bounded box enumeration with per-coordinate interval pruning,
+* bounded box enumeration with per-coordinate interval pruning and a
+  solved last coordinate,
 * exhaustive residue scans producing replayable congruence certificates,
 * rational (an)isotropy via Hilbert symbols and the local-global principle.
 
@@ -13,7 +14,7 @@ only congruence or local obstructions certify absence.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import isqrt, prod
 
 from . import linalg
 from .errors import BudgetExceeded, InvalidParameter, NoPositiveConeSet
@@ -23,7 +24,9 @@ from .record import Record
 INFINITE_PLACE = "infinity"
 
 DEFAULT_MODULUS_LADDER = (3, 4, 5, 7, 8, 9, 16, 25, 27)
-DEFAULT_ENUM_CAP = 2_000_000  # candidate coordinate values tested per call
+# candidate coordinate values tested per call; the solved last coordinate
+# counts once per visit
+DEFAULT_ENUM_CAP = 2_000_000
 DEFAULT_RESIDUE_CAP = 5_000_000
 LADDER_RESIDUE_CAP = 200_000
 DEFAULT_WITNESS_HEIGHT = 8
@@ -52,18 +55,41 @@ def _norm_bounds_by_depth(gram, height):
     return bounds
 
 
+def _level_roots(g, l, c, lo, hi):
+    """The integers t in [lo, hi] with g t^2 + l t + c = 0, increasing."""
+    if g == 0:
+        if l == 0:
+            return range(lo, hi + 1) if c == 0 else ()
+        t, r = divmod(-c, l)
+        return (t,) if r == 0 and lo <= t <= hi else ()
+    disc = l * l - 4 * g * c
+    if disc < 0:
+        return ()
+    s = isqrt(disc)
+    if s * s != disc:
+        return ()
+    return sorted({t for t, r in (divmod(-l - s, 2 * g), divmod(-l + s, 2 * g))
+                   if r == 0 and lo <= t <= hi})
+
+
 def _scan_box(gram, m, height, *, cap, tested=0, first=False, accept=None):
     """DFS over canonical representatives (first nonzero coordinate > 0).
 
     Visits the box in lexicographic order and returns (hits, tested): the
     hits as tuples in that order, and `tested` advanced by the candidate
-    coordinate values tried.  `accept` filters hits; with first=True the
-    scan stops at the first accepted hit, which is then the lex-first one.
-    Raises BudgetExceeded before more than `cap` candidates are tried.
+    coordinate values tried.  The last coordinate is solved, not scanned:
+    once the others are fixed the norm is a quadratic in it, so its at most
+    two integer roots (every value, when the quadratic vanishes) come out
+    in increasing order and the level counts as one candidate.  `accept`
+    filters hits; with first=True the scan stops at the first accepted hit,
+    which is then the lex-first one.  Raises BudgetExceeded before more
+    than `cap` candidates are tried.
     """
     if height < 1:
         raise InvalidParameter("height must be >= 1")
     n = len(gram)
+    last = n - 1
+    glast = gram[last][last]
     bounds = _norm_bounds_by_depth(gram, height)
     steps = [[2 * x for x in row] for row in gram]
     lin = [0] * n  # lin[j] = 2 * sum_{i < depth} g_ij v_i, updated in place
@@ -72,19 +98,23 @@ def _scan_box(gram, m, height, *, cap, tested=0, first=False, accept=None):
 
     def rec(depth, partial, zero_prefix):
         nonlocal tested
-        if depth == n:
-            if partial == m and not zero_prefix:
-                v = tuple(prefix)
-                if accept is None or accept(v):
-                    out.append(v)
-                    return first
-            return False
         lo = 0 if zero_prefix else -height
-        if tested + height - lo + 1 > cap:
+        count = 1 if depth == last else height - lo + 1
+        if tested + count > cap:
             raise BudgetExceeded(
                 f"box enumeration (norm {m}, height {height}): {tested} candidates "
-                f"tested, the next {height - lo + 1} would exceed the budget of {cap}")
-        tested += height - lo + 1
+                f"tested, the next {count} would exceed the budget of {cap}")
+        tested += count
+        if depth == last:
+            for t in _level_roots(glast, lin[last], partial - m, lo, height):
+                if zero_prefix and t == 0:
+                    continue
+                v = (*prefix, t)
+                if accept is None or accept(v):
+                    out.append(v)
+                    if first:
+                        return True
+            return False
         qlo, qhi = bounds[depth + 1]
         gdd = gram[depth][depth]
         ld = lin[depth]
@@ -122,7 +152,8 @@ def enumerate_norm_vectors(lattice: GramLattice, m: int, height: int, *,
 
     One representative per +-pair (first nonzero coordinate positive), in
     lexicographic order.  Raises BudgetExceeded once the search would test
-    more than `cap` candidate coordinate values.
+    more than `cap` candidate coordinate values; the last coordinate is
+    solved from the others, and each solve counts as one candidate.
     """
     hits, _ = _scan_box(lattice.gram, m, height, cap=cap)
     return [LatticeVector(v) for v in hits]

@@ -168,14 +168,6 @@ def classify(g: Isometry) -> Classification:
     return g.classification
 
 
-def spectral_radius_interval(g: Isometry, eps: Fraction = Fraction(1, 10**15)):
-    """Rational bracket of the spectral radius (width <= eps)."""
-    cls = g.classification
-    if cls.kind != LOXODROMIC:
-        return Fraction(1), Fraction(1)
-    return cls.scale_field.bracket(eps)
-
-
 def entropy(g: Isometry) -> float:
     """log of the spectral radius: 0 exactly unless loxodromic."""
     cls = g.classification

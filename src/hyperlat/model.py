@@ -277,11 +277,3 @@ def to_upper_half(orientation: ConeOrientation, obj) -> tuple[float, ...]:
     out = [2.0 * x / denom for x in b[:-1]]
     out.append((1.0 - sum(x * x for x in b)) / denom)
     return tuple(out)
-
-
-def ball_distance(u, v) -> float:
-    """Hyperbolic distance computed purely in ball-model coordinates."""
-    du = 1.0 - sum(x * x for x in u)
-    dv = 1.0 - sum(x * x for x in v)
-    diff = sum((x - y) ** 2 for x, y in zip(u, v))
-    return math.acosh(1.0 + 2.0 * diff / (du * dv))

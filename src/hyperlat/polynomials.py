@@ -39,13 +39,6 @@ def degree(p) -> int:
     return len(p) - 1 if p else -1
 
 
-def poly_eval(p, x):
-    acc = 0
-    for c in reversed(list(p)):
-        acc = acc * x + c
-    return acc
-
-
 def poly_neg(p):
     return [-c for c in p]
 
@@ -434,18 +427,34 @@ class AlgebraicNumber:
     __rmul__ = __mul__
 
     def sign(self) -> int:
-        """Exact sign via interval Horner on a shrinking root bracket."""
+        """Exact sign via interval Horner on a shrinking root bracket.
+
+        The bracket is held in integers, a/den < alpha <= b/den, and the
+        interval Horner runs on values scaled by den^k after k steps, which
+        keeps every comparison since den > 0.  Each round that cannot decide
+        halves the bracket twice, down to a quarter of its width.
+        """
         if not self:
             return 0
-        lo, hi = self.field.bracket()
-        for _ in range(256):
-            vlo, vhi = _interval_eval(self.coeffs, lo, hi)
-            if vlo > 0:
-                return 1
-            if vhi < 0:
-                return -1
-            lo, hi = refine_bracket(self.field.minpoly, lo, hi, (hi - lo) / 4)
-            self.field._lo, self.field._hi = lo, hi
+        fld = self.field
+        lo, hi = fld.bracket()
+        den = lcm(lo.denominator, hi.denominator)
+        a = lo.numerator * (den // lo.denominator)
+        b = hi.numerator * (den // hi.denominator)
+        for rounds in range(256):
+            vlo = vhi = 0
+            scale = 1
+            for c in reversed(self.coeffs):
+                scale *= den
+                cands = (vlo * a, vlo * b, vhi * a, vhi * b)
+                vlo, vhi = min(cands) + c * scale, max(cands) + c * scale
+            if vlo > 0 or vhi < 0:
+                if rounds:
+                    fld._lo, fld._hi = Fraction(a, den), Fraction(b, den)
+                return 1 if vlo > 0 else -1
+            for _ in range(2):
+                if a != b:
+                    a, b, den = _halve(fld.minpoly, a, b, den)
         raise ArithmeticError("sign refinement did not converge")
 
     def approx(self) -> float:
@@ -457,15 +466,6 @@ class AlgebraicNumber:
 
     def __repr__(self):
         return f"AlgebraicNumber({list(self.coeffs)})"
-
-
-def _interval_eval(p, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Interval Horner evaluation of p on [lo, hi]."""
-    vlo = vhi = Fraction(0)
-    for c in reversed(p):
-        cands = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
-        vlo, vhi = min(cands) + c, max(cands) + c
-    return vlo, vhi
 
 
 def identity_power_order(mat, candidate_orders) -> int | None:

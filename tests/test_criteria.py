@@ -7,6 +7,8 @@ from hyperlat import (build_lattice, convex_cocompact_rank5_family, direct_sum,
                       genus_one_fibration_test, group, k3_report,
                       lattice_criterion, make_isometry, pick_cone, rank1,
                       signature, standard_lattice, uniform_lattice_family)
+from hyperlat import linalg
+from hyperlat.criteria import _family_screen
 from hyperlat.errors import InvalidParameter, WrongSignature
 from hyperlat.forms import replay_congruence, replay_rational_certificate
 
@@ -147,3 +149,56 @@ def test_k3_report_rank6_never_cc():
     assert lat.rank == 7
     rep = k3_report(lat, height=1)
     assert "never convex-cocompact" in rep.convex_cocompact
+
+
+# -- the rank-5 family screen ------------------------------------------------------
+
+def _screen_note(family):
+    return (f"determinant/signature match the {family} family "
+            "(screen only, not an isomorphism test)")
+
+
+def test_family_screen_closed_forms_are_the_family_determinants():
+    for k in range(5, 40):
+        assert convex_cocompact_rank5_family("d4", k).determinant == 2 ** (k + 2)
+    for m in range(2, 20):
+        assert convex_cocompact_rank5_family("a2", m).determinant == 2 * 3 ** (2 * m + 1)
+
+
+# <2^5> + A3 + A1 has the determinant of <2^6> + D4 but is not that lattice:
+# the screen matches it, which is why its notes say "screen only"
+A3_A1 = build_lattice([[32, 0, 0, 0, 0], [0, -2, 1, 0, 0], [0, 1, -2, 1, 0],
+                       [0, 0, 1, -2, 0], [0, 0, 0, 0, -2]])
+
+
+@pytest.mark.parametrize("lat, family", [
+    (convex_cocompact_rank5_family("d4", 5), "<2^5> + D4"),
+    (convex_cocompact_rank5_family("d4", 6), "<2^6> + D4"),
+    (convex_cocompact_rank5_family("d4", 39), "<2^39> + D4"),
+    (convex_cocompact_rank5_family("a2", 2), "<2*3^3> + A2+A2"),
+    (convex_cocompact_rank5_family("a2", 3), "<2*3^5> + A2+A2"),
+    (convex_cocompact_rank5_family("a2", 19), "<2*3^37> + A2+A2"),
+    (A3_A1, "<2^6> + D4"),
+])
+def test_family_screen_notes_unchanged(lat, family):
+    assert _family_screen(lat) == [_screen_note(family)]
+
+
+def test_family_screen_misses():
+    assert _family_screen(direct_sum(rank1(2 ** 40), standard_lattice("D4"))) == []
+    assert _family_screen(direct_sum(rank1(6), direct_sum(standard_lattice("A2"),
+                                                          standard_lattice("A2")))) == []
+    assert _family_screen(FAMILY3) == []
+
+
+def test_k3_report_diagonalises_a_few_times(monkeypatch):
+    # the screen compares closed forms; it builds no family lattice, whose
+    # signature check would diagonalise once per family member
+    lat = convex_cocompact_rank5_family("a2", 2)
+    calls = []
+    real = linalg.congruence_diagonal
+    monkeypatch.setattr(linalg, "congruence_diagonal",
+                        lambda gram: calls.append(gram) or real(gram))
+    rep = k3_report(lat)
+    assert rep.convex_cocompact.endswith(_screen_note("<2*3^3> + A2+A2"))
+    assert len(calls) <= 3

@@ -16,6 +16,7 @@ from hyperlat.errors import BudgetExceeded, NoPositiveConeSet
 from hyperlat.forms import (INFINITE_PLACE, first_norm_vector, replay_congruence,
                             replay_rational_certificate, replay_verdict,
                             squarefree_int)
+from hyperlat.lattice import GramLattice
 from hyperlat.model import pick_cone
 
 U = build_lattice([[0, 1], [1, 0]])
@@ -363,6 +364,67 @@ def test_budget_counts_candidates_tested():
     assert first_norm_vector(U_MINUS2, -2, 3, tested=500)[1] == 500 + tested
     with pytest.raises(BudgetExceeded, match="500 candidates tested"):
         first_norm_vector(U_MINUS2, -2, 3, cap=500, tested=500)
+
+
+def _random_form(rng, n, last):
+    """A random symmetric integer form of rank n with gram[n-1][n-1] = last."""
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = rng.randint(-4, 4)
+    gram[-1][-1] = last
+    return tuple(tuple(row) for row in gram)
+
+
+# the last diagonal entry: zero (a linear last level), negative, positive
+@pytest.mark.parametrize("last_sign", [0, -1, 1])
+def test_solved_last_level_matches_brute_force(last_sign):
+    rng = random.Random(17 + last_sign)
+    solved = 0
+    for case in range(120):
+        n = 1 + case % 5
+        h = rng.randint(1, 4)
+        while (2 * h + 1) ** n > 6561:  # keep the oracle's box small
+            h -= 1
+        gram = _random_form(rng, n, last_sign * rng.randint(1, 4))
+        m = rng.randint(-8, 4)
+        accept = (lambda v: sum(v) % 2 == 0) if case % 3 == 1 else None
+        want = [v for v in brute_box(GramLattice(gram, n), m, h)
+                if accept is None or accept(v)]
+        hits, tested = forms._scan_box(gram, m, h, cap=10**9, accept=accept)
+        assert hits == want, (gram, m, h)
+        first, _ = forms._scan_box(gram, m, h, cap=10**9, first=True, accept=accept)
+        assert first == want[:1], (gram, m, h)
+        solved += bool(want)
+        if n == 1:
+            assert tested == 1  # one solved level, counted once
+    assert solved >= 40
+
+
+def test_solved_last_level_with_a_vanishing_quadratic():
+    # gram[1][1] = gram[0][1] = 0: once v_0 = 1 every v_1 solves norm 1,
+    # and no v_1 solves norm 2
+    gram = ((1, 0), (0, 0))
+    assert forms._scan_box(gram, 1, 3, cap=100)[0] == [(1, t) for t in range(-3, 4)]
+    assert forms._scan_box(gram, 2, 3, cap=100)[0] == []
+    # the zero vector is never listed, though its last level vanishes too
+    assert forms._scan_box(((0,),), 0, 2, cap=100) == ([(1,), (2,)], 1)
+    zero = ((0, 0), (0, 0))
+    assert forms._scan_box(zero, 0, 1, cap=100)[0] == [(0, 1), (1, -1), (1, 0), (1, 1)]
+    assert forms._scan_box(zero, 0, 1, cap=100, first=True,
+                           accept=lambda v: v[0] == 1)[0] == [(1, -1)]
+
+
+def test_solved_last_level_counts_one_candidate():
+    # x^2 + y^2 = 5 at height 3: the first level counts its 4 values, and
+    # v_0 = 0, 1, 2 reach the solved level once each (v_0 = 3 is pruned);
+    # stopping at the hit (1, -2) refunds the 2 values after v_0 = 1
+    assert forms._scan_box(((1, 0), (0, 1)), 5, 3, cap=100) == (
+        [(1, -2), (1, 2), (2, -1), (2, 1)], 4 + 3)
+    assert forms._scan_box(((1, 0), (0, 1)), 5, 3, cap=100, first=True) == (
+        [(1, -2)], 4 + 2 - 2)
+    with pytest.raises(BudgetExceeded, match="0 candidates tested, the next 1 "):
+        forms._scan_box(((2,),), 2, 5, cap=0)
 
 
 def test_enumerate_identical_on_repeat():

@@ -64,9 +64,22 @@ def test_classify_pell_loxodromic():
         abs(float((lo + hi) / 2) - target) < 1e-12
 
 
+def spectral_radius_interval(g, eps=Fraction(1, 10**15)):
+    """Oracle: rational bracket of the spectral radius (width <= eps)."""
+    cls = g.classification
+    if cls.kind != LOXODROMIC:
+        return Fraction(1), Fraction(1)
+    return cls.scale_field.bracket(eps)
+
+
+def poly_eval(p, x):
+    acc = 0
+    for c in reversed(list(p)):
+        acc = acc * x + c
+    return acc
+
+
 def test_spectral_radius_interval_on_demand():
-    from hyperlat.isometry import spectral_radius_interval
-    from hyperlat.polynomials import poly_eval
     lo, hi = spectral_radius_interval(PELL, Fraction(1, 10**14))
     assert hi - lo <= Fraction(1, 10**14)
     # the bracket pins the root of x^2 - 6x + 1 exactly: sign change
@@ -512,3 +525,67 @@ def test_adjugate_eigenrays_are_positive_multiples_of_the_old_rays():
                 assert not _q_sub(_q_mul(v[i].coeffs, w[p], fld.minpoly),
                                   _q_mul(v[p].coeffs, w[i], fld.minpoly))
             assert _q_sign(_q_mul(v[p].coeffs, w[p], fld.minpoly), fld) > 0
+
+
+# -- the integer sign against the Fraction interval Horner it replaced ----------------
+
+def _fraction_sign(coeffs, minpoly, lo, hi):
+    """Reference sign: interval Horner over `Fraction`s, refining the bracket
+    to a quarter of its width per round.  Returns the sign and the bracket
+    it ended on."""
+    from hyperlat.polynomials import refine_bracket
+    if not any(coeffs):
+        return 0, lo, hi
+    for _ in range(256):
+        vlo = vhi = Fraction(0)
+        for c in reversed(coeffs):
+            cands = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
+            vlo, vhi = min(cands) + c, max(cands) + c
+        if vlo > 0:
+            return 1, lo, hi
+        if vhi < 0:
+            return -1, lo, hi
+        lo, hi = refine_bracket(minpoly, lo, hi, (hi - lo) / 4)
+    raise ArithmeticError("sign refinement did not converge")
+
+
+def _sign_probes(g, rng):
+    """Z[lambda] elements of the word's scale field: its fixed rays'
+    coordinates and pairings with the base, random small elements, and
+    elements a + b lambda within about 1/b of zero, which need refinement."""
+    fld = g.classification.scale_field
+    gram, base = g.lattice.gram, g.orientation.base
+    out = []
+    for ray in fixed_boundary_points(g):
+        out += [x.coeffs for x in ray.ray]
+        out.append(sum((gram[i][j] * base[j] * ray.ray[i]
+                        for i in range(len(base)) for j in range(len(base))),
+                       fld.element([0])).coeffs)
+    out += [tuple(rng.randint(-5, 5) for _ in range(fld.degree)) for _ in range(4)]
+    x = fld.approx_root()
+    for b in (1, 7, 1000, 10**6, 10**9):
+        a = -round(b * x)
+        out += [fld.element([a + d, b]).coeffs for d in (-1, 0, 1)]
+    return out
+
+
+def test_integer_sign_matches_the_fraction_sign():
+    from hyperlat.polynomials import RealAlgebraicField, bracket_largest_root_above
+    words = _loxodromic_pool(_letter_set("d12"), 6, 1)
+    words += _loxodromic_pool(_letter_set("um2"), 32, 2)
+    words += _loxodromic_pool(_ua2_letters(), 32, 3)
+    words += _loxodromic_pool(_ua2m2_letters(), 32, 4)
+    rng = random.Random(5)
+    refined = 0
+    for g in words:
+        fld = g.classification.scale_field
+        # the first isolating bracket, of width < 1, before any refinement
+        lo, hi = bracket_largest_root_above(fld.minpoly, Fraction(1))
+        for coeffs in _sign_probes(g, rng):
+            want, want_lo, want_hi = _fraction_sign(coeffs, fld.minpoly, lo, hi)
+            fresh = RealAlgebraicField(fld.minpoly, lo, hi)
+            assert fresh.element(coeffs).sign() == want
+            # the same bracket, refined as far as the Fraction code refined it
+            assert fresh.bracket() == (want_lo, want_hi)
+            refined += (want_lo, want_hi) != (lo, hi)
+    assert refined >= 1000

@@ -14,7 +14,7 @@ from hyperlat import (Horoball, boundary_from_ray, build_lattice,
 from hyperlat.errors import DifferentAmbient, NotIsotropic, SameRay
 from hyperlat.forms import primitive_isotropic_vectors
 from hyperlat.linalg import frac_pairing
-from hyperlat.model import HyperboloidPoint, ball_distance, minkowski_coords
+from hyperlat.model import HyperboloidPoint, minkowski_coords
 
 U = build_lattice([[0, 1], [1, 0]])
 D12 = build_lattice([[1, 0], [0, -2]])
@@ -70,6 +70,14 @@ def test_ball_conversions():
         back = from_ball(o, to_ball(o, x))
         num = x.numeric()
         assert max(abs(p - q) for p, q in zip(back, num)) < 1e-10
+
+
+def ball_distance(u, v) -> float:
+    """Oracle: hyperbolic distance computed purely in ball-model coordinates."""
+    du = 1.0 - sum(x * x for x in u)
+    dv = 1.0 - sum(x * x for x in v)
+    diff = sum((x - y) ** 2 for x, y in zip(u, v))
+    return math.acosh(1.0 + 2.0 * diff / (du * dv))
 
 
 def test_ball_distance_agrees_with_hyperboloid():
