@@ -1,8 +1,9 @@
 """hyperlat: exact computations on hyperbolic lattices of signature (1, n).
 
-Everything load-bearing is exact (arbitrary-precision integers and
-rationals); floats appear only in final normalizations, distances, and
-plot output.  See the README for the CLI surface.
+Everything load-bearing is exact: arbitrary-precision integers, with a
+rational held as integer numerators over one positive denominator.
+Floats appear only in final normalizations, distances, and plot output.
+See the README for the CLI surface.
 """
 
 __version__ = "0.1.0"

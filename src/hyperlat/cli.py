@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from fractions import Fraction
+from math import lcm
 from types import SimpleNamespace
 
 from . import __version__
@@ -90,31 +90,39 @@ def load_group(path: str, o: ConeOrientation) -> FGGroup:
     return FGGroup(generators=tuple(out))
 
 
-def parse_vector(text: str):
-    parts = [p.strip() for p in text.split(",")]
+def _parse_rationals(text: str) -> list[tuple[int, int]]:
+    """Comma-separated components 'n' or 'n/d' as (n, d) pairs, d > 0."""
     out = []
-    for p in parts:
+    for part in text.split(","):
+        num, slash, den = part.strip().partition("/")
         try:
-            out.append(Fraction(p))
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"bad vector component {p!r}") from None
-    return tuple(out)
+            out.append((int(num), int(den) if slash else 1))
+        except ValueError:
+            out.append((0, 0))
+        if out[-1][1] <= 0:
+            raise InputError(f"bad vector component {part.strip()!r}")
+    return out
 
 
-def parse_int_vector(text: str):
+def parse_vector(text: str) -> tuple[int, ...]:
+    """A rational vector given as integers and 'p/q' components, times the
+    lcm of its denominators: an integer vector on the same ray."""
+    pairs = _parse_rationals(text)
+    den = lcm(*(d for _, d in pairs))
+    return tuple(n * (den // d) for n, d in pairs)
+
+
+def parse_int_vector(text: str) -> tuple[int, ...]:
     out = []
-    for f in parse_vector(text):
-        if f.denominator != 1:
-            raise InputError(f"component {f} is not an integer")
-        out.append(int(f))
+    for n, d in _parse_rationals(text):
+        if n % d:
+            raise InputError(f"component {n}/{d} is not an integer")
+        out.append(n // d)
     return tuple(out)
 
 
 def _orientation(lattice: GramLattice, args) -> ConeOrientation:
-    base = None
-    if getattr(args, "v0", None):
-        base = parse_int_vector(args.v0)
-    return pick_cone(lattice, base)
+    return pick_cone(lattice, parse_int_vector(args.v0) if args.v0 else None)
 
 
 def _round_floats(node, digits: int):
@@ -314,8 +322,7 @@ def cmd_criteria(args):
                        word_budget=args.budget, rho=args.rho)
     emit(args, "criteria", report.as_json(),
          {"lattice": args.lattice, "generators": args.generators,
-          "height": args.height, "budget": args.budget, "rho": args.rho,
-          "seed": args.seed})
+          "height": args.height, "budget": args.budget, "rho": args.rho})
 
 
 def cmd_families(args):
@@ -353,7 +360,7 @@ def cmd_plot(args):
         wrote.append(args.out + ".svg")
     emit(args, "plot", {"points": len(tagged), "files": wrote},
          {"lattice": args.lattice, "group": args.group, "point": args.point,
-          "depth": args.depth, "seed": args.seed})
+          "depth": args.depth})
 
 
 # -- options --------------------------------------------------------------------------
@@ -371,10 +378,9 @@ _LATTICE = _row("--lattice", required=True, help="lattice JSON file")
 _COMMON = (
     _row("--output", help="write the report here instead of stdout"),
     _row("--precision", int, 12, help="float display digits (default 12)"),
-    _row("--seed", int, 0, help="sampling seed"),
-    _row("--v0", help="positive-cone base vector, e.g. '1,0,0'"),
 )
-_GROUP_POINT = (_row("--group", required=True), _row("--point", required=True))
+_V0 = _row("--v0", help="positive-cone base vector, e.g. '1,0,0'")
+_GROUP_POINT = (_V0, _row("--group", required=True), _row("--point", required=True))
 
 # subcommand -> (help, handler, rows), in the order help lists them
 _COMMANDS = {
@@ -387,9 +393,10 @@ _COMMANDS = {
         _LATTICE, *_COMMON, _row("--norm", int, required=True),
         _row("--height", int, 10), _row("--primitive", bool, False))),
     "classify": ("classify one isometry", cmd_classify, (
-        _LATTICE, *_COMMON, _row("--isometry", required=True, help="isometry JSON file"))),
+        _LATTICE, *_COMMON, _V0,
+        _row("--isometry", required=True, help="isometry JSON file"))),
     "entropy": ("entropy findings for a generated group", cmd_entropy, (
-        _LATTICE, *_COMMON, _row("--group", required=True, help="group JSON file"),
+        _LATTICE, *_COMMON, _V0, _row("--group", required=True, help="group JSON file"),
         _row("--budget", int, 6), _row("--rho", int, 0))),
     "orbit": ("orbit of a rational point", cmd_orbit, (
         _LATTICE, *_COMMON, *_GROUP_POINT, _row("--depth", int, 6))),
@@ -399,13 +406,14 @@ _COMMANDS = {
         _LATTICE, *_COMMON, *_GROUP_POINT, _row("--budget", int, 6))),
     "tile-check": ("sampled tiling verification", cmd_tile_check, (
         _LATTICE, *_COMMON, *_GROUP_POINT, _row("--budget", int, 6),
-        _row("--check-budget", int, 8), _row("--samples", int, 100))),
+        _row("--check-budget", int, 8), _row("--samples", int, 100),
+        _row("--seed", int, 0, help="sampling seed"))),
     "chamber-walk": ("reflect a point into the chamber", cmd_chamber_walk, (
-        _LATTICE, *_COMMON, _row("--point", required=True), _row("--norm", int, -2),
+        _LATTICE, *_COMMON, _V0, _row("--point", required=True), _row("--norm", int, -2),
         _row("--height", int, 10), _row("--steps", int, 100),
         _row("--strict-walls", bool, False))),
     "criteria": ("full criteria report", cmd_criteria, (
-        _row("kind", required=True, choices=("k3",)), _LATTICE, *_COMMON,
+        _row("kind", required=True, choices=("k3",)), _LATTICE, *_COMMON, _V0,
         _row("--generators", help="group JSON file (optional)"),
         _row("--height", int, 10), _row("--budget", int, 6), _row("--rho", int))),
     "families": ("emit classified family lattices", cmd_families, (

@@ -3,9 +3,9 @@ extreme rays, facet reduction, and the generalized-polytope hypothesis check.
 
 Halfspace normals are lattice vectors w acting through the bilinear form:
 the inequality is (w, x) >= 0.  Internally each normal becomes the plain
-linear functional gram * w, and all pivoting is exact rational; adjacency
-during double description uses the exhaustive combinatorial test, no
-heuristics.
+linear functional gram * w, and all pivoting is fraction-free in
+integers; adjacency during double description uses the exhaustive
+combinatorial test, no heuristics.
 """
 
 from __future__ import annotations
@@ -87,8 +87,8 @@ def double_description(functionals, n: int):
     if not functionals:
         ident = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
         return [], ident
-    rref, pivots = linalg.row_echelon(functionals)
-    lineality = [linalg.primitive_vector(v) for v in linalg.rref_kernel(rref, pivots, n)]
+    echelon, pivots = linalg.row_echelon(functionals)
+    lineality = linalg.echelon_kernel(echelon, pivots, n)
     r = len(pivots)
     if r == 0:
         return [], lineality

@@ -13,7 +13,6 @@ only congruence or local obstructions certify absence.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt, prod
 
 from . import linalg
@@ -273,11 +272,11 @@ def _normalize_place(place):
 
 
 def squarefree_int(q) -> int:
-    """Squarefree integer representing q modulo nonzero rational squares."""
-    f = Fraction(q)
-    if f == 0:
+    """Squarefree integer representing q (an int, or a rational with
+    `numerator` and `denominator`) modulo nonzero rational squares."""
+    n = q.numerator * q.denominator
+    if n == 0:
         raise InvalidParameter("zero has no squarefree class")
-    n = f.numerator * f.denominator
     out = -1 if n < 0 else 1
     for p, e in linalg.factorize(n):
         if e % 2:
@@ -298,7 +297,8 @@ def hilbert_symbol(a, b, place) -> int:
 
     Standard closed formulas: sign condition at the real place, Legendre
     symbols at odd primes, the (epsilon, omega) exponent formula at 2.
-    Accepts any nonzero rationals and any spelling of a place.
+    Accepts nonzero ints, or rationals with `numerator` and `denominator`,
+    and any spelling of a place.
     """
     return _hilbert(squarefree_int(a), squarefree_int(b), _normalize_place(place))
 
@@ -421,8 +421,7 @@ def rational_isotropy(lattice: GramLattice, *,
     whenever the verdict is isotropic) come from a bounded box search and
     may be omitted at desk scale.
     """
-    diag_fracs = linalg.congruence_diagonal(lattice.gram)
-    diag = [squarefree_int(d) for d in diag_fracs]
+    diag = [squarefree_int(d) for d in linalg.congruence_diagonal(lattice.gram)]
     pos = sum(1 for d in diag if d > 0)
     neg = len(diag) - pos
     if pos == 0 or neg == 0:

@@ -5,7 +5,7 @@ above 1 is detected by Sturm sign counting on the integer characteristic
 polynomial and bracketed by rational bisection; the remaining elements
 split into finite order (elliptic) and unipotent-type (parabolic) through
 exact cyclotomic factorization and matrix powering.  All of this runs in
-Python ints; Fractions appear only as the endpoints of the scale's bracket.
+Python ints; the scale's bracket is a triple (lo, hi, den) of ints.
 
 Fixed boundary rays: the parabolic one is an integer kernel vector of the
 form on the integer kernel of M - I.  The loxodromic eigenrays are columns
@@ -17,7 +17,6 @@ lambda.  No division in Q(lambda) is needed.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from . import linalg, polynomials as pol
 from .errors import (DimensionMismatch, EllipticHasNoBoundaryFixedPoint,
@@ -32,7 +31,8 @@ PARABOLIC = "parabolic"
 LOXODROMIC = "loxodromic"
 
 ORDER_CAP = 10**6
-_BRACKET_EPS = Fraction(1, 10**16)
+# brackets of the scale are refined to width <= 1 / _BRACKET_EPS
+_BRACKET_EPS = 10**16
 
 
 class Classification(Record):
@@ -137,17 +137,17 @@ def make_isometry(orientation: ConeOrientation, matrix) -> Isometry:
 def _classify(g: Isometry) -> Classification:
     p = g.charpoly
     q = pol.squarefree_part(p)
-    above = pol.count_roots_gt(q, Fraction(1))
+    above = pol.count_roots_gt(q, 1, 1)
     if above > 1:
         raise ArithmeticError(
             "characteristic polynomial has more than one root > 1; input is "
             "not an isometry of a (1,n) form")
     if above == 1:
-        lo, hi = pol.bracket_largest_root_above(q, Fraction(1))
-        lo, hi = pol.refine_bracket(q, lo, hi, _BRACKET_EPS)
-        minpoly = pol.minimal_polynomial_of_root(q, lo, hi)
-        lo, hi = pol.refine_bracket(minpoly, lo, hi, _BRACKET_EPS)
-        fld = pol.RealAlgebraicField(minpoly, lo, hi)
+        bracket = pol.bracket_largest_root_above(q, 1, 1)
+        bracket = pol.refine_bracket(q, bracket, _BRACKET_EPS)
+        minpoly = pol.minimal_polynomial_of_root(q, bracket)
+        bracket = pol.refine_bracket(minpoly, bracket, _BRACKET_EPS)
+        fld = pol.RealAlgebraicField(minpoly, bracket)
         return Classification(kind=LOXODROMIC, scale_minpoly=tuple(minpoly),
                               scale_field=fld)
     factors = pol.cyclotomic_factorization(p)
@@ -173,8 +173,8 @@ def entropy(g: Isometry) -> float:
     cls = g.classification
     if cls.kind != LOXODROMIC:
         return 0.0
-    lo, hi = cls.scale_field.bracket(Fraction(1, 10**16))
-    return math.log(float((lo + hi) / 2))
+    lo, hi, den = cls.scale_field.bracket(_BRACKET_EPS)
+    return math.log((lo + hi) / (2 * den))
 
 
 def fixed_boundary_points(g: Isometry) -> list[BoundaryRay]:

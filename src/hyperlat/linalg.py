@@ -1,25 +1,19 @@
-"""Exact linear algebra over arbitrary-precision integers and rationals.
+"""Exact linear algebra over arbitrary-precision integers.
 
 Matrices are tuples of tuples (rows); vectors are tuples.  Everything here
 is pure and allocation-cheap at desk scale (rank <= ~10); no floating point.
 
-Fraction-free (Python ints only): the products `mat_mul`, `mat_vec`, `dot`
-and `pairing`, `bareiss_det`, `adjugate`, `primitive_vector`, the row
-basis behind `rank`, `row_echelon` and `kernel_basis`, and the integer
-`factorize` and `divisors`.  Rational input rows have their denominators
-cleared first.
-
-`gauss_jordan` is the one Gauss-Jordan elimination, over Q, and
-`rref_kernel` reads a kernel basis off its result; `row_echelon` runs it
-only on the at most ncols rows of the integer row basis.
-`congruence_diagonal`, `gram_schmidt_frame` and `frac_pairing` work over
-`Fraction`.
+Everything is fraction-free, in Python ints.  `row_basis` is the one row
+reduction; `rank`, `row_echelon` (an integer reduced echelon basis) and
+`kernel_basis` are read off it.  `congruence_diagonal` is a Bareiss
+elimination, and `gram_schmidt_frame` holds each vector as integers over
+one denominator.  Rational input (anything with `numerator` and
+`denominator`) has its denominators cleared first.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
@@ -101,7 +95,7 @@ def matrix_power(m, k: int):
 
 
 def bareiss_det(mat) -> int:
-    """Fraction-free determinant of an integer matrix."""
+    """Bareiss (fraction-free) determinant of an integer matrix."""
     a = [list(row) for row in mat]
     n = len(a)
     sign = 1
@@ -138,16 +132,13 @@ def vec_content(v) -> int:
     return gcd(*v)
 
 
-def clear_denominators(v) -> tuple[list[int], int]:
-    """(ints, den) with v = ints / den and den the lcm of v's denominators.
-
-    Integer vectors pass through with den = 1.
-    """
+def clear_denominators(v) -> list[int]:
+    """v times the lcm of its denominators: ints, or rationals with
+    `numerator` and `denominator`.  Integer vectors pass through."""
     if all(type(x) is int for x in v):
-        return list(v), 1
-    fracs = [Fraction(x) for x in v]
-    den = lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (den // f.denominator) for f in fracs], den
+        return list(v)
+    den = lcm(*(x.denominator for x in v))
+    return [x.numerator * (den // x.denominator) for x in v]
 
 
 def primitive_vector(v) -> IntVec:
@@ -155,7 +146,7 @@ def primitive_vector(v) -> IntVec:
 
     The sign is kept as given; callers normalize orientation themselves.
     """
-    ints, _ = clear_denominators(v)
+    ints = clear_denominators(v)
     g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
@@ -208,7 +199,7 @@ def row_basis(rows) -> list[list[int]]:
         return []
     ncols = len(rows[0])
     for row in rows:
-        v, _ = clear_denominators(row)
+        v = clear_denominators(row)
         for p, b in basis:
             vp = v[p]
             if vp:
@@ -218,60 +209,44 @@ def row_basis(rows) -> list[list[int]]:
                 v = [bp * x - vp * y for x, y in zip(v, b)]
         g = gcd(*v)
         if g:
-            basis.append((next(c for c, x in enumerate(v) if x), [x // g for x in v]))
+            basis.append((_pivot(v), [x // g for x in v]))
             if len(basis) == ncols:
                 break
     return [b for _, b in basis]
 
 
-def gauss_jordan(rows):
-    """Reduced row echelon form of `Fraction` rows; returns (rref rows,
-    pivot columns)."""
-    a = [list(row) for row in rows]
-    if not a:
-        return [], []
-    pivots = []
-    r = 0
-    for c in range(len(a[0])):
-        pivot_row = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        pivot = a[r][c]
-        a[r] = [x / pivot for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(a):
-            break
-    return a[:r], pivots
+def _pivot(row) -> int:
+    return next(c for c, x in enumerate(row) if x)
 
 
-def rref_kernel(rref, pivots, ncols: int) -> list[list]:
-    """Kernel basis read off a reduced row echelon form, one vector per free
-    column in increasing order."""
+def row_echelon(rows) -> tuple[list[list[int]], list[int]]:
+    """Integer reduced echelon basis of the row space, and its pivot columns.
+
+    `row_basis` again on its own rows, last pivot first: each row is then
+    reduced at the pivots after its own, and is zero before it.  Row k,
+    primitive with a positive pivot entry, is the k-th row of the reduced
+    row echelon form over Q times that entry.
+    """
+    basis = row_basis(sorted(row_basis(rows), key=_pivot, reverse=True))[::-1]
+    pivots = [_pivot(b) for b in basis]
+    return [b if b[p] > 0 else [-x for x in b] for b, p in zip(basis, pivots)], pivots
+
+
+def echelon_kernel(echelon, pivots, ncols: int) -> list[IntVec]:
+    """Primitive integer kernel basis read off `row_echelon`'s result, one
+    vector per free column in increasing order, with a positive entry
+    there."""
+    scale = lcm(*(row[p] for row, p in zip(echelon, pivots)))
     basis = []
     for fc in range(ncols):
         if fc in pivots:
             continue
         vec = [0] * ncols
-        vec[fc] = 1
-        for row, pc in zip(rref, pivots):
-            vec[pc] = -row[fc]
-        basis.append(vec)
+        vec[fc] = scale
+        for row, pc in zip(echelon, pivots):
+            vec[pc] = -row[fc] * (scale // row[pc])
+        basis.append(primitive_vector(vec))
     return basis
-
-
-def row_echelon(rows):
-    """Reduced row echelon form over Q; returns (rref rows, pivot column indices).
-
-    The RREF depends only on the row space, so `gauss_jordan` runs on the
-    integer `row_basis`, at most ncols rows.
-    """
-    return gauss_jordan([[Fraction(x) for x in row] for row in row_basis(rows)])
 
 
 def rank(rows) -> int:
@@ -282,21 +257,27 @@ def kernel_basis(rows) -> list[IntVec]:
     """Primitive integer basis of {x : rows * x = 0}, deterministic order."""
     if not rows:
         raise ValueError("kernel of empty row list is ambient; handle at caller")
-    return [primitive_vector(v) for v in rref_kernel(*row_echelon(rows), len(rows[0]))]
+    return echelon_kernel(*row_echelon(rows), len(rows[0]))
 
 
 # -- symmetric forms ----------------------------------------------------------
 
-def congruence_diagonal(gram) -> list[Fraction]:
-    """Diagonal of a rational congruence diagonalization T^t G T.
+def congruence_diagonal(gram) -> list[int]:
+    """Diagonal of a rational congruence diagonalization T^t G T, each entry
+    d_k as the integer num * den of d_k in lowest terms (d_k's sign and
+    squarefree class).
 
     Symmetric pivoting; a zero pivot with a nonzero off-diagonal partner is
     repaired by the symmetric completion step v_i <- v_i + v_j, which makes
-    the pivot 2*G[i][j] != 0.  Deterministic.
+    the pivot 2*G[i][j] != 0.  Bareiss elimination: the trailing block is
+    the rational Schur complement times the previous pivot, held in
+    integers, and each step divides exactly by that pivot (ArithmeticError
+    if not); only the trailing block is read after each step.
     """
     n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
+    a = [list(row) for row in gram]
     diag = []
+    prev = 1
     for k in range(n):
         if a[k][k] == 0:
             j = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
@@ -308,21 +289,22 @@ def congruence_diagonal(gram) -> list[Fraction]:
             else:
                 j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
                 if j is None:
-                    diag.append(Fraction(0))
+                    diag.append(0)
                     continue
                 for col in range(n):
                     a[k][col] += a[j][col]
                 for row in a:
                     row[k] += row[j]
         pivot = a[k][k]
-        diag.append(pivot)
+        g = gcd(pivot, prev)
+        diag.append(pivot // g * (prev // g))
         for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] / pivot
-                for col in range(n):
-                    a[i][col] -= f * a[k][col]
-                for row in range(n):
-                    a[row][i] -= f * a[row][k]
+            for j in range(k + 1, n):
+                q, r = divmod(a[i][j] * pivot - a[i][k] * a[k][j], prev)
+                if r:
+                    raise ArithmeticError("inexact Bareiss division in congruence_diagonal")
+                a[i][j] = q
+        prev = pivot
     return diag
 
 
@@ -334,36 +316,35 @@ def signature_of_gram(gram) -> tuple[int, int]:
     return pos, neg
 
 
-def gram_schmidt_frame(gram, v0) -> list[tuple[Fraction, ...]]:
+def gram_schmidt_frame(gram, v0) -> list[tuple[IntVec, int]]:
     """Rational orthogonal frame starting from v0, extended by basis vectors.
 
-    Returns n linearly independent pairwise gram-orthogonal vectors with
-    frame[0] = v0.  No normalization (norms stay rational).
+    Returns n linearly independent pairwise gram-orthogonal vectors, each
+    the integer vector u over the denominator d > 0 in lowest terms as a
+    pair (u, d), with frame[0] = (v0, 1).  No normalization.  Basis vector
+    e_i loses (e_i, f) / (f, f) f = (G u)_i / (u, u) u for each f = u / d.
     """
     n = len(gram)
-    frame: list[tuple[Fraction, ...]] = [tuple(Fraction(x) for x in v0)]
-    norms = [frac_pairing(gram, frame[0], frame[0])]
+    frame = [(tuple(v0), 1)]
+    norms = [pairing(gram, v0, v0)]
     if norms[0] == 0:
         raise ValueError("frame seed must be anisotropic")
     for i in range(n):
-        e = [Fraction(1 if j == i else 0) for j in range(n)]
-        v = list(e)
-        for f, nf in zip(frame, norms):
-            c = frac_pairing(gram, e, f) / nf
-            v = [x - c * y for x, y in zip(v, f)]
-        if any(x != 0 for x in v):
-            nv = frac_pairing(gram, v, v)
-            if nv == 0:
+        den = lcm(*norms)
+        v = [den * (j == i) for j in range(n)]
+        for (u, _), nu in zip(frame, norms):
+            c = dot(gram[i], u) * (den // nu)
+            v = [x - c * y for x, y in zip(v, u)]
+        if any(v):
+            g = gcd(den, *v)
+            u = tuple(x // g for x in v)
+            nu = pairing(gram, u, u)
+            if nu == 0:
                 raise ValueError("gram-schmidt hit an isotropic vector (degenerate input?)")
-            frame.append(tuple(v))
-            norms.append(nv)
+            frame.append((u, den // g))
+            norms.append(nu)
         if len(frame) == n:
             break
     if len(frame) != n:
         raise ValueError("could not complete frame (degenerate form?)")
     return frame
-
-
-def frac_pairing(gram, u, v) -> Fraction:
-    return sum(Fraction(u[i]) * sum(Fraction(gram[i][j]) * Fraction(v[j])
-               for j in range(len(v))) for i in range(len(u)))

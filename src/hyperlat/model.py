@@ -1,15 +1,15 @@
 """Hyperboloid, ball, and upper half-space models over a signature-(1,n) lattice.
 
-Points are exact rational rays inside the chosen positive cone; numeric
-coordinates appear only at the final normalization step.  Membership and
-disjointness tests for horoballs are decided on squared exact rationals,
-so every verdict here is certificate-grade.
+Points are primitive integer rays inside the chosen positive cone;
+numeric coordinates appear only at the final normalization step.
+Distances, membership and disjointness tests for horoballs compare
+squared quantities in integers, so every verdict here is
+certificate-grade.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
@@ -38,24 +38,28 @@ class ConeOrientation(Record):
 
     @cached_property
     def frame(self):
-        """Rational orthogonal frame (base first) plus float normalizers."""
-        frame = linalg.gram_schmidt_frame(self.lattice.gram, self.base)
-        norms = [linalg.frac_pairing(self.lattice.gram, f, f) for f in frame]
+        """Rational orthogonal frame (base first) plus float normalizers:
+        the pairs (u_k, d_k) of `gram_schmidt_frame` for f_k = u_k / d_k,
+        the integers (u_k, u_k), and the floats sqrt(|(f_k, f_k)|)."""
+        gram = self.lattice.gram
+        frame = linalg.gram_schmidt_frame(gram, self.base)
+        norms = [linalg.pairing(gram, u, u) for u, _ in frame]
         if norms[0] <= 0 or any(n >= 0 for n in norms[1:]):
             raise WrongSignature("frame norms are not (+, -, ..., -)")
-        scales = [math.sqrt(abs(float(n))) for n in norms]
+        scales = [math.sqrt(abs(n / (d * d))) for n, (_, d) in zip(norms, frame)]
         return frame, norms, scales
 
     @cached_property
     def projection(self):
-        """Integer rows u_k and denominators d_k > 0 with
-        (ray, f_k) / (f_k, f_k) = ray . u_k / d_k for the frame vectors f_k."""
+        """Integer rows w_k and denominators e_k > 0, in lowest terms, with
+        (ray, f_k) / (f_k, f_k) = ray . w_k / e_k, which for f_k = u_k / d_k
+        is ray . (G u_k) d_k / (u_k, u_k)."""
         frame, norms, _ = self.frame
         out = []
-        for f, n in zip(frame, norms):
-            ints, den = linalg.clear_denominators(
-                [x / n for x in linalg.mat_vec(self.lattice.gram, f)])
-            out.append((tuple(ints), den))
+        for (u, d), n in zip(frame, norms):
+            row = [x * d for x in linalg.mat_vec(self.lattice.gram, u)]
+            g = math.gcd(n, *row) if n > 0 else -math.gcd(n, *row)
+            out.append((tuple(x // g for x in row), n // g))
         return tuple(out)
 
 
@@ -118,7 +122,8 @@ class BoundaryRay(Record):
 
 
 def point_from_ray(orientation: ConeOrientation, ray) -> HyperboloidPoint:
-    """Normalize an exact ray (integers or rationals) to a point of H^n."""
+    """Normalize an exact ray (ints, or rationals with `numerator` and
+    `denominator`) to a point of H^n."""
     ray = tuple(ray)
     if not any(ray):
         raise NotInCone("the zero ray has norm 0")
@@ -144,27 +149,31 @@ def boundary_from_ray(orientation: ConeOrientation, ray) -> BoundaryRay:
 def distance(x: HyperboloidPoint, y: HyperboloidPoint) -> float:
     """Hyperbolic distance: arccosh of the normalized pairing.
 
-    The square of the pairing ratio is computed exactly; a single sqrt and
-    arccosh at the end keep the result accurate to ~1e-15 relative.
+    The square of the pairing ratio, p^2 / (N_x N_y), is compared with 1 in
+    integers and rounded once; a single sqrt and arccosh at the end keep
+    the result accurate to ~1e-15 relative.
     """
     if x.orientation != y.orientation:
         raise DifferentAmbient("points live over different lattices or cones")
     lat = x.lattice
     p = lat.pair(x.ray, y.ray)
-    ratio = Fraction(p * p, lat.norm(x.ray) * lat.norm(y.ray))
-    if ratio <= 1:
+    norms = lat.norm(x.ray) * lat.norm(y.ray)
+    if p * p <= norms:
         return 0.0
-    return math.acosh(math.sqrt(float(ratio)))
+    return math.acosh(math.sqrt(p * p / norms))
 
 
 # -- horoballs -----------------------------------------------------------------
 
 class Horoball(Record):
-    """Open horoball {x : (x, center) < bound} at a primitive integral cusp."""
+    """Open horoball {x : (x, center) < num/den} at a primitive integral
+    cusp; bound is the pair (num, den) of positive ints."""
 
-    def __init__(self, center: BoundaryRay, bound: Fraction = Fraction(1, 2)):
+    def __init__(self, center: BoundaryRay, bound: tuple[int, int] = (1, 2)):
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "bound", bound)
+        if not (bound[0] > 0 and bound[1] > 0):
+            raise InvalidParameter("horoball bound must be a positive num/den pair")
         if not self.center.rational:
             raise NotIsotropic("horoball centers must be rational boundary rays")
         if linalg.vec_content(self.center.ray) != 1:
@@ -172,11 +181,11 @@ class Horoball(Record):
 
 
 def horoball_contains(ball: Horoball, x: HyperboloidPoint) -> bool:
-    """Exact membership test: (x, e) < bound without leaving the rationals.
+    """Exact membership test: (x, e) < num/den in integers.
 
     For the normalized point, (x, e) = p / sqrt(N) with p = (ray, e) and
     N = ray.ray; squaring preserves the order since both sides are positive,
-    so p^2 < bound^2 * N decides it.
+    so p^2 den^2 < num^2 N decides it.
     """
     if ball.center.orientation != x.orientation:
         raise DifferentAmbient("horoball and point have different ambients")
@@ -184,7 +193,8 @@ def horoball_contains(ball: Horoball, x: HyperboloidPoint) -> bool:
     p = lat.pair(x.ray, ball.center.ray)
     if p <= 0:
         return False  # opposite cone; cannot be inside an open horoball
-    return Fraction(p * p, lat.norm(x.ray)) < ball.bound * ball.bound
+    num, den = ball.bound
+    return p * p * den * den < num * num * lat.norm(x.ray)
 
 
 class DisjointnessWitness(Record):
@@ -209,8 +219,8 @@ def horoballs_disjoint(b1: Horoball, b2: Horoball) -> DisjointnessWitness:
     if e1 == e2:
         raise SameRay("horoballs share their center ray")
     p = lat.pair(e1, e2)
-    threshold = 2 * b1.bound * b2.bound
-    return DisjointnessWitness(disjoint=Fraction(p) >= threshold, pairing=p)
+    (n1, d1), (n2, d2) = b1.bound, b2.bound
+    return DisjointnessWitness(disjoint=p * d1 * d2 >= 2 * n1 * n2, pairing=p)
 
 
 # -- model conversions -----------------------------------------------------------
@@ -256,12 +266,12 @@ def from_ball(orientation: ConeOrientation, ball_coords) -> tuple[float, ...]:
         raise InvalidParameter("ball-model points have Euclidean norm < 1")
     a0 = (1.0 + nb2) / (1.0 - nb2)
     rest = [2.0 * x / (1.0 - nb2) for x in b]
-    frame, norms, scales = orientation.frame
+    frame, _, scales = orientation.frame
     coords = [0.0] * orientation.lattice.rank
-    for a, f, s in zip([a0] + rest, frame, scales):
+    for a, (u, d), s in zip([a0] + rest, frame, scales):
         c = a / s
-        for i, fx in enumerate(f):
-            coords[i] += c * float(fx)
+        for i, x in enumerate(u):
+            coords[i] += c * (x / d)
     return tuple(coords)
 
 

@@ -4,9 +4,10 @@ Polynomials are coefficient lists ordered low degree to high.  The
 classification path works on integer polynomials in Python ints: the
 characteristic polynomial (Faddeev-LeVerrier with checked divisions),
 Sturm chains and squarefree parts (primitive pseudo-remainders), exact
-division, and signs at a rational point num/den.  Bisection keeps its
-bracket as two integers over one denominator, so the bracket endpoints it
-returns are the only Fractions.  The scale's field (RealAlgebraicField,
+division, and signs at a rational point num/den.  A rational point is a
+pair (num, den) and a bracket (lo/den, hi/den] a triple (lo, hi, den),
+always with den > 0; bisection doubles the denominator and never reduces
+it.  The scale's field (RealAlgebraicField,
 AlgebraicNumber) holds elements of Z[alpha] for a monic minimal polynomial:
 integer coefficients, products reduced by integer long division, and no
 division at all.
@@ -17,9 +18,8 @@ numbers accumulate at 1).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 from .linalg import factorize, identity_matrix, mat_mul, matrix_power
 
@@ -183,19 +183,18 @@ def variations_at_pos_inf(chain) -> int:
     return _variations([(p[-1] > 0) - (p[-1] < 0) for p in chain if p])
 
 
-def count_roots_in(p, a: Fraction, b: Fraction) -> int:
-    """Distinct real roots of squarefree p in the half-open interval (a, b]."""
+def count_roots_in(p, bracket) -> int:
+    """Distinct real roots of squarefree p in the half-open interval
+    (lo/den, hi/den] of the bracket (lo, hi, den)."""
+    lo, hi, den = bracket
     chain = sturm_chain(p)
-    a, b = Fraction(a), Fraction(b)
-    return (variations_at(chain, a.numerator, a.denominator)
-            - variations_at(chain, b.numerator, b.denominator))
+    return variations_at(chain, lo, den) - variations_at(chain, hi, den)
 
 
-def count_roots_gt(p, a: Fraction) -> int:
-    """Distinct real roots of squarefree p in (a, +inf)."""
+def count_roots_gt(p, num: int, den: int) -> int:
+    """Distinct real roots of squarefree p in (num/den, +inf), den > 0."""
     chain = sturm_chain(p)
-    a = Fraction(a)
-    return variations_at(chain, a.numerator, a.denominator) - variations_at_pos_inf(chain)
+    return variations_at(chain, num, den) - variations_at_pos_inf(chain)
 
 
 def _halve(q, lo: int, hi: int, den: int) -> tuple[int, int, int]:
@@ -214,41 +213,39 @@ def _positive_leading(p):
     return poly_neg(q) if q[-1] < 0 else q
 
 
-def bracket_largest_root_above(p, a: Fraction) -> tuple[Fraction, Fraction]:
-    """Isolating interval (lo, hi] of width < 1 for the unique root of
-    squarefree p in (a, inf).
+def bracket_largest_root_above(p, num: int, den: int) -> tuple[int, int, int]:
+    """Isolating bracket (lo, hi, den), of width < 1, for the unique root of
+    squarefree p in (num/den, inf), den > 0.
 
     Raises ArithmeticError unless exactly one such root exists (it is then
     the largest real root), or if _BRACKET_STEPS bisections do not isolate it.
     """
     q = _positive_leading(p)
     chain = sturm_chain(q)
-    a = Fraction(a)
-    if variations_at(chain, a.numerator, a.denominator) - variations_at_pos_inf(chain) != 1:
+    if variations_at(chain, num, den) - variations_at_pos_inf(chain) != 1:
         raise ArithmeticError("expected exactly one root above the bracket start")
-    # from a to the Cauchy bound 1 + max|c_i| / lc, over the denominator den;
-    # beyond the largest root the (positive-leading) polynomial is positive
-    den = a.denominator * q[-1]
-    lo = a.numerator * q[-1]
-    hi = (q[-1] + max(abs(c) for c in q[:-1])) * a.denominator
+    # from num/den to the Cauchy bound 1 + max|c_i| / lc, over the
+    # denominator den lc; beyond the largest root the (positive-leading)
+    # polynomial is positive
+    lo = num * q[-1]
+    hi = (q[-1] + max(abs(c) for c in q[:-1])) * den
+    den *= q[-1]
     for _ in range(_BRACKET_STEPS):
         lo, hi, den = _halve(q, lo, hi, den)
         if lo == hi or (hi - lo < den
                         and variations_at(chain, lo, den) - variations_at(chain, hi, den) == 1):
-            return Fraction(lo, den), Fraction(hi, den)
+            return lo, hi, den
     raise ArithmeticError(f"no isolating bracket after {_BRACKET_STEPS} bisections")
 
 
-def refine_bracket(p, lo: Fraction, hi: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
-    """Bisect a bracket of a simple root down to width <= eps."""
+def refine_bracket(p, bracket, eps_den: int) -> tuple[int, int, int]:
+    """Bisect a bracket (lo, hi, den) of a simple root down to width
+    <= 1/eps_den."""
     q = _positive_leading(p)
-    lo, hi, eps = Fraction(lo), Fraction(hi), Fraction(eps)
-    den = lcm(lo.denominator, hi.denominator)
-    a = lo.numerator * (den // lo.denominator)
-    b = hi.numerator * (den // hi.denominator)
-    while (b - a) * eps.denominator > eps.numerator * den:
-        a, b, den = _halve(q, a, b, den)
-    return Fraction(a, den), Fraction(b, den)
+    lo, hi, den = bracket
+    while (hi - lo) * eps_den > den:
+        lo, hi, den = _halve(q, lo, hi, den)
+    return lo, hi, den
 
 
 # -- cyclotomic factors ---------------------------------------------------------
@@ -307,8 +304,9 @@ def cyclotomic_factorization(p) -> list[tuple[int, int]] | None:
     return factors if rem == [1] else None
 
 
-def minimal_polynomial_of_root(p, lo: Fraction, hi: Fraction) -> list[int]:
-    """Minimal polynomial of the scale lambda > 1, the root of p in (lo, hi].
+def minimal_polynomial_of_root(p, bracket) -> list[int]:
+    """Minimal polynomial of the scale lambda > 1, the root of p in the
+    bracket (lo, hi, den).
 
     Premise: p is the squarefree characteristic polynomial of an isometry
     of a (1, n) form with exactly one root > 1, which isometry._classify
@@ -322,7 +320,7 @@ def minimal_polynomial_of_root(p, lo: Fraction, hi: Fraction) -> list[int]:
     count, so the result is certificate-grade.
     """
     _factors, out = _strip_cyclotomic(primitive(p))
-    if count_roots_in(out, lo, hi) != 1:
+    if count_roots_in(out, bracket) != 1:
         raise ArithmeticError("bracket does not isolate a root of the non-cyclotomic part")
     return out
 
@@ -344,17 +342,16 @@ def _reduce(p, f) -> tuple[int, ...]:
 
 class RealAlgebraicField:
     """Q(alpha) for alpha the unique root of a monic irreducible integer
-    polynomial inside a rational bracket.  Its elements are those of the
-    ring Z[alpha], which is all that the eigenrays of an integer matrix for
-    the algebraic integer alpha need."""
+    polynomial inside a bracket (lo, hi, den).  Its elements are those of
+    the ring Z[alpha], which is all that the eigenrays of an integer matrix
+    for the algebraic integer alpha need."""
 
-    def __init__(self, minpoly, lo: Fraction, hi: Fraction):
+    def __init__(self, minpoly, bracket):
         self.minpoly = trim(minpoly)
         if self.minpoly[-1] != 1:
             raise ValueError("Z[alpha] arithmetic needs a monic minimal polynomial")
         self.degree = len(self.minpoly) - 1
-        self._lo = Fraction(lo)
-        self._hi = Fraction(hi)
+        self._bracket = tuple(bracket)
 
     def element(self, coeffs) -> "AlgebraicNumber":
         """The integer polynomial coeffs (low degree first) at alpha."""
@@ -363,14 +360,15 @@ class RealAlgebraicField:
     def generator(self) -> "AlgebraicNumber":
         return self.element([0, 1])
 
-    def bracket(self, eps: Fraction | None = None) -> tuple[Fraction, Fraction]:
-        if eps is not None and self._hi - self._lo > eps:
-            self._lo, self._hi = refine_bracket(self.minpoly, self._lo, self._hi, eps)
-        return self._lo, self._hi
+    def bracket(self, eps_den: int | None = None) -> tuple[int, int, int]:
+        """(lo, hi, den), refined first to width <= 1/eps_den if given."""
+        if eps_den is not None:
+            self._bracket = refine_bracket(self.minpoly, self._bracket, eps_den)
+        return self._bracket
 
     def approx_root(self) -> float:
-        lo, hi = self.bracket(Fraction(1, 10**18))
-        return float((lo + hi) / 2)
+        lo, hi, den = self.bracket(10**18)
+        return (lo + hi) / (2 * den)
 
 
 class AlgebraicNumber:
@@ -437,10 +435,7 @@ class AlgebraicNumber:
         if not self:
             return 0
         fld = self.field
-        lo, hi = fld.bracket()
-        den = lcm(lo.denominator, hi.denominator)
-        a = lo.numerator * (den // lo.denominator)
-        b = hi.numerator * (den // hi.denominator)
+        a, b, den = fld.bracket()
         for rounds in range(256):
             vlo = vhi = 0
             scale = 1
@@ -450,7 +445,7 @@ class AlgebraicNumber:
                 vlo, vhi = min(cands) + c * scale, max(cands) + c * scale
             if vlo > 0 or vhi < 0:
                 if rounds:
-                    fld._lo, fld._hi = Fraction(a, den), Fraction(b, den)
+                    fld._bracket = (a, b, den)
                 return 1 if vlo > 0 else -1
             for _ in range(2):
                 if a != b:

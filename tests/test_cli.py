@@ -243,6 +243,48 @@ def test_negative_vector_value_after_space(files):
     assert flipped["result"] == out_json(run_cli(args + ["1,0"], files))["result"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["info", "--lattice", "um2.json", "--v0", "0,0,0"],
+    ["roots", "--lattice", "um2.json", "--v0=0,0,0"],
+    ["isotropy", "--lattice", "um2.json", "--v0", "1,1,0"],
+    ["enumerate", "--lattice", "um2.json", "--norm", "-2", "--v0", "1,1,0"],
+    ["families", "--uniform", "1", "--v0", "1,0,0"],
+    ["criteria", "k3", "--lattice", "um2.json", "--seed", "3"],
+    ["orbit", "--lattice", "d12.json", "--group", "pell_group.json", "--point", "1,0",
+     "--seed=1"],
+], ids=["info-v0", "roots-v0", "isotropy-v0", "enumerate-v0", "families-v0",
+        "criteria-seed", "orbit-seed"])
+def test_unused_options_are_refused(files, argv):
+    # a subcommand takes --v0 only if it builds a cone, --seed only if it samples
+    proc = run_cli(argv, files)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("input error:") and "unrecognized arguments" in proc.stderr
+
+
+def test_criteria_config_has_no_seed(files):
+    rep = out_json(run_cli(["criteria", "k3", "--lattice", "um2.json"], files))
+    assert list(rep["config"]) == ["lattice", "generators", "height", "budget", "rho"]
+
+
+def test_rational_point_is_its_integer_ray(files):
+    base = ["orbit", "--lattice", "um2.json", "--group", "trans_group.json", "--point"]
+    half = out_json(run_cli(base + ["1/2,1,0"], files))
+    assert half["config"]["point"] == "1/2,1,0"
+    whole = out_json(run_cli(base + ["1,2,0"], files))
+    assert half["result"] == whole["result"]
+    assert [1, 2, 0] in whole["result"]["rays"]
+    assert out_json(run_cli(base + ["-3/6,-1,0/7"], files))["result"] == whole["result"]
+
+
+@pytest.mark.parametrize("point", ["1/0,1", "0.5,1", "1e3,1", "1/-2,1", "a,1", ",1"])
+def test_bad_point_component_is_an_input_error(files, point, capsys):
+    argv = ["limits", "--lattice", str(files / "d12.json"),
+            "--group", str(files / "pell_group.json"), "--point", point]
+    assert cli.main(argv) == 1
+    bad = point.split(",")[0]
+    assert capsys.readouterr().err == f"input error: bad vector component {bad!r}\n"
+
+
 def test_classify_without_sympy(files):
     code = ("import sys; sys.modules['sympy'] = None\n"
             "from hyperlat.cli import main\n"
@@ -324,15 +366,16 @@ def test_roots_output_deterministic_across_runs(files):
 # '--flag value', '--flag=value', a negative vector and an abbreviated option
 PARSE_CASES = {
     "info": [["info", "--lattice", "l.json"],
-             ["info", "--lattice=l.json", "--prec", "5", "--v0", "1,0,0"]],
+             ["info", "--lattice=l.json", "--prec", "5", "--out", "o.json"]],
     "roots": [["roots", "--lattice", "l.json"],
               ["roots", "--lattice", "l.json", "--height=3", "--norm", "-4"]],
     "isotropy": [["isotropy", "--lattice", "l.json"],
-                 ["isotropy", "--lat", "l.json", "--height", "2", "--seed=7"]],
+                 ["isotropy", "--lat", "l.json", "--height", "2", "--output=o.json"]],
     "enumerate": [["enumerate", "--lattice", "l.json", "--norm", "-2"],
                   ["enumerate", "--lattice", "l.json", "--norm=-2", "--prim", "--height", "4"]],
     "classify": [["classify", "--lattice", "l.json", "--isometry", "i.json"],
-                 ["classify", "--lattice", "l.json", "--iso=i.json", "--output", "o.json"]],
+                 ["classify", "--lattice", "l.json", "--iso=i.json", "--output", "o.json",
+                  "--v0", "1,0"]],
     "entropy": [["entropy", "--lattice", "l.json", "--group", "g.json"],
                 ["entropy", "--lattice", "l.json", "--group=g.json", "--bud", "4", "--rho", "3"]],
     "orbit": [["orbit", "--lattice", "l.json", "--group", "g.json", "--point", "1,0"],
@@ -352,7 +395,7 @@ PARSE_CASES = {
                       "--strict", "--steps=5", "--norm", "-4"]],
     "criteria": [["criteria", "k3", "--lattice", "l.json"],
                  ["criteria", "k3", "--lattice", "l.json", "--gen", "g.json", "--rho=4",
-                  "--height", "3"]],
+                  "--height", "3", "--v0=1,0,0"]],
     "families": [["families", "--uniform", "2"],
                  ["families", "--cc-d4=3", "--mem", "4", "--output", "f.json"]],
     "plot": [["plot", "--lattice", "l.json", "--group", "g.json", "--point", "1,0",
@@ -517,15 +560,25 @@ def test_help_builds_every_subparser(monkeypatch, capsys):
 
 
 def test_run_imports_no_argparse(files):
+    # between them these runs bracket a scale, take its entropy, build a
+    # cone's frame and diagonalise forms: none of it may import fractions
     src = os.path.dirname(os.path.dirname(cli.__file__))
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import hyperlat.cli; "
-            "rc = hyperlat.cli.main(['roots', '--lattice', sys.argv[2], '--height', '2']); "
-            "print(rc, [m for m in ('argparse', 'gettext', 'shutil', 'locale') "
-            "if m in sys.modules])")
-    proc = subprocess.run([sys.executable, "-S", "-c", code, src, str(files / "um2.json")],
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == "0 []"
-    assert json.loads(proc.stdout[:proc.stdout.rindex("}") + 1])["result"]["kind"] == "Witness"
+            "rc = hyperlat.cli.main(sys.argv[2:]); "
+            "print(rc, [m for m in ('argparse', 'gettext', 'shutil', 'locale', "
+            "'fractions', 'decimal', 'numbers') if m in sys.modules])")
+    for argv, kind in [
+            (["roots", "--lattice", "um2.json", "--height", "2"], "Witness"),
+            (["classify", "--lattice", "d12.json", "--isometry", "pell.json"], None),
+            (["limits", "--lattice", "d12.json", "--group", "pell_group.json",
+              "--point", "1,0"], None)]:
+        proc = subprocess.run([sys.executable, "-S", "-c", code, src, *argv],
+                              capture_output=True, text=True, check=True, cwd=files)
+        assert proc.stdout.splitlines()[-1] == "0 []", argv
+        rep = json.loads(proc.stdout[:proc.stdout.rindex("}") + 1])
+        assert rep["command"] == argv[0]
+        if kind:
+            assert rep["result"]["kind"] == kind
 
 
 # -- golden help and error bytes --------------------------------------------------------

@@ -69,7 +69,7 @@ def _old_solve_linear(rows, rhs):
     """One exact solution of rows * x = rhs, or None if inconsistent."""
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     ncols = len(rows[0])
-    rref, pivots = row_echelon(aug)
+    rref, pivots = row_echelon(aug)  # integer rows: the RREF times each pivot
     for row in rref:
         if all(x == 0 for x in row[:-1]) and row[-1] != 0:
             return None
@@ -77,7 +77,7 @@ def _old_solve_linear(rows, rhs):
         return None
     x = [Fraction(0)] * ncols
     for i, pc in enumerate(pivots):
-        x[pc] = rref[i][-1]
+        x[pc] = Fraction(rref[i][-1], rref[i][pc])
     return x
 
 

@@ -14,8 +14,8 @@ from hyperlat.errors import (EllipticHasNoBoundaryFixedPoint,
                              NonIntegralResult, NotOrthogonal, WrongComponent,
                              WrongNorm)
 from hyperlat.isometry import ELLIPTIC, LOXODROMIC, PARABOLIC
-from hyperlat.linalg import (frac_pairing, identity_matrix, kernel_basis, mat_mul,
-                             primitive_vector, transpose)
+from hyperlat.linalg import (identity_matrix, kernel_basis, mat_mul, primitive_vector,
+                             transpose)
 from hyperlat.polynomials import trim
 
 U = build_lattice([[0, 1], [1, 0]])
@@ -58,18 +58,24 @@ def test_classify_pell_loxodromic():
     cls = classify(PELL)
     assert cls.kind == LOXODROMIC
     assert cls.scale_minpoly == (1, -6, 1)  # x^2 - 6x + 1, roots 3 +- 2 sqrt2
-    lo, hi = cls.scale_field.bracket(Fraction(1, 10**15))
+    lo, hi = _values(cls.scale_field.bracket(10**15))
     target = 3 + 2 * math.sqrt(2)
     assert lo <= Fraction(target).limit_denominator(10**12) <= hi or \
         abs(float((lo + hi) / 2) - target) < 1e-12
 
 
-def spectral_radius_interval(g, eps=Fraction(1, 10**15)):
-    """Oracle: rational bracket of the spectral radius (width <= eps)."""
+def _values(bracket):
+    """The bracket (lo, hi, den) as its two endpoints lo/den and hi/den."""
+    lo, hi, den = bracket
+    return Fraction(lo, den), Fraction(hi, den)
+
+
+def spectral_radius_interval(g, eps_den=10**15):
+    """Oracle: rational bracket of the spectral radius (width <= 1/eps_den)."""
     cls = g.classification
     if cls.kind != LOXODROMIC:
         return Fraction(1), Fraction(1)
-    return cls.scale_field.bracket(eps)
+    return _values(cls.scale_field.bracket(eps_den))
 
 
 def poly_eval(p, x):
@@ -80,7 +86,7 @@ def poly_eval(p, x):
 
 
 def test_spectral_radius_interval_on_demand():
-    lo, hi = spectral_radius_interval(PELL, Fraction(1, 10**14))
+    lo, hi = spectral_radius_interval(PELL, 10**14)
     assert hi - lo <= Fraction(1, 10**14)
     # the bracket pins the root of x^2 - 6x + 1 exactly: sign change
     assert poly_eval([1, -6, 1], lo) < 0 < poly_eval([1, -6, 1], hi)
@@ -331,6 +337,12 @@ def test_parabolic_with_bigger_fixed_space():
 
 # -- fixed rays against the Fraction code they replaced -----------------------------
 
+def frac_pairing(gram, u, v) -> Fraction:
+    """u^t G v over `Fraction`, as the parent computed it."""
+    return sum(Fraction(u[i]) * sum(Fraction(gram[i][j]) * Fraction(v[j])
+               for j in range(len(v))) for i in range(len(u)))
+
+
 def _old_parabolic_ray(g):
     """The parabolic fixed ray as it was computed: `Fraction` rows for M - I
     and `frac_pairing` on the kernel."""
@@ -353,10 +365,10 @@ def _old_minkowski_coords_numeric(orientation, ray_floats):
     frame, norms, scales = orientation.frame
     gram = [[float(x) for x in row] for row in orientation.lattice.gram]
     out = []
-    for f, n, s in zip(frame, norms, scales):
-        ff = [float(x) for x in f]
+    for (u, d), n, s in zip(frame, norms, scales):
+        ff = [x / d for x in u]  # the frame vector f = u / d, and (f, f) = n / d^2
         c = sum(ray_floats[i] * sum(gram[i][j] * ff[j] for j in range(len(ff)))
-                for i in range(len(ff))) / float(n)
+                for i in range(len(ff))) / (n / (d * d))
         out.append(c * s)
     return tuple(out)
 
@@ -529,11 +541,22 @@ def test_adjugate_eigenrays_are_positive_multiples_of_the_old_rays():
 
 # -- the integer sign against the Fraction interval Horner it replaced ----------------
 
+def _fraction_refine(minpoly, lo, hi, eps):
+    """Bisect the `Fraction` bracket (lo, hi] of a root of the monic minpoly
+    down to width <= eps, or to a rational root."""
+    while hi - lo > eps:
+        mid = (lo + hi) / 2
+        s = poly_eval(minpoly, mid)
+        if s == 0:
+            return mid, mid
+        lo, hi = (lo, mid) if s > 0 else (mid, hi)
+    return lo, hi
+
+
 def _fraction_sign(coeffs, minpoly, lo, hi):
     """Reference sign: interval Horner over `Fraction`s, refining the bracket
     to a quarter of its width per round.  Returns the sign and the bracket
     it ended on."""
-    from hyperlat.polynomials import refine_bracket
     if not any(coeffs):
         return 0, lo, hi
     for _ in range(256):
@@ -545,7 +568,7 @@ def _fraction_sign(coeffs, minpoly, lo, hi):
             return 1, lo, hi
         if vhi < 0:
             return -1, lo, hi
-        lo, hi = refine_bracket(minpoly, lo, hi, (hi - lo) / 4)
+        lo, hi = _fraction_refine(minpoly, lo, hi, (hi - lo) / 4)
     raise ArithmeticError("sign refinement did not converge")
 
 
@@ -580,12 +603,12 @@ def test_integer_sign_matches_the_fraction_sign():
     for g in words:
         fld = g.classification.scale_field
         # the first isolating bracket, of width < 1, before any refinement
-        lo, hi = bracket_largest_root_above(fld.minpoly, Fraction(1))
+        first = bracket_largest_root_above(fld.minpoly, 1, 1)
         for coeffs in _sign_probes(g, rng):
-            want, want_lo, want_hi = _fraction_sign(coeffs, fld.minpoly, lo, hi)
-            fresh = RealAlgebraicField(fld.minpoly, lo, hi)
+            want, want_lo, want_hi = _fraction_sign(coeffs, fld.minpoly, *_values(first))
+            fresh = RealAlgebraicField(fld.minpoly, first)
             assert fresh.element(coeffs).sign() == want
             # the same bracket, refined as far as the Fraction code refined it
-            assert fresh.bracket() == (want_lo, want_hi)
-            refined += (want_lo, want_hi) != (lo, hi)
+            assert _values(fresh.bracket()) == (want_lo, want_hi)
+            refined += (want_lo, want_hi) != _values(first)
     assert refined >= 1000

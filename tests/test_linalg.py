@@ -1,11 +1,15 @@
-"""Fraction-free elimination, Gauss-Jordan and primitive vectors against sympy.
+"""Fraction-free elimination, the congruence diagonal and primitive vectors
+against oracles.
 
 `rank`, `row_echelon` and `kernel_basis` reduce through the integer
 `row_basis`; each is compared with the sympy routine on random matrices:
 square, wide and tall (500 x 6), rank-deficient, with zero rows, and with
-`Fraction` entries.  `gauss_jordan` and `rref_kernel` are also run on
-`Fraction` rows directly.  The integer `factorize` and everything derived
-from it are compared with the trial-division loops they replaced.
+`Fraction` entries.  `row_echelon`'s rows, divided by their pivot entries,
+are sympy's RREF rows.  The `Fraction` Gauss-Jordan elimination that
+`row_echelon` replaced is kept here, checked against sympy, and so is the
+`Fraction` congruence diagonalization that the Bareiss `congruence_diagonal`
+replaced.  The integer `factorize` and everything derived from it are
+compared with the trial-division loops they replaced.
 """
 
 import random
@@ -16,8 +20,8 @@ import pytest
 import sympy
 
 from hyperlat.forms import _square_divisors, squarefree_int
-from hyperlat.linalg import (divisors, factorize, gauss_jordan, kernel_basis, mat_vec,
-                             primitive_vector, rank, row_basis, row_echelon, rref_kernel)
+from hyperlat.linalg import (congruence_diagonal, divisors, factorize, kernel_basis,
+                             mat_vec, primitive_vector, rank, row_basis, row_echelon)
 from hyperlat.polynomials import euler_phi
 
 
@@ -90,14 +94,58 @@ def test_row_echelon_matches_sympy_rref(name, rows):
     rref, pivots = sympy.Matrix(rows).rref()
     ours, our_pivots = row_echelon(rows)
     assert tuple(our_pivots) == tuple(pivots)
-    assert [list(r) for r in ours] == [[_frac(x) for x in rref.row(i)]
-                                       for i in range(len(pivots))]
+    for row, p in zip(ours, our_pivots):
+        assert all(type(x) is int for x in row) and gcd(*row) == 1 and row[p] > 0
+    assert [[Fraction(x, r[p]) for x in r] for r, p in zip(ours, our_pivots)] == \
+        [[_frac(x) for x in rref.row(i)] for i in range(len(pivots))]
 
 
 @pytest.mark.parametrize("name,rows", CASES, ids=[c[0] for c in CASES])
 def test_kernel_basis_matches_sympy_nullspace(name, rows):
     expected = [primitive_vector([_frac(x) for x in v]) for v in sympy.Matrix(rows).nullspace()]
     assert kernel_basis(rows) == expected
+
+
+def gauss_jordan(rows):
+    """Reduced row echelon form of `Fraction` rows; returns (rref rows,
+    pivot columns).  The Gauss-Jordan elimination over Q that `row_echelon`
+    replaced, kept as a reference."""
+    a = [list(row) for row in rows]
+    if not a:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(a[0])):
+        pivot_row = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        pivot = a[r][c]
+        a[r] = [x / pivot for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(a):
+            break
+    return a[:r], pivots
+
+
+def rref_kernel(rref, pivots, ncols: int) -> list[list]:
+    """Kernel basis read off a reduced row echelon form, one vector per free
+    column in increasing order."""
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [0] * ncols
+        vec[fc] = 1
+        for row, pc in zip(rref, pivots):
+            vec[pc] = -row[fc]
+        basis.append(vec)
+    return basis
 
 
 @pytest.mark.parametrize("name,rows", CASES, ids=[c[0] for c in CASES])
@@ -112,6 +160,11 @@ def test_gauss_jordan_on_raw_rows_matches_sympy(name, rows):
     assert len(kernel) == ncols - len(pivots)
     for v in kernel:
         assert not any(mat_vec(rows, v))
+    # the integer echelon basis is the reference RREF, row by row, times
+    # the pivot entries, and its kernel is the reference kernel made primitive
+    echelon, _ = row_echelon(rows)
+    assert [[x * row[p] for x in r] for r, row, p in zip(ours, echelon, pivots)] == echelon
+    assert kernel_basis(rows) == [primitive_vector(v) for v in kernel]
 
 
 def _primitive_by_fractions(v):
@@ -217,3 +270,88 @@ def test_factorization_and_what_derives_from_it_match_the_old_loops():
             assert euler_phi(n) == _old_euler_phi(n)
             small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
             assert divisors(n) == sorted(set(small + [n // d for d in small]))
+
+
+# -- the Bareiss congruence diagonal against the Fraction elimination it replaced ----
+
+def _fraction_congruence_diagonal(gram, branches):
+    """Diagonal of T^t G T by symmetric pivoting over `Fraction`, the
+    elimination `congruence_diagonal` replaced; counts the repair branches
+    it takes in `branches`."""
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    diag = []
+    for k in range(n):
+        if a[k][k] == 0:
+            j = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
+            if j is not None:
+                branches["swap"] += 1
+                a[k], a[j] = a[j], a[k]
+                for row in a:
+                    row[k], row[j] = row[j], row[k]
+            else:
+                j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+                if j is None:
+                    branches["zero"] += 1
+                    diag.append(Fraction(0))
+                    continue
+                branches["completion"] += 1
+                for col in range(n):
+                    a[k][col] += a[j][col]
+                for row in a:
+                    row[k] += row[j]
+        pivot = a[k][k]
+        diag.append(pivot)
+        for i in range(k + 1, n):
+            if a[i][k] != 0:
+                f = a[i][k] / pivot
+                for col in range(n):
+                    a[i][col] -= f * a[k][col]
+                for row in range(n):
+                    a[row][i] -= f * a[row][k]
+    return diag
+
+
+def _random_symmetric(rng):
+    """B^t D B of rank <= n, sometimes with its diagonal zeroed or replaced
+    by a random zero-diagonal form."""
+    n = rng.randint(1, 7)
+    r = rng.randint(0, n)
+    base = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+    d = [rng.choice((-6, -2, -1, 1, 2, 3, 5, 12)) for _ in range(r)]
+    gram = [[sum(b[i] * dk * b[j] for b, dk in zip(base, d)) for j in range(n)]
+            for i in range(n)]
+    roll = rng.random()
+    if roll < 0.25:
+        gram = [[0 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(gram)]
+    elif roll < 0.4:
+        upper = [[rng.choice((0, 0, 1, -1, 2, 3)) for _ in range(n)] for _ in range(n)]
+        gram = [[0 if i == j else upper[min(i, j)][max(i, j)] for j in range(n)]
+                for i in range(n)]
+    return gram
+
+
+def test_congruence_diagonal_matches_the_fraction_diagonal():
+    rng = random.Random(20000)
+    branches = {"swap": 0, "completion": 0, "zero": 0}
+    degenerate = 0
+    for _ in range(3000):
+        gram = _random_symmetric(rng)
+        want = _fraction_congruence_diagonal(gram, branches)
+        got = congruence_diagonal(gram)
+        assert all(type(d) is int for d in got)
+        # num * den of each entry in lowest terms, so the same sign and the
+        # same squarefree class
+        assert got == [d.numerator * d.denominator for d in want], gram
+        degenerate += 0 in got
+    assert min(branches.values()) >= 100, branches
+    assert degenerate >= 300
+
+
+def test_congruence_diagonal_of_u_e8_plus_2():
+    from hyperlat import direct_sum, rank1, standard_lattice
+    lat = direct_sum(direct_sum(standard_lattice("U"), standard_lattice("E8")), rank1(2))
+    got = congruence_diagonal(lat.gram)
+    want = _fraction_congruence_diagonal(lat.gram, {"swap": 0, "completion": 0, "zero": 0})
+    assert got == [d.numerator * d.denominator for d in want]
+    assert sum(d > 0 for d in got) == 2 and sum(d < 0 for d in got) == 9

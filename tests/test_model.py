@@ -1,5 +1,6 @@
 """Cone bookkeeping, distances, model conversions, horoballs."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -11,9 +12,9 @@ from hyperlat import (Horoball, boundary_from_ray, build_lattice,
                       eichler_transvection, from_ball, horoball_contains,
                       horoballs_disjoint, pick_cone, point_from_ray, rank1,
                       reflection, standard_lattice, to_ball, to_upper_half)
-from hyperlat.errors import DifferentAmbient, NotIsotropic, SameRay
+from hyperlat.errors import DifferentAmbient, InvalidParameter, NotIsotropic, SameRay
 from hyperlat.forms import primitive_isotropic_vectors
-from hyperlat.linalg import frac_pairing
+from hyperlat.linalg import gram_schmidt_frame
 from hyperlat.model import HyperboloidPoint, minkowski_coords
 
 U = build_lattice([[0, 1], [1, 0]])
@@ -219,14 +220,58 @@ def test_numeric_points_normalized():
 
 def test_horoball_bound_is_data():
     o = pick_cone(U, (1, 1))
-    ball = Horoball(center=boundary_from_ray(o, (1, 0)), bound=Fraction(2))
+    ball = Horoball(center=boundary_from_ray(o, (1, 0)), bound=(2, 1))
     # with a bigger bound the point (1,1) at pairing 1/sqrt(2) is inside
     assert horoball_contains(ball, point_from_ray(o, (1, 1)))
+    # (1,1) sits at pairing exactly 1/sqrt(2), the bound 3/4 is just above it
+    assert horoball_contains(Horoball(boundary_from_ray(o, (1, 0)), (3, 4)),
+                             point_from_ray(o, (1, 1)))
+    assert not horoball_contains(Horoball(boundary_from_ray(o, (1, 0)), (7, 10)),
+                                 point_from_ray(o, (1, 1)))
+    # bounds 1 and 1/2 need (e, e') >= 1 apart; bounds 1 and 1 need 2
+    b1 = Horoball(boundary_from_ray(o, (1, 0)), (1, 1))
+    assert horoballs_disjoint(b1, Horoball(boundary_from_ray(o, (0, 1)), (2, 4))).disjoint
+    assert not horoballs_disjoint(b1, Horoball(boundary_from_ray(o, (0, 1)), (1, 1))).disjoint
+    with pytest.raises(InvalidParameter):
+        Horoball(boundary_from_ray(o, (1, 0)), (1, 0))
+
+
+def frac_pairing(gram, u, v) -> Fraction:
+    """u^t G v over `Fraction`."""
+    return sum(Fraction(u[i]) * sum(Fraction(gram[i][j]) * Fraction(v[j])
+               for j in range(len(v))) for i in range(len(u)))
+
+
+def fraction_gram_schmidt_frame(gram, v0):
+    """The `Fraction` Gram-Schmidt frame `gram_schmidt_frame` replaced."""
+    n = len(gram)
+    frame = [tuple(Fraction(x) for x in v0)]
+    norms = [frac_pairing(gram, frame[0], frame[0])]
+    for i in range(n):
+        e = [Fraction(1 if j == i else 0) for j in range(n)]
+        v = list(e)
+        for f, nf in zip(frame, norms):
+            c = frac_pairing(gram, e, f) / nf
+            v = [x - c * y for x, y in zip(v, f)]
+        if any(x != 0 for x in v):
+            frame.append(tuple(v))
+            norms.append(frac_pairing(gram, v, v))
+        if len(frame) == n:
+            break
+    return frame
+
+
+@functools.lru_cache(maxsize=None)
+def _fraction_frame(orientation):
+    """ConeOrientation.frame as it was: `Fraction` vectors and norms."""
+    frame = fraction_gram_schmidt_frame(orientation.lattice.gram, orientation.base)
+    norms = [frac_pairing(orientation.lattice.gram, f, f) for f in frame]
+    return frame, norms, [math.sqrt(abs(float(n))) for n in norms]
 
 
 def _fraction_minkowski_coords(orientation, ray):
     """The `Fraction` projection `minkowski_coords` replaced, kept as the oracle."""
-    frame, norms, scales = orientation.frame
+    frame, norms, scales = _fraction_frame(orientation)
     lat = orientation.lattice
     out = []
     for f, n, s in zip(frame, norms, scales):
@@ -269,3 +314,43 @@ def test_integer_projection_is_bit_identical(lat):
             for e in cusps:
                 ray = boundary_from_ray(o, e.coords)
                 assert to_ball(o, ray) == _fraction_to_ball(o, ray)
+
+
+def _fraction_from_ball(orientation, ball_coords):
+    """from_ball on the `Fraction` frame."""
+    b = list(ball_coords)
+    nb2 = sum(x * x for x in b)
+    a0 = (1.0 + nb2) / (1.0 - nb2)
+    rest = [2.0 * x / (1.0 - nb2) for x in b]
+    frame, _, scales = _fraction_frame(orientation)
+    coords = [0.0] * orientation.lattice.rank
+    for a, f, s in zip([a0] + rest, frame, scales):
+        for i, fx in enumerate(f):
+            coords[i] += a / s * float(fx)
+    return tuple(coords)
+
+
+@pytest.mark.parametrize("lat", [D12, U_MINUS2, U_A2, direct_sum(U_A2, rank1(-2)),
+                                 direct_sum(U, standard_lattice("E8"))],
+                         ids=["<1>+<-2>", "U+<-2>", "U+A2", "U+A2+<-2>", "U+E8"])
+def test_integer_frame_equals_the_fraction_frame(lat):
+    rng = random.Random(31)
+    n = lat.rank
+    bases = [pick_cone(lat).base]
+    while len(bases) < 12:
+        v = tuple(rng.randint(-6, 6) for _ in range(n))
+        if lat.norm(v) > 0:
+            bases.append(v)
+    for base in bases:
+        o = pick_cone(lat, base)
+        frame, norms, scales = o.frame
+        want, want_norms, want_scales = _fraction_frame(o)
+        # each vector u / d in lowest terms: the same rationals
+        assert [tuple(Fraction(x, d) for x in u) for u, d in frame] == want
+        assert all(d > 0 and math.gcd(d, *u) == 1 for u, d in frame)
+        assert [Fraction(m, d * d) for m, (_, d) in zip(norms, frame)] == want_norms
+        assert scales == want_scales
+        assert frame == gram_schmidt_frame(lat.gram, base)
+        for _ in range(5):
+            b = [rng.uniform(-0.5, 0.5) / n for _ in range(n - 1)]
+            assert from_ball(o, b) == _fraction_from_ball(o, b)

@@ -1,7 +1,7 @@
 """The integer classification pipeline against oracles: the minimal
 polynomial of the scale against sympy's factorization, the charpoly and
-the Sturm counts against sympy, and the brackets against the Fraction
-bisection they replaced."""
+the Sturm counts against sympy, and the (lo, hi, den) brackets against
+the Fraction bisection they replaced, compared as exact rationals."""
 
 import random
 from fractions import Fraction
@@ -53,12 +53,19 @@ def _loxodromic_words(letters, rng, count):
     return out
 
 
-def _sympy_pick(q, lo, hi):
-    """The irreducible factor of q over Z with a root in [lo, hi], by sympy."""
+def _values(bracket):
+    """The bracket (lo, hi, den) as its two endpoints lo/den and hi/den."""
+    lo, hi, den = bracket
+    return Fraction(lo, den), Fraction(hi, den)
+
+
+def _sympy_pick(q, bracket):
+    """The irreducible factor of q over Z with a root in [lo/den, hi/den], by sympy."""
+    lo, hi, den = bracket
     x = sympy.Symbol("x")
     hits = []
     for factor, _mult in sympy.Poly(list(reversed(q)), x).factor_list()[1]:
-        if factor.count_roots(sympy.Rational(lo), sympy.Rational(hi)) == 1:
+        if factor.count_roots(sympy.Rational(lo, den), sympy.Rational(hi, den)) == 1:
             coeffs = [int(c) for c in reversed(factor.all_coeffs())]
             hits.append(coeffs if coeffs[-1] > 0 else [-c for c in coeffs])
     assert len(hits) == 1, (q, hits)
@@ -72,9 +79,9 @@ def test_minimal_polynomial_matches_sympy_factor_list():
     for name, lat in LATTICES.items():
         for g in _loxodromic_words(_reflections(lat), rng, 80):
             q = squarefree_part(g.charpoly)
-            lo, hi = g.classification.scale_field.bracket()
-            minpoly = minimal_polynomial_of_root(q, lo, hi)
-            assert minpoly == _sympy_pick(q, lo, hi), (name, g.matrix)
+            bracket = g.classification.scale_field.bracket()
+            minpoly = minimal_polynomial_of_root(q, bracket)
+            assert minpoly == _sympy_pick(q, bracket), (name, g.matrix)
             assert g.classification.scale_minpoly == tuple(minpoly)
             degrees.setdefault(name, set()).add(len(minpoly) - 1)
             words += 1
@@ -86,22 +93,24 @@ def test_minimal_polynomial_matches_sympy_factor_list():
 
 def test_minimal_polynomial_requires_a_root_in_the_bracket():
     q = [1, -6, 1]  # x^2 - 6x + 1, roots 3 -+ 2 sqrt 2
-    assert minimal_polynomial_of_root(q, Fraction(5), Fraction(6)) == [1, -6, 1]
+    assert minimal_polynomial_of_root(q, (5, 6, 1)) == [1, -6, 1]
+    assert minimal_polynomial_of_root(q, (15, 18, 3)) == [1, -6, 1]
     with pytest.raises(ArithmeticError):
-        minimal_polynomial_of_root(q, Fraction(1), Fraction(5))
+        minimal_polynomial_of_root(q, (1, 5, 1))
     # the non-cyclotomic part of (x - 1)(x^2 - 6x + 1)
     cubic = [-1, 7, -7, 1]
-    assert minimal_polynomial_of_root(cubic, Fraction(5), Fraction(6)) == [1, -6, 1]
+    assert minimal_polynomial_of_root(cubic, (5, 6, 1)) == [1, -6, 1]
 
 
 def test_bracket_largest_root_above_counts_its_precondition():
     q = [1, -6, 1]  # roots 3 -+ 2 sqrt 2, about 0.17 and 5.83
-    lo, hi = bracket_largest_root_above(q, Fraction(1))
-    assert lo < 3 + 2 * sympy.sqrt(2) <= hi and hi - lo < 1
+    lo, hi, den = bracket_largest_root_above(q, 1, 1)
+    assert lo < (3 + 2 * sympy.sqrt(2)) * den <= hi and 0 < den and hi - lo < den
+    assert _values(bracket_largest_root_above(q, 2, 2)) == _values((lo, hi, den))
     with pytest.raises(ArithmeticError):
-        bracket_largest_root_above(q, Fraction(0))  # two roots above 0
+        bracket_largest_root_above(q, 0, 1)  # two roots above 0
     with pytest.raises(ArithmeticError):
-        bracket_largest_root_above(q, Fraction(6))  # none above 6
+        bracket_largest_root_above(q, 6, 1)  # none above 6
 
 
 def test_cyclotomic_factorization():
@@ -115,12 +124,12 @@ def test_cyclotomic_factorization():
 
 def test_bracket_largest_root_above_raises_when_its_steps_run_out(monkeypatch):
     q = [1, -6, 1]  # from (1, 7] the bracket is isolated after 3 bisections
-    expected = bracket_largest_root_above(q, Fraction(1))
+    expected = bracket_largest_root_above(q, 1, 1)
     monkeypatch.setattr(polynomials, "_BRACKET_STEPS", 3)
-    assert bracket_largest_root_above(q, Fraction(1)) == expected
+    assert bracket_largest_root_above(q, 1, 1) == expected
     monkeypatch.setattr(polynomials, "_BRACKET_STEPS", 2)
     with pytest.raises(ArithmeticError, match="bisections"):
-        bracket_largest_root_above(q, Fraction(1))
+        bracket_largest_root_above(q, 1, 1)
 
 
 # -- charpoly against sympy -------------------------------------------------------
@@ -198,10 +207,14 @@ def test_sturm_counts_match_sympy():
             at_a = int(sp.eval(ra) == 0)
             root_ends += at_a
             # sympy counts the closed [a, +inf) and [a, b]; ours are (a, ...]
-            assert count_roots_gt(p, a) == sp.count_roots(ra) - at_a, (p, a)
+            assert count_roots_gt(p, a.numerator, a.denominator) == \
+                sp.count_roots(ra) - at_a, (p, a)
             for b in ends[i:]:
                 rb = sympy.Rational(b.numerator, b.denominator)
-                assert count_roots_in(p, a, b) == sp.count_roots(ra, rb) - at_a, (p, a, b)
+                # over the common denominator, not reduced
+                bracket = (a.numerator * b.denominator, b.numerator * a.denominator,
+                           a.denominator * b.denominator)
+                assert count_roots_in(p, bracket) == sp.count_roots(ra, rb) - at_a, (p, a, b)
     assert root_ends > 50
 
 
@@ -310,17 +323,21 @@ def test_brackets_match_the_fraction_bisection():
     for lat in LATTICES.values():
         for g in _loxodromic_words(_reflections(lat), rng, 80):
             q = squarefree_part(g.charpoly)
-            bracket = bracket_largest_root_above(q, Fraction(1))
-            assert bracket == _fraction_bracket_largest_root_above(q, Fraction(1))
-            lo, hi = refine_bracket(q, *bracket, eps)
-            assert (lo, hi) == _fraction_refine_bracket(q, *bracket, eps)
-            minpoly = minimal_polynomial_of_root(q, lo, hi)
-            lo, hi = refine_bracket(minpoly, lo, hi, eps)
-            assert (lo, hi) == _fraction_refine_bracket(minpoly, *_fraction_refine_bracket(
-                q, *bracket, eps), eps)
+            first = bracket_largest_root_above(q, 1, 1)
+            want = _fraction_bracket_largest_root_above(q, Fraction(1))
+            assert _values(first) == want
+            bracket = refine_bracket(q, first, 10**16)
+            want = _fraction_refine_bracket(q, *want, eps)
+            assert _values(bracket) == want
+            minpoly = minimal_polynomial_of_root(q, bracket)
+            bracket = refine_bracket(minpoly, bracket, 10**16)
+            want = _fraction_refine_bracket(minpoly, *want, eps)
+            assert _values(bracket) == want
             field = g.classification.scale_field
-            assert field.bracket() == (lo, hi)
-            assert field.bracket(fine) == _fraction_refine_bracket(minpoly, lo, hi, fine)
+            assert field.bracket() == bracket
+            assert _values(field.bracket(10**18)) == _fraction_refine_bracket(
+                minpoly, *want, fine)
+            assert all(type(x) is int for x in field.bracket()) and field.bracket()[2] > 0
             words += 1
     assert words == 240
 
@@ -332,7 +349,7 @@ def test_rational_scalar_product_matches_field_product(minpoly, lo, hi):
     polynomial: every product and every element built from a longer
     polynomial must be its `Fraction` remainder, and an integer factor,
     which skips the reduction, must give the field product."""
-    fld = polynomials.RealAlgebraicField(minpoly, Fraction(lo), Fraction(hi))
+    fld = polynomials.RealAlgebraicField(minpoly, (lo, hi, 1))
     rng = random.Random(len(minpoly))
 
     def fraction_reduced(p):
@@ -351,4 +368,4 @@ def test_rational_scalar_product_matches_field_product(minpoly, lo, hi):
     with pytest.raises(TypeError):
         x * Fraction(1, 2)
     with pytest.raises(ValueError, match="monic"):
-        polynomials.RealAlgebraicField([-2, 0, 2], Fraction(lo), Fraction(hi))
+        polynomials.RealAlgebraicField([-2, 0, 2], (lo, hi, 1))
