@@ -5,7 +5,11 @@ above 1 is detected by Sturm sign counting on the integer characteristic
 polynomial and bracketed by rational bisection; the remaining elements
 split into finite order (elliptic) and unipotent-type (parabolic) through
 exact cyclotomic factorization and matrix powering.  All of this runs in
-Python ints; the scale's bracket is a triple (lo, hi, den) of ints.
+Python ints; the scale's bracket is a triple (lo, hi, den) of ints.  The
+stage that reads only the characteristic polynomial (Sturm counts,
+bisection, the minimal polynomial, the cyclotomic order bound) is shared
+per process, keyed by the exact charpoly; the order test by matrix powers
+and each loxodromic element's scale field and fixed rays stay per element.
 
 Fixed boundary rays: the parabolic one is an integer kernel vector of the
 form on the integer kernel of M - I.  The loxodromic eigenrays are columns
@@ -17,6 +21,7 @@ lambda.  No division in Q(lambda) is needed.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from . import linalg, polynomials as pol
 from .errors import (DimensionMismatch, EllipticHasNoBoundaryFixedPoint,
@@ -57,7 +62,9 @@ class Classification(Record):
 class Isometry:
     """Integer matrix preserving the form and the chosen cone component.
 
-    Classification is computed lazily, exactly once.
+    Classification is computed lazily, exactly once per element; its
+    charpoly-only stage is shared per process with every element of the
+    same exact charpoly, while the order test and fixed rays are its own.
     """
 
     __slots__ = ("orientation", "matrix", "_charpoly", "_classification")
@@ -134,8 +141,16 @@ def make_isometry(orientation: ConeOrientation, matrix) -> Isometry:
     return Isometry(orientation, mat)
 
 
-def _classify(g: Isometry) -> Classification:
-    p = g.charpoly
+@lru_cache(maxsize=None)
+def _classify_charpoly(p: tuple[int, ...]):
+    """The stage of classification that reads only the charpoly p.
+
+    Loxodromic: (minpoly, bracket) of the scale, the bracket refined to
+    width <= 1/_BRACKET_EPS.  Otherwise: the lcm of the cyclotomic orders,
+    a bound for the order of a finite-order element.  Shared by every
+    element with this charpoly for the life of the process; a raise is not
+    cached.
+    """
     q = pol.squarefree_part(p)
     above = pol.count_roots_gt(q, 1, 1)
     if above > 1:
@@ -146,10 +161,7 @@ def _classify(g: Isometry) -> Classification:
         bracket = pol.bracket_largest_root_above(q, 1, 1)
         bracket = pol.refine_bracket(q, bracket, _BRACKET_EPS)
         minpoly = pol.minimal_polynomial_of_root(q, bracket)
-        bracket = pol.refine_bracket(minpoly, bracket, _BRACKET_EPS)
-        fld = pol.RealAlgebraicField(minpoly, bracket)
-        return Classification(kind=LOXODROMIC, scale_minpoly=tuple(minpoly),
-                              scale_field=fld)
+        return tuple(minpoly), pol.refine_bracket(minpoly, bracket, _BRACKET_EPS)
     factors = pol.cyclotomic_factorization(p)
     if factors is None:
         raise ArithmeticError(
@@ -158,7 +170,17 @@ def _classify(g: Isometry) -> Classification:
     order_bound = math.lcm(*(d for d, _ in factors))
     if order_bound > ORDER_CAP:
         raise OrderCapExceeded(f"elliptic order bound {order_bound} exceeds cap")
-    order = pol.identity_power_order(g.matrix, linalg.divisors(order_bound))
+    return order_bound
+
+
+def _classify(g: Isometry) -> Classification:
+    shared = _classify_charpoly(tuple(g.charpoly))
+    if isinstance(shared, tuple):
+        minpoly, bracket = shared
+        # a field of its own: sign() narrows the bracket it holds
+        return Classification(kind=LOXODROMIC, scale_minpoly=minpoly,
+                              scale_field=pol.RealAlgebraicField(minpoly, bracket))
+    order = pol.identity_power_order(g.matrix, linalg.divisors(shared))
     if order is not None:
         return Classification(kind=ELLIPTIC, order=order)
     return Classification(kind=PARABOLIC)

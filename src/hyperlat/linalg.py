@@ -82,16 +82,17 @@ def pairing(gram, u, v):
 
 
 def matrix_power(m, k: int):
-    n = len(m)
-    out = identity_matrix(n)
-    base = m
-    e = k
-    while e > 0:
-        if e & 1:
-            out = mat_mul(out, base)
+    """m^k by binary powering; the identity for k <= 0."""
+    if k <= 0:
+        return identity_matrix(len(m))
+    base, out = tuple(map(tuple, m)), None
+    while True:
+        if k & 1:
+            out = base if out is None else mat_mul(out, base)
+        k >>= 1
+        if not k:
+            return out
         base = mat_mul(base, base)
-        e >>= 1
-    return out
 
 
 def bareiss_det(mat) -> int:

@@ -127,7 +127,7 @@ def charpoly(mat) -> list[int]:
     out = [0] * n + [1]
     m = identity_matrix(n)
     for k in range(1, n + 1):
-        am = mat_mul(mat, m)
+        am = mat_mul(mat, m) if k > 1 else mat  # A M_1 = A
         c, r = divmod(-sum(am[i][i] for i in range(n)), k)
         if r:
             raise ArithmeticError(f"trace of A M_{k} is not divisible by {k}")
@@ -466,9 +466,10 @@ class AlgebraicNumber:
 def identity_power_order(mat, candidate_orders) -> int | None:
     """Smallest k among sorted candidates with mat^k = I, else None."""
     ident = identity_matrix(len(mat))
-    power, done = ident, 0
+    done = 0
     for k in sorted(candidate_orders):
-        power = mat_mul(power, matrix_power(mat, k - done))  # mat^k from mat^done
+        step = matrix_power(mat, k - done)
+        power = mat_mul(power, step) if done else step  # mat^k from mat^done
         done = k
         if power == ident:
             return k

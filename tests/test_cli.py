@@ -14,7 +14,10 @@ import time
 
 import pytest
 
-from hyperlat import cli, direct_sum, standard_lattice
+from hyperlat import (FGGroup, cli, direct_sum, eichler_transvection, pick_cone,
+                      reflection, standard_lattice)
+from hyperlat.groups import elements_up_to
+from hyperlat.isometry import LOXODROMIC, _classify_charpoly
 
 CLI = [sys.executable, "-m", "hyperlat.cli"]
 
@@ -351,6 +354,31 @@ def test_output_deterministic_across_runs(files):
     b = run_cli(args, files)
     assert out_json(a) and out_json(b)
     assert a.stdout == b.stdout
+
+
+def test_warm_classification_cache_leaves_reports_unchanged(files, monkeypatch, capsys):
+    """Reports from one process that classified before equal cold runs."""
+    o = pick_cone(cli.load_lattice(str(files / "um2.json")), (1, 1, 0))
+    gens = [reflection(o, d) for d in ((0, 0, 1), (1, 0, 1), (0, 1, 1))]
+    gens += [eichler_transvection(o, e, (0, 0, 1)) for e in ((1, 0, 0), (0, 1, 0))]
+    (files / "um2_group.json").write_text(
+        json.dumps({"generators": [{"matrix": g.matrix} for g in gens]}))
+    lox = next(e for e, _ in elements_up_to(FGGroup(tuple(gens)), 3)
+               if e.classification.kind == LOXODROMIC)
+    (files / "um2_lox.json").write_text(json.dumps({"matrix": lox.matrix}))
+    entropy = ["entropy", "--lattice", "um2.json", "--group", "um2_group.json",
+               "--budget", "3"]
+    classify = ["classify", "--lattice", "um2.json", "--isometry", "um2_lox.json"]
+    cold = {tuple(a): run_cli(a, files) for a in (entropy, classify)}
+    assert all(p.returncode == 0 for p in cold.values())
+    assert "loxodromic" in cold[tuple(entropy)].stdout
+    monkeypatch.chdir(files)
+    _classify_charpoly.cache_clear()
+    # classify's fixed rays narrow its scale's bracket before the last entropy
+    for argv in (entropy, entropy, classify, entropy):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == cold[tuple(argv)].stdout, argv
+    assert _classify_charpoly.cache_info().hits > 0
 
 
 def test_roots_output_deterministic_across_runs(files):

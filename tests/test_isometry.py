@@ -13,7 +13,9 @@ from hyperlat import (build_lattice, classify, direct_sum,
 from hyperlat.errors import (EllipticHasNoBoundaryFixedPoint,
                              NonIntegralResult, NotOrthogonal, WrongComponent,
                              WrongNorm)
-from hyperlat.isometry import ELLIPTIC, LOXODROMIC, PARABOLIC
+from hyperlat.groups import FGGroup, elements_up_to
+from hyperlat.isometry import (ELLIPTIC, LOXODROMIC, PARABOLIC, Isometry, _classify,
+                               _classify_charpoly)
 from hyperlat.linalg import (identity_matrix, kernel_basis, mat_mul, primitive_vector,
                              transpose)
 from hyperlat.polynomials import trim
@@ -612,3 +614,82 @@ def test_integer_sign_matches_the_fraction_sign():
             assert _values(fresh.bracket()) == (want_lo, want_hi)
             refined += (want_lo, want_hi) != _values(first)
     assert refined >= 1000
+
+
+# -- the charpoly stage, shared per process --------------------------------------
+
+def _memo_group(which):
+    """(group, budget) of the three entropy-report groups."""
+    if which == "um2":
+        gens = [reflection(O_UM2, d) for d in ((0, 0, 1), (1, 0, 1), (0, 1, 1))]
+        gens += [eichler_transvection(O_UM2, e, (0, 0, 1)) for e in ((1, 0, 0), (0, 1, 0))]
+        return FGGroup(tuple(gens)), 3
+    if which == "pell":
+        return FGGroup((PELL, make_isometry(O_D12, [[1, 0], [0, -1]]))), 6
+    roots = ((0, 0, 1, 0, 0), (0, 0, 0, 0, 1), (1, 0, 0, 0, 1), (0, 1, 0, 0, 1),
+             (1, -1, 0, 0, 0))
+    gens = [reflection(O_UA2M2, d) for d in roots]
+    gens.append(eichler_transvection(O_UA2M2, (1, 0, 0, 0, 0), (0, 0, 1, 0, 0)))
+    return FGGroup(tuple(gens)), 2
+
+
+def _fresh_elements(which):
+    """The group's non-identity elements up to its budget, none classified yet."""
+    group, budget = _memo_group(which)
+    return [Isometry(e.orientation, e.matrix)
+            for e, _ in elements_up_to(group, budget, include_identity=False)]
+
+
+def _outcome(g):
+    cls = g.classification
+    bracket = cls.scale_field.bracket() if cls.scale_field is not None else None
+    return cls.as_json(), bracket, entropy(g)
+
+
+@pytest.mark.parametrize("which", ["um2", "pell", "ua2m2"])
+def test_warm_charpoly_stage_gives_the_cold_result(which):
+    cold = []
+    for g in _fresh_elements(which):
+        _classify_charpoly.cache_clear()
+        cold.append(_outcome(g))
+    _classify_charpoly.cache_clear()
+    warm = [_outcome(g) for g in _fresh_elements(which)]
+    assert _classify_charpoly.cache_info().hits > 0
+    hot = [_outcome(g) for g in _fresh_elements(which)]
+    assert warm == cold and hot == cold
+    assert any(c[0]["class"] == LOXODROMIC for c in cold)
+
+
+def test_elements_with_one_charpoly_get_fields_of_their_own():
+    g = make_isometry(O_D12, [[3, 4], [2, 3]])
+    h = g.inverse()
+    assert g.charpoly == h.charpoly
+    fg, fh = g.classification.scale_field, h.classification.scale_field
+    assert fg is not fh
+    before = fh.bracket()
+    lo, hi, den = fg.bracket()
+    # den alpha - lo > 0 straddles 0 on the bracket, so sign() must narrow it
+    assert fg.element([-lo, den]).sign() == 1
+    assert fg.bracket() != before
+    assert fh.bracket() == before
+    assert entropy(h) == entropy(make_isometry(O_D12, [[3, -4], [-2, 3]]))
+
+
+def test_charpoly_stage_runs_once_per_distinct_charpoly():
+    elems = _fresh_elements("um2")
+    _classify_charpoly.cache_clear()
+    for g in elems:
+        g.classification
+    distinct = {tuple(g.charpoly) for g in elems}
+    assert len(elems) == 75 and len(distinct) == 8
+    assert _classify_charpoly.cache_info().misses == 8
+
+
+def test_a_rejected_charpoly_is_not_cached():
+    # (x - 2)(x - 3): two roots above 1, so no isometry of a (1, n) form
+    _classify_charpoly.cache_clear()
+    for calls in (1, 2, 3):
+        with pytest.raises(ArithmeticError, match="more than one root > 1"):
+            _classify(Isometry(O_U, ((2, 0), (0, 3))))
+        info = _classify_charpoly.cache_info()
+        assert (info.misses, info.currsize) == (calls, 0)

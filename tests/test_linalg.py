@@ -19,9 +19,11 @@ from math import gcd, isqrt
 import pytest
 import sympy
 
+from hyperlat import linalg
 from hyperlat.forms import _square_divisors, squarefree_int
-from hyperlat.linalg import (congruence_diagonal, divisors, factorize, kernel_basis,
-                             mat_vec, primitive_vector, rank, row_basis, row_echelon)
+from hyperlat.linalg import (congruence_diagonal, divisors, factorize, identity_matrix,
+                             kernel_basis, mat_mul, mat_vec, matrix_power,
+                             primitive_vector, rank, row_basis, row_echelon)
 from hyperlat.polynomials import euler_phi
 
 
@@ -355,3 +357,24 @@ def test_congruence_diagonal_of_u_e8_plus_2():
     want = _fraction_congruence_diagonal(lat.gram, {"swap": 0, "completion": 0, "zero": 0})
     assert got == [d.numerator * d.denominator for d in want]
     assert sum(d > 0 for d in got) == 2 and sum(d < 0 for d in got) == 9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_matrix_power_matches_the_naive_product(n, monkeypatch):
+    rng = random.Random(71 + n)
+    products = []
+
+    def counting(a, b):
+        products.append(1)
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(linalg, "mat_mul", counting)
+    for _ in range(3):
+        m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        naive = identity_matrix(n)
+        for k in range(41):
+            products.clear()
+            assert matrix_power(m, k) == naive, (m, k)
+            # one squaring per bit after the first, one product per further set bit
+            assert len(products) == max(0, k.bit_length() + bin(k).count("1") - 2)
+            naive = mat_mul(naive, m)

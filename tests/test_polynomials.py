@@ -12,6 +12,7 @@ import sympy
 from hyperlat import (direct_sum, make_isometry, pick_cone, polynomials, rank1,
                       reflection, standard_lattice)
 from hyperlat.isometry import LOXODROMIC
+from hyperlat.linalg import mat_mul
 from hyperlat.polynomials import (bracket_largest_root_above, charpoly,
                                   count_roots_gt, count_roots_in,
                                   cyclotomic_factorization, degree, derivative,
@@ -170,6 +171,21 @@ def test_charpoly_checks_its_divisions():
     # a non-integer trace leaves a remainder in the first division
     with pytest.raises(ArithmeticError):
         charpoly(((Fraction(1, 2),),))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_charpoly_takes_n_minus_one_products(n, monkeypatch):
+    # M_1 = I, so A M_1 is A itself; the Cayley-Hamilton check still runs
+    products = []
+
+    def counting(a, b):
+        products.append(len(a))
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(polynomials, "mat_mul", counting)
+    mat = tuple(tuple(random.Random(n).randint(-9, 9) for _ in range(n)) for _ in range(n))
+    assert charpoly(mat) == _sympy_charpoly(mat)
+    assert products == [n] * (n - 1)
 
 
 # -- Sturm counts and squarefree parts against sympy ------------------------------
