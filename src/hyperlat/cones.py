@@ -2,10 +2,11 @@
 extreme rays, facet reduction, and the generalized-polytope hypothesis check.
 
 Halfspace normals are lattice vectors w acting through the bilinear form:
-the inequality is (w, x) >= 0.  Internally each normal becomes the plain
-linear functional gram * w, and all pivoting is fraction-free in
-integers; adjacency during double description uses the exhaustive
-combinatorial test, no heuristics.
+the inequality is (w, x) = w . (G x) >= 0, with G x formed once per ray
+and no functional G w per normal.  The double description returns each
+ray's zero set over the normals, and the facets are read off those zero
+sets.  All pivoting is fraction-free in integers; adjacency during double
+description uses the exhaustive combinatorial test, no heuristics.
 """
 
 from __future__ import annotations
@@ -52,10 +53,6 @@ class PolyhedralCone(Record):
         object.__setattr__(self, "orientation", orientation)
         object.__setattr__(self, "truncated_at", truncated_at)
 
-    @property
-    def ambient_rank(self) -> int:
-        return self.lattice.rank
-
     @cached_property
     def functionals(self) -> tuple[tuple[int, ...], ...]:
         """Each normal w as the plain linear functional G w, in halfspace order."""
@@ -75,63 +72,72 @@ def cone_from_halfspaces(lattice: GramLattice, normals, *, orientation=None,
                           orientation=orientation, truncated_at=truncated_at)
 
 
-def double_description(functionals, n: int):
-    """Exact V-representation of {x in Q^n : f.x >= 0 for all f}.
+def double_description(normals, gram):
+    """Exact V-representation of {x in Q^n : (w, x) >= 0 for every normal w}.
 
-    Returns (rays, lineality): primitive integer extreme rays of the
-    pointed quotient (lifted back) and a primitive basis of the lineality
-    space.  Deterministic: input order drives insertion order, output is
-    sorted.
+    (w, x) = w . G x for G = gram, symmetric and invertible; the identity
+    gives plain functionals.  Returns (rays, lineality, zero_sets): the
+    sorted primitive extreme rays of the pointed quotient, lifted back; a
+    primitive basis of the lineality space; for each ray the bitmask of
+    the normals i with (w_i, ray) = 0.  Positive multiples of the normals
+    give the same result.
     """
-    functionals = [tuple(f) for f in functionals]
-    if not functionals:
-        ident = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        return [], ident
-    echelon, pivots = linalg.row_echelon(functionals)
+    normals = [tuple(w) for w in normals]
+    n = len(gram)
+    if not normals:
+        return [], list(linalg.identity_matrix(n)), []
+    # the functionals G w span G times the span of the normals, so a row
+    # basis of the normals, mapped by G, has their reduced echelon form
+    basis = linalg.row_basis(normals)
+    echelon, pivots = linalg.row_echelon([linalg.mat_vec(gram, b) for b in basis])
     lineality = linalg.echelon_kernel(echelon, pivots, n)
-    r = len(pivots)
-    if r == 0:
-        return [], lineality
-    # complement of the lineality space: e_p at the pivot columns p, the
-    # standard basis vectors a greedy pick modulo ker(functionals) would take
-    projected = [tuple(f[p] for p in pivots) for f in functionals]
-    lifted = []
-    for qray in _pointed_double_description(projected, r):
-        vec = [0] * n
-        for coef, p in zip(qray, pivots):
-            vec[p] = coef
-        lifted.append(tuple(vec))
-    return sorted(set(lifted)), lineality
+    if not pivots:
+        return [], lineality, []
+    zsets = _pointed_double_description(normals, gram, pivots)
+    rays = sorted(zsets)
+    return rays, lineality, [zsets[ray] for ray in rays]
 
 
-def _pointed_double_description(rows, r: int):
-    """Extreme rays of a pointed cone {y : rows . y >= 0} of ambient dim r."""
-    # seed with r linearly independent constraints -> simplicial cone
+def _pointed_double_description(normals, gram, pivots):
+    """{ray: zero set over all rows} for the pointed part of {x : (w, x) >= 0},
+    its rays in the span of e_p at the pivot columns p; each carries G x."""
+    n, r = len(gram), len(pivots)
+    # seed with r linearly independent rows (so functionals) -> simplicial cone
     seed_idx = []
     seed_rows = []
-    for i, row in enumerate(rows):
-        if linalg.rank(seed_rows + [list(row)]) > len(seed_rows):
+    for i, row in enumerate(normals):
+        if linalg.rank(seed_rows + [row]) > len(seed_rows):
             seed_idx.append(i)
-            seed_rows.append(list(row))
+            seed_rows.append(row)
         if len(seed_idx) == r:
             break
     if len(seed_idx) != r:
         raise ArithmeticError("quotient cone must have full-rank constraints")
-    # the seed rays solve S x = e_k: the columns of adj(S), signed by det(S)
-    adj = linalg.adjugate(seed_rows)
-    sign = 1 if linalg.bareiss_det(seed_rows) > 0 else -1
-    rays = [linalg.primitive_vector([sign * row[k] for row in adj]) for k in range(r)]
+    # the seed rays solve S y = e_k, S the seeds' G w at the (increasing)
+    # pivot columns: the columns of adj(S), signed by det(S), lifted
+    seed_fns = [[f[p] for p in pivots] for f in (linalg.mat_vec(gram, w) for w in seed_rows)]
+    adj = linalg.adjugate(seed_fns)
+    sign = 1 if linalg.bareiss_det(seed_fns) > 0 else -1
+    rays = []
+    for k in range(r):
+        ys = iter(linalg.primitive_vector([sign * row[k] for row in adj]))
+        rays.append(tuple(next(ys) if j in pivots else 0 for j in range(n)))
+    images = {ray: linalg.mat_vec(gram, ray) for ray in rays}
     seeds = set(seed_idx)
     # zero set of each ray over the rows processed so far, as a bitmask
-    zsets = {ray: sum(1 << i for i in seed_idx if linalg.dot(rows[i], ray) == 0)
+    zsets = {ray: sum(1 << i for i in seed_idx if linalg.dot(normals[i], images[ray]) == 0)
              for ray in rays}
-    for i, row in enumerate(rows):
+    for i, row in enumerate(normals):
         if i in seeds:
             continue
-        values = {ray: linalg.dot(row, ray) for ray in rays}
-        pos = [ray for ray in rays if values[ray] > 0]
-        zero = [ray for ray in rays if values[ray] == 0]
+        values = {ray: linalg.dot(row, images[ray]) for ray in rays}
+        for ray, value in values.items():
+            if not value:
+                zsets[ray] |= 1 << i
         neg = [ray for ray in rays if values[ray] < 0]
+        if not neg:
+            continue  # no ray leaves, so no ray is added
+        pos = [ray for ray in rays if values[ray] > 0]
         fresh = {}
         for p in pos:
             for m in neg:
@@ -144,16 +150,15 @@ def _pointed_double_description(rows, r: int):
                 combo = tuple(values[p] * mx - values[m] * px for px, mx in zip(p, m))
                 # a positive combination: its zero set is exactly Z(p) & Z(m), plus row i
                 fresh.setdefault(linalg.primitive_vector(combo), common | 1 << i)
-        for ray in zero:
-            zsets[ray] |= 1 << i
         for ray in neg:
-            del zsets[ray]
-        rays = pos + zero
+            del zsets[ray], images[ray]
+        rays = [ray for ray in rays if values[ray] >= 0]
         for ray, zset in fresh.items():
             if ray not in zsets:
                 zsets[ray] = zset
+                images[ray] = linalg.mat_vec(gram, ray)
                 rays.append(ray)
-    return rays
+    return zsets
 
 
 def extreme_rays(cone: PolyhedralCone, *, max_dim: int = DIM_BUDGET) -> PolyhedralCone:
@@ -162,17 +167,22 @@ def extreme_rays(cone: PolyhedralCone, *, max_dim: int = DIM_BUDGET) -> Polyhedr
     Lineality directions are reported as +-pairs of rays.  Tags need the
     cone's orientation; without one every tag is "other".
     """
-    if cone.ambient_rank > max_dim:
+    return _vrep(cone, max_dim)[0]
+
+
+def _vrep(cone: PolyhedralCone, max_dim: int = DIM_BUDGET):
+    """`extreme_rays`, and the zero set over the halfspaces of each listed
+    ray; a lineality direction lies on every hyperplane."""
+    if cone.lattice.rank > max_dim:
         raise DimensionBudgetExceeded(
             f"double description budget is rank <= {max_dim}")
-    rays, lineality = double_description(cone.functionals, cone.ambient_rank)
-    full = list(rays)
-    for line in lineality:
-        full.append(line)
-        full.append(linalg.vec_neg(line))
-    full = sorted(set(full))
+    rays, lineality, zero_sets = double_description(cone.halfspaces, cone.lattice.gram)
+    every = (1 << len(cone.halfspaces)) - 1
+    zsets = dict(zip(rays, zero_sets)) | {
+        v: every for line in lineality for v in (line, linalg.vec_neg(line))}
+    full = sorted(zsets)
     tags = tuple(_tag_ray(cone, ray) for ray in full)
-    return replace(cone, rays=tuple(full), ray_tags=tags)
+    return replace(cone, rays=tuple(full), ray_tags=tags), [zsets[ray] for ray in full]
 
 
 def _tag_ray(cone: PolyhedralCone, ray) -> str:
@@ -203,22 +213,32 @@ def irredundant_halfspaces(cone: PolyhedralCone) -> PolyhedralCone:
     """Drop halfspaces that do not define facets, using the V-rep.
 
     Each halfspace cuts out a face, generated by the listed rays it
-    contains; its zero set over those rays is a bitmask.  The facets are
-    the maximal proper faces, so a halfspace is kept when no other proper
-    mask strictly contains its own.  Halfspaces active on the whole cone
+    contains: its mask, read off the rays' zero sets (from the double
+    description, or against G ray for a given V-rep).  The facets are the
+    maximal proper faces, so a halfspace is kept when no other proper mask
+    strictly contains its own.  Halfspaces active on the whole cone
     (implicit equalities) are kept too; they cannot be dropped without
     growing the cone.
     """
-    vrep = cone if cone.rays is not None else extreme_rays(cone)
-    rays = vrep.rays
-    if not rays:
+    halfspaces = cone.halfspaces
+    if cone.rays is None:
+        vrep, zero_sets = _vrep(cone)
+    else:
+        vrep, gram = cone, cone.lattice.gram
+        zero_sets = [sum(1 << i for i, w in enumerate(halfspaces) if linalg.dot(w, image) == 0)
+                     for image in (linalg.mat_vec(gram, ray) for ray in cone.rays)]
+    if not vrep.rays:
         return vrep  # the zero cone: every constraint may matter, keep all
-    masks = [sum(1 << k for k, r in enumerate(rays) if linalg.dot(f, r) == 0)
-             for f in cone.functionals]
-    full = (1 << len(rays)) - 1
+    masks = [0] * len(halfspaces)
+    for k, zset in enumerate(zero_sets):
+        while zset:
+            low = zset & -zset
+            masks[low.bit_length() - 1] |= 1 << k
+            zset ^= low
+    full = (1 << len(zero_sets)) - 1
     proper = set(masks) - {full}
-    keep = tuple(w for w, m in zip(cone.halfspaces, masks)
-                 if m == full or not any(o != m and o & m == m for o in proper))
+    facets = {full} | {m for m in proper if not any(o != m and o & m == m for o in proper)}
+    keep = tuple(w for w, m in zip(halfspaces, masks) if m in facets)
     # dropping redundant inequalities leaves the cone, and so its V-rep, as it is
     return replace(vrep, halfspaces=keep)
 
@@ -237,11 +257,9 @@ def polytope_hypothesis_check(cone: PolyhedralCone,
     o = orientation or cone.orientation
     if o is None:
         raise InvalidParameter("hypothesis check needs a cone orientation")
-    if cone.ray_tags is not None and o == cone.orientation:
-        work = cone
-    else:
-        work = extreme_rays(replace(cone, orientation=o, rays=None, ray_tags=None))
-    reduced = irredundant_halfspaces(work)
+    if cone.ray_tags is None or o != cone.orientation:
+        cone = replace(cone, orientation=o, rays=None, ray_tags=None)
+    reduced = irredundant_halfspaces(cone)
     tags = list(reduced.ray_tags or ())
     rays = list(reduced.rays or ())
     cusps = [list(r) for r, t in zip(rays, tags) if t == TAG_ISOTROPIC]

@@ -6,24 +6,27 @@ label; exactness of a truncated domain is not decidable here and is never
 claimed.  Words over the symmetric generator set are searched breadth
 first twice: `elements_up_to` deduplicates elements by exact matrix and
 caps their count; `_orbit_ball`, behind orbits and Dirichlet domains,
-deduplicates the points w.x by exact ray and caps their count, with one
-matrix-vector product per candidate and no matrix product.
+deduplicates the points w.x by exact ray and caps their count, applying
+each letter only through the rows where it differs from the identity.
+Dirichlet bisectors enter the double description unscaled; sample points
+are randint's draws, taken from the same generator calls in bulk.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import chain
+from operator import mul
 
 from . import linalg
-from .cones import HalfSpace, PolyhedralCone, cone_from_halfspaces, \
-    extreme_rays, irredundant_halfspaces, ray_satisfies
+from .cones import HalfSpace, PolyhedralCone, irredundant_halfspaces, ray_satisfies
 from .errors import (BudgetExceeded, DifferentAmbient, FixedBasepoint,
                      InvalidParameter, OnWall)
 from .forms import enumerate_norm_vectors
 from .isometry import ELLIPTIC, Isometry, fixed_boundary_points, reflection
 from .lattice import GramLattice
 from .model import ConeOrientation, HyperboloidPoint, point_from_ray, to_ball
-from .record import Record
+from .record import Record, replace
 
 DEFAULT_ORBIT_CAP = 200_000
 SAMPLE_BOX = 50
@@ -119,30 +122,37 @@ def word_string(word) -> str:
 def _orbit_ball(g: FGGroup, ray, depth: int, cap: int = DEFAULT_ORBIT_CAP) -> list:
     """Distinct orbit points w.x over words w of length <= depth, x first.
 
-    Breadth-first over points: each candidate costs one matrix-vector
-    product.  A level's new points p come in the order of the least key
-    (inv_idx[k], rank of q) over the letters k and the previous level's
-    points q with k.q = p.  That is the order in which `elements_up_to`
-    first reaches an element g with g^-1 x = p: the outer letter of g^-1 x
-    is the inverse of the first letter the element search adds.  Looping
-    over the letters by inverse index, then over q, meets each point first
-    at its least key.  The letter that undoes the one that first reached q
-    is skipped, since it leads back to a known point.  `cap` counts
-    distinct points, x included.
+    Breadth-first over points: a candidate costs one dot product per row
+    where its letter differs from the identity.  A level's new points p
+    come in the order of the least key (inv_idx[k], rank of q) over the
+    letters k and the previous level's points q with k.q = p.  That is the
+    order in which `elements_up_to` first reaches an element g with
+    g^-1 x = p: the outer letter of g^-1 x is the inverse of the first
+    letter the element search adds.  Looping over the letters by inverse
+    index, then over q, meets each point first at its least key.  The
+    letter that undoes the one that first reached q is skipped, since it
+    leads back to a known point.  `cap` counts distinct points, x included.
     """
     mats, _labels, inv_idx = _letters(g)
     x = tuple(ray)
+    ident = linalg.identity_matrix(len(x))
+    moves = [[(i, row) for i, (row, e) in enumerate(zip(mat, ident)) if row != e]
+             for mat in mats]
+    dot = linalg.dot
     seen = {x: None}  # insertion-ordered
     level = [(x, None)]  # (point, index of the letter that first reached it)
     for _ in range(depth):
         fresh = []
         for a in range(len(mats)):
             k = inv_idx[a]
-            mat = mats[k]
+            move = moves[k]
             for q, last in level:
                 if last == a:
                     continue  # letter k undoes letter a, which made q
-                p = linalg.mat_vec(mat, q)
+                p = list(q)
+                for i, row in move:
+                    p[i] = dot(row, q)
+                p = tuple(p)
                 if p in seen:
                     continue
                 if len(seen) >= cap:
@@ -323,6 +333,13 @@ def dirichlet_domain(g: FGGroup, h: HyperboloidPoint, word_budget: int, *,
     first reaches them; then reduced to facets via the exact
     V-representation.  `cap` counts distinct orbit points.  The result is
     a superset of the true domain and carries the truncation label.
+
+    The bisectors enter the double description as they are, neither made
+    primitive nor deduplicated; only the facets kept are made primitive.
+    No two bisectors are parallel: if q - h = c (p - h), c not 0 or 1,
+    expanding (q, q) = (p, p) = (h, h) = N > 0 gives (p, h) = N, equality
+    in the reverse Cauchy-Schwarz inequality (p, h)^2 >= (p, p)(h, h): p is
+    a multiple of h with h's norm, in h's cone, so p = h.
     """
     if h.orientation != g.orientation:
         raise DifferentAmbient("basepoint and group live over different ambients")
@@ -331,49 +348,53 @@ def dirichlet_domain(g: FGGroup, h: HyperboloidPoint, word_budget: int, *,
            for gen in g.generators):
         raise FixedBasepoint("a generator fixes the basepoint")
     points = _orbit_ball(g, h.ray, word_budget, cap)
-    normals = [linalg.vec_sub(p, points[0]) for p in points[1:]]
-    cone = cone_from_halfspaces(g.lattice, normals, orientation=g.orientation,
-                                truncated_at=word_budget)
-    if not cone.halfspaces:
-        return extreme_rays(cone)
-    return irredundant_halfspaces(cone)
+    bisectors = tuple(linalg.vec_sub(p, points[0]) for p in points[1:])
+    dom = irredundant_halfspaces(PolyhedralCone(
+        g.lattice, bisectors, orientation=g.orientation, truncated_at=word_budget))
+    return replace(dom, halfspaces=tuple(map(linalg.primitive_vector, dom.halfspaces)))
 
 
 # -- tiling verification ----------------------------------------------------------------
 
 def sample_cone_points(orientation: ConeOrientation, count: int, seed: int, *,
-                       box: int = SAMPLE_BOX, predicate=None):
-    """Random rational points of H^n: integer rays in a box, cone-filtered."""
-    rng = random.Random(seed)
+                       box: int = SAMPLE_BOX, within: PolyhedralCone | None = None):
+    """Random rational points of H^n: integer rays in a box, cone-filtered.
+
+    The candidates are the rays of randint(-box, box) per coordinate on
+    Random(seed), at most 10 000 count of them.  With `within`, only points
+    strictly inside that cone are kept.  Cheapest rejection first: the
+    pairing with the base, then the strict inequalities of `within` on the
+    raw ray (they hold iff they hold on its primitive multiple), the norm.
+    """
+    if box < 0:
+        raise InvalidParameter("sample box must be >= 0")
     gram = orientation.lattice.gram
-    gram_base = linalg.mat_vec(gram, orientation.base)
-    n = len(gram)
-    width = 2 * box + 1
-    bits = width.bit_length()
-    getrandbits = rng.getrandbits
+    forms = (linalg.mat_vec(gram, orientation.base),) + (
+        () if within is None else within.functionals)
+    draws = chain.from_iterable(_randint_chunks(random.Random(seed), box))
     out = []
-    attempts = 0
-    while len(out) < count and attempts < 10_000 * count:
-        attempts += 1
-        # randint(-box, box) per coordinate: randrange(width)'s rejection
-        # loop over getrandbits, inlined
-        coords = []
-        for _ in range(n):
-            r = getrandbits(bits)
-            while r >= width:
-                r = getrandbits(bits)
-            coords.append(r - box)
-        ray = tuple(coords)
-        # (ray, base) first: it is one dot and rejects about half the box
-        if linalg.dot(ray, gram_base) <= 0 or linalg.dot(ray, linalg.mat_vec(gram, ray)) <= 0:
-            continue
-        pt = point_from_ray(orientation, ray)
-        if predicate is not None and not predicate(pt):
-            continue
-        out.append(pt)
+    for _, ray in zip(range(10_000 * count), zip(*[draws] * len(gram))):
+        for f in forms:
+            if sum(map(mul, f, ray)) <= 0:
+                break
+        else:
+            if linalg.dot(ray, linalg.mat_vec(gram, ray)) > 0:
+                out.append(point_from_ray(orientation, ray))
+                if len(out) == count:
+                    break
     if len(out) < count:
         raise BudgetExceeded("sampling failed to hit the requested region")
     return out
+
+
+def _randint_chunks(rng: random.Random, box: int):
+    """rng.randint(-box, box) without end, in lists of the values kept from
+    1024 draws: randint's rejection loop over getrandbits(b), b the bit
+    length of the width 2 box + 1, with its calls made in bulk."""
+    width = 2 * box + 1
+    bits = [width.bit_length()] * 1024
+    while True:
+        yield [v - box for v in map(rng.getrandbits, bits) if v < width]
 
 
 def tiling_check(cone: PolyhedralCone, g: FGGroup, samples: int, word_budget: int,
@@ -386,26 +407,12 @@ def tiling_check(cone: PolyhedralCone, g: FGGroup, samples: int, word_budget: in
     """
     o = g.orientation
     elems = [e for e, _ in elements_up_to(g, word_budget, include_identity=False)]
-    inside = sample_cone_points(
-        o, samples, seed, predicate=lambda p: ray_satisfies(cone, p.ray, strict=True))
-    overlaps = 0
     # the word ball is closed under inversion: some g^-1 moves pt inside iff some g does
-    for pt in inside:
-        for elem in elems:
-            if ray_satisfies(cone, elem.apply(pt.ray), strict=True):
-                overlaps += 1
-                break
-    anywhere = sample_cone_points(o, samples, seed + 1)
-    unreachable = 0
-    for pt in anywhere:
-        reached = ray_satisfies(cone, pt.ray)
-        if not reached:
-            for elem in elems:
-                if ray_satisfies(cone, elem.apply(pt.ray)):
-                    reached = True
-                    break
-        if not reached:
-            unreachable += 1
+    overlaps = sum(any(ray_satisfies(cone, e.apply(pt.ray), strict=True) for e in elems)
+                   for pt in sample_cone_points(o, samples, seed, within=cone))
+    unreachable = sum(not ray_satisfies(cone, pt.ray)
+                      and not any(ray_satisfies(cone, e.apply(pt.ray)) for e in elems)
+                      for pt in sample_cone_points(o, samples, seed + 1))
     return {
         "samples": samples,
         "word_budget": word_budget,

@@ -25,7 +25,7 @@ from hyperlat import (Horoball, boundary_from_ray, build_lattice,
 from hyperlat.cones import double_description
 from hyperlat.forms import INFINITE_PLACE, primitive_isotropic_vectors, squarefree_int
 from hyperlat.isometry import LOXODROMIC, PARABOLIC
-from hyperlat.linalg import dot, kernel_basis, primitive_vector, rank
+from hyperlat.linalg import dot, identity_matrix, kernel_basis, primitive_vector, rank
 from hyperlat.polynomials import squarefree_part
 
 U = build_lattice([[0, 1], [1, 0]])
@@ -233,7 +233,7 @@ def test_double_description_vs_brute_force():
         fns = [f for f in fns if any(f)]
         if not fns or kernel_basis(fns):
             continue  # keep the oracle's pointed-cone assumption
-        got, lineality = double_description(fns, n)
+        got, lineality, _zero_sets = double_description(fns, identity_matrix(n))
         assert lineality == []
         assert sorted(got) == _brute_extreme_rays(fns, n)
         done += 1

@@ -11,7 +11,8 @@ from hyperlat import build_lattice, cone_from_halfspaces, extreme_rays, \
 from hyperlat.cones import (TAG_INTERIOR, TAG_ISOTROPIC, double_description,
                             irredundant_halfspaces)
 from hyperlat.errors import DimensionBudgetExceeded
-from hyperlat.linalg import dot, kernel_basis, primitive_vector, rank, row_echelon
+from hyperlat.linalg import (adjugate, bareiss_det, dot, identity_matrix, kernel_basis,
+                             mat_vec, primitive_vector, rank, row_echelon)
 
 U = build_lattice([[0, 1], [1, 0]])
 D12 = build_lattice([[1, 0], [0, -2]])
@@ -58,11 +59,18 @@ def test_double_description_vs_brute_force_50_random_cones():
         n = rng.randint(2, 4)
         count = rng.randint(n, 8)
         fns = random_pointed_functionals(rng, n, count)
-        got_rays, lineality = double_description(fns, n)
+        got_rays, lineality, zero_sets = double_description(fns, identity_matrix(n))
         assert lineality == []
         expected = brute_extreme_rays(fns, n)
         assert sorted(got_rays) == expected, (fns, got_rays, expected)
+        assert zero_sets == _zero_sets(fns, identity_matrix(n), got_rays)
         done += 1
+
+
+def _zero_sets(normals, gram, rays):
+    """Oracle: for each ray the bitmask of the normals w with (w, ray) = 0."""
+    return [sum(1 << i for i, w in enumerate(normals) if dot(mat_vec(gram, w), ray) == 0)
+            for ray in rays]
 
 
 def _old_solve_linear(rows, rhs):
@@ -183,11 +191,32 @@ def test_double_description_matches_old_on_random_cones():
         n = rng.randint(1, 5)
         lineality_dim = rng.randint(0, n - 1) if k % 2 else 0
         fns = random_functionals(rng, n, rng.randint(1, 9), lineality_dim)
-        got = double_description(fns, n)
-        assert got == _old_double_description(fns, n), fns
-        seen_lineality += bool(got[1])
-    assert double_description([], 3) == _old_double_description([], 3)
+        rays, lineality, zero_sets = double_description(fns, identity_matrix(n))
+        assert (rays, lineality) == _old_double_description(fns, n), fns
+        assert zero_sets == _zero_sets(fns, identity_matrix(n), rays)
+        seen_lineality += bool(lineality)
+        # the same cone from lattice normals w, G w a positive multiple of f,
+        # over a Gram matrix with det < 0 or with |det| > 1
+        gram = _random_gram(rng, n, negative=k % 2 == 1)
+        sign = 1 if bareiss_det(gram) > 0 else -1
+        scales = [sign * rng.randint(1, 5) for _ in fns]
+        normals = [tuple(c * x for x in mat_vec(adjugate(gram), f)) for c, f in zip(scales, fns)]
+        assert double_description(normals, gram) == (rays, lineality, zero_sets), fns
+    assert double_description([], identity_matrix(3)) == \
+        _old_double_description([], 3) + ([],)
     assert seen_lineality >= 50
+
+
+def _random_gram(rng, n, negative):
+    """A random symmetric integer matrix with det < 0, or with |det| > 1."""
+    while True:
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                gram[i][j] = gram[j][i] = rng.randint(-3, 3)
+        det = bareiss_det(gram)
+        if (det < 0) if negative else abs(det) > 1:
+            return gram
 
 
 def test_rays_satisfy_all_halfspaces():

@@ -12,7 +12,7 @@ from hyperlat import (build_lattice, chamber_walk, cones, dirichlet_domain,
                       pick_cone, point_from_ray, polytope_hypothesis_check, rank1,
                       reflection, standard_lattice, tiling_check)
 from hyperlat.cones import cone_from_halfspaces
-from hyperlat.errors import BudgetExceeded, FixedBasepoint, OnWall
+from hyperlat.errors import BudgetExceeded, FixedBasepoint, InvalidParameter, OnWall
 from hyperlat.groups import (_fixes_ray_projectively, _orbit_ball, elements_up_to,
                              sample_cone_points)
 from hyperlat.model import to_ball
@@ -259,6 +259,8 @@ DOMAINS = [  # (group, basepoint ray, word budget)
     (lambda: _reflection_group("u-a2"), (3, 5, 1, 0), 5),
     (lambda: _reflection_group("u-a2"), (4, 3, 1, 1), 3),
     (lambda: _reflection_group("u-a2-m2"), (5, 7, 1, 0, 1), 4),
+    # one bisector: the normals span a line, the lineality space has dimension 3
+    (lambda: group(reflection(O_UA2, (0, 0, 1, 0))), (3, 5, 1, 0), 1),
 ]
 
 
@@ -296,11 +298,34 @@ def _random_cones(seed, count):
     return out
 
 
+def _random_gram_cones(seed, count):
+    """Random cones over random nondegenerate Gram matrices, alternately
+    with det < 0 and with |det| > 1, some with a lineality space."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, 4)
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                gram[i][j] = gram[j][i] = rng.randint(-3, 3)
+        det = linalg.bareiss_det(gram)
+        if not (det < 0 if len(out) % 2 else abs(det) > 1):
+            continue
+        normals = [tuple(rng.randint(-4, 4) for _ in range(n))
+                   for _ in range(rng.randint(1, 8))]
+        out.append(cone_from_halfspaces(build_lattice(gram), [w for w in normals if any(w)]))
+    return out
+
+
 def test_irredundant_halfspaces_matches_old_on_random_cones():
     dropped = 0
-    for cone in _random_cones(2024, 50):
-        if not cone.halfspaces:
-            continue
+    zero_cone = cone_from_halfspaces(U, [(1, 0), (-1, 0), (0, 1), (0, -1)])
+    empty = cone_from_halfspaces(U_A2, [])
+    assert cones.extreme_rays(zero_cone).rays == ()
+    assert cones.extreme_rays(empty).rays == tuple(sorted(
+        v for e in linalg.identity_matrix(4) for v in (e, linalg.vec_neg(e))))
+    for cone in _random_cones(2024, 50) + _random_gram_cones(2025, 50) + [zero_cone, empty]:
         got = cones.irredundant_halfspaces(cone)
         assert got == _old_irredundant_halfspaces(cone)
         vrep = cones.extreme_rays(cone)
@@ -315,8 +340,8 @@ def test_dirichlet_domain_runs_one_double_description(make_group, ray, budget,
     g = make_group()
     h = point_from_ray(g.orientation, ray)
     calls = []
-    real = cones.extreme_rays
-    monkeypatch.setattr(cones, "extreme_rays",
+    real = cones.double_description
+    monkeypatch.setattr(cones, "double_description",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
     dom = dirichlet_domain(g, h, budget)
     assert len(calls) == 1
@@ -410,11 +435,44 @@ def test_sample_cone_points_match_randint_sampler(name):
     dom = dirichlet_domain(g, point_from_ray(o, (3, 5, 1) if name == "u-m2"
                                              else (5, 7, 1, 0, 1)), 3)
     inside = lambda p: cones.ray_satisfies(dom, p.ray, strict=True)  # noqa: E731
+    # the width 2 box + 1 needs 7, 7, 3, 8, 9, 16, 16, 32, 32 and 33 bits
+    boxes = ((50, None), (50, dom), (3, None), (100, None), (200, None), (20_000, None),
+             (20_000, dom), (2**30, None), (2**31 - 1, None), (2**31, None))
     for seed in (0, 1, 7, 123):
-        for box, predicate in ((50, None), (50, inside), (3, None)):
-            got = sample_cone_points(o, 25, seed, box=box, predicate=predicate)
-            assert got == _old_sample_cone_points(o, 25, seed, box=box,
-                                                  predicate=predicate)
+        for box, within in boxes:
+            got = sample_cone_points(o, 25, seed, box=box, within=within)
+            assert got == _old_sample_cone_points(
+                o, 25, seed, box=box, predicate=None if within is None else inside)
+
+
+def test_sample_cone_points_give_up_after_10000_count_candidates(monkeypatch):
+    # no ray lies strictly inside the halfspaces (0,0,1) and (0,0,-1), and the
+    # box of width 1 (1 bit) holds only the zero ray
+    flat = cone_from_halfspaces(U_MINUS2, [(0, 0, 1), (0, 0, -1)], orientation=O_UM2)
+    in_flat = lambda p: cones.ray_satisfies(flat, p.ray, strict=True)  # noqa: E731
+    assert _old_sample_cone_points(O_UM2, 2, 5, predicate=in_flat) == []
+    assert _old_sample_cone_points(O_UM2, 2, 5, box=0) == []
+    real = groups._randint_chunks
+    drawn = []
+
+    def one_value_per_chunk(rng, box):
+        for chunk in real(rng, box):
+            for value in chunk:
+                drawn.append(value)
+                yield [value]
+
+    monkeypatch.setattr(groups, "_randint_chunks", one_value_per_chunk)
+    for box, within in ((50, flat), (0, None)):
+        drawn.clear()
+        with pytest.raises(BudgetExceeded, match="sampling failed"):
+            sample_cone_points(O_UM2, 2, 5, box=box, within=within)
+        assert len(drawn) == 10_000 * 2 * 3  # 10 000 count candidate rays of rank 3
+
+
+def test_negative_sample_box_is_refused():
+    # randint(1, -1) has no value to draw: the rejection loop would never end
+    with pytest.raises(InvalidParameter, match="sample box"):
+        sample_cone_points(O_UM2, 1, 0, box=-1)
 
 
 # -- the orbit ball: one breadth-first search over points --------------------------------
@@ -480,6 +538,63 @@ def test_orbit_ball_matches_element_ball(case):
     want = cones.irredundant_halfspaces(cone_from_halfspaces(
         g.lattice, normals, orientation=g.orientation, truncated_at=budget))
     assert dirichlet_domain(g, h, budget).halfspaces == want.halfspaces
+
+
+def test_no_bisector_is_a_multiple_of_another():
+    # the Dirichlet domain feeds the bisectors p - h to the double description
+    # without making them primitive or deduplicating them
+    for case, (g, ray) in enumerate(ORBIT_CASES):
+        points = _orbit_ball(g, ray, 1 + case % 4)
+        prims = {linalg.primitive_vector(linalg.vec_sub(p, ray)) for p in points[1:]}
+        assert len(prims) == len(points) - 1
+        assert not prims & {linalg.vec_neg(v) for v in prims}
+
+
+DENSE_LETTER_CASES = [  # (group, basepoint ray, depth): letters moving several rows
+    (PELL_GROUP, (3, 1), 6),
+    (group(TRANSVECTION, eichler_transvection(O_UM2, (0, 1, 0), (0, 0, 1))), (2, 3, 1), 3),
+    (group(TRANSVECTION, MIRROR), (2, 3, 1), 4),
+    (group(reflection(O_UA2M2, (1, -1, 0, 0, 0)).compose(
+        reflection(O_UA2M2, (0, 0, 1, 1, 0)))), (5, 7, 1, 0, 1), 5),
+]
+
+
+@pytest.mark.parametrize("g, ray, depth", DENSE_LETTER_CASES)
+def test_orbit_ball_matches_element_ball_with_dense_letters(g, ray, depth):
+    ident = linalg.identity_matrix(len(ray))
+    assert any(sum(row != e for row, e in zip(gen.matrix, ident)) >= 2
+               for gen in g.generators)
+    assert _orbit_ball(g, ray, depth) == _element_ball_points(g, ray, depth)
+
+
+def test_orbit_ball_evaluates_a_letter_at_its_non_identity_rows(monkeypatch):
+    # the mirror of (0,0,1) negates the last coordinate (one row); the
+    # mirror of (1,-1,0) swaps the first two (two rows)
+    g = group(MIRROR, reflection(O_UM2, (1, -1, 0)))
+    letters = groups._letters(g)
+    monkeypatch.setattr(groups, "_letters", lambda _g: letters)
+    rows = []
+    real_dot = linalg.dot
+    monkeypatch.setattr(linalg, "dot", lambda u, v: rows.append(tuple(u)) or real_dot(u, v))
+    monkeypatch.setattr(linalg, "mat_vec", lambda *a: rows.append("mat_vec"))
+    points = _orbit_ball(g, (2, 3, 1), 3)
+    assert points == [(2, 3, 1), (2, 3, -1), (3, 2, 1), (3, 2, -1)]
+    # candidates: the mirror twice, the swap three times (the last two find
+    # known points); no identity row is evaluated and no matrix applied
+    assert sorted(rows) == [(0, 0, -1)] * 2 + [(0, 1, 0)] * 3 + [(1, 0, 0)] * 3
+
+
+def test_domain_with_lineality_pins_its_vrep():
+    # U+A2 and one reflection: a single bisector, so the lineality space of the
+    # domain has dimension 3 and appears as three +- pairs among the rays
+    g = group(reflection(O_UA2, (0, 0, 1, 0)))
+    dom = dirichlet_domain(g, point_from_ray(O_UA2, (3, 5, 1, 0)), 1)
+    assert dom.halfspaces == ((0, 0, -1, 0),)
+    assert dom.rays == ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, -2), (0, 0, 1, 0),
+                        (0, 0, 1, 2), (0, 1, 0, 0), (1, 0, 0, 0))
+    rays, lineality, zero_sets = cones.double_description(dom.halfspaces, U_A2.gram)
+    assert (rays, lineality, zero_sets) == ([(0, 0, 1, 0)], [(1, 0, 0, 0), (0, 1, 0, 0),
+                                                             (0, 0, 1, 2)], [0])
 
 
 def test_orbit_cases_cover_stabilisers_and_extra_letters():
