@@ -1,12 +1,13 @@
 """Rational polyhedral cones: H-representation, exact double description,
 extreme rays, facet reduction, and the generalized-polytope hypothesis check.
 
-Halfspace normals are lattice vectors w acting through the bilinear form:
-the inequality is (w, x) = w . (G x) >= 0, with G x formed once per ray
-and no functional G w per normal.  The double description returns each
-ray's zero set over the normals, and the facets are read off those zero
-sets.  All pivoting is fraction-free in integers; adjacency during double
-description uses the exhaustive combinatorial test, no heuristics.
+A cone is a PolyhedralCone on its halfspace normals, plain integer
+vectors w acting through the bilinear form: the inequality is
+(w, x) = w . (G x) >= 0, with G x formed once per ray and no functional
+G w per normal.  The double description returns each ray's zero set over
+the normals, and the facets are read off those zero sets.  All pivoting
+is fraction-free in integers; adjacency during double description uses
+the exhaustive combinatorial test, no heuristics.
 """
 
 from __future__ import annotations
@@ -24,13 +25,6 @@ DIM_BUDGET = 6
 TAG_INTERIOR = "interior_positive"
 TAG_ISOTROPIC = "rational_isotropic"
 TAG_OTHER = "other"
-
-
-class HalfSpace(Record):
-    """One inequality (normal, x) >= 0 in the lattice pairing."""
-
-    def __init__(self, normal: tuple[int, ...]):
-        object.__setattr__(self, "normal", normal)
 
 
 class PolyhedralCone(Record):
@@ -58,18 +52,6 @@ class PolyhedralCone(Record):
         """Each normal w as the plain linear functional G w, in halfspace order."""
         gram = self.lattice.gram
         return tuple(linalg.mat_vec(gram, w) for w in self.halfspaces)
-
-
-def cone_from_halfspaces(lattice: GramLattice, normals, *, orientation=None,
-                         truncated_at=None) -> PolyhedralCone:
-    """Build a cone from lattice-pairing normals; dedups and primitivizes.
-
-    Accepts plain vectors or HalfSpace objects.
-    """
-    prims = (linalg.primitive_vector(coords_of(w.normal if isinstance(w, HalfSpace) else w))
-             for w in normals)
-    return PolyhedralCone(lattice=lattice, halfspaces=tuple(dict.fromkeys(prims)),
-                          orientation=orientation, truncated_at=truncated_at)
 
 
 def double_description(normals, gram):

@@ -4,7 +4,9 @@ Three engines, stacked by root_existence:
 
 * bounded box enumeration with per-coordinate interval pruning and a
   solved last coordinate,
-* exhaustive residue scans producing replayable congruence certificates,
+* exhaustive residue scans over one modulus ladder, run only inside
+  root_existence; a congruence certificate has one (modulus, norm) part
+  per square class of the norm, and replay_congruence re-runs each part,
 * rational (an)isotropy via Hilbert symbols and the local-global principle.
 
 A "not found up to height H" outcome is never reported as nonexistence;
@@ -26,7 +28,6 @@ DEFAULT_MODULUS_LADDER = (3, 4, 5, 7, 8, 9, 16, 25, 27)
 # candidate coordinate values tested per call; the solved last coordinate
 # counts once per visit
 DEFAULT_ENUM_CAP = 2_000_000
-DEFAULT_RESIDUE_CAP = 5_000_000
 LADDER_RESIDUE_CAP = 200_000
 DEFAULT_WITNESS_HEIGHT = 8
 
@@ -193,10 +194,9 @@ def primitive_isotropic_vectors(lattice: GramLattice, height: int, *,
         if linalg.vec_content(c) != 1:
             continue
         if in_cone:
-            s = lattice.pair(c, orientation.base)
-            if s == 0:
-                continue  # cannot happen for nonzero isotropic vectors
-            if s < 0:
+            # never 0: the base has positive norm, so its orthogonal
+            # complement is negative definite in signature (1, n)
+            if lattice.pair(c, orientation.base) < 0:
                 c = linalg.vec_neg(c)
         hits.append(LatticeVector(c))
     return sorted(hits, key=lambda v: v.coords)
@@ -233,31 +233,10 @@ def _scan_residues(gram, m, modulus) -> bool:
     return rec(0, 0, [0] * n, [False] * len(primes))
 
 
-def congruence_obstruction(lattice: GramLattice, m: int, moduli, *,
-                           cap: int = DEFAULT_RESIDUE_CAP) -> dict | None:
-    """Smallest modulus in `moduli` obstructing Q(v) = m for primitive v.
-
-    Returns a replayable certificate dict, or None when every modulus
-    admits a primitive residue solution.
-    """
-    for modulus in sorted(set(int(x) for x in moduli)):
-        if modulus < 2:
-            raise InvalidParameter("moduli must be >= 2")
-        if modulus ** lattice.rank > cap:
-            raise BudgetExceeded(
-                f"residue scan {modulus}^{lattice.rank} exceeds cap {cap}")
-        if not _scan_residues(lattice.gram, m, modulus):
-            return {"kind": "congruence", "modulus": modulus, "norm": m}
-    return None
-
-
 def replay_congruence(lattice: GramLattice, certificate: dict) -> bool:
-    """Re-run the residue scan recorded in a congruence certificate."""
-    parts = certificate.get("parts") or [certificate]
-    for part in parts:
-        if _scan_residues(lattice.gram, part["norm"], part["modulus"]):
-            return False
-    return True
+    """Re-run the residue scans recorded in a congruence certificate's parts."""
+    return not any(_scan_residues(lattice.gram, part["norm"], part["modulus"])
+                   for part in certificate["parts"])
 
 
 # -- Hilbert symbols and rational isotropy ----------------------------------------
@@ -381,22 +360,28 @@ def _relevant_places(diag) -> list:
 
 
 def _locally_isotropic(diag, p) -> bool:
-    """Local isotropy of a diagonal form of rank 2..4 at a finite place.
+    """Local isotropy of a nonempty diagonal form at a finite place.
 
     The entries of diag are squarefree integers and p is a checked prime.
+    Rank 1 is anisotropic; rank >= 5 is isotropic at every finite place
+    (Serre, A Course in Arithmetic, IV 2.2, Thm 6).
     """
     n = len(diag)
+    if n == 0:
+        raise InvalidParameter("local isotropy of an empty diagonal")
+    if n == 1:
+        return False
+    if n >= 5:
+        return True
     d = squarefree_int(prod(diag))
     if n == 2:
         return _square_in_qp(-d, p)
     eps = _hasse_invariant(diag, p)
     if n == 3:
         return _hilbert(-1, -d, p) == eps
-    if n == 4:
-        if not _square_in_qp(d, p):
-            return True
-        return eps == _hilbert(-1, -1, p)
-    raise AssertionError("rank outside 2..4")
+    if not _square_in_qp(d, p):
+        return True
+    return eps == _hilbert(-1, -1, p)
 
 
 def _search_isotropic_witness(lattice: GramLattice, max_height: int) -> LatticeVector | None:

@@ -8,8 +8,9 @@ first twice: `elements_up_to` deduplicates elements by exact matrix and
 caps their count; `_orbit_ball`, behind orbits and Dirichlet domains,
 deduplicates the points w.x by exact ray and caps their count, applying
 each letter only through the rows where it differs from the identity.
-Dirichlet bisectors enter the double description unscaled; sample points
-are randint's draws, taken from the same generator calls in bulk.
+Dirichlet bisectors, the differences p - h of the basepoint's orbit
+points, enter the double description unscaled; sample points are
+randint's draws, taken from the same generator calls in bulk.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from itertools import chain
 from operator import mul
 
 from . import linalg
-from .cones import HalfSpace, PolyhedralCone, irredundant_halfspaces, ray_satisfies
+from .cones import PolyhedralCone, irredundant_halfspaces, ray_satisfies
 from .errors import (BudgetExceeded, DifferentAmbient, FixedBasepoint,
                      InvalidParameter, OnWall)
 from .forms import enumerate_norm_vectors
@@ -299,30 +300,6 @@ def _preserves_pair(gen: Isometry, pair) -> bool:
 
 # -- Dirichlet domains ---------------------------------------------------------------
 
-def _pull_back(g: Isometry, gram_h) -> tuple[int, ...]:
-    """g^-1 h = adj(G) g^t (G h) / det G from gram_h = G h: two
-    matrix-vector products and an exact division, without forming g^-1."""
-    lat = g.lattice
-    det = lat.determinant
-    w = linalg.mat_vec(lat.adjugate, linalg.mat_vec(linalg.transpose(g.matrix), gram_h))
-    if any(x % det for x in w):
-        raise ArithmeticError("adj(G) g^t G h is not divisible by det G: g^t G g != G")
-    return tuple(x // det for x in w)
-
-
-def dirichlet_halfspace(h: HyperboloidPoint, g: Isometry) -> HalfSpace:
-    """Bisector inequality selecting the h-side: (g^-1 h - h, x) >= 0.
-
-    Exactly equivalent to d(h, x) <= d(h, g x) because g^-1 h and h share
-    the same exact norm.  The normal is returned primitive.
-    """
-    moved = _pull_back(g, linalg.mat_vec(g.lattice.gram, h.ray))
-    if tuple(moved) == tuple(h.ray):
-        raise FixedBasepoint("basepoint is fixed; choose another basepoint")
-    normal = linalg.vec_sub(moved, h.ray)
-    return HalfSpace(normal=linalg.primitive_vector(normal))
-
-
 def dirichlet_domain(g: FGGroup, h: HyperboloidPoint, word_budget: int, *,
                      cap: int = DEFAULT_ORBIT_CAP) -> PolyhedralCone:
     """Budget-truncated Dirichlet domain around a rational basepoint.
@@ -366,6 +343,8 @@ def sample_cone_points(orientation: ConeOrientation, count: int, seed: int, *,
     pairing with the base, then the strict inequalities of `within` on the
     raw ray (they hold iff they hold on its primitive multiple), the norm.
     """
+    if count < 1:
+        raise InvalidParameter("sample count must be >= 1")
     if box < 0:
         raise InvalidParameter("sample box must be >= 0")
     gram = orientation.lattice.gram
@@ -404,7 +383,11 @@ def tiling_check(cone: PolyhedralCone, g: FGGroup, samples: int, word_budget: in
     (a) no sampled interior point of the domain lies in another translate's
     interior, and (b) every sampled cone point is carried into the domain
     by some word within the budget; failures are counted, not hidden.
+    Fewer than one sample, or a negative word budget, is refused: either
+    would report a pass that checked nothing.
     """
+    if word_budget < 0:
+        raise InvalidParameter("word budget must be >= 0")
     o = g.orientation
     elems = [e for e, _ in elements_up_to(g, word_budget, include_identity=False)]
     # the word ball is closed under inversion: some g^-1 moves pt inside iff some g does

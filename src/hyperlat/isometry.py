@@ -186,10 +186,6 @@ def _classify(g: Isometry) -> Classification:
     return Classification(kind=PARABOLIC)
 
 
-def classify(g: Isometry) -> Classification:
-    return g.classification
-
-
 def entropy(g: Isometry) -> float:
     """log of the spectral radius: 0 exactly unless loxodromic."""
     cls = g.classification

@@ -1,14 +1,14 @@
 """Integral lattices: exact Gram matrices, signatures, and standard blocks.
 
 A lattice here is Z^n with an integral nondegenerate symmetric bilinear
-form, represented by its Gram matrix.  All arithmetic is arbitrary
-precision and exact; the signature comes from rational congruence
-diagonalization, never from numerical eigenvalues.
+form, represented by its Gram matrix; GramLattice.pair evaluates the form.
+All arithmetic is arbitrary precision and exact; the signature comes from
+rational congruence diagonalization, never from numerical eigenvalues.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from functools import cached_property
 
 from . import linalg
@@ -111,10 +111,6 @@ def signature(lattice: GramLattice) -> tuple[int, int]:
     return lattice.signature
 
 
-def inner_product(lattice: GramLattice, u, v) -> int:
-    return lattice.pair(u, v)
-
-
 def direct_sum(l1: GramLattice, l2: GramLattice) -> GramLattice:
     """Orthogonal (block-diagonal) sum."""
     n1, n2 = l1.rank, l2.rank
@@ -145,19 +141,17 @@ _CARTAN = {
 }
 
 
-def standard_lattice(name: str, m: int | None = None, positive: bool = False) -> GramLattice:
+def standard_lattice(name: str, m: int | None = None) -> GramLattice:
     """Standard building blocks: U, A2, D4, E8 and rank-one <m>.
 
     Root lattices come out negative definite (root norm -2) because the
-    hyperbolic lattices assembled from them have signature (1, n); pass
-    positive=True to flip the sign convention.
+    hyperbolic lattices assembled from them have signature (1, n).
     """
     key = name.upper()
     if key == "U":
         return build_lattice([[0, 1], [1, 0]])
     if key in _CARTAN:
-        sign = 1 if positive else -1
-        return build_lattice([[sign * x for x in row] for row in _CARTAN[key]])
+        return build_lattice([[-x for x in row] for row in _CARTAN[key]])
     if key in ("RANK1", "<M>"):
         if m is None or m == 0:
             raise InvalidParameter("rank1 lattice needs a nonzero integer m")
@@ -168,7 +162,3 @@ def standard_lattice(name: str, m: int | None = None, positive: bool = False) ->
 def rank1(m: int) -> GramLattice:
     return standard_lattice("rank1", m)
 
-
-def vector(coords: Iterable[int]) -> LatticeVector:
-    c = tuple(int(x) for x in coords)
-    return LatticeVector(coords=c)

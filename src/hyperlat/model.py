@@ -15,6 +15,7 @@ from functools import cached_property
 from . import linalg
 from .errors import (DifferentAmbient, InvalidParameter, NotInCone,
                      NotIsotropic, NotPrimitive, SameRay, WrongSignature)
+from .forms import first_norm_vector
 from .lattice import GramLattice, coords_of, signature
 from .record import Record
 
@@ -67,7 +68,6 @@ def pick_cone(lattice: GramLattice, base=None) -> ConeOrientation:
     """Designate a positive cone, finding a small base vector when not given."""
     if base is not None:
         return ConeOrientation(lattice=lattice, base=coords_of(base))
-    from .forms import first_norm_vector  # local import avoids a cycle
     tested = 0  # one candidate budget for the whole norm x height search
     for height in (1, 2, 3, 5, 8):
         for m in range(1, 4 * height * height + 1):
@@ -75,13 +75,6 @@ def pick_cone(lattice: GramLattice, base=None) -> ConeOrientation:
             if best is not None:
                 return ConeOrientation(lattice=lattice, base=best.coords)
     raise InvalidParameter("no small positive-norm vector found; pass a base explicitly")
-
-
-def contains_in_cone(orientation: ConeOrientation, v) -> bool:
-    """True iff v.v > 0 and v pairs positively with the cone base."""
-    c = coords_of(v)
-    lat = orientation.lattice
-    return lat.norm(c) > 0 and lat.pair(c, orientation.base) > 0
 
 
 class HyperboloidPoint(Record):
@@ -98,11 +91,6 @@ class HyperboloidPoint(Record):
     @property
     def norm(self) -> int:
         return self.lattice.norm(self.ray)
-
-    def numeric(self) -> tuple[float, ...]:
-        """Coordinates of ray / sqrt(ray.ray) in the lattice basis."""
-        s = math.sqrt(self.norm)
-        return tuple(x / s for x in self.ray)
 
     def __repr__(self):
         return f"HyperboloidPoint{self.ray}"

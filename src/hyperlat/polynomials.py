@@ -357,9 +357,6 @@ class RealAlgebraicField:
         """The integer polynomial coeffs (low degree first) at alpha."""
         return AlgebraicNumber(self, _reduce(coeffs, self.minpoly))
 
-    def generator(self) -> "AlgebraicNumber":
-        return self.element([0, 1])
-
     def bracket(self, eps_den: int | None = None) -> tuple[int, int, int]:
         """(lo, hi, den), refined first to width <= 1/eps_den if given."""
         if eps_den is not None:

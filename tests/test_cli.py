@@ -111,6 +111,15 @@ def test_dirichlet_and_tiling(files):
     assert rep2["result"]["passed"]
 
 
+@pytest.mark.parametrize("option", ["--samples=0", "--samples=-3", "--check-budget=-1"])
+def test_tile_check_refuses_a_check_that_checks_nothing(files, option):
+    proc = run_cli(["tile-check", "--lattice", "d12.json", "--group", "pell_group.json",
+                    "--point", "1,0", "--budget", "3", option], files)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("input error:"), proc.stderr
+    assert proc.stdout == ""
+
+
 def test_chamber_walk(files):
     rep = out_json(run_cli(["chamber-walk", "--lattice", "um2.json",
                             "--point", "2,2,1", "--height", "1"], files))

@@ -6,16 +6,21 @@ from fractions import Fraction
 
 import pytest
 
-from hyperlat import build_lattice, cone_from_halfspaces, extreme_rays, \
-    pick_cone, polytope_hypothesis_check
-from hyperlat.cones import (TAG_INTERIOR, TAG_ISOTROPIC, double_description,
-                            irredundant_halfspaces)
+from hyperlat import build_lattice, extreme_rays, pick_cone, polytope_hypothesis_check
+from hyperlat.cones import (TAG_INTERIOR, TAG_ISOTROPIC, PolyhedralCone,
+                            double_description, irredundant_halfspaces)
 from hyperlat.errors import DimensionBudgetExceeded
 from hyperlat.linalg import (adjugate, bareiss_det, dot, identity_matrix, kernel_basis,
                              mat_vec, primitive_vector, rank, row_echelon)
 
 U = build_lattice([[0, 1], [1, 0]])
 D12 = build_lattice([[1, 0], [0, -2]])
+
+
+def cone_from_halfspaces(lattice, normals, *, orientation=None):
+    """Oracle constructor: a cone on the primitive, deduplicated normals."""
+    prims = dict.fromkeys(primitive_vector(tuple(w)) for w in normals)
+    return PolyhedralCone(lattice, tuple(prims), orientation=orientation)
 
 
 def brute_extreme_rays(functionals, n):

@@ -8,11 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from hyperlat import (build_lattice, congruence_obstruction, direct_sum,
+from hyperlat import (build_lattice, direct_sum,
                       enumerate_norm_vectors, forms, hilbert_symbol,
                       primitive_isotropic_vectors, rank1, rational_isotropy,
                       root_existence, signature, standard_lattice)
-from hyperlat.errors import BudgetExceeded, NoPositiveConeSet
+from hyperlat.errors import BudgetExceeded, InvalidParameter, NoPositiveConeSet
 from hyperlat.forms import (INFINITE_PLACE, first_norm_vector, replay_congruence,
                             replay_rational_certificate, replay_verdict,
                             squarefree_int)
@@ -83,31 +83,69 @@ def test_primitive_isotropic_cone_filter():
 
 # -- congruence obstructions -------------------------------------------------------
 
+def _congruence_parts(lat, m):
+    """The parts of root_existence's congruence certificate, or None."""
+    v = root_existence(lat, m, 1)
+    if v.kind != "certified_none" or v.certificate["kind"] != "congruence":
+        return None
+    assert v.certificate["norm"] == m
+    return v.certificate["parts"]
+
+
 def test_congruence_family_mod4():
     for k in (1, 2, 5):
         lat = build_lattice([[4, 0, 0], [0, -8, 0], [0, 0, -12 * k]])
-        cert = congruence_obstruction(lat, -2, [4])
-        assert cert == {"kind": "congruence", "modulus": 4, "norm": -2}
-        assert replay_congruence(lat, cert)
+        assert _congruence_parts(lat, -2) == [{"modulus": 4, "norm": -2}]
+        assert replay_congruence(lat, root_existence(lat, -2, 1).certificate)
 
 
 def test_congruence_none_cases():
-    assert congruence_obstruction(U, 0, [4, 8]) is None
-    assert congruence_obstruction(build_lattice([[2, 0], [0, -2]]), -2, [8]) is None
+    assert forms._scan_residues(U.gram, 0, 4) and forms._scan_residues(U.gram, 0, 8)
+    assert forms._scan_residues(((2, 0), (0, -2)), -2, 8)
+    assert _congruence_parts(build_lattice([[2, 0], [0, -2]]), -2) is None
+    assert _congruence_parts(U_MINUS2, -2) is None
 
 
 def test_congruence_primitivity_matters():
-    # diag(1,-4): x^2 - 4y^2 = -2 is impossible mod 4 for primitive v
-    # (x must be even, then x^2 = 0 mod 4 != 2); the imprimitive scan would
-    # not see it.
+    # diag(1,-4): x^2 - 4y^2 = -2 has no solution mod 4 (x^2 is 0 or 1 mod
+    # 4); mod 3 it has (1, 0), so the ladder certifies at its second modulus
     lat = build_lattice([[1, 0], [0, -4]])
-    cert = congruence_obstruction(lat, -2, [4])
-    assert cert is not None and cert["modulus"] == 4
+    assert _congruence_parts(lat, -2) == [{"modulus": 4, "norm": -2}]
+    # x^2 + y^2 = 0 mod 4 only for x, y both even: the zero residue vector
+    # solves it, but no primitive one does; mod 2, (1, 1) does
+    assert not forms._scan_residues(((1, 0), (0, 1)), 0, 4)
+    assert forms._scan_residues(((1, 0), (0, 1)), 0, 2)
 
 
-def test_congruence_budget():
-    with pytest.raises(BudgetExceeded):
-        congruence_obstruction(CC_D4, -2, [27], cap=1000)
+def _brute_residues(gram, m, modulus):
+    """Oracle: every residue vector, primitive at each prime of the modulus."""
+    primes = [p for p in range(2, modulus + 1)
+              if modulus % p == 0 and all(p % q for q in range(2, p))]
+    n = len(gram)
+    return any(all(any(x % p for x in v) for p in primes)
+               and sum(gram[i][j] * v[i] * v[j] for i in range(n) for j in range(n))
+               % modulus == m % modulus
+               for v in itertools.product(range(modulus), repeat=n))
+
+
+def test_scan_residues_matches_brute_force():
+    rng = random.Random(404)
+    for _ in range(120):
+        n = rng.randint(1, 3)
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                gram[i][j] = gram[j][i] = rng.randint(-6, 6)
+        m, modulus = rng.randint(-8, 8), rng.choice((2, 3, 4, 5, 6, 8, 9))
+        assert forms._scan_residues(gram, m, modulus) == _brute_residues(gram, m, modulus)
+
+
+def test_congruence_certificate_replays_only_on_its_lattice():
+    cert = root_existence(FAMILY3, -2, 1).certificate
+    assert replay_congruence(FAMILY3, cert)
+    # U+<-2> has the root (0, 0, 1), so no residue scan can obstruct it
+    assert U_MINUS2.norm((0, 0, 1)) == -2
+    assert not replay_congruence(U_MINUS2, cert)
 
 
 # -- Hilbert symbols ------------------------------------------------------------------
@@ -188,6 +226,20 @@ def test_isotropy_examples():
     v3 = rational_isotropy(CC_A2)
     assert v3.isotropic and v3.method == "indefinite_rank_ge_5"
     assert CC_A2.norm(v3.witness.coords) == 0
+
+
+def test_rational_certificate_replay_at_every_rank():
+    # rank 1 is anisotropic at every place; rank >= 5 is isotropic at every
+    # finite place (Serre, A Course in Arithmetic, IV 2.2, Thm 6)
+    assert replay_rational_certificate({"diagonal": [3], "failing_places": [2]})
+    assert not replay_rational_certificate({"diagonal": [1, -1, 1, -1, 1],
+                                            "failing_places": [2]})
+    assert not replay_rational_certificate({"diagonal": [1, 1, 1, 1, 1, 1],
+                                            "failing_places": [3]})
+    assert replay_rational_certificate({"diagonal": [1, 1, 1, 1, 1],
+                                        "failing_places": [INFINITE_PLACE]})
+    with pytest.raises(InvalidParameter):
+        replay_rational_certificate({"diagonal": [], "failing_places": [2]})
 
 
 def ternary_brute_witness(a, b, c, bound=30):
@@ -451,7 +503,6 @@ def test_hilbert_symbol_rational_inputs():
 
 
 def test_non_prime_place_rejected():
-    from hyperlat.errors import InvalidParameter
     with pytest.raises(InvalidParameter):
         hilbert_symbol(2, 3, 10)
 

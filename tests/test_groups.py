@@ -6,12 +6,12 @@ import random
 import pytest
 
 from hyperlat import (build_lattice, chamber_walk, cones, dirichlet_domain,
-                      dirichlet_halfspace, direct_sum, eichler_transvection,
+                      direct_sum, eichler_transvection,
                       elementary_type, enumerate_norm_vectors, fixed_boundary_points,
                       group, groups, limit_points_sample, linalg, make_isometry, orbit,
                       pick_cone, point_from_ray, polytope_hypothesis_check, rank1,
                       reflection, standard_lattice, tiling_check)
-from hyperlat.cones import cone_from_halfspaces
+from hyperlat.cones import PolyhedralCone
 from hyperlat.errors import BudgetExceeded, FixedBasepoint, InvalidParameter, OnWall
 from hyperlat.groups import (_fixes_ray_projectively, _orbit_ball, elements_up_to,
                              sample_cone_points)
@@ -29,6 +29,22 @@ PELL = make_isometry(O_D12, [[3, 4], [2, 3]])
 PELL_GROUP = group(PELL)
 TRANSVECTION = eichler_transvection(O_UM2, (1, 0, 0), (0, 0, 1))
 MIRROR = reflection(O_UM2, (0, 0, 1))
+
+
+def cone_from_halfspaces(lattice, normals, *, orientation=None, truncated_at=None):
+    """Oracle constructor: a cone on the primitive, deduplicated normals."""
+    prims = dict.fromkeys(linalg.primitive_vector(tuple(w)) for w in normals)
+    return PolyhedralCone(lattice, tuple(prims), orientation=orientation,
+                          truncated_at=truncated_at)
+
+
+def dirichlet_halfspace(h, g):
+    """Oracle: the primitive bisector normal g^-1 h - h of one element,
+    with g^-1 formed as a matrix; FixedBasepoint when g fixes h."""
+    moved = tuple(g.inverse().apply(h.ray))
+    if moved == tuple(h.ray):
+        raise FixedBasepoint("basepoint is fixed")
+    return linalg.primitive_vector(linalg.vec_sub(moved, h.ray))
 
 
 def test_orbit_depth0():
@@ -110,15 +126,16 @@ def test_fixes_ray_projectively_needs_a_positive_multiple():
 
 def test_dirichlet_halfspace_pell():
     h = point_from_ray(O_D12, (1, 0))
-    # oracle: g^-1 = [[3,-4],[-2,3]], so g^-1 h - h = (2,-2) ~ (1,-1)
-    assert dirichlet_halfspace(h, PELL).normal == (1, -1)
-    assert dirichlet_halfspace(h, PELL.inverse()).normal == (1, 1)
+    # g^-1 = [[3,-4],[-2,3]], so g^-1 h - h = (2,-2) ~ (1,-1); g h - h ~ (1,1)
+    assert dirichlet_domain(PELL_GROUP, h, 1).halfspaces == ((1, -1), (1, 1))
 
 
 def test_dirichlet_halfspace_fixed_basepoint():
     h = point_from_ray(O_D12, (1, 0))
-    with pytest.raises(FixedBasepoint):
-        dirichlet_halfspace(h, make_isometry(O_D12, [[1, 0], [0, 1]]))
+    # the identity fixes every basepoint and adds no bisector
+    ident = make_isometry(O_D12, [[1, 0], [0, 1]])
+    assert dirichlet_domain(group(ident), h, 2).halfspaces == ()
+    assert dirichlet_domain(group(PELL, ident), h, 1).halfspaces == ((1, -1), (1, 1))
 
 
 def test_dirichlet_domain_pell_slab():
@@ -394,7 +411,7 @@ def test_hypothesis_check_reuses_domain_vrep(make_group, ray, budget, monkeypatc
 
 def test_hypothesis_check_reduces_a_redundant_vrep():
     # (4,-3) is implied by the Pell slab; a V-rep alone does not make it a facet
-    cone = cones.extreme_rays(cones.cone_from_halfspaces(
+    cone = cones.extreme_rays(cone_from_halfspaces(
         D12, [(1, -1), (1, 1), (4, -3)], orientation=O_D12))
     report = polytope_hypothesis_check(cone)
     assert report == _old_polytope_hypothesis_check(cone)
@@ -473,6 +490,19 @@ def test_negative_sample_box_is_refused():
     # randint(1, -1) has no value to draw: the rejection loop would never end
     with pytest.raises(InvalidParameter, match="sample box"):
         sample_cone_points(O_UM2, 1, 0, box=-1)
+
+
+def test_tiling_check_refuses_to_check_nothing():
+    # no samples, or no words at all, would report a pass that checked nothing
+    dom = dirichlet_domain(PELL_GROUP, point_from_ray(O_D12, (1, 0)), 3)
+    for count in (0, -3):
+        with pytest.raises(InvalidParameter, match="sample count"):
+            sample_cone_points(O_D12, count, 0)
+        with pytest.raises(InvalidParameter, match="sample count"):
+            tiling_check(dom, PELL_GROUP, count, 8)
+    with pytest.raises(InvalidParameter, match="word budget"):
+        tiling_check(dom, PELL_GROUP, 10, -1)
+    assert tiling_check(dom, PELL_GROUP, 10, 0)["samples"] == 10
 
 
 # -- the orbit ball: one breadth-first search over points --------------------------------

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from hyperlat import (build_lattice, direct_sum, inner_product, rank1,
+from hyperlat import (build_lattice, direct_sum, rank1,
                       signature, standard_lattice)
 from hyperlat.errors import Degenerate, InvalidParameter, NotSymmetric
 from hyperlat.linalg import mat_mul, transpose
@@ -102,12 +102,12 @@ def test_standard_e8():
 
 
 def test_inner_product_examples():
-    assert inner_product(U, (1, 0), (0, 1)) == 1
+    assert U.pair((1, 0), (0, 1)) == 1
     d = build_lattice([[1, 0], [0, -2]])
     # direct expansion: 1*1*3 + (-2)*0*2 = 3
-    assert inner_product(d, (1, 0), (3, 2)) == 3
+    assert d.pair((1, 0), (3, 2)) == 3
     s = direct_sum(U, rank1(-2))
-    assert inner_product(s, (0, 0, 1), (0, 0, 1)) == -2
+    assert s.pair((0, 0, 1), (0, 0, 1)) == -2
 
 
 def test_signature_additive_under_direct_sum():

@@ -8,11 +8,12 @@ from fractions import Fraction
 import pytest
 
 from hyperlat import (Horoball, boundary_from_ray, build_lattice,
-                      contains_in_cone, direct_sum, distance,
+                      direct_sum, distance,
                       eichler_transvection, from_ball, horoball_contains,
                       horoballs_disjoint, pick_cone, point_from_ray, rank1,
                       reflection, standard_lattice, to_ball, to_upper_half)
-from hyperlat.errors import DifferentAmbient, InvalidParameter, NotIsotropic, SameRay
+from hyperlat.errors import (DifferentAmbient, InvalidParameter, NotInCone, NotIsotropic,
+                             SameRay)
 from hyperlat.forms import primitive_isotropic_vectors
 from hyperlat.linalg import gram_schmidt_frame
 from hyperlat.model import HyperboloidPoint, minkowski_coords
@@ -25,11 +26,21 @@ U_A2 = direct_sum(U, standard_lattice("A2"))
 
 def test_contains_in_cone_examples():
     o = pick_cone(U, (1, 1))
-    assert contains_in_cone(o, (1, 1))
-    assert not contains_in_cone(o, (-1, -1))
+    assert point_from_ray(o, (1, 1)).ray == (1, 1)
+    # (-1,-1) lies in the opposite cone: the same point, reoriented
+    assert point_from_ray(o, (-1, -1)).ray == (1, 1)
     # (v,v) = 4 > 0 and (v,v0) = 3 > 0
     assert U.norm((2, 1)) == 4 and U.pair((2, 1), (1, 1)) == 3
-    assert contains_in_cone(o, (2, 1))
+    assert point_from_ray(o, (4, 2)).ray == (2, 1)
+    for outside in ((1, 0), (1, -1)):  # norms 0 and -2
+        with pytest.raises(NotInCone):
+            point_from_ray(o, outside)
+
+
+def _numeric(x):
+    """Coordinates of ray / sqrt(ray.ray) in the lattice basis."""
+    s = math.sqrt(x.norm)
+    return tuple(c / s for c in x.ray)
 
 
 def test_distance_examples():
@@ -69,7 +80,7 @@ def test_ball_conversions():
             continue
         x = point_from_ray(o, v)
         back = from_ball(o, to_ball(o, x))
-        num = x.numeric()
+        num = _numeric(x)
         assert max(abs(p - q) for p, q in zip(back, num)) < 1e-10
 
 
@@ -213,9 +224,10 @@ def test_numeric_points_normalized():
         v = tuple(rng.randint(-40, 40) for _ in range(3))
         if U_MINUS2.norm(v) <= 0 or U_MINUS2.pair(v, (1, 1, 0)) <= 0:
             continue
-        num = point_from_ray(o, v).numeric()
-        q = sum(num[i] * sum(gram[i][j] * num[j] for j in range(3)) for i in range(3))
-        assert abs(q - 1.0) <= 1e-12
+        x = point_from_ray(o, v)
+        for num in (_numeric(x), from_ball(o, to_ball(o, x))):
+            q = sum(num[i] * sum(gram[i][j] * num[j] for j in range(3)) for i in range(3))
+            assert abs(q - 1.0) <= 1e-9
 
 
 def test_horoball_bound_is_data():

@@ -9,7 +9,7 @@ import pytest
 
 import hyperlat
 from hyperlat import build_lattice, group, make_isometry, pick_cone
-from hyperlat.cones import HalfSpace, PolyhedralCone
+from hyperlat.cones import PolyhedralCone
 from hyperlat.criteria import (CriterionReport, EntropyFinding, EntropyReport,
                                FibrationVerdict, LatticeVerdict)
 from hyperlat.errors import InvalidParameter, NotIsotropic, NotPrimitive, WrongSignature
@@ -48,7 +48,6 @@ FACTORIES = {
     BoundaryRay: lambda: BoundaryRay(_orientation(), (1, 0)),
     Horoball: lambda: Horoball(BoundaryRay(_orientation(), (1, 0))),
     DisjointnessWitness: lambda: DisjointnessWitness(disjoint=True, pairing=1),
-    HalfSpace: lambda: HalfSpace((1, 0)),
     PolyhedralCone: lambda: PolyhedralCone(_u(), ((1, 0), (0, 1)), truncated_at=2),
     IsotropyVerdict: lambda: IsotropyVerdict(True, "hilbert", LatticeVector((1, 0))),
     SearchVerdict: _search,
@@ -92,7 +91,10 @@ def test_record_semantics(cls):
 
 
 def test_records_of_different_classes_differ():
-    assert HalfSpace((1, 0)) != LatticeVector((1, 0))
+    # equal field values, different classes: a point's fields may hold a lattice
+    point, cone = HyperboloidPoint(_u(), (1, 1)), ConeOrientation(_u(), (1, 1))
+    assert point._key(point) == cone._key(cone)
+    assert point != cone and cone != point
     assert LatticeVector((1, 0)) != LatticeVector((0, 1))
     assert Classification("elliptic", order=2) != Classification("elliptic", order=3)
 

@@ -1,0 +1,33 @@
+"""Rules on the package source, read from its syntax trees."""
+
+import ast
+from pathlib import Path
+
+import hyperlat
+
+SOURCES = sorted(Path(hyperlat.__file__).parent.glob("*.py"))
+
+
+def _offenders(is_offence):
+    out = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        out += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if is_offence(node)]
+    return out
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips asserts; invariants must raise typed errors instead
+    assert _offenders(lambda node: isinstance(node, ast.Assert)) == []
+
+
+def _raises_assertion_error(node):
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
+def test_no_assertion_errors_raised_in_the_package():
+    # an AssertionError names no failure a caller can handle; raise a typed one
+    assert _offenders(_raises_assertion_error) == []
