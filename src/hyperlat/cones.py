@@ -112,13 +112,14 @@ def _pointed_double_description(normals, gram, pivots):
     for i, row in enumerate(normals):
         if i in seeds:
             continue
-        values = {ray: linalg.dot(row, images[ray]) for ray in rays}
-        for ray, value in values.items():
+        row_values = [linalg.dot(row, images[ray]) for ray in rays]
+        for ray, value in zip(rays, row_values):
             if not value:
                 zsets[ray] |= 1 << i
-        neg = [ray for ray in rays if values[ray] < 0]
-        if not neg:
+        if min(row_values, default=0) >= 0:
             continue  # no ray leaves, so no ray is added
+        values = dict(zip(rays, row_values))
+        neg = [ray for ray in rays if values[ray] < 0]
         pos = [ray for ray in rays if values[ray] > 0]
         fresh = {}
         for p in pos:

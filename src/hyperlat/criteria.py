@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .errors import InvalidParameter, WrongSignature
 from .forms import SearchVerdict, rational_isotropy, root_existence
-from .groups import FGGroup, elements_up_to, word_string
+from .groups import FGGroup, conjugacy_key, elements_up_to, word_string
 from .isometry import LOXODROMIC, entropy
 from .lattice import GramLattice, build_lattice, direct_sum, rank1, \
     signature, standard_lattice
@@ -229,15 +229,25 @@ class EntropyReport(Record):
 def entropy_report(g: FGGroup, word_budget: int, rho: int) -> EntropyReport:
     """Classify all reduced words up to the budget and report entropy.
 
+    Type and entropy are conjugacy invariants, so each class of words under
+    `conjugacy_key` is classified once, at its first element, and its
+    later elements take that (class, entropy) pair: a word's inverse has
+    the same charpoly, since g^-1 = G^-1 g^t G for an isometry g.
     A loxodromic word at rho >= 5 yields the positive-entropy verdict
     (conditional on generator completeness); finding none is reported as a
     bounded-search outcome, never as a zero-entropy theorem.
     """
     findings = []
     positive = False
-    for elem, word in elements_up_to(g, word_budget, include_identity=False):
-        kind = elem.classification.kind
-        ent = entropy(elem)
+    ball = elements_up_to(g, word_budget, include_identity=False)
+    _, labels, inv_idx = g.letters
+    inverse = {label: labels[k] for label, k in zip(labels, inv_idx)}
+    classes = {}
+    for elem, word in ball:
+        key = conjugacy_key(word, inverse)
+        if key not in classes:
+            classes[key] = elem.classification.kind, entropy(elem)
+        kind, ent = classes[key]
         findings.append(EntropyFinding(word=word_string(word), kind=kind, entropy=ent))
         if kind == LOXODROMIC:
             positive = True

@@ -18,7 +18,7 @@ from __future__ import annotations
 from math import isqrt, prod
 
 from . import linalg
-from .errors import BudgetExceeded, InvalidParameter, NoPositiveConeSet
+from .errors import BudgetExceeded, InputError, InvalidParameter, NoPositiveConeSet
 from .lattice import GramLattice, LatticeVector, direct_sum, rank1
 from .record import Record
 
@@ -233,10 +233,18 @@ def _scan_residues(gram, m, modulus) -> bool:
     return rec(0, 0, [0] * n, [False] * len(primes))
 
 
+def _entry(certificate: dict, key: str):
+    """certificate[key]; a certificate without it is malformed input."""
+    try:
+        return certificate[key]
+    except KeyError:
+        raise InputError(f"certificate has no {key!r} entry") from None
+
+
 def replay_congruence(lattice: GramLattice, certificate: dict) -> bool:
     """Re-run the residue scans recorded in a congruence certificate's parts."""
-    return not any(_scan_residues(lattice.gram, part["norm"], part["modulus"])
-                   for part in certificate["parts"])
+    return not any(_scan_residues(lattice.gram, _entry(part, "norm"), _entry(part, "modulus"))
+                   for part in _entry(certificate, "parts"))
 
 
 # -- Hilbert symbols and rational isotropy ----------------------------------------
@@ -430,8 +438,8 @@ def rational_isotropy(lattice: GramLattice, *,
 
 def replay_rational_certificate(certificate: dict) -> bool:
     """Recompute the local obstructions recorded in an anisotropy certificate."""
-    diag = certificate["diagonal"]
-    for p in certificate["failing_places"]:
+    diag = _entry(certificate, "diagonal")
+    for p in _entry(certificate, "failing_places"):
         p = _normalize_place(p)
         if p == INFINITE_PLACE:
             if any(d > 0 for d in diag) and any(d < 0 for d in diag):

@@ -6,8 +6,9 @@ label; exactness of a truncated domain is not decidable here and is never
 claimed.  Words over the symmetric generator set are searched breadth
 first twice: `elements_up_to` deduplicates elements by exact matrix and
 caps their count; `_orbit_ball`, behind orbits and Dirichlet domains,
-deduplicates the points w.x by exact ray and caps their count, applying
-each letter only through the rows where it differs from the identity.
+deduplicates the points w.x by exact ray and caps their count.  Both apply
+each letter only through the rows where it differs from the identity, and
+both take the letters from the group, which forms them once.
 Dirichlet bisectors, the differences p - h of the basepoint's orbit
 points, enter the double description unscaled; sample points are
 randint's draws, taken from the same generator calls in bulk.
@@ -15,9 +16,11 @@ randint's draws, taken from the same generator calls in bulk.
 
 from __future__ import annotations
 
-import random
+from functools import cached_property
 from itertools import chain
 from operator import mul
+
+from _random import Random
 
 from . import linalg
 from .cones import PolyhedralCone, irredundant_halfspaces, ray_satisfies
@@ -54,6 +57,12 @@ class FGGroup(Record):
     def lattice(self) -> GramLattice:
         return self.generators[0].lattice
 
+    @cached_property
+    def letters(self):
+        """`_letters` of this group, made once: the word searches and the
+        conjugacy keys of their words share one set of generator inverses."""
+        return _letters(self)
+
 
 def group(*generators: Isometry) -> FGGroup:
     return FGGroup(generators=tuple(generators))
@@ -77,27 +86,42 @@ def _letters(g: FGGroup):
     return mats, labels, [mats.index(mat) for mat in inverses]
 
 
+def _moved_rows(mats):
+    """For each letter, the pairs (i, row i) over the rows where it differs
+    from the identity: a letter applied to a point or a matrix changes only
+    these rows, each to the row's dot product with the point or a column."""
+    return [[(i, row) for i, (row, e) in enumerate(zip(mat, linalg.identity_matrix(len(mat))))
+             if row != e] for mat in mats]
+
+
 def elements_up_to(g: FGGroup, word_budget: int, *, include_identity: bool = True,
                    cap: int = DEFAULT_ORBIT_CAP):
     """Distinct group elements of word length <= budget, with shortest words.
 
     Breadth-first over reduced words; deduplication is by exact matrix, and
     the returned order (word length, then letter sequence) is canonical.
-    `cap` counts distinct elements, the identity included.
+    A word's first letter is applied last: the element of (a, b) is a b.
+    A letter times a matrix changes only the rows the letter moves, each a
+    row of the letter against the columns of the matrix, taken once per
+    matrix.  `cap` counts distinct elements, the identity included.
     """
-    mats, labels, inv_idx = _letters(g)
-    n = g.lattice.rank
-    ident = linalg.identity_matrix(n)
+    mats, labels, inv_idx = g.letters
+    moves = _moved_rows(mats)
+    ident = linalg.identity_matrix(g.lattice.rank)
     seen = {ident: ()}
     frontier = [(ident, (), None)]
     order = [(ident, ())]
     for _ in range(word_budget):
         nxt = []
         for mat, word, last in frontier:
-            for k, letter in enumerate(mats):
+            cols = tuple(zip(*mat))
+            for k, move in enumerate(moves):
                 if last is not None and inv_idx[k] == last:
                     continue  # reduced words only
-                new = linalg.mat_mul(letter, mat)
+                new = list(mat)
+                for i, row in move:
+                    new[i] = tuple([sum(map(mul, row, col)) for col in cols])
+                new = tuple(new)
                 if new in seen:
                     continue
                 if len(seen) >= cap:
@@ -110,6 +134,25 @@ def elements_up_to(g: FGGroup, word_budget: int, *, include_identity: bool = Tru
     if not include_identity:
         order = [(m, w) for m, w in order if m != ident]
     return [(Isometry(g.orientation, m), w) for m, w in order]
+
+
+def conjugacy_key(word, inverse) -> tuple[int, ...]:
+    """A key shared by the conjugates of a word and of its inverse:
+    cyclically reduce the word, then take the least tuple among the
+    rotations of it and of its inverse.
+
+    `inverse` maps each letter label to the label of its inverse letter.
+    A rotation is a conjugate (b a = a^-1 (a b) a), and so is the word
+    stripped of a first letter that inverts its last.  Relations of the
+    group are ignored, so conjugate elements may get different keys, but
+    two words share a key only if one is conjugate in the free group to
+    the other or to its inverse, and so are their elements in the group.
+    """
+    w = tuple(word)
+    while len(w) > 1 and w[0] == inverse[w[-1]]:
+        w = w[1:-1]
+    inv = tuple(inverse[x] for x in reversed(w))
+    return min((v[i:] + v[:i] for v in (w, inv) for i in range(len(v))), default=())
 
 
 def word_string(word) -> str:
@@ -134,11 +177,9 @@ def _orbit_ball(g: FGGroup, ray, depth: int, cap: int = DEFAULT_ORBIT_CAP) -> li
     letter that undoes the one that first reached q is skipped, since it
     leads back to a known point.  `cap` counts distinct points, x included.
     """
-    mats, _labels, inv_idx = _letters(g)
+    mats, _labels, inv_idx = g.letters
     x = tuple(ray)
-    ident = linalg.identity_matrix(len(x))
-    moves = [[(i, row) for i, (row, e) in enumerate(zip(mat, ident)) if row != e]
-             for mat in mats]
+    moves = _moved_rows(mats)
     dot = linalg.dot
     seen = {x: None}  # insertion-ordered
     level = [(x, None)]  # (point, index of the letter that first reached it)
@@ -309,7 +350,8 @@ def dirichlet_domain(g: FGGroup, h: HyperboloidPoint, word_budget: int, *,
     inversion, so these are the g^-1 h), in the order `elements_up_to`
     first reaches them; then reduced to facets via the exact
     V-representation.  `cap` counts distinct orbit points.  The result is
-    a superset of the true domain and carries the truncation label.
+    a superset of the true domain and carries the truncation label.  A
+    negative budget is refused.
 
     The bisectors enter the double description as they are, neither made
     primitive nor deduplicated; only the facets kept are made primitive.
@@ -318,6 +360,8 @@ def dirichlet_domain(g: FGGroup, h: HyperboloidPoint, word_budget: int, *,
     in the reverse Cauchy-Schwarz inequality (p, h)^2 >= (p, p)(h, h): p is
     a multiple of h with h's norm, in h's cone, so p = h.
     """
+    if word_budget < 0:
+        raise InvalidParameter("word budget must be >= 0")
     if h.orientation != g.orientation:
         raise DifferentAmbient("basepoint and group live over different ambients")
     ident = linalg.identity_matrix(g.lattice.rank)
@@ -350,7 +394,7 @@ def sample_cone_points(orientation: ConeOrientation, count: int, seed: int, *,
     gram = orientation.lattice.gram
     forms = (linalg.mat_vec(gram, orientation.base),) + (
         () if within is None else within.functionals)
-    draws = chain.from_iterable(_randint_chunks(random.Random(seed), box))
+    draws = chain.from_iterable(_randint_chunks(Random(seed), box))
     out = []
     for _, ray in zip(range(10_000 * count), zip(*[draws] * len(gram))):
         for f in forms:
@@ -366,10 +410,14 @@ def sample_cone_points(orientation: ConeOrientation, count: int, seed: int, *,
     return out
 
 
-def _randint_chunks(rng: random.Random, box: int):
+def _randint_chunks(rng: Random, box: int):
     """rng.randint(-box, box) without end, in lists of the values kept from
     1024 draws: randint's rejection loop over getrandbits(b), b the bit
-    length of the width 2 box + 1, with its calls made in bulk."""
+    length of the width 2 box + 1, with its calls made in bulk.
+
+    rng is the C base class of random.Random: for an int seed it holds the
+    same state and draws the same bits, and importing it leaves out the
+    rest of the random module."""
     width = 2 * box + 1
     bits = [width.bit_length()] * 1024
     while True:

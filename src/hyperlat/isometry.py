@@ -6,10 +6,13 @@ polynomial and bracketed by rational bisection; the remaining elements
 split into finite order (elliptic) and unipotent-type (parabolic) through
 exact cyclotomic factorization and matrix powering.  All of this runs in
 Python ints; the scale's bracket is a triple (lo, hi, den) of ints.  The
-stage that reads only the characteristic polynomial (Sturm counts,
-bisection, the minimal polynomial, the cyclotomic order bound) is shared
-per process, keyed by the exact charpoly; the order test by matrix powers
-and each loxodromic element's scale field and fixed rays stay per element.
+stage that reads only the characteristic polynomial (one Sturm chain for
+the count and the bisection, the minimal polynomial, the cyclotomic order
+bound) is shared per process, keyed by the exact charpoly; the order test
+by matrix powers and each loxodromic element's scale field and fixed rays
+belong to the element.  An entropy report computes none of this per
+element: it classifies the first element of each conjugacy class of words
+and gives the class's other elements that result.
 
 Fixed boundary rays: the parabolic one is an integer kernel vector of the
 form on the integer kernel of M - I.  The loxodromic eigenrays are columns
@@ -152,13 +155,14 @@ def _classify_charpoly(p: tuple[int, ...]):
     cached.
     """
     q = pol.squarefree_part(p)
-    above = pol.count_roots_gt(q, 1, 1)
+    chain = pol.sturm_chain(q)
+    above = pol.count_roots_gt(q, 1, 1, chain)
     if above > 1:
         raise ArithmeticError(
             "characteristic polynomial has more than one root > 1; input is "
             "not an isometry of a (1,n) form")
     if above == 1:
-        bracket = pol.bracket_largest_root_above(q, 1, 1)
+        bracket = pol.bracket_largest_root_above(q, 1, 1, chain)
         bracket = pol.refine_bracket(q, bracket, _BRACKET_EPS)
         minpoly = pol.minimal_polynomial_of_root(q, bracket)
         return tuple(minpoly), pol.refine_bracket(minpoly, bracket, _BRACKET_EPS)

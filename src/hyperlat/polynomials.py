@@ -2,9 +2,10 @@
 
 Polynomials are coefficient lists ordered low degree to high.  The
 classification path works on integer polynomials in Python ints: the
-characteristic polynomial (Faddeev-LeVerrier with checked divisions),
-Sturm chains and squarefree parts (primitive pseudo-remainders), exact
-division, and signs at a rational point num/den.  A rational point is a
+characteristic polynomial (Le Verrier's power sums from half the matrix
+powers, Newton's identities with checked divisions, the determinant as
+an independent check), Sturm chains and squarefree parts (primitive
+pseudo-remainders), exact division, and signs at a rational point num/den.  A rational point is a
 pair (num, den) and a bracket (lo/den, hi/den] a triple (lo, hi, den),
 always with den > 0; bisection doubles the denominator and never reduces
 it.  The scale's field (RealAlgebraicField,
@@ -20,8 +21,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, prod
+from operator import mul
 
-from .linalg import factorize, identity_matrix, mat_mul, matrix_power
+from .linalg import bareiss_det, dot, factorize, identity_matrix, mat_mul, matrix_power
 
 # bisection steps bracket_largest_root_above may take before it gives up
 _BRACKET_STEPS = 20000
@@ -119,24 +121,31 @@ def squarefree_part(p):
 def charpoly(mat) -> list[int]:
     """Monic characteristic polynomial det(xI - A) of a square integer matrix.
 
-    Faddeev-LeVerrier over the integers: M_1 = I, c_{n-k} = -tr(A M_k) / k
-    and M_{k+1} = A M_k + c_{n-k} I.  Each division is checked exact, and
-    M_{n+1} must vanish (Cayley-Hamilton).
+    Le Verrier's power sums: with h = ceil(n/2), form A, ..., A^h (h - 1
+    products) and read each s_k = tr(A^k), k <= n, as tr(A^a A^b) =
+    sum_ij (A^a)_ij (A^b)_ji with a + b = k.  Newton's identities give the
+    coefficients, c_{n-k} = -(s_k + c_{n-1} s_{k-1} + ... + c_{n-k+1} s_1) / k,
+    each division checked exact.  The constant term must equal
+    (-1)^n det(A) by Bareiss elimination, a check independent of the traces.
     """
     n = len(mat)
-    out = [0] * n + [1]
-    m = identity_matrix(n)
+    half = (n + 1) // 2
+    powers = [mat]
+    for _ in range(half - 1):
+        powers.append(mat_mul(mat, powers[-1]))
+    sums = [sum(p[i][i] for i in range(n)) for p in powers]
+    # s_(half + b) = tr(A^half A^b): row i of A^half against column i of A^b
+    top = powers[-1]
+    sums += [sum(map(dot, top, zip(*p))) for p in powers[:n - half]]
+    coeffs = [1]  # c_n, c_(n-1), ...: coeffs[k] = c_(n-k)
     for k in range(1, n + 1):
-        am = mat_mul(mat, m) if k > 1 else mat  # A M_1 = A
-        c, r = divmod(-sum(am[i][i] for i in range(n)), k)
+        c, r = divmod(-sum(map(mul, coeffs, reversed(sums[:k]))), k)
         if r:
-            raise ArithmeticError(f"trace of A M_{k} is not divisible by {k}")
-        out[n - k] = c
-        m = tuple(tuple(x + c if i == j else x for j, x in enumerate(row))
-                  for i, row in enumerate(am))
-    if any(any(row) for row in m):
-        raise ArithmeticError("characteristic polynomial does not annihilate the matrix")
-    return out
+            raise ArithmeticError(f"Newton's identity for s_{k} is not divisible by {k}")
+        coeffs.append(c)
+    if n and coeffs[n] != (-1) ** n * bareiss_det(mat):
+        raise ArithmeticError("charpoly's constant term is not (-1)^n det A")
+    return coeffs[::-1]
 
 
 # -- Sturm machinery ----------------------------------------------------------
@@ -191,9 +200,11 @@ def count_roots_in(p, bracket) -> int:
     return variations_at(chain, lo, den) - variations_at(chain, hi, den)
 
 
-def count_roots_gt(p, num: int, den: int) -> int:
-    """Distinct real roots of squarefree p in (num/den, +inf), den > 0."""
-    chain = sturm_chain(p)
+def count_roots_gt(p, num: int, den: int, chain=None) -> int:
+    """Distinct real roots of squarefree p in (num/den, +inf), den > 0.
+    `chain`, if given, is sturm_chain(p), made once by a caller that
+    needs it again."""
+    chain = sturm_chain(p) if chain is None else chain
     return variations_at(chain, num, den) - variations_at_pos_inf(chain)
 
 
@@ -213,15 +224,17 @@ def _positive_leading(p):
     return poly_neg(q) if q[-1] < 0 else q
 
 
-def bracket_largest_root_above(p, num: int, den: int) -> tuple[int, int, int]:
+def bracket_largest_root_above(p, num: int, den: int, chain=None) -> tuple[int, int, int]:
     """Isolating bracket (lo, hi, den), of width < 1, for the unique root of
-    squarefree p in (num/den, inf), den > 0.
+    squarefree p in (num/den, inf), den > 0.  `chain`, if given, is
+    sturm_chain(p); the chain of -p is its negation, which has the same
+    sign variations, so either serves.
 
     Raises ArithmeticError unless exactly one such root exists (it is then
     the largest real root), or if _BRACKET_STEPS bisections do not isolate it.
     """
     q = _positive_leading(p)
-    chain = sturm_chain(q)
+    chain = sturm_chain(q) if chain is None else chain
     if variations_at(chain, num, den) - variations_at_pos_inf(chain) != 1:
         raise ArithmeticError("expected exactly one root above the bracket start")
     # from num/den to the Cauchy bound 1 + max|c_i| / lc, over the

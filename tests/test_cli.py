@@ -120,6 +120,15 @@ def test_tile_check_refuses_a_check_that_checks_nothing(files, option):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("sub", ["dirichlet", "tile-check"])
+def test_negative_domain_budget_is_refused(files, sub):
+    proc = run_cli([sub, "--lattice", "d12.json", "--group", "pell_group.json",
+                    "--point", "1,0", "--budget=-1"], files)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("input error:") and "word budget" in proc.stderr, proc.stderr
+    assert proc.stdout == ""
+
+
 def test_chamber_walk(files):
     rep = out_json(run_cli(["chamber-walk", "--lattice", "um2.json",
                             "--point", "2,2,1", "--height", "1"], files))

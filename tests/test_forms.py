@@ -12,7 +12,7 @@ from hyperlat import (build_lattice, direct_sum,
                       enumerate_norm_vectors, forms, hilbert_symbol,
                       primitive_isotropic_vectors, rank1, rational_isotropy,
                       root_existence, signature, standard_lattice)
-from hyperlat.errors import BudgetExceeded, InvalidParameter, NoPositiveConeSet
+from hyperlat.errors import BudgetExceeded, InputError, InvalidParameter, NoPositiveConeSet
 from hyperlat.forms import (INFINITE_PLACE, first_norm_vector, replay_congruence,
                             replay_rational_certificate, replay_verdict,
                             squarefree_int)
@@ -240,6 +240,20 @@ def test_rational_certificate_replay_at_every_rank():
                                         "failing_places": [INFINITE_PLACE]})
     with pytest.raises(InvalidParameter):
         replay_rational_certificate({"diagonal": [], "failing_places": [2]})
+
+
+@pytest.mark.parametrize("cert, key", [
+    ({"kind": "congruence"}, "parts"),
+    ({"kind": "congruence", "parts": [{"modulus": 8}]}, "norm"),
+    ({"kind": "congruence", "parts": [{"norm": -2}]}, "modulus"),
+    ({"kind": "rational_anisotropy", "failing_places": [2]}, "diagonal"),
+    ({"kind": "rational_anisotropy", "diagonal": [3]}, "failing_places"),
+])
+def test_replay_of_a_certificate_missing_a_key_is_an_input_error(cert, key):
+    replay = replay_congruence if cert["kind"] == "congruence" else (
+        lambda _lat, c: replay_rational_certificate(c))
+    with pytest.raises(InputError, match=f"'{key}'"):
+        replay(U_MINUS2, cert)
 
 
 def ternary_brute_witness(a, b, c, bound=30):

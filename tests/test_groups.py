@@ -486,6 +486,15 @@ def test_sample_cone_points_give_up_after_10000_count_candidates(monkeypatch):
         assert len(drawn) == 10_000 * 2 * 3  # 10 000 count candidate rays of rank 3
 
 
+@pytest.mark.parametrize("seed", [0, 1, 123, 823, -5, 2**70 + 3, 10**30])
+def test_randint_chunks_draw_what_random_draws(seed):
+    for box in (0, 3, 50, 2**31):
+        chunks = groups._randint_chunks(groups.Random(seed), box)
+        got = [v for _ in range(3) for v in next(chunks)]
+        rng = random.Random(seed)
+        assert got == [rng.randint(-box, box) for _ in got]
+
+
 def test_negative_sample_box_is_refused():
     # randint(1, -1) has no value to draw: the rejection loop would never end
     with pytest.raises(InvalidParameter, match="sample box"):
@@ -595,6 +604,36 @@ def test_orbit_ball_matches_element_ball_with_dense_letters(g, ray, depth):
     assert any(sum(row != e for row, e in zip(gen.matrix, ident)) >= 2
                for gen in g.generators)
     assert _orbit_ball(g, ray, depth) == _element_ball_points(g, ray, depth)
+
+
+def _mat_mul_ball(g, budget):
+    """Oracle: elements_up_to's (matrix, word) list with every product a
+    full matrix product."""
+    mats, labels, inv_idx = groups._letters(g)
+    ident = linalg.identity_matrix(g.lattice.rank)
+    seen = {ident}
+    frontier, order = [(ident, (), None)], [(ident, ())]
+    for _ in range(budget):
+        nxt = []
+        for mat, word, last in frontier:
+            for k, letter in enumerate(mats):
+                new = linalg.mat_mul(letter, mat)
+                if (last is None or inv_idx[k] != last) and new not in seen:
+                    seen.add(new)
+                    nxt.append((new, (labels[k],) + word, k))
+                    order.append((new, (labels[k],) + word))
+        frontier = nxt
+    return order
+
+
+BALL_CASES = ([(g, 1 + case % 4) for case, (g, _) in enumerate(ORBIT_CASES)]
+              + [(g, depth) for g, _, depth in DENSE_LETTER_CASES])
+
+
+@pytest.mark.parametrize("g, budget", BALL_CASES)
+def test_element_ball_by_moved_rows_matches_matrix_products(g, budget):
+    got = [(e.matrix, w) for e, w in elements_up_to(g, budget)]
+    assert got == _mat_mul_ball(g, budget)
 
 
 def test_orbit_ball_evaluates_a_letter_at_its_non_identity_rows(monkeypatch):

@@ -13,7 +13,9 @@ from hyperlat import (build_lattice, direct_sum,
 from hyperlat.errors import (EllipticHasNoBoundaryFixedPoint,
                              NonIntegralResult, NotOrthogonal, WrongComponent,
                              WrongNorm)
-from hyperlat.groups import FGGroup, elements_up_to
+from hyperlat import groups, isometry
+from hyperlat.criteria import entropy_report
+from hyperlat.groups import FGGroup, conjugacy_key, elements_up_to, word_string
 from hyperlat.isometry import (ELLIPTIC, LOXODROMIC, PARABOLIC, Isometry, _classify,
                                _classify_charpoly)
 from hyperlat.linalg import (identity_matrix, kernel_basis, mat_mul, primitive_vector,
@@ -693,3 +695,59 @@ def test_a_rejected_charpoly_is_not_cached():
             _classify(Isometry(O_U, ((2, 0), (0, 3))))
         info = _classify_charpoly.cache_info()
         assert (info.misses, info.currsize) == (calls, 0)
+
+
+def _word_keys(group, budget):
+    mats, labels, inv_idx = groups._letters(group)
+    inverse = {label: labels[k] for label, k in zip(labels, inv_idx)}
+    return [conjugacy_key(w, inverse)
+            for _, w in elements_up_to(group, budget, include_identity=False)]
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 4])
+@pytest.mark.parametrize("which", ["um2", "pell", "ua2m2"])
+def test_entropy_report_matches_per_element_classification(which, budget):
+    group, _ = _memo_group(which)
+    want = []
+    for elem, word in elements_up_to(group, budget, include_identity=False):
+        _classify_charpoly.cache_clear()
+        want.append((word_string(word), elem.classification.kind, entropy(elem)))
+    _classify_charpoly.cache_clear()
+    report = entropy_report(_memo_group(which)[0], budget, 5)
+    assert [(f.word, f.kind, f.entropy) for f in report.findings] == want
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 4])
+@pytest.mark.parametrize("which", ["um2", "pell", "ua2m2"])
+def test_entropy_report_classifies_once_per_word_class(which, budget, monkeypatch):
+    group, _ = _memo_group(which)
+    keys = _word_keys(group, budget)
+    calls = []
+    monkeypatch.setattr(isometry, "_classify", lambda g: calls.append(g) or _classify(g))
+    report = entropy_report(group, budget, 5)
+    assert len(report.findings) == len(keys)
+    assert len(calls) == len(set(keys))
+    # the first element of each class is the one classified
+    first = {}
+    for (elem, _), key in zip(elements_up_to(group, budget, include_identity=False), keys):
+        first.setdefault(key, elem.matrix)
+    assert [g.matrix for g in calls] == list(first.values())
+
+
+def test_entropy_report_word_classes_of_the_u_m2_ball():
+    group, _ = _memo_group("um2")
+    keys = _word_keys(group, 3)
+    assert (len(keys), len(set(keys))) == (75, 38)
+
+
+def test_conjugate_words_share_a_key():
+    inverse = {1: -1, -1: 1, 2: -2, -2: 2, 3: 3}  # 3 is an involution
+    key = conjugacy_key((1, 2, 3), inverse)
+    for word in ((2, 3, 1), (3, 1, 2), (3, -2, -1), (-1, 3, -2),  # rotations, inverse
+                 (-2, 1, 2, 3, 2), (2, 2, 1, 2, 3, -2, -2), (3, 2, 3, 1, 3)):
+        assert conjugacy_key(word, inverse) == key, word
+    assert conjugacy_key((1, 2, 3), inverse) == min((1, 2, 3), (2, 3, 1), (3, 1, 2),
+                                                    (3, -2, -1), (-2, -1, 3), (-1, 3, -2))
+    # a word and its inverse share a key; words conjugate to neither do not
+    assert conjugacy_key((1,), inverse) == conjugacy_key((-1,), inverse) == (-1,)
+    assert len({conjugacy_key(w, inverse) for w in ((1,), (3,), (1, 2), (2, 1, 1), (1, -2))}) == 5

@@ -173,9 +173,10 @@ def test_charpoly_checks_its_divisions():
         charpoly(((Fraction(1, 2),),))
 
 
-@pytest.mark.parametrize("n", range(1, 8))
-def test_charpoly_takes_n_minus_one_products(n, monkeypatch):
-    # M_1 = I, so A M_1 is A itself; the Cayley-Hamilton check still runs
+@pytest.mark.parametrize("n", range(1, 11))
+def test_charpoly_takes_half_the_products(n, monkeypatch):
+    # A, ..., A^ceil(n/2): every trace of a higher power is read off a
+    # product of two of them without forming it
     products = []
 
     def counting(a, b):
@@ -185,7 +186,64 @@ def test_charpoly_takes_n_minus_one_products(n, monkeypatch):
     monkeypatch.setattr(polynomials, "mat_mul", counting)
     mat = tuple(tuple(random.Random(n).randint(-9, 9) for _ in range(n)) for _ in range(n))
     assert charpoly(mat) == _sympy_charpoly(mat)
-    assert products == [n] * (n - 1)
+    assert products == [n] * ((n + 1) // 2 - 1)
+
+
+def _faddeev_leverrier(mat):
+    """Oracle: M_1 = I, c_(n-k) = -tr(A M_k) / k, M_(k+1) = A M_k + c_(n-k) I,
+    each division checked exact and M_(n+1) = 0 (Cayley-Hamilton)."""
+    n = len(mat)
+    out = [0] * n + [1]
+    m = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    for k in range(1, n + 1):
+        am = mat_mul(mat, m)
+        c, r = divmod(-sum(am[i][i] for i in range(n)), k)
+        assert r == 0
+        out[n - k] = c
+        m = tuple(tuple(x + c * (i == j) for j, x in enumerate(row)) for i, row in enumerate(am))
+    assert not any(any(row) for row in m)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_charpoly_matches_faddeev_leverrier_on_integer_matrices(n):
+    rng = random.Random(1009 + n)
+    for trial in range(20):
+        mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if trial % 4 == 0 and n > 1:  # singular: a row repeated, or a zero row
+            mat[-1] = list(mat[0]) if trial % 8 else [0] * n
+        mat = tuple(map(tuple, mat))
+        assert charpoly(mat) == _faddeev_leverrier(mat)
+
+
+@pytest.mark.parametrize("name", sorted(CHARPOLY_LETTERS))
+def test_charpoly_of_random_words_matches_faddeev_leverrier(name):
+    letters = CHARPOLY_LETTERS[name]
+    rng = random.Random(211)
+    for _ in range(40):
+        g = letters[rng.randrange(len(letters))]
+        for _ in range(rng.randint(0, 12)):
+            g = g.compose(letters[rng.randrange(len(letters))])
+        assert charpoly(g.matrix) == _faddeev_leverrier(g.matrix)
+
+
+def test_charpoly_checks_its_constant_term_against_the_determinant(monkeypatch):
+    mat = ((3, 4), (2, 3))
+    assert charpoly(mat) == [1, -6, 1]
+    monkeypatch.setattr(polynomials, "bareiss_det", lambda m: 2)
+    with pytest.raises(ArithmeticError, match="det"):
+        charpoly(mat)
+
+
+def test_sturm_chain_passed_in_gives_the_same_counts_and_brackets():
+    # the chain of -q is the negated chain of q, with the same variations
+    for q in ([-1, -6, 1], [-1, 0, 0, 1], [1, -3, 0, 1], [-2, 0, 1]):
+        for p in (q, poly_neg(q)):
+            for chain in (polynomials.sturm_chain(q), polynomials.sturm_chain(poly_neg(q))):
+                assert count_roots_gt(p, 1, 1, chain) == count_roots_gt(p, 1, 1)
+                if count_roots_gt(p, 1, 1) == 1:
+                    assert (bracket_largest_root_above(p, 1, 1, chain)
+                            == bracket_largest_root_above(p, 1, 1))
 
 
 # -- Sturm counts and squarefree parts against sympy ------------------------------
