@@ -19,25 +19,16 @@ from . import __version__
 from .cones import polytope_hypothesis_check
 from .criteria import (convex_cocompact_rank5_family, entropy_report, k3_report,
                        uniform_lattice_family)
-from .errors import BudgetError, HyperlatError, InputError
+from .errors import BudgetError, HyperlatError, InputError, InvalidParameter
 from .forms import (enumerate_norm_vectors, primitive_isotropic_vectors,
                     rational_isotropy, root_existence)
 from .groups import (FGGroup, chamber_walk, dirichlet_domain,
                      limit_points_sample, orbit, tiling_check)
 from .isometry import entropy, fixed_boundary_points, make_isometry
 from .lattice import GramLattice, build_lattice, signature
+from .linalg import to_int_matrix
 from .model import ConeOrientation, pick_cone, point_from_ray, to_ball
 from .plot import ball_csv, ball_svg, format_float
-
-
-def _check_exact_ints(node, where: str) -> None:
-    if isinstance(node, bool):
-        raise InputError(f"{where}: booleans are not integers")
-    if isinstance(node, float):
-        raise InputError(f"{where}: floats are not accepted, integers only")
-    if isinstance(node, list):
-        for i, item in enumerate(node):
-            _check_exact_ints(item, f"{where}[{i}]")
 
 
 def load_json(path: str) -> dict:
@@ -59,16 +50,20 @@ def load_lattice(path: str) -> GramLattice:
     data = load_json(path)
     if "gram" not in data:
         raise InputError(f"{path}: missing 'gram'")
-    _check_exact_ints(data["gram"], f"{path}:gram")
-    return build_lattice(data["gram"])
+    try:
+        return build_lattice(data["gram"])
+    except InvalidParameter as exc:  # not a matrix of integers
+        raise InvalidParameter(f"{path}:gram: {exc}") from None
 
 
 def load_matrix(path: str):
     data = load_json(path)
     if "matrix" not in data:
         raise InputError(f"{path}: missing 'matrix'")
-    _check_exact_ints(data["matrix"], f"{path}:matrix")
-    return data["matrix"]
+    try:
+        return to_int_matrix(data["matrix"])
+    except InvalidParameter as exc:
+        raise InvalidParameter(f"{path}:matrix: {exc}") from None
 
 
 def load_group(path: str, o: ConeOrientation) -> FGGroup:
@@ -82,7 +77,6 @@ def load_group(path: str, o: ConeOrientation) -> FGGroup:
     for i, g in enumerate(gens):
         if not isinstance(g, dict) or "matrix" not in g:
             raise InputError(f"{path}: generator {i} missing 'matrix'")
-        _check_exact_ints(g["matrix"], f"{path}:generators[{i}]")
         try:
             out.append(make_isometry(o, g["matrix"]))
         except InputError as exc:

@@ -5,7 +5,7 @@ A cone is a PolyhedralCone on its halfspace normals, plain integer
 vectors w acting through the bilinear form: the inequality is
 (w, x) = w . (G x) >= 0, with G x formed once per ray and no functional
 G w per normal.  The double description returns each ray's zero set over
-the normals, and the facets are read off those zero sets.  All pivoting
+the normals, and `extreme_rays` reads the facets off them.  All pivoting
 is fraction-free in integers; adjacency during double description uses
 the exhaustive combinatorial test, no heuristics.
 """
@@ -32,7 +32,8 @@ class PolyhedralCone(Record):
 
     The V-rep lists extreme rays of the pointed part together with both
     signs of each lineality direction, so every listed ray genuinely
-    satisfies all inequalities.
+    satisfies all inequalities.  Only `extreme_rays` attaches rays, so a
+    cone with a V-rep is reduced to its facets.
     """
 
     def __init__(self, lattice: GramLattice, halfspaces: tuple[tuple[int, ...], ...],
@@ -145,27 +146,39 @@ def _pointed_double_description(normals, gram, pivots):
 
 
 def extreme_rays(cone: PolyhedralCone, *, max_dim: int = DIM_BUDGET) -> PolyhedralCone:
-    """Populate the V-representation of the cone (rays and tags).
+    """The cone reduced to its facets, with its V-rep (rays and tags).
 
-    Lineality directions are reported as +-pairs of rays.  Tags need the
-    cone's orientation; without one every tag is "other".
+    Lineality directions are reported as +-pairs of rays, which lie on every
+    hyperplane.  Tags need the cone's orientation; without one every tag is
+    "other".  A halfspace's mask is the set of listed rays on its
+    hyperplane, read off their zero sets; it is kept when no other proper
+    mask strictly contains its own (a facet), or when it holds every ray
+    (an implicit equality).  The zero cone keeps every halfspace.
     """
-    return _vrep(cone, max_dim)[0]
-
-
-def _vrep(cone: PolyhedralCone, max_dim: int = DIM_BUDGET):
-    """`extreme_rays`, and the zero set over the halfspaces of each listed
-    ray; a lineality direction lies on every hyperplane."""
     if cone.lattice.rank > max_dim:
         raise DimensionBudgetExceeded(
             f"double description budget is rank <= {max_dim}")
-    rays, lineality, zero_sets = double_description(cone.halfspaces, cone.lattice.gram)
-    every = (1 << len(cone.halfspaces)) - 1
+    halfspaces = cone.halfspaces
+    rays, lineality, zero_sets = double_description(halfspaces, cone.lattice.gram)
+    every = (1 << len(halfspaces)) - 1
     zsets = dict(zip(rays, zero_sets)) | {
         v: every for line in lineality for v in (line, linalg.vec_neg(line))}
     full = sorted(zsets)
+    if full:
+        masks = [0] * len(halfspaces)
+        for k, ray in enumerate(full):
+            zset = zsets[ray]
+            while zset:
+                low = zset & -zset
+                masks[low.bit_length() - 1] |= 1 << k
+                zset ^= low
+        whole = (1 << len(full)) - 1
+        proper = set(masks) - {whole}
+        facets = {whole} | {m for m in proper
+                            if not any(o != m and o & m == m for o in proper)}
+        halfspaces = tuple(w for w, m in zip(halfspaces, masks) if m in facets)
     tags = tuple(_tag_ray(cone, ray) for ray in full)
-    return replace(cone, rays=tuple(full), ray_tags=tags), [zsets[ray] for ray in full]
+    return replace(cone, halfspaces=halfspaces, rays=tuple(full), ray_tags=tags)
 
 
 def _tag_ray(cone: PolyhedralCone, ray) -> str:
@@ -193,37 +206,9 @@ def ray_satisfies(cone: PolyhedralCone, ray, strict: bool = False) -> bool:
 
 
 def irredundant_halfspaces(cone: PolyhedralCone) -> PolyhedralCone:
-    """Drop halfspaces that do not define facets, using the V-rep.
-
-    Each halfspace cuts out a face, generated by the listed rays it
-    contains: its mask, read off the rays' zero sets (from the double
-    description, or against G ray for a given V-rep).  The facets are the
-    maximal proper faces, so a halfspace is kept when no other proper mask
-    strictly contains its own.  Halfspaces active on the whole cone
-    (implicit equalities) are kept too; they cannot be dropped without
-    growing the cone.
-    """
-    halfspaces = cone.halfspaces
-    if cone.rays is None:
-        vrep, zero_sets = _vrep(cone)
-    else:
-        vrep, gram = cone, cone.lattice.gram
-        zero_sets = [sum(1 << i for i, w in enumerate(halfspaces) if linalg.dot(w, image) == 0)
-                     for image in (linalg.mat_vec(gram, ray) for ray in cone.rays)]
-    if not vrep.rays:
-        return vrep  # the zero cone: every constraint may matter, keep all
-    masks = [0] * len(halfspaces)
-    for k, zset in enumerate(zero_sets):
-        while zset:
-            low = zset & -zset
-            masks[low.bit_length() - 1] |= 1 << k
-            zset ^= low
-    full = (1 << len(zero_sets)) - 1
-    proper = set(masks) - {full}
-    facets = {full} | {m for m in proper if not any(o != m and o & m == m for o in proper)}
-    keep = tuple(w for w, m in zip(halfspaces, masks) if m in facets)
-    # dropping redundant inequalities leaves the cone, and so its V-rep, as it is
-    return replace(vrep, halfspaces=keep)
+    """The cone as it is when it carries a V-rep (so is reduced), else
+    `extreme_rays(cone)`."""
+    return cone if cone.rays is not None else extreme_rays(cone)
 
 
 def polytope_hypothesis_check(cone: PolyhedralCone,
@@ -235,16 +220,15 @@ def polytope_hypothesis_check(cone: PolyhedralCone,
     candidates (rational isotropic rays), and whether any ray escapes the
     closed positive cone, which is what "not a polytope" means here.  A
     cone that already carries its V-rep, tagged under this orientation, is
-    reduced from that V-rep instead of a recomputed one.
+    read as it is; any other is reduced and tagged afresh.
     """
     o = orientation or cone.orientation
     if o is None:
         raise InvalidParameter("hypothesis check needs a cone orientation")
+    reduced = cone
     if cone.ray_tags is None or o != cone.orientation:
-        cone = replace(cone, orientation=o, rays=None, ray_tags=None)
-    reduced = irredundant_halfspaces(cone)
-    tags = list(reduced.ray_tags or ())
-    rays = list(reduced.rays or ())
+        reduced = extreme_rays(replace(cone, orientation=o))
+    tags, rays = reduced.ray_tags, reduced.rays
     cusps = [list(r) for r, t in zip(rays, tags) if t == TAG_ISOTROPIC]
     escapes = [list(r) for r, t in zip(rays, tags) if t == TAG_OTHER]
     return {

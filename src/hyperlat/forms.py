@@ -7,7 +7,8 @@ Three engines, stacked by root_existence:
 * exhaustive residue scans over one modulus ladder, run only inside
   root_existence; a congruence certificate has one (modulus, norm) part
   per square class of the norm, and replay_congruence re-runs each part,
-* rational (an)isotropy via Hilbert symbols and the local-global principle.
+* rational (an)isotropy via Hilbert symbols and the local-global principle,
+  on the lattice's cached rational diagonal, which a certificate records.
 
 A "not found up to height H" outcome is never reported as nonexistence;
 only congruence or local obstructions certify absence.
@@ -19,7 +20,7 @@ from math import isqrt, prod
 
 from . import linalg
 from .errors import BudgetExceeded, InputError, InvalidParameter, NoPositiveConeSet
-from .lattice import GramLattice, LatticeVector, direct_sum, rank1
+from .lattice import GramLattice, LatticeVector
 from .record import Record
 
 INFINITE_PLACE = "infinity"
@@ -375,8 +376,6 @@ def _locally_isotropic(diag, p) -> bool:
     (Serre, A Course in Arithmetic, IV 2.2, Thm 6).
     """
     n = len(diag)
-    if n == 0:
-        raise InvalidParameter("local isotropy of an empty diagonal")
     if n == 1:
         return False
     if n >= 5:
@@ -390,6 +389,23 @@ def _locally_isotropic(diag, p) -> bool:
     if not _square_in_qp(d, p):
         return True
     return eps == _hilbert(-1, -1, p)
+
+
+def _squarefree_diagonal(lattice: GramLattice) -> list[int]:
+    """The squarefree classes of the lattice's cached rational diagonal."""
+    return [squarefree_int(d) for d in lattice.congruence_diagonal]
+
+
+def _failing_places(diag) -> list:
+    """Where a diagonal form of squarefree entries is anisotropic, as a
+    certificate lists it: infinity for a definite form, nowhere for an
+    indefinite one of rank >= 5, else the failing places among 2 and the
+    odd primes of the entries."""
+    if all(d > 0 for d in diag) or all(d < 0 for d in diag):
+        return [INFINITE_PLACE]
+    if len(diag) >= 5:
+        return []
+    return [p for p in _relevant_places(diag) if not _locally_isotropic(diag, p)]
 
 
 def _search_isotropic_witness(lattice: GramLattice, max_height: int) -> LatticeVector | None:
@@ -414,39 +430,33 @@ def rational_isotropy(lattice: GramLattice, *,
     whenever the verdict is isotropic) come from a bounded box search and
     may be omitted at desk scale.
     """
-    diag = [squarefree_int(d) for d in linalg.congruence_diagonal(lattice.gram)]
-    pos = sum(1 for d in diag if d > 0)
-    neg = len(diag) - pos
-    if pos == 0 or neg == 0:
-        return IsotropyVerdict(
-            isotropic=False, method="definite",
-            certificate={"kind": "rational_anisotropy", "diagonal": diag,
-                         "failing_places": [INFINITE_PLACE]})
-    if lattice.rank >= 5:
-        witness = _search_isotropic_witness(lattice, witness_height)
-        return IsotropyVerdict(isotropic=True, method="indefinite_rank_ge_5",
-                               witness=witness)
-    failing = [p for p in _relevant_places(diag) if not _locally_isotropic(diag, p)]
+    diag = _squarefree_diagonal(lattice)
+    failing = _failing_places(diag)
     if failing:
+        method = "definite" if failing == [INFINITE_PLACE] else "local_obstruction"
         return IsotropyVerdict(
-            isotropic=False, method="local_obstruction",
+            isotropic=False, method=method,
             certificate={"kind": "rational_anisotropy", "diagonal": diag,
                          "failing_places": failing})
     witness = _search_isotropic_witness(lattice, witness_height)
-    return IsotropyVerdict(isotropic=True, method="local_global", witness=witness)
+    method = "indefinite_rank_ge_5" if lattice.rank >= 5 else "local_global"
+    return IsotropyVerdict(isotropic=True, method=method, witness=witness)
 
 
-def replay_rational_certificate(certificate: dict) -> bool:
-    """Recompute the local obstructions recorded in an anisotropy certificate."""
-    diag = _entry(certificate, "diagonal")
-    for p in _entry(certificate, "failing_places"):
-        p = _normalize_place(p)
-        if p == INFINITE_PLACE:
-            if any(d > 0 for d in diag) and any(d < 0 for d in diag):
-                return False
-        elif _locally_isotropic([squarefree_int(d) for d in diag], p):
-            return False
-    return True
+def replay_rational_certificate(lattice: GramLattice, certificate: dict) -> bool:
+    """True when the certificate records the lattice's squarefree diagonal
+    (with the class of -norm appended for rational_nonrepresentability)
+    and some places, and that form is anisotropic at each of them."""
+    recorded = _entry(certificate, "diagonal")
+    places = [_normalize_place(p) for p in _entry(certificate, "failing_places")]
+    diag = _squarefree_diagonal(lattice)
+    if certificate.get("kind") == "rational_nonrepresentability":
+        diag.append(squarefree_int(-_entry(certificate, "norm")))
+    if recorded != diag or not places:
+        return False
+    definite = all(d > 0 for d in diag) or all(d < 0 for d in diag)
+    return all(definite if p == INFINITE_PLACE else not _locally_isotropic(diag, p)
+               for p in places)
 
 
 # -- the root-existence pipeline ----------------------------------------------------
@@ -490,7 +500,8 @@ def root_existence(lattice: GramLattice, root_norm: int = -2,
     """Three-stage search for a vector of the given norm.
 
     1. rational necessary test: the form represents root_norm over Q iff
-       the orthogonal extension by <-root_norm> is isotropic;
+       the orthogonal extension by <-root_norm> is isotropic, read off the
+       lattice's diagonal with the class of -root_norm appended;
     2. congruence scan over the modulus ladder, run once per square divisor
        class of root_norm so imprimitive vectors cannot slip through;
     3. bounded search up to the height, stopped at the lex-first witness.
@@ -500,12 +511,11 @@ def root_existence(lattice: GramLattice, root_norm: int = -2,
     """
     if root_norm == 0:
         raise InvalidParameter("use primitive_isotropic_vectors for norm 0")
-    augmented = direct_sum(lattice, rank1(-root_norm))
-    rational = rational_isotropy(augmented, witness_height=1)
-    if not rational.isotropic:
-        cert = dict(rational.certificate)
-        cert["kind"] = "rational_nonrepresentability"
-        cert["norm"] = root_norm
+    diag = _squarefree_diagonal(lattice) + [squarefree_int(-root_norm)]
+    failing = _failing_places(diag)
+    if failing:
+        cert = {"kind": "rational_nonrepresentability", "diagonal": diag,
+                "failing_places": failing, "norm": root_norm}
         return SearchVerdict(kind="certified_none", norm=root_norm,
                              certificate=cert)
 
@@ -547,5 +557,5 @@ def replay_verdict(lattice: GramLattice, verdict: SearchVerdict) -> bool:
         cert = verdict.certificate
         if cert["kind"] == "congruence":
             return replay_congruence(lattice, cert)
-        return replay_rational_certificate(cert)
+        return replay_rational_certificate(lattice, cert)
     return True

@@ -313,8 +313,8 @@ def elementary_type(g: FGGroup) -> str:
         kernel = linalg.kernel_basis(rows)
         if kernel:
             restricted = [[lat.pair(u, v) for v in kernel] for u in kernel]
-            pos, _neg = linalg.signature_of_gram(restricted)
-            if pos >= 1:
+            # the restricted form may be degenerate, so it is no lattice
+            if any(d > 0 for d in linalg.congruence_diagonal(restricted)):
                 return ELLIPTIC_TYPE
         return NOT_DETECTED
     anchor = next(gen for gen, k in zip(g.generators, kinds) if k != ELLIPTIC)

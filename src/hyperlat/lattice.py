@@ -3,7 +3,8 @@
 A lattice here is Z^n with an integral nondegenerate symmetric bilinear
 form, represented by its Gram matrix; GramLattice.pair evaluates the form.
 All arithmetic is arbitrary precision and exact; the signature comes from
-rational congruence diagonalization, never from numerical eigenvalues.
+rational congruence diagonalization, never from numerical eigenvalues,
+done once per lattice and cached.
 """
 
 from __future__ import annotations
@@ -45,9 +46,17 @@ class GramLattice(Record):
         return linalg.adjugate(self.gram)
 
     @cached_property
+    def congruence_diagonal(self) -> tuple[int, ...]:
+        """`linalg.congruence_diagonal` of the Gram matrix, which the
+        signature and the rational tests of `forms` read."""
+        return tuple(linalg.congruence_diagonal(self.gram))
+
+    @cached_property
     def signature(self) -> tuple[int, int]:
         """Inertia (p, q) of the form; p + q = rank by nondegeneracy."""
-        p, q = linalg.signature_of_gram(self.gram)
+        diag = self.congruence_diagonal
+        p = sum(1 for d in diag if d > 0)
+        q = sum(1 for d in diag if d < 0)
         if p + q != self.rank:
             raise ArithmeticError("inertia counts do not add up to the rank")
         return p, q

@@ -6,9 +6,10 @@ is pure and allocation-cheap at desk scale (rank <= ~10); no floating point.
 Everything is fraction-free, in Python ints.  `row_basis` is the one row
 reduction; `rank`, `row_echelon` (an integer reduced echelon basis) and
 `kernel_basis` are read off it.  `congruence_diagonal` is a Bareiss
-elimination, and `gram_schmidt_frame` holds each vector as integers over
-one denominator.  Rational input (anything with `numerator` and
-`denominator`) has its denominators cleared first.
+elimination, cached per lattice as `GramLattice.congruence_diagonal`, and
+`gram_schmidt_frame` holds each vector as integers over one denominator.
+Rational input (anything with `numerator` and `denominator`) has its
+denominators cleared first.
 """
 
 from __future__ import annotations
@@ -27,22 +28,21 @@ def to_int_matrix(rows: Sequence[Sequence[int]]) -> IntMat:
     """Validate a rectangular matrix of Python ints (bools rejected).
 
     Raises InvalidParameter for anything else, including a matrix or a row
-    that is not a sequence.
+    that is not a sequence; the message names the first bad row or entry.
     """
     try:
         out = tuple(tuple(row) for row in rows)
     except TypeError:
         raise InvalidParameter("matrix must be a list of rows") from None
-    width = None
-    for r in out:
-        if width is None:
-            width = len(r)
-        elif len(r) != width:
-            raise InvalidParameter("ragged matrix")
-        for x in r:
+    width = len(out[0]) if out else 0
+    for i, r in enumerate(out):
+        if len(r) != width:
+            raise InvalidParameter(
+                f"row [{i}] has {len(r)} entries, row [0] has {width}: ragged matrix")
+        for j, x in enumerate(r):
             if not isinstance(x, int) or isinstance(x, bool):
-                raise InvalidParameter(f"matrix entry {x!r} is not an exact integer")
-    if not out or width == 0:
+                raise InvalidParameter(f"entry [{i}][{j}] is {x!r}: entries must be integers")
+    if width == 0:
         raise InvalidParameter("empty matrix")
     return out
 
@@ -307,14 +307,6 @@ def congruence_diagonal(gram) -> list[int]:
                 a[i][j] = q
         prev = pivot
     return diag
-
-
-def signature_of_gram(gram) -> tuple[int, int]:
-    """(positive, negative) inertia counts of a nondegenerate symmetric matrix."""
-    diag = congruence_diagonal(gram)
-    pos = sum(1 for d in diag if d > 0)
-    neg = sum(1 for d in diag if d < 0)
-    return pos, neg
 
 
 def gram_schmidt_frame(gram, v0) -> list[tuple[IntVec, int]]:

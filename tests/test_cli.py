@@ -235,6 +235,33 @@ def test_generator_errors_name_the_file_and_the_generator(files, generators, mes
     assert proc.stderr == f"input error: bad.json: generator {index}: {message}\n"
 
 
+@pytest.mark.parametrize("matrix, where", [
+    pytest.param([[1.0, 0], [0, -2]], "entry [0][0] is 1.0", id="float"),
+    pytest.param([[1, 0], [0, True]], "entry [1][1] is True", id="bool"),
+    pytest.param([[1, "0"], [0, -2]], "entry [0][1] is '0'", id="string"),
+    pytest.param([[1, 0], [0]], "row [1] has 1 entries", id="ragged"),
+    pytest.param([[1, 0], [[0], -2]], "entry [1][0] is [0]", id="nested"),
+])
+@pytest.mark.parametrize("key", ["gram", "matrix", "generator"])
+def test_non_integer_entries_name_the_file_the_key_and_the_entry(files, key, matrix,
+                                                                 where, capsys):
+    if key == "gram":
+        data, argv, prefix = {"gram": matrix}, ["info"], "bad.json:gram: "
+    elif key == "matrix":
+        data, prefix = {"matrix": matrix}, "bad.json:matrix: "
+        argv = ["classify", "--isometry", "bad.json"]
+    else:
+        data, prefix = {"generators": [{"matrix": matrix}]}, "bad.json: generator 0: "
+        argv = ["entropy", "--group", "bad.json"]
+    (files / "bad.json").write_text(json.dumps(data))
+    lattice = "bad.json" if key == "gram" else "d12.json"
+    with contextlib.chdir(files):
+        assert cli.main(argv + ["--lattice", lattice]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {prefix}{where}")
+    assert "integers" in err or "ragged" in err
+
+
 @pytest.mark.parametrize("sub", ["orbit", "limits", "dirichlet", "tile-check", "plot"])
 def test_zero_point_is_not_in_cone(files, sub, capsys):
     argv = [sub, "--lattice", str(files / "d12.json"),

@@ -82,7 +82,7 @@ def test_family_verification_k_up_to_31():
             assert replay_congruence(member, cert)
             fv = genus_one_fibration_test(member, height=4)
             assert fv.kind == "NoGenusOneFibration"
-            assert replay_rational_certificate(fv.isotropy["certificate"])
+            assert replay_rational_certificate(member, fv.isotropy["certificate"])
 
 
 def test_cc_d4_family_has_roots_and_fibrations():

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from hyperlat import (build_lattice, direct_sum,
-                      enumerate_norm_vectors, forms, hilbert_symbol,
+                      enumerate_norm_vectors, forms, hilbert_symbol, k3_report, linalg,
                       primitive_isotropic_vectors, rank1, rational_isotropy,
                       root_existence, signature, standard_lattice)
 from hyperlat.errors import BudgetExceeded, InputError, InvalidParameter, NoPositiveConeSet
@@ -148,6 +148,20 @@ def test_congruence_certificate_replays_only_on_its_lattice():
     assert not replay_congruence(U_MINUS2, cert)
 
 
+def test_rational_certificate_replays_only_on_its_lattice():
+    lat = direct_sum(direct_sum(rank1(2), rank1(-6)), rank1(-6))
+    v = root_existence(lat, -2, 10)
+    assert v.certificate == {"kind": "rational_nonrepresentability",
+                             "diagonal": [2, -6, -6, 2], "failing_places": [2, 3],
+                             "norm": -2}
+    assert replay_verdict(lat, v)
+    assert not replay_verdict(U_MINUS2, v)  # U+<-2> has the root (0, 0, 1)
+    fibration = rational_isotropy(FAMILY3).certificate
+    assert replay_rational_certificate(FAMILY3, fibration)
+    assert not replay_rational_certificate(U_MINUS2, fibration)
+    assert not replay_rational_certificate(FAMILY3, dict(fibration, failing_places=[]))
+
+
 # -- Hilbert symbols ------------------------------------------------------------------
 
 def test_hilbert_trivial():
@@ -218,28 +232,36 @@ def test_isotropy_examples():
     v = rational_isotropy(U)
     assert v.isotropic and U.norm(v.witness.coords) == 0
 
-    v2 = rational_isotropy(build_lattice([[2, 0], [0, -6]]))
+    l2 = build_lattice([[2, 0], [0, -6]])
+    v2 = rational_isotropy(l2)
     assert not v2.isotropic
     assert 3 in v2.certificate["failing_places"]
-    assert replay_rational_certificate(v2.certificate)
+    assert replay_rational_certificate(l2, v2.certificate)
 
     v3 = rational_isotropy(CC_A2)
     assert v3.isotropic and v3.method == "indefinite_rank_ge_5"
     assert CC_A2.norm(v3.witness.coords) == 0
 
 
+def _diagonal_lattice(diag):
+    return build_lattice([[d if i == j else 0 for j in range(len(diag))]
+                          for i, d in enumerate(diag)])
+
+
 def test_rational_certificate_replay_at_every_rank():
     # rank 1 is anisotropic at every place; rank >= 5 is isotropic at every
     # finite place (Serre, A Course in Arithmetic, IV 2.2, Thm 6)
-    assert replay_rational_certificate({"diagonal": [3], "failing_places": [2]})
-    assert not replay_rational_certificate({"diagonal": [1, -1, 1, -1, 1],
-                                            "failing_places": [2]})
-    assert not replay_rational_certificate({"diagonal": [1, 1, 1, 1, 1, 1],
-                                            "failing_places": [3]})
-    assert replay_rational_certificate({"diagonal": [1, 1, 1, 1, 1],
-                                        "failing_places": [INFINITE_PLACE]})
-    with pytest.raises(InvalidParameter):
-        replay_rational_certificate({"diagonal": [], "failing_places": [2]})
+    def replay(diag, places):
+        return replay_rational_certificate(
+            _diagonal_lattice(diag), {"diagonal": diag, "failing_places": places})
+
+    assert replay([3], [2])
+    assert not replay([1, -1, 1, -1, 1], [2])
+    assert not replay([1, 1, 1, 1, 1, 1], [3])
+    assert replay([1, 1, 1, 1, 1], [INFINITE_PLACE])
+    # an empty diagonal is no lattice's: a mismatch, not an error
+    assert not replay_rational_certificate(_diagonal_lattice([3]),
+                                           {"diagonal": [], "failing_places": [2]})
 
 
 @pytest.mark.parametrize("cert, key", [
@@ -250,8 +272,8 @@ def test_rational_certificate_replay_at_every_rank():
     ({"kind": "rational_anisotropy", "diagonal": [3]}, "failing_places"),
 ])
 def test_replay_of_a_certificate_missing_a_key_is_an_input_error(cert, key):
-    replay = replay_congruence if cert["kind"] == "congruence" else (
-        lambda _lat, c: replay_rational_certificate(c))
+    replay = replay_congruence if cert["kind"] == "congruence" else \
+        replay_rational_certificate
     with pytest.raises(InputError, match=f"'{key}'"):
         replay(U_MINUS2, cert)
 
@@ -334,6 +356,106 @@ def test_root_existence_imprimitive_divisor_classes():
     v = root_existence(U_MINUS2, -8, 2)
     assert v.kind == "witness"
     assert U_MINUS2.norm(v.witness.coords) == -8
+
+
+def _old_rational_isotropy(lattice, witness_height):
+    """rational_isotropy as it was when it diagonalised on every call."""
+    diag = [squarefree_int(d) for d in linalg.congruence_diagonal(lattice.gram)]
+    if all(d > 0 for d in diag) or all(d < 0 for d in diag):
+        return forms.IsotropyVerdict(
+            isotropic=False, method="definite",
+            certificate={"kind": "rational_anisotropy", "diagonal": diag,
+                         "failing_places": [INFINITE_PLACE]})
+    if lattice.rank >= 5:
+        return forms.IsotropyVerdict(
+            isotropic=True, method="indefinite_rank_ge_5",
+            witness=forms._search_isotropic_witness(lattice, witness_height))
+    failing = [p for p in forms._relevant_places(diag)
+               if not forms._locally_isotropic(diag, p)]
+    if failing:
+        return forms.IsotropyVerdict(
+            isotropic=False, method="local_obstruction",
+            certificate={"kind": "rational_anisotropy", "diagonal": diag,
+                         "failing_places": failing})
+    return forms.IsotropyVerdict(
+        isotropic=True, method="local_global",
+        witness=forms._search_isotropic_witness(lattice, witness_height))
+
+
+def _random_block_lattices(seed, count):
+    """Direct sums of rank 1 to 6 of U, <k> and random rank-2 blocks, half of
+    them in a basis mixed by one unimodular shear; U blocks force zero pivots."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        blocks = []
+        while sum(b.rank for b in blocks) < rng.randint(1, 6):
+            kind = rng.randrange(3)
+            if kind == 0:
+                blocks.append(U)
+            elif kind == 1:
+                blocks.append(rank1(rng.choice([-1, 1]) * rng.randint(1, 12)))
+            else:
+                a, b, c = (rng.randint(-4, 4) for _ in range(3))
+                if a * c - b * b:
+                    blocks.append(build_lattice([[a, b], [b, c]]))
+        lat = blocks[0]
+        for block in blocks[1:]:
+            lat = direct_sum(lat, block)
+        if lat.rank > 6:
+            continue
+        if len(out) % 2 and lat.rank > 1:
+            i, j = rng.sample(range(lat.rank), 2)
+            shear = [[int(r == c) + (r == i and c == j) * rng.randint(1, 3)
+                      for c in range(lat.rank)] for r in range(lat.rank)]
+            gram = linalg.mat_mul(linalg.transpose(shear), linalg.mat_mul(lat.gram, shear))
+            lat = build_lattice(gram)
+        out.append(lat)
+    return out
+
+
+def test_rational_stages_match_the_diagonalising_path(monkeypatch):
+    lattices = _random_block_lattices(2026, 120)
+    assert {lat.rank for lat in lattices} == set(range(1, 7))
+    zero_pivot = sum(lat.gram[0][0] == 0 for lat in lattices)
+    assert zero_pivot >= 10
+    # no residue obstruction, so every verdict past stage 1 is a box search
+    monkeypatch.setattr(forms, "_scan_residues", lambda *a: True)
+    certified = 0
+    for lat in lattices:
+        assert rational_isotropy(lat, witness_height=1) == _old_rational_isotropy(lat, 1)
+        for m in (-2, -4, -6, 2):
+            old = _old_rational_isotropy(direct_sum(lat, rank1(-m)), 1)
+            new = root_existence(lat, m, 1)
+            if old.isotropic:
+                assert new.kind != "certified_none", (lat, m)
+            else:
+                assert new.certificate == dict(
+                    old.certificate, kind="rational_nonrepresentability", norm=m)
+                assert replay_verdict(lat, new)
+                certified += 1
+    assert certified >= 50
+
+
+def test_k3_report_diagonalises_once(monkeypatch):
+    calls = []
+    real = linalg.congruence_diagonal
+    monkeypatch.setattr(linalg, "congruence_diagonal",
+                        lambda gram: calls.append(gram) or real(gram))
+    for lat in (build_lattice(FAMILY3.gram), build_lattice(U_MINUS2.gram)):
+        calls.clear()
+        k3_report(lat)
+        assert len(calls) == 1
+
+
+def test_root_existence_searches_no_isotropic_witness(monkeypatch):
+    def refuse(*_a):
+        raise AssertionError("root_existence searched for an isotropic witness")
+
+    monkeypatch.setattr(forms, "_search_isotropic_witness", refuse)
+    for lat in (FAMILY3, U_MINUS2, CC_D4, build_lattice([[1, 0], [0, -3]])):
+        for m in (-2, -5, 3):
+            root_existence(lat, m, 2)
 
 
 # -- first-hit witnesses against full listings ---------------------------------------

@@ -351,6 +351,13 @@ def test_irredundant_halfspaces_matches_old_on_random_cones():
     assert dropped >= 10
 
 
+def test_extreme_rays_returns_the_reduced_cone():
+    for cone in _random_cones(2024, 50) + _random_gram_cones(2025, 50):
+        got = cones.extreme_rays(cone)
+        assert got == _old_irredundant_halfspaces(cone)
+        assert cones.irredundant_halfspaces(got) is got
+
+
 @pytest.mark.parametrize("make_group, ray, budget", DOMAINS)
 def test_dirichlet_domain_runs_one_double_description(make_group, ray, budget,
                                                       monkeypatch):

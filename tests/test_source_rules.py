@@ -31,3 +31,20 @@ def _raises_assertion_error(node):
 def test_no_assertion_errors_raised_in_the_package():
     # an AssertionError names no failure a caller can handle; raise a typed one
     assert _offenders(_raises_assertion_error) == []
+
+
+def _diagonalises(node):
+    if isinstance(node, ast.ImportFrom):
+        return any(alias.name == "congruence_diagonal" for alias in node.names)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return node.func.id == "congruence_diagonal"
+    return (isinstance(node, ast.Attribute) and node.attr == "congruence_diagonal"
+            and isinstance(node.value, ast.Name) and node.value.id == "linalg")
+
+
+def test_only_lattices_and_restricted_forms_are_diagonalised():
+    # a lattice caches its rational diagonal and every other module reads
+    # that cache; groups diagonalises restricted forms, which may be degenerate
+    offenders = [where for where in _offenders(_diagonalises)
+                 if where.split(":")[0] not in ("lattice.py", "groups.py")]
+    assert offenders == []
