@@ -20,13 +20,11 @@ from .cones import polytope_hypothesis_check
 from .criteria import (convex_cocompact_rank5_family, entropy_report, k3_report,
                        uniform_lattice_family)
 from .errors import BudgetError, HyperlatError, InputError, InvalidParameter
-from .forms import (enumerate_norm_vectors, primitive_isotropic_vectors,
-                    rational_isotropy, root_existence)
+from .forms import enumerate_norm_vectors, rational_isotropy, root_existence
 from .groups import (FGGroup, chamber_walk, dirichlet_domain,
                      limit_points_sample, orbit, tiling_check)
-from .isometry import entropy, fixed_boundary_points, make_isometry
+from .isometry import Isometry, entropy, fixed_boundary_points, make_isometry
 from .lattice import GramLattice, build_lattice, signature
-from .linalg import to_int_matrix
 from .model import ConeOrientation, pick_cone, point_from_ray, to_ball
 from .plot import ball_csv, ball_svg, format_float
 
@@ -56,14 +54,14 @@ def load_lattice(path: str) -> GramLattice:
         raise InvalidParameter(f"{path}:gram: {exc}") from None
 
 
-def load_matrix(path: str):
+def load_matrix(path: str, o: ConeOrientation) -> Isometry:
     data = load_json(path)
     if "matrix" not in data:
         raise InputError(f"{path}: missing 'matrix'")
     try:
-        return to_int_matrix(data["matrix"])
-    except InvalidParameter as exc:
-        raise InvalidParameter(f"{path}:matrix: {exc}") from None
+        return make_isometry(o, data["matrix"])
+    except InputError as exc:
+        raise type(exc)(f"{path}:matrix: {exc}") from None
 
 
 def load_group(path: str, o: ConeOrientation) -> FGGroup:
@@ -180,12 +178,9 @@ def cmd_isotropy(args):
 
 def cmd_enumerate(args):
     lat = load_lattice(args.lattice)
-    if args.norm == 0 and args.primitive:
-        vecs = primitive_isotropic_vectors(lat, args.height)
-    else:
-        vecs = enumerate_norm_vectors(lat, args.norm, args.height)
-        if args.primitive:
-            vecs = [v for v in vecs if v.is_primitive]
+    vecs = enumerate_norm_vectors(lat, args.norm, args.height)
+    if args.primitive:
+        vecs = [v for v in vecs if v.is_primitive]
     emit(args, "enumerate", {
         "kind": "Enumeration",
         "norm": args.norm,
@@ -211,7 +206,7 @@ def _ray_json(ray, digits):
 def cmd_classify(args):
     lat = load_lattice(args.lattice)
     o = _orientation(lat, args)
-    g = make_isometry(o, load_matrix(args.isometry))
+    g = load_matrix(args.isometry, o)
     cls = g.classification
     result = cls.as_json()
     result["entropy"] = entropy(g)

@@ -145,7 +145,7 @@ def _pointed_double_description(normals, gram, pivots):
     return zsets
 
 
-def extreme_rays(cone: PolyhedralCone, *, max_dim: int = DIM_BUDGET) -> PolyhedralCone:
+def extreme_rays(cone: PolyhedralCone) -> PolyhedralCone:
     """The cone reduced to its facets, with its V-rep (rays and tags).
 
     Lineality directions are reported as +-pairs of rays, which lie on every
@@ -155,9 +155,9 @@ def extreme_rays(cone: PolyhedralCone, *, max_dim: int = DIM_BUDGET) -> Polyhedr
     mask strictly contains its own (a facet), or when it holds every ray
     (an implicit equality).  The zero cone keeps every halfspace.
     """
-    if cone.lattice.rank > max_dim:
+    if cone.lattice.rank > DIM_BUDGET:
         raise DimensionBudgetExceeded(
-            f"double description budget is rank <= {max_dim}")
+            f"double description budget is rank <= {DIM_BUDGET}")
     halfspaces = cone.halfspaces
     rays, lineality, zero_sets = double_description(halfspaces, cone.lattice.gram)
     every = (1 << len(halfspaces)) - 1

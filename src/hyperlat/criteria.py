@@ -123,12 +123,11 @@ def uniform_lattice_family(k: int) -> tuple[GramLattice, GramLattice]:
 def convex_cocompact_rank5_family(selector: str, value: int) -> GramLattice:
     """The two classified rank-5 families: <2^k> + D4 for k >= 5 and
     <2*3^(2m-1)> + A2 + A2 for m >= 2."""
-    sel = selector.lower()
-    if sel in ("d4", "cc-d4"):
+    if selector == "d4":
         if value < 5:
             raise InvalidParameter("D4 family needs k >= 5")
         out = direct_sum(rank1(2 ** value), standard_lattice("D4"))
-    elif sel in ("a2", "a2sq", "cc-a2"):
+    elif selector == "a2":
         if value < 2:
             raise InvalidParameter("A2^2 family needs m >= 2")
         a2 = standard_lattice("A2")
@@ -239,7 +238,7 @@ def entropy_report(g: FGGroup, word_budget: int, rho: int) -> EntropyReport:
     """
     findings = []
     positive = False
-    ball = elements_up_to(g, word_budget, include_identity=False)
+    ball = elements_up_to(g, word_budget)[1:]
     _, labels, inv_idx = g.letters
     inverse = {label: labels[k] for label, k in zip(labels, inv_idx)}
     classes = {}

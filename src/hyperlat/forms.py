@@ -28,7 +28,7 @@ INFINITE_PLACE = "infinity"
 DEFAULT_MODULUS_LADDER = (3, 4, 5, 7, 8, 9, 16, 25, 27)
 # candidate coordinate values tested per call; the solved last coordinate
 # counts once per visit
-DEFAULT_ENUM_CAP = 2_000_000
+ENUM_CAP = 2_000_000
 LADDER_RESIDUE_CAP = 200_000
 DEFAULT_WITNESS_HEIGHT = 8
 
@@ -73,7 +73,7 @@ def _level_roots(g, l, c, lo, hi):
                    if r == 0 and lo <= t <= hi})
 
 
-def _scan_box(gram, m, height, *, cap, tested=0, first=False, accept=None):
+def _scan_box(gram, m, height, *, tested=0, first=False, accept=None):
     """DFS over canonical representatives (first nonzero coordinate > 0).
 
     Visits the box in lexicographic order and returns (hits, tested): the
@@ -84,10 +84,11 @@ def _scan_box(gram, m, height, *, cap, tested=0, first=False, accept=None):
     in increasing order and the level counts as one candidate.  `accept`
     filters hits; with first=True the scan stops at the first accepted hit,
     which is then the lex-first one.  Raises BudgetExceeded before more
-    than `cap` candidates are tried.
+    than ENUM_CAP candidates are tried.
     """
     if height < 1:
         raise InvalidParameter("height must be >= 1")
+    cap = ENUM_CAP
     n = len(gram)
     last = n - 1
     glast = gram[last][last]
@@ -147,31 +148,29 @@ def _scan_box(gram, m, height, *, cap, tested=0, first=False, accept=None):
     return out, tested
 
 
-def enumerate_norm_vectors(lattice: GramLattice, m: int, height: int, *,
-                           cap: int = DEFAULT_ENUM_CAP) -> list[LatticeVector]:
+def enumerate_norm_vectors(lattice: GramLattice, m: int, height: int) -> list[LatticeVector]:
     """All vectors v != 0 with sup-norm <= height and v.v = m.
 
     One representative per +-pair (first nonzero coordinate positive), in
     lexicographic order.  Raises BudgetExceeded once the search would test
-    more than `cap` candidate coordinate values; the last coordinate is
+    more than ENUM_CAP candidate coordinate values; the last coordinate is
     solved from the others, and each solve counts as one candidate.
     """
-    hits, _ = _scan_box(lattice.gram, m, height, cap=cap)
+    hits, _ = _scan_box(lattice.gram, m, height)
     return [LatticeVector(v) for v in hits]
 
 
-def first_norm_vector(lattice: GramLattice, m: int, height: int, *,
-                      cap: int = DEFAULT_ENUM_CAP, tested: int = 0,
+def first_norm_vector(lattice: GramLattice, m: int, height: int, *, tested: int = 0,
                       accept=None) -> tuple[LatticeVector | None, int]:
     """The first vector enumerate_norm_vectors would list (and `accept`
     takes), or None, with the candidate count advanced from `tested`.
 
-    The search stops at that vector.  `cap` bounds the running count, so a
-    caller that chains several searches passes the count on to keep one
+    The search stops at that vector.  ENUM_CAP bounds the running count, so
+    a caller that chains several searches passes the count on to keep one
     budget for all of them.
     """
-    hits, tested = _scan_box(lattice.gram, m, height, cap=cap, tested=tested,
-                             first=True, accept=accept)
+    hits, tested = _scan_box(lattice.gram, m, height, tested=tested, first=True,
+                             accept=accept)
     if not hits:
         return None, tested
     if lattice.norm(hits[0]) != m:
@@ -180,8 +179,7 @@ def first_norm_vector(lattice: GramLattice, m: int, height: int, *,
 
 
 def primitive_isotropic_vectors(lattice: GramLattice, height: int, *,
-                                orientation=None, in_cone: bool = False,
-                                cap: int = DEFAULT_ENUM_CAP) -> list[LatticeVector]:
+                                orientation=None, in_cone: bool = False) -> list[LatticeVector]:
     """Primitive norm-zero vectors up to the height bound.
 
     With in_cone=True each vector is reoriented to the closure of the
@@ -190,7 +188,7 @@ def primitive_isotropic_vectors(lattice: GramLattice, height: int, *,
     if in_cone and orientation is None:
         raise NoPositiveConeSet("cone filtering requested without a designated cone")
     hits = []
-    for v in enumerate_norm_vectors(lattice, 0, height, cap=cap):
+    for v in enumerate_norm_vectors(lattice, 0, height):
         c = v.coords
         if linalg.vec_content(c) != 1:
             continue

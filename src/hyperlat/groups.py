@@ -32,7 +32,7 @@ from .lattice import GramLattice
 from .model import ConeOrientation, HyperboloidPoint, point_from_ray, to_ball
 from .record import Record, replace
 
-DEFAULT_ORBIT_CAP = 200_000
+ORBIT_CAP = 200_000
 SAMPLE_BOX = 50
 LIMIT_RADIUS_TOL = 1e-6
 LIMIT_ANGLE_TOL = 1e-4
@@ -94,17 +94,21 @@ def _moved_rows(mats):
              if row != e] for mat in mats]
 
 
-def elements_up_to(g: FGGroup, word_budget: int, *, include_identity: bool = True,
-                   cap: int = DEFAULT_ORBIT_CAP):
+def elements_up_to(g: FGGroup, word_budget: int):
     """Distinct group elements of word length <= budget, with shortest words.
 
     Breadth-first over reduced words; deduplication is by exact matrix, and
-    the returned order (word length, then letter sequence) is canonical.
-    A word's first letter is applied last: the element of (a, b) is a b.
-    A letter times a matrix changes only the rows the letter moves, each a
-    row of the letter against the columns of the matrix, taken once per
-    matrix.  `cap` counts distinct elements, the identity included.
+    the returned order (word length, then letter sequence) is canonical, so
+    the identity with the empty word comes first.  A word's first letter is
+    applied last: the element of (a, b) is a b.  A letter times a matrix
+    changes only the rows the letter moves, each a row of the letter
+    against the columns of the matrix, taken once per matrix.  ORBIT_CAP
+    counts distinct elements, the identity included.  A negative budget is
+    refused.
     """
+    if word_budget < 0:
+        raise InvalidParameter("word budget must be >= 0")
+    cap = ORBIT_CAP
     mats, labels, inv_idx = g.letters
     moves = _moved_rows(mats)
     ident = linalg.identity_matrix(g.lattice.rank)
@@ -131,8 +135,6 @@ def elements_up_to(g: FGGroup, word_budget: int, *, include_identity: bool = Tru
                 nxt.append((new, new_word, k))
                 order.append((new, new_word))
         frontier = nxt
-    if not include_identity:
-        order = [(m, w) for m, w in order if m != ident]
     return [(Isometry(g.orientation, m), w) for m, w in order]
 
 
@@ -163,7 +165,7 @@ def word_string(word) -> str:
 
 # -- orbits and limit points ------------------------------------------------------
 
-def _orbit_ball(g: FGGroup, ray, depth: int, cap: int = DEFAULT_ORBIT_CAP) -> list:
+def _orbit_ball(g: FGGroup, ray, depth: int) -> list:
     """Distinct orbit points w.x over words w of length <= depth, x first.
 
     Breadth-first over points: a candidate costs one dot product per row
@@ -175,8 +177,10 @@ def _orbit_ball(g: FGGroup, ray, depth: int, cap: int = DEFAULT_ORBIT_CAP) -> li
     letter the element search adds.  Looping over the letters by inverse
     index, then over q, meets each point first at its least key.  The
     letter that undoes the one that first reached q is skipped, since it
-    leads back to a known point.  `cap` counts distinct points, x included.
+    leads back to a known point.  ORBIT_CAP counts distinct points, x
+    included.
     """
+    cap = ORBIT_CAP
     mats, _labels, inv_idx = g.letters
     x = tuple(ray)
     moves = _moved_rows(mats)
@@ -205,11 +209,10 @@ def _orbit_ball(g: FGGroup, ray, depth: int, cap: int = DEFAULT_ORBIT_CAP) -> li
     return list(seen)
 
 
-def orbit(g: FGGroup, x: HyperboloidPoint, depth: int, *,
-          cap: int = DEFAULT_ORBIT_CAP) -> list[HyperboloidPoint]:
+def orbit(g: FGGroup, x: HyperboloidPoint, depth: int) -> list[HyperboloidPoint]:
     """Orbit points g.x over words of length <= depth.
 
-    Deduplicated by exact ray equality, sorted by ray; at most `cap`
+    Deduplicated by exact ray equality, sorted by ray; at most ORBIT_CAP
     distinct points, else BudgetExceeded.
     """
     if depth < 0:
@@ -217,11 +220,10 @@ def orbit(g: FGGroup, x: HyperboloidPoint, depth: int, *,
     if x.orientation != g.orientation:
         raise DifferentAmbient("point and group live over different ambients")
     return [HyperboloidPoint(orientation=g.orientation, ray=r)
-            for r in sorted(_orbit_ball(g, x.ray, depth, cap))]
+            for r in sorted(_orbit_ball(g, x.ray, depth))]
 
 
-def limit_points_sample(g: FGGroup, x: HyperboloidPoint, depth: int, *,
-                        cap: int = DEFAULT_ORBIT_CAP) -> list[tuple[float, ...]]:
+def limit_points_sample(g: FGGroup, x: HyperboloidPoint, depth: int) -> list[tuple[float, ...]]:
     """Approximate limit directions from a finite orbit sample.
 
     Ball-model orbit points with radius above 1 - 1e-6 are projected to the
@@ -234,7 +236,7 @@ def limit_points_sample(g: FGGroup, x: HyperboloidPoint, depth: int, *,
         raise InvalidParameter("depth must be >= 1")
     o = g.orientation
     far = []
-    for pt in orbit(g, x, depth, cap=cap):
+    for pt in orbit(g, x, depth):
         b = to_ball(o, pt)
         r = sum(v * v for v in b) ** 0.5
         if r > 1.0 - LIMIT_RADIUS_TOL:
@@ -341,15 +343,14 @@ def _preserves_pair(gen: Isometry, pair) -> bool:
 
 # -- Dirichlet domains ---------------------------------------------------------------
 
-def dirichlet_domain(g: FGGroup, h: HyperboloidPoint, word_budget: int, *,
-                     cap: int = DEFAULT_ORBIT_CAP) -> PolyhedralCone:
+def dirichlet_domain(g: FGGroup, h: HyperboloidPoint, word_budget: int) -> PolyhedralCone:
     """Budget-truncated Dirichlet domain around a rational basepoint.
 
     H-representation from the bisectors p - h of the distinct orbit points
     p != h over words of length <= budget (the ball is closed under
     inversion, so these are the g^-1 h), in the order `elements_up_to`
     first reaches them; then reduced to facets via the exact
-    V-representation.  `cap` counts distinct orbit points.  The result is
+    V-representation.  ORBIT_CAP counts distinct orbit points.  The result is
     a superset of the true domain and carries the truncation label.  A
     negative budget is refused.
 
@@ -368,7 +369,7 @@ def dirichlet_domain(g: FGGroup, h: HyperboloidPoint, word_budget: int, *,
     if any(gen.matrix != ident and tuple(gen.apply(h.ray)) == tuple(h.ray)
            for gen in g.generators):
         raise FixedBasepoint("a generator fixes the basepoint")
-    points = _orbit_ball(g, h.ray, word_budget, cap)
+    points = _orbit_ball(g, h.ray, word_budget)
     bisectors = tuple(linalg.vec_sub(p, points[0]) for p in points[1:])
     dom = irredundant_halfspaces(PolyhedralCone(
         g.lattice, bisectors, orientation=g.orientation, truncated_at=word_budget))
@@ -378,23 +379,22 @@ def dirichlet_domain(g: FGGroup, h: HyperboloidPoint, word_budget: int, *,
 # -- tiling verification ----------------------------------------------------------------
 
 def sample_cone_points(orientation: ConeOrientation, count: int, seed: int, *,
-                       box: int = SAMPLE_BOX, within: PolyhedralCone | None = None):
+                       within: PolyhedralCone | None = None):
     """Random rational points of H^n: integer rays in a box, cone-filtered.
 
-    The candidates are the rays of randint(-box, box) per coordinate on
-    Random(seed), at most 10 000 count of them.  With `within`, only points
-    strictly inside that cone are kept.  Cheapest rejection first: the
-    pairing with the base, then the strict inequalities of `within` on the
-    raw ray (they hold iff they hold on its primitive multiple), the norm.
+    The candidates are the rays of randint(-SAMPLE_BOX, SAMPLE_BOX) per
+    coordinate on Random(seed), at most 10 000 count of them.  With
+    `within`, only points strictly inside that cone are kept.  Cheapest
+    rejection first: the pairing with the base, then the strict
+    inequalities of `within` on the raw ray (they hold iff they hold on its
+    primitive multiple), the norm.
     """
     if count < 1:
         raise InvalidParameter("sample count must be >= 1")
-    if box < 0:
-        raise InvalidParameter("sample box must be >= 0")
     gram = orientation.lattice.gram
     forms = (linalg.mat_vec(gram, orientation.base),) + (
         () if within is None else within.functionals)
-    draws = chain.from_iterable(_randint_chunks(Random(seed), box))
+    draws = chain.from_iterable(_randint_chunks(Random(seed), SAMPLE_BOX))
     out = []
     for _, ray in zip(range(10_000 * count), zip(*[draws] * len(gram))):
         for f in forms:
@@ -434,10 +434,8 @@ def tiling_check(cone: PolyhedralCone, g: FGGroup, samples: int, word_budget: in
     Fewer than one sample, or a negative word budget, is refused: either
     would report a pass that checked nothing.
     """
-    if word_budget < 0:
-        raise InvalidParameter("word budget must be >= 0")
     o = g.orientation
-    elems = [e for e, _ in elements_up_to(g, word_budget, include_identity=False)]
+    elems = [e for e, _ in elements_up_to(g, word_budget)[1:]]
     # the word ball is closed under inversion: some g^-1 moves pt inside iff some g does
     overlaps = sum(any(ray_satisfies(cone, e.apply(pt.ray), strict=True) for e in elems)
                    for pt in sample_cone_points(o, samples, seed, within=cone))
@@ -472,8 +470,13 @@ def chamber_walk(orientation: ConeOrientation, x, *, root_norm: int = -2,
     Each step picks the height-minimal then lexicographically minimal root
     with (x, root) < 0 and reflects.  Zero pairings do not drive steps;
     with require_off_wall=True a zero pairing on the input raises OnWall
-    instead.  Budget exhaustion is flagged in the result, not raised.
+    instead.  At most step_budget reflections are made, and the point they
+    reach is tested too: `completed` says that it lies in the chamber.
+    Budget exhaustion is flagged in the result, not raised; a negative
+    budget is refused.
     """
+    if step_budget < 0:
+        raise InvalidParameter("step budget must be >= 0")
     lat = orientation.lattice
     ray = tuple(x.ray if isinstance(x, HyperboloidPoint) else x)
     if lat.norm(ray) <= 0 or lat.pair(ray, orientation.base) <= 0:
@@ -483,11 +486,9 @@ def chamber_walk(orientation: ConeOrientation, x, *, root_norm: int = -2,
     if require_off_wall and any(lat.pair(ray, r) == 0 for r in roots):
         raise OnWall("start point lies on a reflection wall")
     word = []
-    for _ in range(step_budget):
+    while True:
         pick = next((r for r in roots if lat.pair(ray, r) < 0), None)
-        if pick is None:
-            return WalkResult(point=ray, word=tuple(word), completed=True)
-        refl = reflection(orientation, pick)
-        ray = tuple(refl.apply(ray))
+        if pick is None or len(word) == step_budget:
+            return WalkResult(point=ray, word=tuple(word), completed=pick is None)
+        ray = tuple(reflection(orientation, pick).apply(ray))
         word.append(pick)
-    return WalkResult(point=ray, word=tuple(word), completed=False)

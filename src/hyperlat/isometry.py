@@ -148,8 +148,8 @@ def make_isometry(orientation: ConeOrientation, matrix) -> Isometry:
 def _classify_charpoly(p: tuple[int, ...]):
     """The stage of classification that reads only the charpoly p.
 
-    Loxodromic: (minpoly, bracket) of the scale, the bracket refined to
-    width <= 1/_BRACKET_EPS.  Otherwise: the lcm of the cyclotomic orders,
+    Loxodromic: (minpoly, bracket) of the scale, the bracket refined on q
+    to width <= 1/_BRACKET_EPS.  Otherwise: the lcm of the cyclotomic orders,
     a bound for the order of a finite-order element.  Shared by every
     element with this charpoly for the life of the process; a raise is not
     cached.
@@ -165,7 +165,7 @@ def _classify_charpoly(p: tuple[int, ...]):
         bracket = pol.bracket_largest_root_above(q, 1, 1, chain)
         bracket = pol.refine_bracket(q, bracket, _BRACKET_EPS)
         minpoly = pol.minimal_polynomial_of_root(q, bracket)
-        return tuple(minpoly), pol.refine_bracket(minpoly, bracket, _BRACKET_EPS)
+        return tuple(minpoly), bracket
     factors = pol.cyclotomic_factorization(p)
     if factors is None:
         raise ArithmeticError(

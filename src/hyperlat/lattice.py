@@ -161,7 +161,7 @@ def standard_lattice(name: str, m: int | None = None) -> GramLattice:
         return build_lattice([[0, 1], [1, 0]])
     if key in _CARTAN:
         return build_lattice([[-x for x in row] for row in _CARTAN[key]])
-    if key in ("RANK1", "<M>"):
+    if key == "RANK1":
         if m is None or m == 0:
             raise InvalidParameter("rank1 lattice needs a nonzero integer m")
         return build_lattice([[m]])

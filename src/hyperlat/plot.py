@@ -26,7 +26,7 @@ _SVG_SIZE = 500
 _COLORS = {"orbit": "#1f77b4", "limit": "#d62728", "basepoint": "#2ca02c"}
 
 
-def ball_svg(points, *, digits: int = 6) -> str:
+def ball_svg(points) -> str:
     """Static scatter of the first two ball coordinates inside the unit disk.
 
     Only meaningful for ambient hyperbolic dimension <= 3 (projection);
@@ -35,10 +35,10 @@ def ball_svg(points, *, digits: int = 6) -> str:
     half = _SVG_SIZE / 2
 
     def sx(v):
-        return format_float(half + v * (half - 10), digits)
+        return format_float(half + v * (half - 10), 6)
 
     def sy(v):
-        return format_float(half - v * (half - 10), digits)
+        return format_float(half - v * (half - 10), 6)
 
     rows = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" '

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from hyperlat import (FGGroup, cli, direct_sum, eichler_transvection, pick_cone,
+from hyperlat import (FGGroup, cli, direct_sum, eichler_transvection, linalg, pick_cone,
                       reflection, standard_lattice)
 from hyperlat.groups import elements_up_to
 from hyperlat.isometry import LOXODROMIC, _classify_charpoly
@@ -129,6 +129,22 @@ def test_negative_domain_budget_is_refused(files, sub):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["entropy", "--group", "pell_group.json", "--budget=-1"], "word budget",
+                 id="entropy"),
+    pytest.param(["criteria", "k3", "--generators", "pell_group.json", "--budget=-1"],
+                 "word budget", id="criteria"),
+    pytest.param(["chamber-walk", "--point", "3,1", "--steps=-1"], "step budget",
+                 id="chamber-walk"),
+])
+def test_negative_word_and_step_budgets_are_refused(files, argv, message, capsys):
+    with contextlib.chdir(files):
+        assert cli.main(argv + ["--lattice", "d12.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: {message} must be >= 0\n"
+    assert captured.out == ""
+
+
 def test_chamber_walk(files):
     rep = out_json(run_cli(["chamber-walk", "--lattice", "um2.json",
                             "--point", "2,2,1", "--height", "1"], files))
@@ -233,6 +249,31 @@ def test_generator_errors_name_the_file_and_the_generator(files, generators, mes
     assert proc.returncode == 1
     index = len(generators) - 1
     assert proc.stderr == f"input error: bad.json: generator {index}: {message}\n"
+
+
+@pytest.mark.parametrize("matrix, message", [
+    pytest.param([[1, 1], [0, 1]], "matrix does not preserve the bilinear form",
+                 id="not_orthogonal"),
+    pytest.param([[-1, 0], [0, -1]], "matrix swaps the two cone components",
+                 id="wrong_component"),
+    pytest.param([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "matrix rank 3 != lattice rank 2",
+                 id="dimension_mismatch"),
+])
+def test_isometry_errors_name_the_file(files, matrix, message, capsys):
+    (files / "bad.json").write_text(json.dumps({"matrix": matrix}))
+    with contextlib.chdir(files):
+        assert cli.main(["classify", "--lattice", "d12.json", "--isometry", "bad.json"]) == 1
+    assert capsys.readouterr().err == f"input error: bad.json:matrix: {message}\n"
+
+
+def test_classify_validates_each_input_matrix_once(files, monkeypatch, capsys):
+    calls = []
+    real = linalg.to_int_matrix
+    monkeypatch.setattr(linalg, "to_int_matrix", lambda rows: calls.append(1) or real(rows))
+    with contextlib.chdir(files):
+        assert cli.main(["classify", "--lattice", "d12.json", "--isometry", "pell.json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["class"] == "loxodromic"
+    assert len(calls) == 2  # the lattice's gram and the isometry's matrix
 
 
 @pytest.mark.parametrize("matrix, where", [

@@ -60,9 +60,10 @@ def test_enumerate_matches_brute_force_and_order():
             assert got == sorted(got)  # lexicographic contract
 
 
-def test_enumerate_budget():
+def test_enumerate_budget(monkeypatch):
+    monkeypatch.setattr(forms, "ENUM_CAP", 1000)
     with pytest.raises(BudgetExceeded):
-        enumerate_norm_vectors(CC_D4, -2, 100, cap=1000)
+        enumerate_norm_vectors(CC_D4, -2, 100)
 
 
 def test_primitive_isotropic_examples():
@@ -539,19 +540,22 @@ def test_pinned_witnesses_survive_large_heights():
     assert root_existence(U_MINUS2, -2, 100).witness.coords == (0, 0, 1)
 
 
-def test_budget_counts_candidates_tested():
+def test_budget_counts_candidates_tested(monkeypatch):
+    monkeypatch.setattr(forms, "ENUM_CAP", 1000)
     with pytest.raises(BudgetExceeded,
                        match=r"box enumeration .*: (\d+) candidates tested.* budget of 1000$"
                        ) as info:
-        enumerate_norm_vectors(CC_D4, -2, 100, cap=1000)
+        enumerate_norm_vectors(CC_D4, -2, 100)
+    monkeypatch.undo()
     tested = int(info.value.args[0].split(": ")[1].split()[0])
     assert 0 < tested <= 1000
     # a chained search carries its count: the budget covers the whole call
     witness, tested = first_norm_vector(U_MINUS2, -2, 3)
     assert witness.coords == (0, 0, 1) and tested > 0
     assert first_norm_vector(U_MINUS2, -2, 3, tested=500)[1] == 500 + tested
+    monkeypatch.setattr(forms, "ENUM_CAP", 500)
     with pytest.raises(BudgetExceeded, match="500 candidates tested"):
-        first_norm_vector(U_MINUS2, -2, 3, cap=500, tested=500)
+        first_norm_vector(U_MINUS2, -2, 3, tested=500)
 
 
 def _random_form(rng, n, last):
@@ -566,7 +570,8 @@ def _random_form(rng, n, last):
 
 # the last diagonal entry: zero (a linear last level), negative, positive
 @pytest.mark.parametrize("last_sign", [0, -1, 1])
-def test_solved_last_level_matches_brute_force(last_sign):
+def test_solved_last_level_matches_brute_force(last_sign, monkeypatch):
+    monkeypatch.setattr(forms, "ENUM_CAP", 10**9)
     rng = random.Random(17 + last_sign)
     solved = 0
     for case in range(120):
@@ -579,9 +584,9 @@ def test_solved_last_level_matches_brute_force(last_sign):
         accept = (lambda v: sum(v) % 2 == 0) if case % 3 == 1 else None
         want = [v for v in brute_box(GramLattice(gram, n), m, h)
                 if accept is None or accept(v)]
-        hits, tested = forms._scan_box(gram, m, h, cap=10**9, accept=accept)
+        hits, tested = forms._scan_box(gram, m, h, accept=accept)
         assert hits == want, (gram, m, h)
-        first, _ = forms._scan_box(gram, m, h, cap=10**9, first=True, accept=accept)
+        first, _ = forms._scan_box(gram, m, h, first=True, accept=accept)
         assert first == want[:1], (gram, m, h)
         solved += bool(want)
         if n == 1:
@@ -589,30 +594,33 @@ def test_solved_last_level_matches_brute_force(last_sign):
     assert solved >= 40
 
 
-def test_solved_last_level_with_a_vanishing_quadratic():
+def test_solved_last_level_with_a_vanishing_quadratic(monkeypatch):
     # gram[1][1] = gram[0][1] = 0: once v_0 = 1 every v_1 solves norm 1,
     # and no v_1 solves norm 2
+    monkeypatch.setattr(forms, "ENUM_CAP", 100)
     gram = ((1, 0), (0, 0))
-    assert forms._scan_box(gram, 1, 3, cap=100)[0] == [(1, t) for t in range(-3, 4)]
-    assert forms._scan_box(gram, 2, 3, cap=100)[0] == []
+    assert forms._scan_box(gram, 1, 3)[0] == [(1, t) for t in range(-3, 4)]
+    assert forms._scan_box(gram, 2, 3)[0] == []
     # the zero vector is never listed, though its last level vanishes too
-    assert forms._scan_box(((0,),), 0, 2, cap=100) == ([(1,), (2,)], 1)
+    assert forms._scan_box(((0,),), 0, 2) == ([(1,), (2,)], 1)
     zero = ((0, 0), (0, 0))
-    assert forms._scan_box(zero, 0, 1, cap=100)[0] == [(0, 1), (1, -1), (1, 0), (1, 1)]
-    assert forms._scan_box(zero, 0, 1, cap=100, first=True,
+    assert forms._scan_box(zero, 0, 1)[0] == [(0, 1), (1, -1), (1, 0), (1, 1)]
+    assert forms._scan_box(zero, 0, 1, first=True,
                            accept=lambda v: v[0] == 1)[0] == [(1, -1)]
 
 
-def test_solved_last_level_counts_one_candidate():
+def test_solved_last_level_counts_one_candidate(monkeypatch):
     # x^2 + y^2 = 5 at height 3: the first level counts its 4 values, and
     # v_0 = 0, 1, 2 reach the solved level once each (v_0 = 3 is pruned);
     # stopping at the hit (1, -2) refunds the 2 values after v_0 = 1
-    assert forms._scan_box(((1, 0), (0, 1)), 5, 3, cap=100) == (
+    monkeypatch.setattr(forms, "ENUM_CAP", 100)
+    assert forms._scan_box(((1, 0), (0, 1)), 5, 3) == (
         [(1, -2), (1, 2), (2, -1), (2, 1)], 4 + 3)
-    assert forms._scan_box(((1, 0), (0, 1)), 5, 3, cap=100, first=True) == (
+    assert forms._scan_box(((1, 0), (0, 1)), 5, 3, first=True) == (
         [(1, -2)], 4 + 2 - 2)
+    monkeypatch.setattr(forms, "ENUM_CAP", 0)
     with pytest.raises(BudgetExceeded, match="0 candidates tested, the next 1 "):
-        forms._scan_box(((2,),), 2, 5, cap=0)
+        forms._scan_box(((2,),), 2, 5)
 
 
 def test_enumerate_identical_on_repeat():

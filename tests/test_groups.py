@@ -204,6 +204,14 @@ def test_tiling_negative_controls():
 def test_chamber_walk_already_inside():
     result = chamber_walk(O_UM2, (3, 4, -1), height=1)
     assert result.completed and result.word == () and result.point == (3, 4, -1)
+    assert chamber_walk(O_UM2, (3, 4, -1), height=1, step_budget=0) == result
+
+
+@pytest.mark.parametrize("steps, want", [(1, (1, False)), (2, (2, True)), (3, (2, True))])
+def test_chamber_walk_tests_the_point_of_its_last_step(steps, want):
+    # the walk from (37, 13, 5) reaches the chamber with its second reflection
+    result = chamber_walk(O_UM2, (37, 13, 5), height=6, step_budget=steps)
+    assert (len(result.word), result.completed) == want
 
 
 def test_chamber_walk_one_step():
@@ -371,7 +379,7 @@ def test_dirichlet_domain_runs_one_double_description(make_group, ray, budget,
     assert len(calls) == 1
     monkeypatch.undo()
     normals = []
-    for elem, _word in elements_up_to(g, budget, include_identity=False):
+    for elem, _word in elements_up_to(g, budget)[1:]:
         try:
             normals.append(dirichlet_halfspace(h, elem))
         except FixedBasepoint:
@@ -453,7 +461,7 @@ def _old_sample_cone_points(orientation, count, seed, *, box=50, predicate=None)
 
 
 @pytest.mark.parametrize("name", ["u-m2", "u-a2-m2"])
-def test_sample_cone_points_match_randint_sampler(name):
+def test_sample_cone_points_match_randint_sampler(name, monkeypatch):
     g = _reflection_group(name)
     o = g.orientation
     dom = dirichlet_domain(g, point_from_ray(o, (3, 5, 1) if name == "u-m2"
@@ -464,7 +472,8 @@ def test_sample_cone_points_match_randint_sampler(name):
              (20_000, dom), (2**30, None), (2**31 - 1, None), (2**31, None))
     for seed in (0, 1, 7, 123):
         for box, within in boxes:
-            got = sample_cone_points(o, 25, seed, box=box, within=within)
+            monkeypatch.setattr(groups, "SAMPLE_BOX", box)
+            got = sample_cone_points(o, 25, seed, within=within)
             assert got == _old_sample_cone_points(
                 o, 25, seed, box=box, predicate=None if within is None else inside)
 
@@ -488,8 +497,9 @@ def test_sample_cone_points_give_up_after_10000_count_candidates(monkeypatch):
     monkeypatch.setattr(groups, "_randint_chunks", one_value_per_chunk)
     for box, within in ((50, flat), (0, None)):
         drawn.clear()
+        monkeypatch.setattr(groups, "SAMPLE_BOX", box)
         with pytest.raises(BudgetExceeded, match="sampling failed"):
-            sample_cone_points(O_UM2, 2, 5, box=box, within=within)
+            sample_cone_points(O_UM2, 2, 5, within=within)
         assert len(drawn) == 10_000 * 2 * 3  # 10 000 count candidate rays of rank 3
 
 
@@ -500,12 +510,6 @@ def test_randint_chunks_draw_what_random_draws(seed):
         got = [v for _ in range(3) for v in next(chunks)]
         rng = random.Random(seed)
         assert got == [rng.randint(-box, box) for _ in got]
-
-
-def test_negative_sample_box_is_refused():
-    # randint(1, -1) has no value to draw: the rejection loop would never end
-    with pytest.raises(InvalidParameter, match="sample box"):
-        sample_cone_points(O_UM2, 1, 0, box=-1)
 
 
 def test_tiling_check_refuses_to_check_nothing():
@@ -576,7 +580,7 @@ def test_orbit_ball_matches_element_ball(case):
     assert {p.ray for p in orbit(g, h, budget)} == \
         {tuple(e.apply(ray)) for e, _ in elements_up_to(g, budget)}
     normals = []
-    for elem, _word in elements_up_to(g, budget, include_identity=False):
+    for elem, _word in elements_up_to(g, budget)[1:]:
         try:
             normals.append(dirichlet_halfspace(h, elem))
         except FixedBasepoint:
@@ -682,22 +686,25 @@ def test_orbit_cases_cover_stabilisers_and_extra_letters():
     assert stabilised >= 5 and extra >= 5
 
 
-def test_orbit_cap_counts_points():
+def test_orbit_cap_counts_points(monkeypatch):
     # two elements of length <= 2 carry (1, 3, 1) to one point, so its ball
     # of depth 2 has 11 points while the word ball has 12 elements
     g = _reflection_group("u-m2")
     ray = (1, 3, 1)
     points = _orbit_ball(g, ray, 2)
     assert (len(points), len(elements_up_to(g, 2))) == (11, 12)
-    with pytest.raises(BudgetExceeded, match="element cap 11 "):
-        elements_up_to(g, 2, cap=11)
     h = point_from_ray(g.orientation, ray)
-    assert len(orbit(g, h, 2, cap=11)) == 11
-    assert dirichlet_domain(g, h, 2, cap=11) == dirichlet_domain(g, h, 2)
-    for run in (lambda: _orbit_ball(g, ray, 2, 10),
-                lambda: orbit(g, h, 2, cap=10),
-                lambda: dirichlet_domain(g, h, 2, cap=10),
-                lambda: limit_points_sample(g, h, 2, cap=10)):
+    unpatched = dirichlet_domain(g, h, 2)
+    monkeypatch.setattr(groups, "ORBIT_CAP", 11)
+    with pytest.raises(BudgetExceeded, match="element cap 11 "):
+        elements_up_to(g, 2)
+    assert len(orbit(g, h, 2)) == 11
+    assert dirichlet_domain(g, h, 2) == unpatched
+    monkeypatch.setattr(groups, "ORBIT_CAP", 10)
+    for run in (lambda: _orbit_ball(g, ray, 2),
+                lambda: orbit(g, h, 2),
+                lambda: dirichlet_domain(g, h, 2),
+                lambda: limit_points_sample(g, h, 2)):
         with pytest.raises(BudgetExceeded, match="orbit cap 10 "):
             run()
 

@@ -639,7 +639,7 @@ def _fresh_elements(which):
     """The group's non-identity elements up to its budget, none classified yet."""
     group, budget = _memo_group(which)
     return [Isometry(e.orientation, e.matrix)
-            for e, _ in elements_up_to(group, budget, include_identity=False)]
+            for e, _ in elements_up_to(group, budget)[1:]]
 
 
 def _outcome(g):
@@ -697,11 +697,32 @@ def test_a_rejected_charpoly_is_not_cached():
         assert (info.misses, info.currsize) == (calls, 0)
 
 
+@pytest.mark.parametrize("which", ["um2", "d12", "ua2"])
+def test_loxodromic_bracket_is_the_one_refined_on_the_charpoly(which):
+    # the bracket refined on the squarefree charpoly q is already narrow
+    # enough, and it isolates the scale of the minimal polynomial too
+    from hyperlat import polynomials as pol
+    letters = _ua2_letters() if which == "ua2" else _letter_set(which)
+    checked = 0
+    for g in _word_pool(random.Random(47), letters, 120):
+        q = pol.squarefree_part(g.charpoly)
+        chain = pol.sturm_chain(q)
+        if pol.count_roots_gt(q, 1, 1, chain) != 1:
+            continue
+        refined = pol.refine_bracket(q, pol.bracket_largest_root_above(q, 1, 1, chain),
+                                     isometry._BRACKET_EPS)
+        lo, hi, den = _classify_charpoly(tuple(g.charpoly))[1]
+        assert (lo, hi, den) == refined
+        assert (hi - lo) * isometry._BRACKET_EPS <= den
+        checked += 1
+    assert checked >= 10
+
+
 def _word_keys(group, budget):
     mats, labels, inv_idx = groups._letters(group)
     inverse = {label: labels[k] for label, k in zip(labels, inv_idx)}
     return [conjugacy_key(w, inverse)
-            for _, w in elements_up_to(group, budget, include_identity=False)]
+            for _, w in elements_up_to(group, budget)[1:]]
 
 
 @pytest.mark.parametrize("budget", [1, 2, 3, 4])
@@ -709,7 +730,7 @@ def _word_keys(group, budget):
 def test_entropy_report_matches_per_element_classification(which, budget):
     group, _ = _memo_group(which)
     want = []
-    for elem, word in elements_up_to(group, budget, include_identity=False):
+    for elem, word in elements_up_to(group, budget)[1:]:
         _classify_charpoly.cache_clear()
         want.append((word_string(word), elem.classification.kind, entropy(elem)))
     _classify_charpoly.cache_clear()
@@ -729,7 +750,7 @@ def test_entropy_report_classifies_once_per_word_class(which, budget, monkeypatc
     assert len(calls) == len(set(keys))
     # the first element of each class is the one classified
     first = {}
-    for (elem, _), key in zip(elements_up_to(group, budget, include_identity=False), keys):
+    for (elem, _), key in zip(elements_up_to(group, budget)[1:], keys):
         first.setdefault(key, elem.matrix)
     assert [g.matrix for g in calls] == list(first.values())
 

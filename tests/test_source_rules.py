@@ -48,3 +48,19 @@ def test_only_lattices_and_restricted_forms_are_diagonalised():
     offenders = [where for where in _offenders(_diagonalises)
                  if where.split(":")[0] not in ("lattice.py", "groups.py")]
     assert offenders == []
+
+
+def _defaults_to_a_budget(node):
+    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        return False
+    names = [d.id if isinstance(d, ast.Name) else d.attr
+             for d in node.args.defaults + node.args.kw_defaults
+             if isinstance(d, (ast.Name, ast.Attribute))]
+    return any(name.endswith(("_CAP", "_BUDGET", "_BOX")) for name in names)
+
+
+def test_no_cap_or_budget_constant_is_a_function_default():
+    # a default is bound once, when the function is defined: a test that
+    # patches the module constant reaches only an engine that reads it when
+    # it runs
+    assert _offenders(_defaults_to_a_budget) == []
