@@ -5,15 +5,18 @@ everywhere, floats only in display fields at the configured precision,
 dictionary key order fixed by construction.  Exit codes: 0 when a verdict
 was delivered (including Unresolved), 1 on input errors, 2 on budget
 errors.
+
+JSON is read by the C scanner of `_json` and written by `_json_text`, so
+a run imports neither `json` nor `re`: `json` is imported only to name
+the fault in a malformed input file.
 """
 
 from __future__ import annotations
 
-import json
-import re
 import sys
-from math import lcm
-from types import SimpleNamespace
+from math import inf, lcm, nan
+
+from _json import encode_basestring_ascii as _quote, make_scanner
 
 from . import __version__
 from .cones import polytope_hypothesis_check
@@ -29,16 +32,37 @@ from .model import ConeOrientation, pick_cone, point_from_ray, to_ball
 from .plot import ball_csv, ball_svg, format_float
 
 
+class _DecoderSettings:
+    """The settings `make_scanner` reads: those of `json.JSONDecoder()`."""
+    strict = True
+    object_hook = object_pairs_hook = None
+    parse_float = float
+    parse_int = int
+    parse_constant = {"-Infinity": -inf, "Infinity": inf, "NaN": nan}.__getitem__
+
+
+_scan = make_scanner(_DecoderSettings)
+
+
 def load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"malformed JSON in {path}: {exc.msg} at line {exc.lineno} "
-            f"column {exc.colno}") from None
+    body = text.strip(" \t\n\r")  # the whitespace JSON allows around a value
+    try:
+        data, end = _scan(body, 0)
+    except (ValueError, StopIteration):
+        end = None
+    if end != len(body):  # json.loads(text) raises; it names the fault and where
+        import json
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InputError(
+                f"malformed JSON in {path}: {exc.msg} at line {exc.lineno} "
+                f"column {exc.colno}") from None
     if not isinstance(data, dict):
         raise InputError(f"{path}: top level must be a JSON object")
     return data
@@ -117,14 +141,41 @@ def _orientation(lattice: GramLattice, args) -> ConeOrientation:
     return pick_cone(lattice, parse_int_vector(args.v0) if args.v0 else None)
 
 
-def _round_floats(node, digits: int):
+_JSON_WORDS = {None: "null", True: "true", False: "false"}
+
+
+def _json_text(node, digits: int | None = None, indent: str = "\n") -> str:
+    """The text of `json.dumps(node, indent=2)` for a node whose dict keys
+    are strings, with every float that is not inside a tuple first rounded
+    by `format_float(x, digits)` (when digits is None, no float is rounded)."""
+    if isinstance(node, str):
+        return _quote(node)
+    if node is None or node is True or node is False:
+        return _JSON_WORDS[node]
+    if isinstance(node, int):
+        return int.__repr__(node)
     if isinstance(node, float):
-        return float(format_float(node, digits))
-    if isinstance(node, list):
-        return [_round_floats(x, digits) for x in node]
+        if digits is not None:
+            node = float(format_float(node, digits))
+        if node != node:
+            return "NaN"
+        if node in (inf, -inf):
+            return "Infinity" if node > 0 else "-Infinity"
+        return float.__repr__(node)
+    inner = indent + "  "
+    if isinstance(node, (list, tuple)):
+        if not node:
+            return "[]"
+        digits = digits if isinstance(node, list) else None
+        items = [_json_text(x, digits, inner) for x in node]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
     if isinstance(node, dict):
-        return {k: _round_floats(v, digits) for k, v in node.items()}
-    return node
+        if not node:
+            return "{}"
+        items = [f"{_quote(k)}: {_json_text(v, digits, inner)}"
+                 for k, v in node.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
 
 
 def emit(args, command: str, result: dict, config: dict) -> None:
@@ -133,10 +184,11 @@ def emit(args, command: str, result: dict, config: dict) -> None:
         "version": __version__,
         "command": command,
         "config": config,
-        "result": _round_floats(result, args.precision),
+        "result": result,
     }
-    text = json.dumps(report, indent=2) + "\n"
-    _write(args.output, text)
+    # config holds the option values (ints, strings, flags), so rounding
+    # the whole report rounds only the floats of the result
+    _write(args.output, _json_text(report, args.precision) + "\n")
 
 
 def _write(output: str | None, text: str) -> None:
@@ -327,8 +379,7 @@ def cmd_families(args):
         lat = convex_cocompact_rank5_family("d4", args.cc_d4)
     else:
         lat = convex_cocompact_rank5_family("a2", args.cc_a2)
-    text = json.dumps({"gram": [list(r) for r in lat.gram]}, indent=2) + "\n"
-    _write(args.output, text)
+    _write(args.output, _json_text({"gram": [list(r) for r in lat.gram]}) + "\n")
 
 
 def cmd_plot(args):
@@ -413,8 +464,19 @@ _COMMANDS = {
         _row("--out", required=True, help="output path prefix"))),
 }
 
-# a token such as '-1,0' or '-2' is a value, not an unknown option
-_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
+
+def _negative_number(token: str) -> bool:
+    """Whether a token such as '-1,0', '-2' or '-.5' is a value, not an
+    unknown option: '-', an optional '.', then a decimal digit."""
+    rest = token[2:] if token[1:2] == "." else token[1:]
+    return token[:1] == "-" and rest[:1].isdecimal()
+
+
+class _Args:
+    """The options of a run as attributes, as on argparse's Namespace."""
+
+    def __init__(self, values: dict):
+        self.__dict__.update(values)
 
 
 def _dest(name: str) -> str:
@@ -451,7 +513,7 @@ def _parse_run(argv):
             elif not eq:
                 value = next(tokens, None)
                 if value is None or (value.startswith("-")
-                                     and not _NEGATIVE_NUMBER.match(value)):
+                                     and not _negative_number(value)):
                     return None
         elif positional is None or positional[0] in given:
             return None
@@ -469,17 +531,19 @@ def _parse_run(argv):
         values[_dest(name)] = value
     if any(row[3] and row[0] not in given for row in rows):
         return None
-    return SimpleNamespace(**values)
+    return _Args(values)
 
 
 def build_parser():
     """The argparse parser of every subcommand, built from the option table."""
     import argparse
+    import re  # argparse imports it too
 
     class _Parser(argparse.ArgumentParser):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            self._negative_number_matcher = _NEGATIVE_NUMBER
+            # the values `_negative_number` lets through, such as '-1,0'
+            self._negative_number_matcher = re.compile(r"^-\.?\d")
 
         def error(self, message):  # input errors exit 1, not argparse's 2
             self.exit(1, f"input error: {message}\n")

@@ -12,13 +12,11 @@ the exhaustive combinatorial test, no heuristics.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from . import linalg
 from .errors import DimensionBudgetExceeded, DimensionMismatch, InvalidParameter
 from .lattice import GramLattice, coords_of
 from .model import ConeOrientation
-from .record import Record, replace
+from .record import Record, cached_property, replace
 
 DIM_BUDGET = 6
 

@@ -40,6 +40,11 @@ def _require_hyperbolic(ns: GramLattice) -> None:
         raise WrongSignature(f"expected signature (1, n), got ({p}, {q})")
 
 
+def _require_rho(rho: int) -> None:
+    if rho < 1:
+        raise InvalidParameter(f"rho must be >= 1, not {rho}")
+
+
 class LatticeVerdict(Record):
     def __init__(self, kind: str, search: SearchVerdict):
         object.__setattr__(self, "kind", kind)  # IsLattice | NotLattice | Unresolved
@@ -236,6 +241,7 @@ def entropy_report(g: FGGroup, word_budget: int, rho: int) -> EntropyReport:
     (conditional on generator completeness); finding none is reported as a
     bounded-search outcome, never as a zero-entropy theorem.
     """
+    _require_rho(rho)
     findings = []
     positive = False
     ball = elements_up_to(g, word_budget)[1:]
@@ -290,9 +296,15 @@ class CriterionReport(Record):
 
 def k3_report(ns: GramLattice, *, height: int = 10, generators: FGGroup | None = None,
               word_budget: int = 6, rho: int | None = None) -> CriterionReport:
-    """Assemble the full criteria report for one Neron-Severi lattice."""
-    _require_hyperbolic(ns)
+    """Assemble the full criteria report for one Neron-Severi lattice.
+
+    A negative word budget or a rho below 1 is refused whether or not
+    generators are given."""
+    if word_budget < 0:
+        raise InvalidParameter("word budget must be >= 0")
     rho = rho if rho is not None else ns.rank
+    _require_rho(rho)
+    _require_hyperbolic(ns)
     lat_verdict = lattice_criterion(ns, height)
     fib_verdict = genus_one_fibration_test(ns, height)
     flags = [ISOTROPIC_FIBRATION_FLAG]

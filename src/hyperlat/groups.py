@@ -16,10 +16,9 @@ randint's draws, taken from the same generator calls in bulk.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import chain
-from operator import mul
 
+from _operator import mul
 from _random import Random
 
 from . import linalg
@@ -30,7 +29,7 @@ from .forms import enumerate_norm_vectors
 from .isometry import ELLIPTIC, Isometry, fixed_boundary_points, reflection
 from .lattice import GramLattice
 from .model import ConeOrientation, HyperboloidPoint, point_from_ray, to_ball
-from .record import Record, replace
+from .record import Record, cached_property, replace
 
 ORBIT_CAP = 200_000
 SAMPLE_BOX = 50

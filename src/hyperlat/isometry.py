@@ -24,7 +24,6 @@ lambda.  No division in Q(lambda) is needed.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from . import linalg, polynomials as pol
 from .errors import (DimensionMismatch, EllipticHasNoBoundaryFixedPoint,
@@ -32,7 +31,7 @@ from .errors import (DimensionMismatch, EllipticHasNoBoundaryFixedPoint,
                      OrderCapExceeded, WrongComponent, WrongNorm)
 from .lattice import GramLattice, coords_of
 from .model import BoundaryRay, ConeOrientation
-from .record import Record
+from .record import Record, memo
 
 ELLIPTIC = "elliptic"
 PARABOLIC = "parabolic"
@@ -144,7 +143,7 @@ def make_isometry(orientation: ConeOrientation, matrix) -> Isometry:
     return Isometry(orientation, mat)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _classify_charpoly(p: tuple[int, ...]):
     """The stage of classification that reads only the charpoly p.
 

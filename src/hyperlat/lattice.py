@@ -9,12 +9,9 @@ done once per lattice and cached.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from functools import cached_property
-
 from . import linalg
 from .errors import Degenerate, DimensionMismatch, InvalidParameter, NotSymmetric
-from .record import Record
+from .record import Record, cached_property
 
 IntVec = linalg.IntVec
 
@@ -95,7 +92,7 @@ def coords_of(v) -> IntVec:
     return tuple(v)
 
 
-def build_lattice(gram: Sequence[Sequence[int]]) -> GramLattice:
+def build_lattice(gram: list[list[int]] | linalg.IntMat) -> GramLattice:
     """Validate and wrap a Gram matrix.
 
     Raises NotSymmetric for asymmetric input and Degenerate when the

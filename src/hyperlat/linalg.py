@@ -14,9 +14,9 @@ denominators cleared first.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from math import gcd, lcm
-from operator import mul
+
+from _operator import mul
 
 from .errors import InvalidParameter
 
@@ -24,7 +24,7 @@ IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
 
 
-def to_int_matrix(rows: Sequence[Sequence[int]]) -> IntMat:
+def to_int_matrix(rows: list[list[int]] | IntMat) -> IntMat:
     """Validate a rectangular matrix of Python ints (bools rejected).
 
     Raises InvalidParameter for anything else, including a matrix or a row

@@ -10,14 +10,12 @@ certificate-grade.
 from __future__ import annotations
 
 import math
-from functools import cached_property
-
 from . import linalg
 from .errors import (DifferentAmbient, InvalidParameter, NotInCone,
                      NotIsotropic, NotPrimitive, SameRay, WrongSignature)
 from .forms import first_norm_vector
 from .lattice import GramLattice, coords_of, signature
-from .record import Record
+from .record import Record, cached_property
 
 
 class ConeOrientation(Record):

@@ -19,11 +19,12 @@ numbers accumulate at 1).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd, prod
-from operator import mul
+
+from _operator import mul
 
 from .linalg import bareiss_det, dot, factorize, identity_matrix, mat_mul, matrix_power
+from .record import memo
 
 # bisection steps bracket_largest_root_above may take before it gives up
 _BRACKET_STEPS = 20000
@@ -263,12 +264,12 @@ def refine_bracket(p, bracket, eps_den: int) -> tuple[int, int, int]:
 
 # -- cyclotomic factors ---------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@memo
 def euler_phi(n: int) -> int:
     return prod((p - 1) * p ** (e - 1) for p, e in factorize(n))
 
 
-@lru_cache(maxsize=None)
+@memo
 def cyclotomic(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial."""
     p = [-1] + [0] * (n - 1) + [1]  # x^n - 1

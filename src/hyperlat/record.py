@@ -1,15 +1,19 @@
-"""Immutable value records, written without generated code.
+"""Immutable value records and the two caches, written without generated code.
 
 `Record` gives its subclasses what a frozen dataclass would: attribute
 assignment raises, instances of one class compare equal when their fields
 are equal, and the hash is taken over the fields.  It generates no
-methods, so importing it loads neither `dataclasses` nor `inspect`, which
-matters because every CLI run pays for its imports.
+methods, so importing it loads neither `dataclasses` nor `inspect`.
+`cached_property` and `memo` are this module's own small versions of
+`functools.cached_property` and `functools.lru_cache(maxsize=None)`, so
+that no hyperlat module imports `functools` (and with it `collections`,
+`keyword`, `reprlib` and `operator`).  All of this matters because every
+CLI run pays for its imports.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
+from _operator import attrgetter
 
 
 class Record:
@@ -53,3 +57,61 @@ def replace(record: Record, **changes) -> Record:
     fields = {name: getattr(record, name) for name in record._fields}
     fields.update(changes)
     return type(record)(**fields)
+
+
+class cached_property:
+    """A method's value computed on first read and stored in the instance's
+    `__dict__` under the method's name.  This is a non-data descriptor, so
+    the stored value shadows it on every later read; storing bypasses
+    `__setattr__`, so it works on a `Record`."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
+class CacheInfo:
+    """The counters of a `memo` cache, named as `functools.lru_cache` names them."""
+
+    def __init__(self, hits, misses, currsize):
+        self.hits, self.misses, self.currsize = hits, misses, currsize
+
+
+def memo(func):
+    """`func` with its results kept for the life of the process, keyed by
+    its positional arguments, which must be hashable.  A call that raises
+    stores nothing, but counts as a miss.  `cache_info()` and
+    `cache_clear()` behave as on `functools.lru_cache(maxsize=None)`."""
+    cache = {}
+    counts = [0, 0]  # hits, misses
+
+    def wrapper(*args):
+        try:
+            value = cache[args]
+        except KeyError:
+            counts[1] += 1
+            value = cache[args] = func(*args)
+            return value
+        counts[0] += 1
+        return value
+
+    def cache_clear():
+        cache.clear()
+        counts[:] = [0, 0]
+
+    wrapper.cache_info = lambda: CacheInfo(counts[0], counts[1], len(cache))
+    wrapper.cache_clear = cache_clear
+    wrapper.__name__ = func.__name__
+    wrapper.__qualname__ = func.__qualname__
+    wrapper.__doc__ = func.__doc__
+    wrapper.__wrapped__ = func
+    return wrapper

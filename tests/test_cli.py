@@ -145,6 +145,31 @@ def test_negative_word_and_step_budgets_are_refused(files, argv, message, capsys
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["criteria", "k3", "--budget=-1"], "word budget must be >= 0",
+                 id="criteria-budget-without-generators"),
+    pytest.param(["criteria", "k3", "--rho=-3"], "rho must be >= 1, not -3",
+                 id="criteria-rho"),
+    pytest.param(["criteria", "k3", "--rho=0"], "rho must be >= 1, not 0",
+                 id="criteria-rho-zero"),
+    pytest.param(["entropy", "--group", "pell_group.json", "--rho=-3"],
+                 "rho must be >= 1, not -3", id="entropy-rho"),
+])
+def test_meaningless_budget_and_rho_are_refused(files, argv, message, capsys):
+    with contextlib.chdir(files):
+        assert cli.main(argv + ["--lattice", "d12.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: {message}\n"
+    assert captured.out == ""
+
+
+def test_entropy_rho_zero_means_the_lattice_rank(files, capsys):
+    with contextlib.chdir(files):
+        assert cli.main(["entropy", "--lattice", "d12.json", "--group", "pell_group.json",
+                         "--budget", "2", "--rho", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["rho"] == 2
+
+
 def test_chamber_walk(files):
     rep = out_json(run_cli(["chamber-walk", "--lattice", "um2.json",
                             "--point", "2,2,1", "--height", "1"], files))

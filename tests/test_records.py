@@ -19,7 +19,7 @@ from hyperlat.isometry import Classification
 from hyperlat.lattice import GramLattice, LatticeVector
 from hyperlat.model import (BoundaryRay, ConeOrientation, DisjointnessWitness, Horoball,
                             HyperboloidPoint)
-from hyperlat.record import Record, replace
+from hyperlat.record import Record, memo, replace
 
 
 def _u():
@@ -150,3 +150,37 @@ def test_cli_import_loads_no_code_generators():
     where, loaded = proc.stdout.split("\n")[:2]
     assert where.startswith(src)
     assert loaded == ""
+
+
+def test_memo_counts_like_lru_cache_and_keeps_no_raise():
+    calls = []
+
+    @memo
+    def half(n):
+        """n / 2 for even n."""
+        calls.append(n)
+        if n % 2:
+            raise ValueError(n)
+        return n // 2
+
+    assert half.__name__ == "half" and half.__doc__ == "n / 2 for even n."
+    assert [half(4), half(4), half(6), half(4)] == [2, 2, 3, 2]
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            half(3)
+    info = half.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 4, 2)
+    assert calls == [4, 6, 3, 3]
+    half.cache_clear()
+    info = half.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+    assert half(4) == 2 and calls[-1] == 4
+
+
+def test_cached_property_is_computed_once_per_instance():
+    o, other = _orientation(), _orientation()
+    assert ConeOrientation.frame.__doc__.startswith("Rational orthogonal frame")
+    assert "frame" not in vars(o)
+    frame = o.frame
+    assert vars(o)["frame"] is frame and o.frame is frame
+    assert "frame" not in vars(other)

@@ -1,6 +1,9 @@
 """Rules on the package source, read from its syntax trees."""
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import hyperlat
@@ -64,3 +67,46 @@ def test_no_cap_or_budget_constant_is_a_function_default():
     # patches the module constant reaches only an engine that reads it when
     # it runs
     assert _offenders(_defaults_to_a_budget) == []
+
+
+# Modules a CLI run must not load: each costs start-up time in every
+# `hyperlat` process, and the CLI reads and writes JSON, parses its options
+# and caches its results without them.
+NOT_LOADED = ("json", "re", "enum", "functools", "collections", "types", "operator",
+              "argparse", "dataclasses", "inspect", "fractions", "random")
+
+RUNS = (
+    "info --lattice um2.json",
+    "roots --lattice um2.json --height 3",
+    "criteria k3 --lattice um2.json --generators trans_group.json --budget 2",
+    "classify --lattice d12.json --isometry pell.json",
+    "entropy --lattice um2.json --group trans_group.json --budget 3",
+    "dirichlet --lattice d12.json --group pell_group.json --point 1,0 --budget 3",
+    "tile-check --lattice d12.json --group pell_group.json --point 1,0 --budget 3 --samples 10",
+    "orbit --lattice d12.json --group pell_group.json --point 1,0 --depth 2",
+    "enumerate --lattice um2.json --norm -2 --height 1 --primitive",
+)
+
+
+def test_cli_runs_load_no_heavy_stdlib_module(tmp_path):
+    # the import and the runs themselves: an import moved into a handler
+    # still costs every run that reaches it
+    inputs = {
+        "um2.json": {"gram": [[0, 1, 0], [1, 0, 0], [0, 0, -2]]},
+        "d12.json": {"gram": [[1, 0], [0, -2]]},
+        "pell.json": {"matrix": [[3, 4], [2, 3]]},
+        "pell_group.json": {"generators": [{"matrix": [[3, 4], [2, 3]]}]},
+        "trans_group.json": {"generators": [{"matrix": [[1, 1, 2], [0, 1, 0], [0, 1, 1]]}]},
+    }
+    for name, data in inputs.items():  # with every kind of JSON whitespace
+        text = json.dumps(data, indent="\t").replace("\n", "\r\n")
+        (tmp_path / name).write_text(f" \r\n{text}\r\n\t ")
+    src = str(Path(hyperlat.__file__).parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import hyperlat.cli as cli\n"
+            "codes = [cli.main(run.split()) for run in sys.argv[3:]]\n"
+            "loaded = [m for m in sys.argv[2].split() if m in sys.modules]\n"
+            "print(codes, loaded, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src, " ".join(NOT_LOADED), *RUNS],
+                          cwd=tmp_path, capture_output=True, text=True, check=True)
+    assert proc.stdout.count('"tool": "hyperlat"') == len(RUNS)
+    assert proc.stderr == f"{[0] * len(RUNS)} []\n"
