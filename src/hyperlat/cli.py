@@ -48,7 +48,7 @@ def load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # missing, unreadable, or not UTF-8
         raise InputError(f"cannot read {path}: {exc}") from None
     body = text.strip(" \t\n\r")  # the whitespace JSON allows around a value
     try:

@@ -12,6 +12,8 @@ the exhaustive combinatorial test, no heuristics.
 
 from __future__ import annotations
 
+from _operator import mul
+
 from . import linalg
 from .errors import DimensionBudgetExceeded, DimensionMismatch, InvalidParameter
 from .lattice import GramLattice, coords_of
@@ -103,18 +105,20 @@ def _pointed_double_description(normals, gram, pivots):
     for k in range(r):
         ys = iter(linalg.primitive_vector([sign * row[k] for row in adj]))
         rays.append(tuple(next(ys) if j in pivots else 0 for j in range(n)))
-    images = {ray: linalg.mat_vec(gram, ray) for ray in rays}
+    # G x of each ray, in the order of `rays`; both lists change together
+    images = [linalg.mat_vec(gram, ray) for ray in rays]
     seeds = set(seed_idx)
     # zero set of each ray over the rows processed so far, as a bitmask
-    zsets = {ray: sum(1 << i for i in seed_idx if linalg.dot(normals[i], images[ray]) == 0)
-             for ray in rays}
+    zsets = {ray: sum(1 << i for i in seed_idx if sum(map(mul, normals[i], im)) == 0)
+             for ray, im in zip(rays, images)}
     for i, row in enumerate(normals):
         if i in seeds:
             continue
-        row_values = [linalg.dot(row, images[ray]) for ray in rays]
-        for ray, value in zip(rays, row_values):
-            if not value:
-                zsets[ray] |= 1 << i
+        row_values = [sum(map(mul, row, im)) for im in images]
+        if 0 in row_values:
+            for ray, value in zip(rays, row_values):
+                if not value:
+                    zsets[ray] |= 1 << i
         if min(row_values, default=0) >= 0:
             continue  # no ray leaves, so no ray is added
         values = dict(zip(rays, row_values))
@@ -133,13 +137,15 @@ def _pointed_double_description(normals, gram, pivots):
                 # a positive combination: its zero set is exactly Z(p) & Z(m), plus row i
                 fresh.setdefault(linalg.primitive_vector(combo), common | 1 << i)
         for ray in neg:
-            del zsets[ray], images[ray]
-        rays = [ray for ray in rays if values[ray] >= 0]
+            del zsets[ray]
+        kept = [k for k, value in enumerate(row_values) if value >= 0]
+        rays = [rays[k] for k in kept]
+        images = [images[k] for k in kept]
         for ray, zset in fresh.items():
             if ray not in zsets:
                 zsets[ray] = zset
-                images[ray] = linalg.mat_vec(gram, ray)
                 rays.append(ray)
+                images.append(linalg.mat_vec(gram, ray))
     return zsets
 
 

@@ -10,15 +10,17 @@ deduplicates the points w.x by exact ray and caps their count.  Both apply
 each letter only through the rows where it differs from the identity, and
 both take the letters from the group, which forms them once.
 Dirichlet bisectors, the differences p - h of the basepoint's orbit
-points, enter the double description unscaled; sample points are
-randint's draws, taken from the same generator calls in bulk.
+points, enter the double description unscaled.  Tiling checks draw the
+points inside a domain as positive integer combinations of its rays and
+the points of the whole positive cone as integer rays in a box; both take
+their integers from randint's draws, the same generator calls made in bulk.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, islice
 
-from _operator import mul
+from _operator import mul, sub
 from _random import Random
 
 from . import linalg
@@ -369,7 +371,8 @@ def dirichlet_domain(g: FGGroup, h: HyperboloidPoint, word_budget: int) -> Polyh
            for gen in g.generators):
         raise FixedBasepoint("a generator fixes the basepoint")
     points = _orbit_ball(g, h.ray, word_budget)
-    bisectors = tuple(linalg.vec_sub(p, points[0]) for p in points[1:])
+    x = points[0]
+    bisectors = tuple(tuple(map(sub, p, x)) for p in points[1:])
     dom = irredundant_halfspaces(PolyhedralCone(
         g.lattice, bisectors, orientation=g.orientation, truncated_at=word_budget))
     return replace(dom, halfspaces=tuple(map(linalg.primitive_vector, dom.halfspaces)))
@@ -377,25 +380,56 @@ def dirichlet_domain(g: FGGroup, h: HyperboloidPoint, word_budget: int) -> Polyh
 
 # -- tiling verification ----------------------------------------------------------------
 
-def sample_cone_points(orientation: ConeOrientation, count: int, seed: int, *,
-                       within: PolyhedralCone | None = None):
+def sample_cone_points(orientation: ConeOrientation, count: int, seed: int):
     """Random rational points of H^n: integer rays in a box, cone-filtered.
 
     The candidates are the rays of randint(-SAMPLE_BOX, SAMPLE_BOX) per
-    coordinate on Random(seed), at most 10 000 count of them.  With
-    `within`, only points strictly inside that cone are kept.  Cheapest
-    rejection first: the pairing with the base, then the strict
-    inequalities of `within` on the raw ray (they hold iff they hold on its
-    primitive multiple), the norm.
+    coordinate on Random(seed), at most 10 000 count of them, kept as
+    `_first_points` keeps them.
     """
     if count < 1:
         raise InvalidParameter("sample count must be >= 1")
-    gram = orientation.lattice.gram
-    forms = (linalg.mat_vec(gram, orientation.base),) + (
-        () if within is None else within.functionals)
     draws = chain.from_iterable(_randint_chunks(Random(seed), SAMPLE_BOX))
+    rays = islice(zip(*[draws] * orientation.lattice.rank), 10_000 * count)
+    return _first_points(orientation, rays, (), count)
+
+
+def sample_domain_points(cone: PolyhedralCone, count: int, seed: int):
+    """Random rational points of H^n strictly inside a cone, in the cone's
+    orientation: positive integer combinations of its V-rep rays.
+
+    Each candidate weighs the rays (lineality as +- pairs), in their order,
+    by randint(-SAMPLE_BOX, SAMPLE_BOX) + SAMPLE_BOX + 1 on Random(seed), so
+    by 1 to 2 SAMPLE_BOX + 1; at most 10 000 count candidates are drawn.
+    `_first_points` keeps them with the cone's strict inequalities added: a
+    combination may still leave H^n through escaping rays, and a cone with
+    no interior (flat, or the zero cone) keeps none.  A cone without a V-rep
+    is reduced first.
+    """
+    if count < 1:
+        raise InvalidParameter("sample count must be >= 1")
+    if cone.orientation is None:
+        raise InvalidParameter("domain sampling needs a cone orientation")
+    reduced = irredundant_halfspaces(cone)
+    cols = tuple(zip(*reduced.rays))
+    draws = map((SAMPLE_BOX + 1).__add__,
+                chain.from_iterable(_randint_chunks(Random(seed), SAMPLE_BOX)))
+    weights = islice(zip(*[draws] * len(reduced.rays)), 10_000 * count)
+    rays = (tuple([sum(map(mul, w, col)) for col in cols]) for w in weights)
+    return _first_points(cone.orientation, rays, reduced.functionals, count)
+
+
+def _first_points(orientation: ConeOrientation, rays, functionals, count: int):
+    """The first `count` rays that pair positively with the base, are
+    strictly positive on every functional and have positive norm, as points
+    of H^n; BudgetExceeded if the rays run out first.  Cheapest rejection
+    first: the pairing with the base, the functionals on the raw ray (they
+    hold iff they hold on its primitive multiple), the norm.
+    """
+    gram = orientation.lattice.gram
+    forms = (linalg.mat_vec(gram, orientation.base),) + functionals
     out = []
-    for _, ray in zip(range(10_000 * count), zip(*[draws] * len(gram))):
+    for ray in rays:
         for f in forms:
             if sum(map(mul, f, ray)) <= 0:
                 break
@@ -403,10 +437,8 @@ def sample_cone_points(orientation: ConeOrientation, count: int, seed: int, *,
             if linalg.dot(ray, linalg.mat_vec(gram, ray)) > 0:
                 out.append(point_from_ray(orientation, ray))
                 if len(out) == count:
-                    break
-    if len(out) < count:
-        raise BudgetExceeded("sampling failed to hit the requested region")
-    return out
+                    return out
+    raise BudgetExceeded("sampling failed to hit the requested region")
 
 
 def _randint_chunks(rng: Random, box: int):
@@ -429,15 +461,18 @@ def tiling_check(cone: PolyhedralCone, g: FGGroup, samples: int, word_budget: in
 
     (a) no sampled interior point of the domain lies in another translate's
     interior, and (b) every sampled cone point is carried into the domain
-    by some word within the budget; failures are counted, not hidden.
-    Fewer than one sample, or a negative word budget, is refused: either
-    would report a pass that checked nothing.
+    by some word within the budget; failures are counted, not hidden.  The
+    points of (a) are `sample_domain_points` of the cone on `seed`, drawn
+    from its V-rep (a Dirichlet domain carries one); those of (b) are
+    `sample_cone_points` on seed + 1.  Fewer than one sample, or a negative
+    word budget, is refused: either would report a pass that checked
+    nothing.
     """
     o = g.orientation
     elems = [e for e, _ in elements_up_to(g, word_budget)[1:]]
     # the word ball is closed under inversion: some g^-1 moves pt inside iff some g does
     overlaps = sum(any(ray_satisfies(cone, e.apply(pt.ray), strict=True) for e in elems)
-                   for pt in sample_cone_points(o, samples, seed, within=cone))
+                   for pt in sample_domain_points(cone, samples, seed))
     unreachable = sum(not ray_satisfies(cone, pt.ray)
                       and not any(ray_satisfies(cone, e.apply(pt.ray)) for e in elems)
                       for pt in sample_cone_points(o, samples, seed + 1))

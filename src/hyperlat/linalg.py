@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from _operator import mul
+from _operator import mul, neg, sub
 
 from .errors import InvalidParameter
 
@@ -65,11 +65,11 @@ def mat_vec(a, v):
 
 
 def vec_sub(u, v):
-    return tuple(x - y for x, y in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vec_neg(v):
-    return tuple(-x for x in v)
+    return tuple(map(neg, v))
 
 
 def dot(u, v):

@@ -263,6 +263,14 @@ def test_malformed_input_file_is_an_input_error(files, text, group):
     assert proc.stderr.startswith("input error:") and "Traceback" not in proc.stderr
 
 
+def test_input_file_that_is_not_utf8_is_an_input_error(files):
+    (files / "bad.json").write_bytes(b'{"gram": [[1, 0], [0, -2]], "n": "\xff"}')
+    proc = run_cli(["info", "--lattice", "bad.json"], files)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("input error: cannot read bad.json: ")
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("generators, message", [
     pytest.param([{"matrix": 5}], "matrix must be a list of rows", id="not_a_matrix"),
     pytest.param([{"matrix": [[3, 4], [2, 3]]}, {"matrix": [[1, 1], [0, 1]]}],

@@ -441,7 +441,7 @@ def test_hypothesis_check_retags_under_another_orientation():
     assert report["escaping_rays"] and not report["is_generalized_polytope"]
 
 
-def _old_sample_cone_points(orientation, count, seed, *, box=50, predicate=None):
+def _old_sample_cone_points(orientation, count, seed, *, box=50):
     """sample_cone_points as it was with randint and the lattice's norm and pair."""
     rng = random.Random(seed)
     lat = orientation.lattice
@@ -453,38 +453,70 @@ def _old_sample_cone_points(orientation, count, seed, *, box=50, predicate=None)
         ray = tuple(rng.randint(-box, box) for _ in range(n))
         if lat.norm(ray) <= 0 or lat.pair(ray, orientation.base) <= 0:
             continue
-        pt = point_from_ray(orientation, ray)
-        if predicate is not None and not predicate(pt):
-            continue
-        out.append(pt)
+        out.append(point_from_ray(orientation, ray))
     return out
 
 
 @pytest.mark.parametrize("name", ["u-m2", "u-a2-m2"])
 def test_sample_cone_points_match_randint_sampler(name, monkeypatch):
-    g = _reflection_group(name)
-    o = g.orientation
-    dom = dirichlet_domain(g, point_from_ray(o, (3, 5, 1) if name == "u-m2"
-                                             else (5, 7, 1, 0, 1)), 3)
-    inside = lambda p: cones.ray_satisfies(dom, p.ray, strict=True)  # noqa: E731
-    # the width 2 box + 1 needs 7, 7, 3, 8, 9, 16, 16, 32, 32 and 33 bits
-    boxes = ((50, None), (50, dom), (3, None), (100, None), (200, None), (20_000, None),
-             (20_000, dom), (2**30, None), (2**31 - 1, None), (2**31, None))
+    o = _reflection_group(name).orientation
+    # the width 2 box + 1 needs 7, 3, 8, 9, 16, 32, 32 and 33 bits
+    boxes = (50, 3, 100, 200, 20_000, 2**30, 2**31 - 1, 2**31)
     for seed in (0, 1, 7, 123):
-        for box, within in boxes:
+        for box in boxes:
             monkeypatch.setattr(groups, "SAMPLE_BOX", box)
-            got = sample_cone_points(o, 25, seed, within=within)
-            assert got == _old_sample_cone_points(
-                o, 25, seed, box=box, predicate=None if within is None else inside)
+            assert sample_cone_points(o, 25, seed) == _old_sample_cone_points(
+                o, 25, seed, box=box)
 
 
-def test_sample_cone_points_give_up_after_10000_count_candidates(monkeypatch):
-    # no ray lies strictly inside the halfspaces (0,0,1) and (0,0,-1), and the
-    # box of width 1 (1 bit) holds only the zero ray
-    flat = cone_from_halfspaces(U_MINUS2, [(0, 0, 1), (0, 0, -1)], orientation=O_UM2)
-    in_flat = lambda p: cones.ray_satisfies(flat, p.ray, strict=True)  # noqa: E731
-    assert _old_sample_cone_points(O_UM2, 2, 5, predicate=in_flat) == []
-    assert _old_sample_cone_points(O_UM2, 2, 5, box=0) == []
+def _old_sample_domain_points(cone, count, seed, *, box=50):
+    """Oracle for sample_domain_points: a plain loop that weighs the cone's
+    V-rep rays by randint(1, 2 box + 1) and keeps the combinations strictly
+    inside the cone and in H^n."""
+    rng = random.Random(seed)
+    o = cone.orientation
+    lat = o.lattice
+    rays = cones.irredundant_halfspaces(cone).rays
+    out = []
+    for _ in range(10_000 * count):
+        weights = [rng.randint(1, 2 * box + 1) for _ in rays]
+        x = tuple(sum(w * r[j] for w, r in zip(weights, rays)) for j in range(lat.rank))
+        if (lat.pair(x, o.base) > 0 and cones.ray_satisfies(cone, x, strict=True)
+                and lat.norm(x) > 0):
+            out.append(point_from_ray(o, x))
+            if len(out) == count:
+                break
+    return out
+
+
+def _sampled_domain(name):
+    """The U+<-2> and U+A2+<-2> chambers, or the Pell slab without one wall:
+    a cone with a lineality pair and no V-rep of its own."""
+    if name == "pell-half":
+        return cone_from_halfspaces(D12, [(1, -1)], orientation=O_D12)
+    g = _reflection_group(name)
+    ray = (3, 5, 1) if name == "u-m2" else (5, 7, 1, 0, 1)
+    return dirichlet_domain(g, point_from_ray(g.orientation, ray), 3)
+
+
+@pytest.mark.parametrize("name", ["u-m2", "u-a2-m2", "pell-half"])
+def test_sample_domain_points_match_randint_oracle(name, monkeypatch):
+    cone = _sampled_domain(name)
+    o = cone.orientation
+    lat = o.lattice
+    for seed in (0, 1, 7, 123):
+        for box in (50, 3, 2**31):
+            monkeypatch.setattr(groups, "SAMPLE_BOX", box)
+            got = groups.sample_domain_points(cone, 25, seed)
+            assert got == _old_sample_domain_points(cone, 25, seed, box=box)
+            for pt in got:  # strictly inside the domain, and in H^n
+                assert cones.ray_satisfies(cone, pt.ray, strict=True)
+                assert lat.norm(pt.ray) > 0 and lat.pair(pt.ray, o.base) > 0
+
+
+def _count_draws(monkeypatch):
+    """Make `_randint_chunks` hand out one value per chunk and record each,
+    so the values a sampler draws are exactly the values it takes."""
     real = groups._randint_chunks
     drawn = []
 
@@ -495,12 +527,52 @@ def test_sample_cone_points_give_up_after_10000_count_candidates(monkeypatch):
                 yield [value]
 
     monkeypatch.setattr(groups, "_randint_chunks", one_value_per_chunk)
-    for box, within in ((50, flat), (0, None)):
-        drawn.clear()
-        monkeypatch.setattr(groups, "SAMPLE_BOX", box)
-        with pytest.raises(BudgetExceeded, match="sampling failed"):
-            sample_cone_points(O_UM2, 2, 5, within=within)
-        assert len(drawn) == 10_000 * 2 * 3  # 10 000 count candidate rays of rank 3
+    return drawn
+
+
+def test_sample_cone_points_give_up_after_10000_count_candidates(monkeypatch):
+    # no ray lies strictly inside the halfspaces (0,0,1) and (0,0,-1), and the
+    # box of width 1 (1 bit) holds only the zero ray
+    flat = cone_from_halfspaces(U_MINUS2, [(0, 0, 1), (0, 0, -1)], orientation=O_UM2)
+    assert _old_sample_domain_points(flat, 2, 5) == []
+    assert _old_sample_cone_points(O_UM2, 2, 5, box=0) == []
+    drawn = _count_draws(monkeypatch)
+    with pytest.raises(BudgetExceeded, match="sampling failed"):
+        groups.sample_domain_points(flat, 2, 5)
+    # 10 000 count candidates, each weighing the plane's 4 rays (two +- pairs)
+    assert len(cones.extreme_rays(flat).rays) == 4
+    assert len(drawn) == 10_000 * 2 * 4
+    drawn.clear()
+    monkeypatch.setattr(groups, "SAMPLE_BOX", 0)
+    with pytest.raises(BudgetExceeded, match="sampling failed"):
+        sample_cone_points(O_UM2, 2, 5)
+    assert len(drawn) == 10_000 * 2 * 3  # 10 000 count candidate rays of rank 3
+
+
+def test_sample_domain_points_refuse_the_zero_cone_and_no_orientation(monkeypatch):
+    zero = cone_from_halfspaces(D12, [(1, 0), (-1, 0), (0, 1), (0, -1)], orientation=O_D12)
+    assert cones.extreme_rays(zero).rays == ()
+    drawn = _count_draws(monkeypatch)
+    with pytest.raises(BudgetExceeded, match="sampling failed"):
+        groups.sample_domain_points(zero, 3, 0)
+    assert drawn == []  # no ray to weigh, so nothing is drawn
+    dom = dirichlet_domain(PELL_GROUP, point_from_ray(O_D12, (1, 0)), 3)
+    for count in (0, -3):
+        with pytest.raises(InvalidParameter, match="sample count"):
+            groups.sample_domain_points(dom, count, 0)
+    with pytest.raises(InvalidParameter, match="orientation"):
+        groups.sample_domain_points(replace(dom, orientation=None), 5, 0)
+
+
+@pytest.mark.parametrize("seed", range(11))
+def test_overlap_samples_of_the_u_a2_chamber_take_few_candidates(seed, monkeypatch):
+    # the tile-check job of the benchmark: a thin simplex in the box of side
+    # 101, where the box sampler drew about 4000 candidates per point
+    g = _reflection_group("u-a2")
+    dom = dirichlet_domain(g, point_from_ray(g.orientation, (3, 5, 1, 0)), 5)
+    drawn = _count_draws(monkeypatch)
+    assert len(groups.sample_domain_points(dom, 5, seed)) == 5
+    assert len(drawn) <= 20 * len(dom.rays)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 123, 823, -5, 2**70 + 3, 10**30])
