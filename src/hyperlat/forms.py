@@ -2,11 +2,13 @@
 
 Three engines, stacked by root_existence:
 
-* bounded box enumeration with per-coordinate interval pruning and a
-  solved last coordinate,
+* bounded box enumeration with per-coordinate interval pruning, a
+  penultimate coordinate confined to where a real last one exists (when
+  the trailing 2x2 block is definite) and a solved last coordinate,
 * exhaustive residue scans over one modulus ladder, run only inside
-  root_existence; a congruence certificate has one (modulus, norm) part
-  per square class of the norm, and replay_congruence re-runs each part,
+  root_existence, with the last residue coordinate tested inline; a
+  congruence certificate has one (modulus, norm) part per square class of
+  the norm, and replay_congruence checks those classes and re-runs each part,
 * rational (an)isotropy via Hilbert symbols and the local-global principle,
   on the lattice's cached rational diagonal, which a certificate records.
 
@@ -26,8 +28,8 @@ from .record import Record
 INFINITE_PLACE = "infinity"
 
 DEFAULT_MODULUS_LADDER = (3, 4, 5, 7, 8, 9, 16, 25, 27)
-# candidate coordinate values tested per call; the solved last coordinate
-# counts once per visit
+# candidate coordinate values tested per call: a level counts its whole
+# canonical range on entry, the solved last coordinate once per visit
 ENUM_CAP = 2_000_000
 LADDER_RESIDUE_CAP = 200_000
 DEFAULT_WITNESS_HEIGHT = 8
@@ -81,17 +83,28 @@ def _scan_box(gram, m, height, *, tested=0, first=False, accept=None):
     coordinate values tried.  The last coordinate is solved, not scanned:
     once the others are fixed the norm is a quadratic in it, so its at most
     two integer roots (every value, when the quadratic vanishes) come out
-    in increasing order and the level counts as one candidate.  `accept`
-    filters hits; with first=True the scan stops at the first accepted hit,
-    which is then the lex-first one.  Raises BudgetExceeded before more
-    than ENUM_CAP candidates are tried.
+    in increasing order and the level counts as one candidate.  When the
+    trailing 2x2 block is definite, the penultimate coordinate s runs only
+    over the integer interval where that quadratic has a real root (its
+    discriminant, a concave quadratic in s, is >= 0; Fincke-Pohst's bound
+    on the last two coordinates), and a node whose interval is empty
+    returns at once.  Every level but the last counts its whole canonical
+    range on entry, however much of it is then pruned or narrowed away.
+    `accept` filters hits; with first=True the scan stops at the first
+    accepted hit, which is then the lex-first one.  Raises BudgetExceeded
+    before more than ENUM_CAP candidates are tried.
     """
     if height < 1:
         raise InvalidParameter("height must be >= 1")
     cap = ENUM_CAP
     n = len(gram)
     last = n - 1
+    pen = last - 1
     glast = gram[last][last]
+    # a definite trailing 2x2 block (det2 > 0) narrows the penultimate level;
+    # at rank 1, pen wraps to the last index and det2 is 0
+    gpl = gram[pen][last]
+    det2 = gram[pen][pen] * glast - gpl * gpl
     bounds = _norm_bounds_by_depth(gram, height)
     steps = [[2 * x for x in row] for row in gram]
     lin = [0] * n  # lin[j] = 2 * sum_{i < depth} g_ij v_i, updated in place
@@ -117,14 +130,30 @@ def _scan_box(gram, m, height, *, tested=0, first=False, accept=None):
                     if first:
                         return True
             return False
+        ld = lin[depth]
+        hi = height
+        if depth == pen and det2 > 0:
+            # a real last coordinate exists iff its quadratic's discriminant
+            # D(s) = (disc - (2 det2 s - half)^2) / det2 is >= 0, which for an
+            # integer s means |2 det2 s - half| <= isqrt(disc): an interval
+            lt = lin[last]
+            half = gpl * lt - glast * ld
+            disc = half * half + det2 * (lt * lt - 4 * glast * (partial - m))
+            if disc < 0:
+                return False
+            r = isqrt(disc)
+            den = 2 * det2
+            lo = max(lo, -((r - half) // den))
+            hi = min(hi, (half + r) // den)
+            if lo > hi:
+                return False
         qlo, qhi = bounds[depth + 1]
         gdd = gram[depth][depth]
-        ld = lin[depth]
         step = steps[depth]
         tail = range(depth + 1, n)
         for j in tail:
             lin[j] += step[j] * (lo - 1)
-        for t in range(lo, height + 1):
+        for t in range(lo, hi + 1):
             # move lin to this t and sum the remaining linear freedom in one pass:
             # each later coordinate ranges over [-H, H]
             slack = 0
@@ -141,7 +170,7 @@ def _scan_box(gram, m, height, *, tested=0, first=False, accept=None):
                     return True
                 prefix.pop()
         for j in tail:
-            lin[j] -= step[j] * height
+            lin[j] -= step[j] * hi
         return False
 
     rec(0, 0, True)
@@ -207,16 +236,25 @@ def _scan_residues(gram, m, modulus) -> bool:
     """True when some primitive residue vector v has Q(v) = m (mod modulus).
 
     Primitive here means: for every prime p | modulus, some coordinate is a
-    unit mod p; imprimitive residue solutions can mask obstructions.
+    unit mod p; imprimitive residue solutions can mask obstructions.  A DFS
+    over the coordinates; the last one is tested inline, t = 0..modulus-1
+    against g t^2 + l t = target - partial and the primes still missing a
+    unit, without a call per value.
     """
     n = len(gram)
+    last = n - 1
     primes = [p for p, _ in linalg.factorize(modulus)]
     target = m % modulus
 
     def rec(depth, partial, lin, unit_masks):
-        if depth == n:
-            return partial == target and all(unit_masks)
         row = gram[depth]
+        if depth == last:
+            g, l, need = row[depth], lin[depth], (target - partial) % modulus
+            missing = [p for u, p in zip(unit_masks, primes) if not u]
+            for t in range(modulus):
+                if (g * t + l) * t % modulus == need and all(t % p for p in missing):
+                    return True
+            return False
         for t in range(modulus):
             new_partial = (partial + row[depth] * t * t + lin[depth] * t) % modulus
             new_lin = lin
@@ -241,9 +279,23 @@ def _entry(certificate: dict, key: str):
 
 
 def replay_congruence(lattice: GramLattice, certificate: dict) -> bool:
-    """Re-run the residue scans recorded in a congruence certificate's parts."""
-    return not any(_scan_residues(lattice.gram, _entry(part, "norm"), _entry(part, "modulus"))
-                   for part in _entry(certificate, "parts"))
+    """Re-run the residue scans recorded in a congruence certificate's parts.
+
+    The parts' norms must be exactly the square classes norm // d^2 of the
+    certificate's norm, or the certificate proves nothing (False); a modulus
+    that is not an int >= 2 is malformed input.
+    """
+    parts = _entry(certificate, "parts")
+    norms = [_entry(part, "norm") for part in parts]
+    moduli = [_entry(part, "modulus") for part in parts]
+    if any(type(q) is not int or q < 2 for q in moduli):
+        raise InputError(f"certificate moduli must be integers >= 2, got {moduli}")
+    norm = _entry(certificate, "norm")
+    if type(norm) is not int:
+        raise InputError(f"certificate norm must be an integer, got {norm!r}")
+    if set(norms) != {norm // (d * d) for d in _square_divisors(norm)}:
+        return False
+    return not any(_scan_residues(lattice.gram, m, q) for m, q in zip(norms, moduli))
 
 
 # -- Hilbert symbols and rational isotropy ----------------------------------------

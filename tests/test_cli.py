@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -457,6 +458,37 @@ def test_roots_budget_refusal_rank10(files):
     assert found, proc.stderr
     tested, budget = int(found.group(1)), int(found.group(2))
     assert budget // 2 < tested <= budget
+
+
+SEARCH_LATTICES = {
+    "u-a2-x11.json": [[0, 11, 0, 0], [11, 0, 0, 0], [0, 0, -22, 11], [0, 0, 11, -22]],
+    "uniform4.json": [[4, 0, 0, 0], [0, -8, 0, 0], [0, 0, -12, 0], [0, 0, 0, -12]],
+    "cc-d4.json": [[32, 0, 0, 0, 0], [0, -2, 1, 0, 0], [0, 1, -2, 1, 1],
+                   [0, 0, 1, -2, 0], [0, 0, 1, 0, -2]],
+    "u-d4.json": [[0, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0], [0, 0, -2, 1, 0, 0],
+                  [0, 0, 1, -2, 1, 1], [0, 0, 0, 1, -2, 0], [0, 0, 0, 1, 0, -2]],
+}
+
+
+# stdout sha1 of box searches, residue certificates and a full listing: an
+# engine change that drops or reorders a hit changes one of these
+@pytest.mark.parametrize("argv, sha1", [
+    ("roots --lattice u-a2-x11.json", "fd19e0b129be9db609908077b988591e8b21d328"),
+    ("criteria k3 --lattice u-a2-x11.json", "4b2589a4319e790c248fcd6ebfd52082ce034aa8"),
+    ("roots --lattice uniform4.json", "5ac3d73afc89b20c603fa208bd6c76b733fdfe29"),
+    ("criteria k3 --lattice uniform4.json", "18ed88a4277d9c97a7d0395849bd22d47b43432c"),
+    ("roots --lattice cc-d4.json", "fb81049f7e3c219977a2fff8d420fd73c5dc6e14"),
+    ("criteria k3 --lattice cc-d4.json", "cb1ac87b130d5daf8f35716e7dc797e2858277e3"),
+    ("enumerate --lattice u-d4.json --norm -2 --height 3",
+     "6d6f277f59f0043562f896121331db84b93f8d35"),
+])
+def test_search_report_bytes_are_pinned(tmp_path, argv, sha1):
+    for name, gram in SEARCH_LATTICES.items():
+        (tmp_path / name).write_text(json.dumps({"gram": gram}))
+    out = io.StringIO()
+    with contextlib.chdir(tmp_path), contextlib.redirect_stdout(out):
+        assert cli.main(argv.split()) == 0
+    assert hashlib.sha1(out.getvalue().encode()).hexdigest() == sha1
 
 
 def test_degenerate_lattice_rejected(files):

@@ -129,16 +129,36 @@ def _brute_residues(gram, m, modulus):
                for v in itertools.product(range(modulus), repeat=n))
 
 
+U_A2_X11 = build_lattice([[0, 11, 0, 0], [11, 0, 0, 0], [0, 0, -22, 11], [0, 0, 11, -22]])
+UNIFORM4 = build_lattice([[4, 0, 0, 0], [0, -8, 0, 0], [0, 0, -12, 0], [0, 0, 0, -12]])
+
+
 def test_scan_residues_matches_brute_force():
+    # ranks 1-4 and moduli with one to three primes, up to 60,000 residue
+    # vectors, so the inline last coordinate meets several missing units
     rng = random.Random(404)
-    for _ in range(120):
-        n = rng.randint(1, 3)
+    moduli = (2, 3, 4, 5, 6, 8, 9, 12, 16, 25, 27)
+    cases = {n: 0 for n in range(1, 5)}
+    while sum(cases.values()) < 200:
+        n, modulus = rng.randint(1, 4), rng.choice(moduli)
+        if modulus ** n > 60_000:
+            continue
         gram = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 gram[i][j] = gram[j][i] = rng.randint(-6, 6)
-        m, modulus = rng.randint(-8, 8), rng.choice((2, 3, 4, 5, 6, 8, 9))
-        assert forms._scan_residues(gram, m, modulus) == _brute_residues(gram, m, modulus)
+        m = rng.randint(-8, 8)
+        assert forms._scan_residues(gram, m, modulus) == _brute_residues(gram, m, modulus), \
+            (gram, m, modulus)
+        cases[n] += 1
+    assert min(cases.values()) >= 30
+    # 11(U+A2) has a primitive residue root mod 9; the uniform4 certificate
+    # modulus has none
+    assert forms._scan_residues(U_A2_X11.gram, -2, 9)
+    assert _brute_residues(U_A2_X11.gram, -2, 9)
+    assert root_existence(UNIFORM4, -2, 10).certificate["parts"] == [{"modulus": 4, "norm": -2}]
+    assert not forms._scan_residues(UNIFORM4.gram, -2, 4)
+    assert not _brute_residues(UNIFORM4.gram, -2, 4)
 
 
 def test_congruence_certificate_replays_only_on_its_lattice():
@@ -147,6 +167,45 @@ def test_congruence_certificate_replays_only_on_its_lattice():
     # U+<-2> has the root (0, 0, 1), so no residue scan can obstruct it
     assert U_MINUS2.norm((0, 0, 1)) == -2
     assert not replay_congruence(U_MINUS2, cert)
+
+
+@pytest.mark.parametrize("parts", [
+    [{"modulus": 4, "norm": 1}],  # a norm that is no square class of -2
+    [],  # no part at all
+    [{"modulus": 4, "norm": -2}, {"modulus": 4, "norm": -8}],  # an extra class
+])
+def test_congruence_replay_refuses_parts_off_the_square_classes(parts):
+    # U+<-2> has the root (0, 0, 1): each forgery would "prove" it rootless
+    assert not replay_congruence(U_MINUS2, {"kind": "congruence", "norm": -2,
+                                            "parts": parts})
+    # a norm -8 certificate needs a part for -8 and for -2
+    assert not replay_congruence(FAMILY3, {"kind": "congruence", "norm": -8,
+                                           "parts": [{"modulus": 4, "norm": -8}]})
+
+
+@pytest.mark.parametrize("modulus", [0, 1, -3, 4.0, "4", True, None])
+def test_congruence_replay_refuses_a_bad_modulus(modulus):
+    cert = {"kind": "congruence", "norm": -2, "parts": [{"modulus": modulus, "norm": -2}]}
+    with pytest.raises(InputError, match="moduli must be integers >= 2"):
+        replay_congruence(U_MINUS2, cert)
+    with pytest.raises(InputError, match="norm must be an integer"):
+        replay_congruence(U_MINUS2, {"kind": "congruence", "norm": "-2",
+                                     "parts": [{"modulus": 4, "norm": -2}]})
+
+
+def test_every_emitted_congruence_certificate_replays():
+    lattices = (_random_forms(41, 30) + _random_forms(43, 30) + _random_block_lattices(2026, 60)
+                + WITNESS_LATTICES + [FAMILY3, U_MINUS2, UNIFORM4, U_A2_X11,
+                                      build_lattice([[1, 0], [0, -4]])])
+    lattices += [build_lattice([[4, 0, 0], [0, -8, 0], [0, 0, -12 * k]]) for k in (1, 2, 5)]
+    replayed = 0
+    for lat in lattices:
+        for norm in (-2, -8, -18, -5, 3):
+            v = root_existence(lat, norm, 1)
+            if v.kind == "certified_none" and v.certificate["kind"] == "congruence":
+                assert replay_congruence(lat, v.certificate), (lat.gram, norm)
+                replayed += 1
+    assert replayed >= 30
 
 
 def test_rational_certificate_replays_only_on_its_lattice():
@@ -621,6 +680,71 @@ def test_solved_last_level_counts_one_candidate(monkeypatch):
     monkeypatch.setattr(forms, "ENUM_CAP", 0)
     with pytest.raises(BudgetExceeded, match="0 candidates tested, the next 1 "):
         forms._scan_box(((2,),), 2, 5)
+
+
+def _definite_tail_form(rng, sign):
+    """A hyperbolic head (U, <2k> or a random indefinite row) and a definite
+    trailing 2x2 block of the given sign, coupled by random cross terms."""
+    head = rng.choice(([[0, 1], [1, 0]], [[2 * rng.randint(1, 3)]], None))
+    if head is None:
+        head = [[rng.randint(-3, 3), rng.randint(1, 3)], [0, -rng.randint(1, 3)]]
+        head[1][0] = head[0][1]
+    a, c = rng.randint(1, 5), rng.randint(1, 5)
+    b = rng.randint(-2, 2)
+    while b * b >= a * c:
+        b = rng.randint(-2, 2)
+    k = len(head)
+    n = k + 2
+    gram = [[0] * n for _ in range(n)]
+    for i in range(k):
+        for j in range(k):
+            gram[i][j] = head[i][j]
+        for j in range(k, n):
+            gram[i][j] = gram[j][i] = rng.randint(-2, 2)
+    gram[k][k], gram[k][k + 1], gram[k + 1][k + 1] = sign * a, sign * b, sign * c
+    gram[k + 1][k] = sign * b
+    return tuple(tuple(row) for row in gram)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_narrowed_penultimate_level_matches_brute_force(sign, monkeypatch):
+    monkeypatch.setattr(forms, "ENUM_CAP", 10**9)
+    rng = random.Random(61 + sign)
+    solved = 0
+    for case in range(90):
+        gram = _definite_tail_form(rng, sign)
+        n = len(gram)
+        h = rng.randint(1, 4)
+        while (2 * h + 1) ** n > 6561:  # keep the oracle's box small
+            h -= 1
+        m = rng.randint(-10, 10)
+        accept = (lambda v: v[-1] % 2 == 0) if case % 3 == 1 else None
+        want = [v for v in brute_box(GramLattice(gram, n), m, h)
+                if accept is None or accept(v)]
+        assert forms._scan_box(gram, m, h, accept=accept)[0] == want, (gram, m, h)
+        assert forms._scan_box(gram, m, h, first=True, accept=accept)[0] == want[:1]
+        solved += bool(want)
+    assert solved >= 20
+
+
+def test_narrowed_level_without_a_real_last_coordinate(monkeypatch):
+    # 2x^2 + 2xy + 2y^2 is positive definite: at the root node D(s) < 0 for
+    # every s, so the level returns at once, still counting its 4 values
+    monkeypatch.setattr(forms, "ENUM_CAP", 100)
+    assert forms._scan_box(((2, 1), (1, 2)), -2, 3) == ([], 4)
+    # norm 2: D(s) >= 0 exactly for s in [-1, 1], so of v_0 = 0..3 only 0
+    # and 1 reach the solved level (v_0 = 2, 3 pass the box-bound test)
+    assert forms._scan_box(((2, 1), (1, 2)), 2, 3) == ([(0, 1), (1, -1), (1, 0)], 4 + 2)
+    # x^2 + Q(y, z) = 3 at height 2: the root counts 3; x = 0 counts 3 and
+    # solves y = 0, 1; x = 1 counts 5 and solves y = -1, 0, 1 (y = -2 passes
+    # the box-bound test); x = 2 counts 5 and has no real z at any y
+    hits = [(1, -1, 0), (1, -1, 1), (1, 0, -1), (1, 0, 1), (1, 1, -1), (1, 1, 0)]
+    assert forms._scan_box(((1, 0, 0), (0, 2, 1), (0, 1, 2)), 3, 2) == (
+        hits, 3 + (3 + 2) + (5 + 3) + 5)
+    # behind U the head (0, 0) has no real last coordinate for norm -2 either;
+    # the hits have a head (x, y) with xy < 0
+    gram = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 2, 1), (0, 0, 1, 2))
+    assert forms._scan_box(gram, -2, 2)[0] == brute_box(GramLattice(gram, 4), -2, 2)
 
 
 def test_enumerate_identical_on_repeat():
