@@ -183,14 +183,14 @@ def test_congruence_replay_refuses_parts_off_the_square_classes(parts):
                                            "parts": [{"modulus": 4, "norm": -8}]})
 
 
-@pytest.mark.parametrize("modulus", [0, 1, -3, 4.0, "4", True, None])
-def test_congruence_replay_refuses_a_bad_modulus(modulus):
-    cert = {"kind": "congruence", "norm": -2, "parts": [{"modulus": modulus, "norm": -2}]}
-    with pytest.raises(InputError, match="moduli must be integers >= 2"):
+@pytest.mark.parametrize("modulus, norm", [
+    (0, -2), (1, -2), (-3, -2), (4.0, -2), ("4", -2), (True, -2), (None, -2),
+    (4, "-2"), (4, -2.0),
+])
+def test_congruence_replay_refuses_a_malformed_modulus_or_norm(modulus, norm):
+    cert = {"kind": "congruence", "norm": norm, "parts": [{"modulus": modulus, "norm": -2}]}
+    with pytest.raises(InputError, match="certificate (moduli|norm) must be"):
         replay_congruence(U_MINUS2, cert)
-    with pytest.raises(InputError, match="norm must be an integer"):
-        replay_congruence(U_MINUS2, {"kind": "congruence", "norm": "-2",
-                                     "parts": [{"modulus": 4, "norm": -2}]})
 
 
 def test_every_emitted_congruence_certificate_replays():
