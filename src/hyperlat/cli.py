@@ -166,6 +166,8 @@ def _json_text(node, digits: int | None = None, indent: str = "\n") -> str:
     if isinstance(node, (list, tuple)):
         if not node:
             return "[]"
+        if set(map(type, node)) == {int}:  # no bool, whose repr is not JSON
+            return "[" + inner + ("," + inner).join(map(int.__repr__, node)) + indent + "]"
         digits = digits if isinstance(node, list) else None
         items = [_json_text(x, digits, inner) for x in node]
         return "[" + inner + ("," + inner).join(items) + indent + "]"

@@ -4,10 +4,16 @@ extreme rays, facet reduction, and the generalized-polytope hypothesis check.
 A cone is a PolyhedralCone on its halfspace normals, plain integer
 vectors w acting through the bilinear form: the inequality is
 (w, x) = w . (G x) >= 0, with G x formed once per ray and no functional
-G w per normal.  The double description returns each ray's zero set over
-the normals, and `extreme_rays` reads the facets off them.  All pivoting
-is fraction-free in integers; adjacency during double description uses
-the exhaustive combinatorial test, no heuristics.
+G w per normal.  The double description tests each normal against every
+current ray with one big-integer dot product: the rays' G x are packed
+into slots of width bits, wide enough that each (w, x) plus an offset of
+2^(width-1) fills its slot without a borrow or carry into the next, so
+the top bit of each slot is the sign test and a second subtraction finds
+the rays on the hyperplane; only a normal negative on some ray takes the
+per-ray step.  It returns each ray's zero set over the normals, and
+`extreme_rays` reads the facets off them.  All pivoting is fraction-free
+in integers; adjacency during double description uses the exhaustive
+combinatorial test, no heuristics.
 """
 
 from __future__ import annotations
@@ -83,7 +89,24 @@ def double_description(normals, gram):
 
 def _pointed_double_description(normals, gram, pivots):
     """{ray: zero set over all rows} for the pointed part of {x : (w, x) >= 0},
-    its rays in the span of e_p at the pivot columns p; each carries G x."""
+    its rays in the span of e_p at the pivot columns p; each carries G x.
+
+    A row w is tested against every current ray x_j at once.  The images
+    G x_j are packed into one int per coordinate c, sum_j (G x_j)[c]
+    2^(j width), so the dot product t of w with these ints, plus
+    2^(width-1) for each j, is sum_j ((w, x_j) + 2^(width-1)) 2^(j width).
+    The width is the bit length of n max|w| max|G x| plus 2, max|w| taken
+    over all rows, so |(w, x_j)| < 2^(width-2) and each coefficient lies
+    in (2^(width-2), 3 2^(width-2)), inside [0, 2^width): the coefficients
+    are t's base-2^width digits ("slots") exactly, the offset taking the
+    borrow a negative (w, x_j) would make from the next slot, so no borrow
+    or carry crosses a slot.  The top bit of slot j is set exactly when
+    (w, x_j) >= 0.  A row with every top bit set removes no ray; since
+    every digit is >= 1, subtracting 1 from every slot borrows across none
+    and clears the top bit of exactly the slots that held 0: the rays on
+    the row's hyperplane.  Any other row takes the exact per-ray step
+    `_cut`, and the rays are packed again after it.
+    """
     n, r = len(gram), len(pivots)
     # seed with r linearly independent rows (so functionals) -> simplicial cone
     seed_idx = []
@@ -105,48 +128,66 @@ def _pointed_double_description(normals, gram, pivots):
     for k in range(r):
         ys = iter(linalg.primitive_vector([sign * row[k] for row in adj]))
         rays.append(tuple(next(ys) if j in pivots else 0 for j in range(n)))
-    # G x of each ray, in the order of `rays`; both lists change together
+    # G x of each ray and its zero set over the rows processed so far, as a
+    # bitmask, in the order of `rays`; the three lists change together
     images = [linalg.mat_vec(gram, ray) for ray in rays]
+    zsets = [sum(1 << i for i in seed_idx if sum(map(mul, normals[i], im)) == 0)
+             for im in images]
     seeds = set(seed_idx)
-    # zero set of each ray over the rows processed so far, as a bitmask
-    zsets = {ray: sum(1 << i for i in seed_idx if sum(map(mul, normals[i], im)) == 0)
-             for ray, im in zip(rays, images)}
+    n_max_w = n * max(abs(x) for w in normals for x in w)
+    cols = None
     for i, row in enumerate(normals):
         if i in seeds:
             continue
-        row_values = [sum(map(mul, row, im)) for im in images]
-        if 0 in row_values:
-            for ray, value in zip(rays, row_values):
-                if not value:
-                    zsets[ray] |= 1 << i
-        if min(row_values, default=0) >= 0:
-            continue  # no ray leaves, so no ray is added
-        values = dict(zip(rays, row_values))
-        neg = [ray for ray in rays if values[ray] < 0]
-        pos = [ray for ray in rays if values[ray] > 0]
-        fresh = {}
-        for p in pos:
-            for m in neg:
-                common = zsets[p] & zsets[m]
-                if common.bit_count() < r - 2:
-                    continue  # adjacent rays share at least r - 2 active rows
-                if any(zsets[o] & common == common
-                       for o in rays if o is not p and o is not m):
-                    continue
-                combo = tuple(values[p] * mx - values[m] * px for px, mx in zip(p, m))
-                # a positive combination: its zero set is exactly Z(p) & Z(m), plus row i
-                fresh.setdefault(linalg.primitive_vector(combo), common | 1 << i)
-        for ray in neg:
-            del zsets[ray]
-        kept = [k for k, value in enumerate(row_values) if value >= 0]
-        rays = [rays[k] for k in kept]
-        images = [images[k] for k in kept]
-        for ray, zset in fresh.items():
-            if ray not in zsets:
-                zsets[ray] = zset
-                rays.append(ray)
-                images.append(linalg.mat_vec(gram, ray))
-    return zsets
+        if cols is None:  # pack the images of the current rays
+            width = (n_max_w * max((abs(x) for im in images for x in im),
+                                   default=0)).bit_length() + 2
+            shifts = range(0, len(rays) * width, width)
+            cols = [sum(x << s for x, s in zip(col, shifts)) for col in zip(*images)]
+            low = sum(1 << s for s in shifts)
+            high = low << (width - 1)
+        t = sum(map(mul, row, cols)) + high
+        if t & high == high:
+            zeros = high ^ ((t - low) & high)
+            while zeros:
+                bit = zeros & -zeros
+                zsets[bit.bit_length() // width - 1] |= 1 << i
+                zeros ^= bit
+            continue
+        rays, images, zsets = _cut(row, i, rays, images, zsets, gram, r)
+        cols = None
+    return dict(zip(rays, zsets))
+
+
+def _cut(row, i, rays, images, zsets, gram, r):
+    """The rays, images and zero sets after row i, which is negative on some
+    ray: the rays where it is negative leave, and each adjacent pair of a
+    positive and a negative ray gives the ray on its hyperplane between them."""
+    values = [sum(map(mul, row, im)) for im in images]
+    zsets = [z if value else z | 1 << i for z, value in zip(zsets, values)]
+    neg = [k for k, value in enumerate(values) if value < 0]
+    pos = [k for k, value in enumerate(values) if value > 0]
+    fresh = {}
+    for p in pos:
+        for m in neg:
+            common = zsets[p] & zsets[m]
+            if common.bit_count() < r - 2:
+                continue  # adjacent rays share at least r - 2 active rows
+            if any(z & common == common for o, z in enumerate(zsets) if o != p and o != m):
+                continue
+            combo = tuple(values[p] * mx - values[m] * px for px, mx in zip(rays[p], rays[m]))
+            # a positive combination: its zero set is exactly Z(p) & Z(m), plus row i
+            fresh.setdefault(linalg.primitive_vector(combo), common | 1 << i)
+    kept = [k for k, value in enumerate(values) if value >= 0]
+    rays = [rays[k] for k in kept]
+    images = [images[k] for k in kept]
+    zsets = [zsets[k] for k in kept]
+    # no fresh ray is a kept one, whose zero set would contain Z(p) & Z(m)
+    # and so have failed the pair's adjacency test
+    rays += fresh
+    images += [linalg.mat_vec(gram, ray) for ray in fresh]
+    zsets += fresh.values()
+    return rays, images, zsets
 
 
 def extreme_rays(cone: PolyhedralCone) -> PolyhedralCone:

@@ -283,13 +283,19 @@ def replay_congruence(lattice: GramLattice, certificate: dict) -> bool:
 
     The parts' norms must be exactly the square classes norm // d^2 of the
     certificate's norm, or the certificate proves nothing (False); a modulus
-    that is not an int >= 2 is malformed input.
+    that is not an int >= 2 is malformed input, and so is one whose scan
+    would exceed the cap the ladder obeys, modulus^rank > LADDER_RESIDUE_CAP.
     """
     parts = _entry(certificate, "parts")
     norms = [_entry(part, "norm") for part in parts]
     moduli = [_entry(part, "modulus") for part in parts]
     if any(type(q) is not int or q < 2 for q in moduli):
         raise InputError(f"certificate moduli must be integers >= 2, got {moduli}")
+    rank = lattice.rank
+    for q in moduli:
+        if q ** rank > LADDER_RESIDUE_CAP:
+            raise InputError(f"certificate modulus {q} needs {q}^{rank} residue vectors "
+                             f"at rank {rank}, over the cap of {LADDER_RESIDUE_CAP}")
     norm = _entry(certificate, "norm")
     if type(norm) is not int:
         raise InputError(f"certificate norm must be an integer, got {norm!r}")

@@ -15,8 +15,8 @@ import time
 
 import pytest
 
-from hyperlat import (FGGroup, cli, direct_sum, eichler_transvection, linalg, pick_cone,
-                      reflection, standard_lattice)
+from hyperlat import (FGGroup, build_lattice, cli, direct_sum, eichler_transvection, linalg,
+                      pick_cone, reflection, standard_lattice)
 from hyperlat.groups import elements_up_to
 from hyperlat.isometry import LOXODROMIC, _classify_charpoly
 
@@ -488,6 +488,48 @@ def test_search_report_bytes_are_pinned(tmp_path, argv, sha1):
     out = io.StringIO()
     with contextlib.chdir(tmp_path), contextlib.redirect_stdout(out):
         assert cli.main(argv.split()) == 0
+    assert hashlib.sha1(out.getvalue().encode()).hexdigest() == sha1
+
+
+# (Gram matrix, generators: reflection roots or matrices), the last with a
+# Dirichlet domain that has lineality
+DOMAIN_GROUPS = {
+    "u-a2-m2": ([[0, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, -2, 1, 0], [0, 0, 1, -2, 0],
+                 [0, 0, 0, 0, -2]],
+                [(0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1), (1, -1, 0, 0, 0),
+                 (1, 0, 0, 0, 1)]),
+    "pell": ([[1, 0], [0, -2]], [[[3, 4], [2, 3]]]),
+    "u-a2": ([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -2, 1], [0, 0, 1, -2]],
+             [(0, 0, 1, 0), (0, 0, 0, 1), (1, -1, 0, 0)]),
+}
+
+
+# stdout sha1 of budget-10 Dirichlet domains and tiling checks: a double
+# description change that moves a ray, a zero set or a facet changes one of these
+@pytest.mark.parametrize("argv, sha1", [
+    ("dirichlet u-a2-m2 --point=5,7,1,0,1", "45ccca34f2eca3228af1f7658e100b77e593acd1"),
+    ("tile-check u-a2-m2 --point=5,7,1,0,1 --check-budget 3 --samples 2 --seed 1",
+     "e9c25cdf5e69d8a8bbd9341bc81b9e659b2a7e36"),
+    ("dirichlet pell --point=1,0", "f03af08ce85bf6ce1dac3b9c81b34a649443cc8d"),
+    ("tile-check pell --point=1,0 --check-budget 8 --samples 50 --seed 1",
+     "3d7d3c32be7c5d6d3ed9bad94c3f56c6b94faa5f"),
+    ("dirichlet u-a2 --point=3,5,1,0", "a79ae419e0418073872e5eccd51437f1baea3ced"),
+    ("tile-check u-a2 --point=3,5,1,0 --check-budget 3 --samples 5 --seed 1",
+     "3f23f257d269475f386327ec68b108a2bae2e54a"),
+])
+def test_domain_report_bytes_are_pinned(tmp_path, argv, sha1):
+    command, name, *rest = argv.split()
+    gram, gens = DOMAIN_GROUPS[name]
+    (tmp_path / f"{name}.json").write_text(json.dumps({"gram": gram}))
+    o = pick_cone(build_lattice(gram), None)
+    mats = [g if isinstance(g, list) else [list(r) for r in reflection(o, g).matrix]
+            for g in gens]
+    (tmp_path / f"{name}-group.json").write_text(
+        json.dumps({"generators": [{"matrix": m} for m in mats]}))
+    out = io.StringIO()
+    with contextlib.chdir(tmp_path), contextlib.redirect_stdout(out):
+        assert cli.main([command, "--lattice", f"{name}.json", "--group", f"{name}-group.json",
+                         "--budget", "10", *rest]) == 0
     assert hashlib.sha1(out.getvalue().encode()).hexdigest() == sha1
 
 

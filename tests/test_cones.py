@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from hyperlat import build_lattice, extreme_rays, pick_cone, polytope_hypothesis_check
+from hyperlat import (build_lattice, cones, direct_sum, extreme_rays, group, make_isometry,
+                      pick_cone, point_from_ray, polytope_hypothesis_check, rank1, reflection)
 from hyperlat.cones import (TAG_INTERIOR, TAG_ISOTROPIC, PolyhedralCone,
                             double_description, irredundant_halfspaces)
 from hyperlat.errors import DimensionBudgetExceeded
+from hyperlat.groups import _orbit_ball
 from hyperlat.linalg import (adjugate, bareiss_det, dot, identity_matrix, kernel_basis,
-                             mat_vec, primitive_vector, rank, row_echelon)
+                             mat_vec, primitive_vector, rank, row_basis, row_echelon)
 
 U = build_lattice([[0, 1], [1, 0]])
 D12 = build_lattice([[1, 0], [0, -2]])
@@ -304,3 +306,181 @@ def test_lower_dimensional_cone():
     reduced = irredundant_halfspaces(vrep)
     got = extreme_rays(reduced)
     assert got.rays == ((0, 1),)
+
+
+def _per_ray_pointed_double_description(normals, gram, pivots):
+    """Reference: the pointed double description with one dot product per
+    ray and row, zero sets in a dict keyed by ray."""
+    n, r = len(gram), len(pivots)
+    seed_idx = []
+    seed_rows = []
+    for i, row in enumerate(normals):
+        if rank(seed_rows + [row]) > len(seed_rows):
+            seed_idx.append(i)
+            seed_rows.append(row)
+        if len(seed_idx) == r:
+            break
+    assert len(seed_idx) == r
+    seed_fns = [[f[p] for p in pivots] for f in (mat_vec(gram, w) for w in seed_rows)]
+    adj = adjugate(seed_fns)
+    sign = 1 if bareiss_det(seed_fns) > 0 else -1
+    rays = []
+    for k in range(r):
+        ys = iter(primitive_vector([sign * row[k] for row in adj]))
+        rays.append(tuple(next(ys) if j in pivots else 0 for j in range(n)))
+    images = [mat_vec(gram, ray) for ray in rays]
+    seeds = set(seed_idx)
+    zsets = {ray: sum(1 << i for i in seed_idx if dot(normals[i], im) == 0)
+             for ray, im in zip(rays, images)}
+    for i, row in enumerate(normals):
+        if i in seeds:
+            continue
+        row_values = [dot(row, im) for im in images]
+        if 0 in row_values:
+            for ray, value in zip(rays, row_values):
+                if not value:
+                    zsets[ray] |= 1 << i
+        if min(row_values, default=0) >= 0:
+            continue
+        values = dict(zip(rays, row_values))
+        neg = [ray for ray in rays if values[ray] < 0]
+        pos = [ray for ray in rays if values[ray] > 0]
+        fresh = {}
+        for p in pos:
+            for m in neg:
+                common = zsets[p] & zsets[m]
+                if common.bit_count() < r - 2:
+                    continue
+                if any(zsets[o] & common == common
+                       for o in rays if o is not p and o is not m):
+                    continue
+                combo = tuple(values[p] * mx - values[m] * px for px, mx in zip(p, m))
+                fresh.setdefault(primitive_vector(combo), common | 1 << i)
+        for ray in neg:
+            del zsets[ray]
+        kept = [k for k, value in enumerate(row_values) if value >= 0]
+        rays = [rays[k] for k in kept]
+        images = [images[k] for k in kept]
+        for ray, zset in fresh.items():
+            if ray not in zsets:
+                zsets[ray] = zset
+                rays.append(ray)
+                images.append(mat_vec(gram, ray))
+    return zsets
+
+
+def _pointed_zero_sets(normals, gram, monkeypatch):
+    """The packed and the reference {ray: zero set} of the pointed part, and
+    the rows the packed one sent to the exact per-ray step, each checked to
+    remove a ray; None when the normals span no pivot."""
+    normals = [tuple(w) for w in normals]
+    _, pivots = row_echelon([mat_vec(gram, b) for b in row_basis(normals)])
+    if not pivots:
+        return None
+    cut_rows = []
+    real_cut = cones._cut
+
+    def cut(row, i, rays, images, *rest):
+        assert min(dot(row, im) for im in images) < 0  # the row removes a ray
+        cut_rows.append(i)
+        return real_cut(row, i, rays, images, *rest)
+
+    monkeypatch.setattr(cones, "_cut", cut)
+    got = cones._pointed_double_description(normals, gram, pivots)
+    monkeypatch.undo()
+    want = _per_ray_pointed_double_description(normals, gram, pivots)
+    return got, want, cut_rows
+
+
+def _bisectors(lattice, roots, point, budget):
+    """The normals `dirichlet_domain` feeds the double description: the
+    orbit bisectors of the reflection group, in their order."""
+    o = pick_cone(lattice, None)
+    grp = group(*(reflection(o, d) for d in roots))
+    points = _orbit_ball(grp, point_from_ray(o, point).ray, budget)
+    return [tuple(a - b for a, b in zip(p, points[0])) for p in points[1:]]
+
+
+REFLECTION_GROUPS = {
+    "U+<-2>": (direct_sum(U, rank1(-2)), ((0, 0, 1), (1, -1, 0), (1, 0, 1), (0, 1, 1)),
+               (3, 5, 1)),
+    "U+A2": (build_lattice([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -2, 1], [0, 0, 1, -2]]),
+             ((0, 0, 1, 0), (0, 0, 0, 1), (1, -1, 0, 0), (1, 0, 1, 0)), (3, 5, 1, 0)),
+    "U+A2+<-2>": (build_lattice([[0, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, -2, 1, 0],
+                                 [0, 0, 1, -2, 0], [0, 0, 0, 0, -2]]),
+                  ((0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1), (1, -1, 0, 0, 0),
+                   (1, 0, 0, 0, 1)), (5, 7, 1, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", REFLECTION_GROUPS)
+def test_packed_row_test_matches_per_ray_on_dirichlet_bisectors(name, monkeypatch):
+    lattice, roots, point = REFLECTION_GROUPS[name]
+    on_a_ray = 0
+    for budget in range(3, 11):
+        normals = _bisectors(lattice, roots, point, budget)
+        got, want, cut_rows = _pointed_zero_sets(normals, lattice.gram, monkeypatch)
+        assert got == want, (name, budget)
+        # a row through a ray sets its zero bits in the packed test
+        on_a_ray += sum(1 for i in range(len(normals))
+                        if any(zset >> i & 1 for zset in got.values()))
+        assert len(cut_rows) < len(normals) // 4, (name, budget)
+    assert on_a_ray >= 100
+
+
+def test_packed_row_test_matches_per_ray_on_wide_random_cones(monkeypatch):
+    rng = random.Random(27)
+    collapsed = repeated = 0
+    for k in range(300):
+        n = rng.randint(3, 6)
+        bound = (10, 1000, 10 ** 6)[k % 3]
+        gram = identity_matrix(n) if k % 2 else _random_gram(rng, n, negative=k % 4 == 0)
+        normals = [tuple(rng.randint(-bound, bound) for _ in range(n))
+                   for _ in range(rng.randint(1, 12))]
+        normals = [w for w in normals if any(w)] or [(1,) + (0,) * (n - 1)]
+        for _ in range(rng.randint(0, 3)):  # duplicates and positive multiples
+            w = rng.choice(normals)
+            normals.insert(rng.randrange(len(normals) + 1),
+                           tuple(rng.randint(1, 3) * x for x in w))
+            repeated += 1
+        result = _pointed_zero_sets(normals, gram, monkeypatch)
+        if result is None:
+            continue
+        got, want, _ = result
+        assert got == want, (gram, normals)
+        collapsed += not got
+    assert collapsed >= 20 and repeated >= 100
+
+
+def test_packed_row_test_on_the_zero_cone(monkeypatch):
+    # every ray of the first rows is cut away; the last rows meet no ray
+    normals = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (2, 0, 0), (0, -5, 3)]
+    got, want, cut_rows = _pointed_zero_sets(normals, identity_matrix(3), monkeypatch)
+    assert got == want == {}
+    assert cut_rows == [3]
+
+
+# U+A2+<-2> in another basis, with five reflections: the group of the
+# fourth Dirichlet job of the group-geometry benchmark round of seed 1
+SEED1_GRAM = [[0, -1, 0, 0, 0], [-1, 0, 0, 0, 0], [0, 0, -2, -1, 0], [0, 0, -1, -2, 0],
+              [0, 0, 0, 0, -2]]
+SEED1_GENERATORS = [
+    [[0, -1, 0, 0, 0], [-1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]],
+    [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, -1, -1, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]],
+    [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, -1]],
+    [[1, -1, 0, 0, 2], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 1, 0, 0, -1]],
+    [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, -1, -1, 0], [0, 0, 0, 0, 1]],
+]
+
+
+def test_packed_row_test_sends_only_the_cutting_rows_to_the_per_ray_step(monkeypatch):
+    lattice = build_lattice(SEED1_GRAM)
+    o = pick_cone(lattice, None)
+    grp = group(*(make_isometry(o, m) for m in SEED1_GENERATORS))
+    points = _orbit_ball(grp, point_from_ray(o, (5, -7, 1, 0, -1)).ray, 10)
+    normals = [tuple(a - b for a, b in zip(p, points[0])) for p in points[1:]]
+    got, want, cut_rows = _pointed_zero_sets(normals, SEED1_GRAM, monkeypatch)
+    assert got == want and len(got) == 5
+    # 743 rows, 5 of them seeds: 4 of the other 738 remove a ray
+    assert len(normals) == 743
+    assert len(cut_rows) == 4

@@ -193,6 +193,25 @@ def test_congruence_replay_refuses_a_malformed_modulus_or_norm(modulus, norm):
         replay_congruence(U_MINUS2, cert)
 
 
+def test_congruence_replay_refuses_a_modulus_over_the_residue_cap():
+    # 1024^4 residue vectors: a scan that would not end in any useful time
+    forged = {"kind": "congruence", "norm": -2, "parts": [{"modulus": 1024, "norm": -2}]}
+    with pytest.raises(InputError, match=r"modulus 1024 needs 1024\^4 residue vectors "
+                                         r"at rank 4, over the cap of 200000"):
+        replay_congruence(UNIFORM4, forged)
+    # at rank 2 the cap lies between 447^2 and 448^2; <2>+<-2> has the root
+    # (0, 1), so the scan the cap allows finds a residue root at once
+    lat = build_lattice([[2, 0], [0, -2]])
+    assert 447 ** 2 <= forms.LADDER_RESIDUE_CAP < 448 ** 2
+    for modulus in (447, 448):
+        cert = {"kind": "congruence", "norm": -2, "parts": [{"modulus": modulus, "norm": -2}]}
+        if modulus == 447:
+            assert not replay_congruence(lat, cert)
+        else:
+            with pytest.raises(InputError, match="over the cap"):
+                replay_congruence(lat, cert)
+
+
 def test_every_emitted_congruence_certificate_replays():
     lattices = (_random_forms(41, 30) + _random_forms(43, 30) + _random_block_lattices(2026, 60)
                 + WITNESS_LATTICES + [FAMILY3, U_MINUS2, UNIFORM4, U_A2_X11,

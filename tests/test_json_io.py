@@ -58,6 +58,10 @@ def _report(rng, depth=0):
 REPORTS = [_report(random.Random(seed)) for seed in range(400)]
 REPORTS += [{}, [], (), {"a": {}, "b": [], "c": ()}, [[[]]], ({"x": (1.25, [0.1])},),
             {"result": {"floats": [1 / 7, -0.0, math.nan, math.inf, -math.inf]}}]
+# lists and tuples of ints alone, and ints beside bools, floats and None
+REPORTS += [[0], (7,), [1, -2, 3], (2 ** 70, -2 ** 70, 0), [True, 1, False, 0], (1, True),
+            [False], [1, 2.5, None], {"rays": [[1, -1, 0], (0, 2 ** 70), [], ()]},
+            [[[1, 2], [3]], ((-4,), [5, True])]]
 
 
 @pytest.mark.parametrize("digits", [0, 12])
