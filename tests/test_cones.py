@@ -392,12 +392,10 @@ def _pointed_zero_sets(normals, gram, monkeypatch):
     return got, want, cut_rows
 
 
-def _bisectors(lattice, roots, point, budget):
+def _bisectors(grp, point, budget):
     """The normals `dirichlet_domain` feeds the double description: the
-    orbit bisectors of the reflection group, in their order."""
-    o = pick_cone(lattice, None)
-    grp = group(*(reflection(o, d) for d in roots))
-    points = _orbit_ball(grp, point_from_ray(o, point).ray, budget)
+    orbit bisectors of the group, in their order."""
+    points = _orbit_ball(grp, point_from_ray(grp.orientation, point).ray, budget)
     return [tuple(a - b for a, b in zip(p, points[0])) for p in points[1:]]
 
 
@@ -416,9 +414,11 @@ REFLECTION_GROUPS = {
 @pytest.mark.parametrize("name", REFLECTION_GROUPS)
 def test_packed_row_test_matches_per_ray_on_dirichlet_bisectors(name, monkeypatch):
     lattice, roots, point = REFLECTION_GROUPS[name]
+    o = pick_cone(lattice, None)
+    grp = group(*(reflection(o, d) for d in roots))
     on_a_ray = 0
     for budget in range(3, 11):
-        normals = _bisectors(lattice, roots, point, budget)
+        normals = _bisectors(grp, point, budget)
         got, want, cut_rows = _pointed_zero_sets(normals, lattice.gram, monkeypatch)
         assert got == want, (name, budget)
         # a row through a ray sets its zero bits in the packed test
@@ -477,8 +477,7 @@ def test_packed_row_test_sends_only_the_cutting_rows_to_the_per_ray_step(monkeyp
     lattice = build_lattice(SEED1_GRAM)
     o = pick_cone(lattice, None)
     grp = group(*(make_isometry(o, m) for m in SEED1_GENERATORS))
-    points = _orbit_ball(grp, point_from_ray(o, (5, -7, 1, 0, -1)).ray, 10)
-    normals = [tuple(a - b for a, b in zip(p, points[0])) for p in points[1:]]
+    normals = _bisectors(grp, (5, -7, 1, 0, -1), 10)
     got, want, cut_rows = _pointed_zero_sets(normals, SEED1_GRAM, monkeypatch)
     assert got == want and len(got) == 5
     # 743 rows, 5 of them seeds: 4 of the other 738 remove a ray
