@@ -203,13 +203,11 @@ def test_congruence_replay_refuses_a_modulus_over_the_residue_cap():
     # (0, 1), so the scan the cap allows finds a residue root at once
     lat = build_lattice([[2, 0], [0, -2]])
     assert 447 ** 2 <= forms.LADDER_RESIDUE_CAP < 448 ** 2
-    for modulus in (447, 448):
-        cert = {"kind": "congruence", "norm": -2, "parts": [{"modulus": modulus, "norm": -2}]}
-        if modulus == 447:
-            assert not replay_congruence(lat, cert)
-        else:
-            with pytest.raises(InputError, match="over the cap"):
-                replay_congruence(lat, cert)
+    cert = {"kind": "congruence", "norm": -2, "parts": [{"modulus": 447, "norm": -2}]}
+    assert not replay_congruence(lat, cert)
+    cert["parts"][0]["modulus"] = 448
+    with pytest.raises(InputError, match="over the cap"):
+        replay_congruence(lat, cert)
 
 
 def test_every_emitted_congruence_certificate_replays():
