@@ -142,42 +142,67 @@ def _orientation(lattice: GramLattice, args) -> ConeOrientation:
 
 
 _JSON_WORDS = {None: "null", True: "true", False: "false"}
+# the scalars a container writes without a call of its own: exact types,
+# so a bool (an int) or a subclass takes the general path
+_INLINE = {str: _quote, int: int.__repr__, type(None): _JSON_WORDS.get}
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x in (inf, -inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
 
 
 def _json_text(node, digits: int | None = None, indent: str = "\n") -> str:
     """The text of `json.dumps(node, indent=2)` for a node whose dict keys
     are strings, with every float that is not inside a tuple first rounded
-    by `format_float(x, digits)` (when digits is None, no float is rounded)."""
-    if isinstance(node, str):
-        return _quote(node)
-    if node is None or node is True or node is False:
-        return _JSON_WORDS[node]
-    if isinstance(node, int):
-        return int.__repr__(node)
-    if isinstance(node, float):
-        if digits is not None:
-            node = float(format_float(node, digits))
-        if node != node:
-            return "NaN"
-        if node in (inf, -inf):
-            return "Infinity" if node > 0 else "-Infinity"
-        return float.__repr__(node)
-    inner = indent + "  "
-    if isinstance(node, (list, tuple)):
-        if not node:
-            return "[]"
-        if set(map(type, node)) == {int}:  # no bool, whose repr is not JSON
-            return "[" + inner + ("," + inner).join(map(int.__repr__, node)) + indent + "]"
-        digits = digits if isinstance(node, list) else None
-        items = [_json_text(x, digits, inner) for x in node]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if isinstance(node, dict):
-        if not node:
-            return "{}"
-        items = [f"{_quote(k)}: {_json_text(v, digits, inner)}"
-                 for k, v in node.items()]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+    by `format_float(x, digits)` (when digits is None, no float is rounded).
+
+    Each distinct float is rounded once per call: a report repeats a few
+    values many times.  -0.0 and 0.0 share an entry, which is sound
+    because both round to 0.0.
+    """
+    rounded = {}
+
+    def text(node, digits, indent):
+        write = _INLINE.get(type(node))
+        if write is not None:
+            return write(node)
+        if isinstance(node, float):
+            if digits is None:
+                return _float_text(node)
+            out = rounded.get(node)
+            if out is None:
+                out = rounded[node] = _float_text(float(format_float(node, digits)))
+            return out
+        inner = indent + "  "
+        if isinstance(node, dict):
+            if not node:
+                return "{}"
+            items = [_quote(k) + ": " + (write(v) if (write := _INLINE.get(type(v)))
+                                         else text(v, digits, inner))
+                     for k, v in node.items()]
+            return "{" + inner + ("," + inner).join(items) + indent + "}"
+        if isinstance(node, (list, tuple)):
+            if not node:
+                return "[]"
+            if set(map(type, node)) == {int}:  # no bool, whose repr is not JSON
+                return "[" + inner + ("," + inner).join(map(int.__repr__, node)) + indent + "]"
+            digits = digits if isinstance(node, list) else None
+            items = [write(x) if (write := _INLINE.get(type(x))) else text(x, digits, inner)
+                     for x in node]
+            return "[" + inner + ("," + inner).join(items) + indent + "]"
+        if isinstance(node, str):
+            return _quote(node)
+        if node is True or node is False:
+            return _JSON_WORDS[node]
+        if isinstance(node, int):
+            return int.__repr__(node)
+        raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+
+    return text(node, digits, indent)
 
 
 def emit(args, command: str, result: dict, config: dict) -> None:

@@ -1,18 +1,20 @@
 """Elements of O+(L): validation, exact classification, entropy, fixed rays.
 
-Classification never touches a float eigensolver.  A real eigenvalue
-above 1 is detected by Sturm sign counting on the integer characteristic
-polynomial and bracketed by rational bisection; the remaining elements
-split into finite order (elliptic) and unipotent-type (parabolic) through
-exact cyclotomic factorization and matrix powering.  All of this runs in
-Python ints; the scale's bracket is a triple (lo, hi, den) of ints.  The
-stage that reads only the characteristic polynomial (one Sturm chain for
-the count and the bisection, the minimal polynomial, the cyclotomic order
-bound) is shared per process, keyed by the exact charpoly; the order test
-by matrix powers and each loxodromic element's scale field and fixed rays
-belong to the element.  An entropy report computes none of this per
-element: it classifies the first element of each conjugacy class of words
-and gives the class's other elements that result.
+Classification never touches a float eigensolver.  The cyclotomic
+factors of the integer characteristic polynomial are divided out first.
+What remains is 1 for an elliptic or parabolic element, which one matrix
+power A^L, L the lcm of the cyclotomic orders, tells apart.  Otherwise
+it is the minimal polynomial of the scale lambda > 1, and one Sturm chain
+on it counts the roots above 1 and drives the rational bisection that
+brackets lambda.  All of this runs in Python ints; the scale's bracket is
+a triple (lo, hi, den) of ints.  The stage that reads only the
+characteristic polynomial (the cyclotomic factors, the Sturm chain, the
+minimal polynomial and bracket, or the order L) is shared per process,
+keyed by the exact charpoly; the matrix power and each loxodromic
+element's scale field and fixed rays belong to the element.  An entropy
+report computes none of this per element: it classifies the first
+element of each conjugacy class of words and gives the class's other
+elements that result.
 
 Fixed boundary rays: the parabolic one is an integer kernel vector of the
 form on the integer kernel of M - I.  The loxodromic eigenrays are columns
@@ -147,45 +149,74 @@ def make_isometry(orientation: ConeOrientation, matrix) -> Isometry:
 def _classify_charpoly(p: tuple[int, ...]):
     """The stage of classification that reads only the charpoly p.
 
-    Loxodromic: (minpoly, bracket) of the scale, the bracket refined on q
-    to width <= 1/_BRACKET_EPS.  Otherwise: the lcm of the cyclotomic orders,
-    a bound for the order of a finite-order element.  Shared by every
-    element with this charpoly for the life of the process; a raise is not
-    cached.
+    Loxodromic: (minpoly, bracket) of the scale, the bracket refined to
+    width <= 1/_BRACKET_EPS.  Otherwise: the lcm of the cyclotomic orders,
+    the order of an element of finite order (see _classify).  Shared by every element with
+    this charpoly for the life of the process; a raise is not cached.
+
+    The cyclotomic factors are divided out first.  An isometry of a (1, n)
+    form has at most one eigenvalue lambda > 1, then simple, with 1/lambda
+    the only other one off the unit circle.  By Kronecker's theorem a monic
+    irreducible integer factor whose roots all lie on the unit circle is
+    cyclotomic, and a factor holding 1/lambda but not lambda would have an
+    integer constant term of absolute value 1/lambda < 1.  So either
+    nothing remains (elliptic or parabolic, and no Sturm chain is built)
+    or the remainder is the minimal polynomial of lambda, and one Sturm
+    chain on it counts the roots above 1, isolates lambda and checks the
+    bracket.  Every cyclotomic factor is positive above 1, so bisection on
+    the remainder takes the steps it takes on the squarefree charpoly q;
+    it starts at q's Cauchy bound, which fixes the bracket.  A remainder
+    with a repeated factor, which no isometry's charpoly has, is replaced
+    by its squarefree part.
     """
-    q = pol.squarefree_part(p)
-    chain = pol.sturm_chain(q)
-    above = pol.count_roots_gt(q, 1, 1, chain)
+    factors, rem = pol._strip_cyclotomic(p)
+    if rem == [1]:
+        order = math.lcm(*(d for d, _ in factors))
+        if order > ORDER_CAP:
+            raise OrderCapExceeded(f"elliptic order bound {order} exceeds cap")
+        return order
+    chain = pol.sturm_chain(rem)
+    if pol.degree(chain[-1]) > 0:
+        rem = pol.squarefree_part(rem)
+        chain = pol.sturm_chain(rem)
+    above = pol.count_roots_gt(rem, 1, 1, chain)
     if above > 1:
         raise ArithmeticError(
             "characteristic polynomial has more than one root > 1; input is "
             "not an isometry of a (1,n) form")
-    if above == 1:
-        bracket = pol.bracket_largest_root_above(q, 1, 1, chain)
-        bracket = pol.refine_bracket(q, bracket, _BRACKET_EPS)
-        minpoly = pol.minimal_polynomial_of_root(q, bracket)
-        return tuple(minpoly), bracket
-    factors = pol.cyclotomic_factorization(p)
-    if factors is None:
+    if above == 0:
         raise ArithmeticError(
             "characteristic polynomial is neither expanding nor of finite "
             "multiplicative type; input is not an isometry of a (1,n) form")
-    order_bound = math.lcm(*(d for d, _ in factors))
-    if order_bound > ORDER_CAP:
-        raise OrderCapExceeded(f"elliptic order bound {order_bound} exceeds cap")
-    return order_bound
+    q = rem
+    for d, _ in factors:
+        q = pol.poly_mul(q, pol.cyclotomic(d))
+    bracket = pol.bracket_largest_root_above(rem, 1, 1, chain, cauchy=q)
+    bracket = pol.refine_bracket(rem, bracket, _BRACKET_EPS)
+    if pol.count_roots_in(rem, bracket, chain) != 1:
+        raise ArithmeticError("bracket does not isolate a root of the non-cyclotomic part")
+    return tuple(rem), bracket
 
 
 def _classify(g: Isometry) -> Classification:
+    """Classify g from the shared charpoly stage and, unless loxodromic,
+    one matrix power.
+
+    With a cyclotomic charpoly, g is elliptic exactly when g^L = I for L
+    the lcm of the cyclotomic orders, and its order is then L.  Each
+    primitive d-th root of unity, for a factor Phi_d, is an eigenvalue, so
+    g^k = I forces d | k for every such d, that is, L | k.  A finite-order
+    matrix is semisimple and its eigenvalues' orders divide L, so then
+    g^L = I.  If g^L != I, g has infinite order and is parabolic.
+    """
     shared = _classify_charpoly(tuple(g.charpoly))
     if isinstance(shared, tuple):
         minpoly, bracket = shared
         # a field of its own: sign() narrows the bracket it holds
         return Classification(kind=LOXODROMIC, scale_minpoly=minpoly,
                               scale_field=pol.RealAlgebraicField(minpoly, bracket))
-    order = pol.identity_power_order(g.matrix, linalg.divisors(shared))
-    if order is not None:
-        return Classification(kind=ELLIPTIC, order=order)
+    if pol.identity_power_order(g.matrix, (shared,)) is not None:
+        return Classification(kind=ELLIPTIC, order=shared)
     return Classification(kind=PARABOLIC)
 
 

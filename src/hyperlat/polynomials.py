@@ -193,11 +193,12 @@ def variations_at_pos_inf(chain) -> int:
     return _variations([(p[-1] > 0) - (p[-1] < 0) for p in chain if p])
 
 
-def count_roots_in(p, bracket) -> int:
+def count_roots_in(p, bracket, chain=None) -> int:
     """Distinct real roots of squarefree p in the half-open interval
-    (lo/den, hi/den] of the bracket (lo, hi, den)."""
+    (lo/den, hi/den] of the bracket (lo, hi, den).  `chain`, if given, is
+    sturm_chain(p)."""
     lo, hi, den = bracket
-    chain = sturm_chain(p)
+    chain = sturm_chain(p) if chain is None else chain
     return variations_at(chain, lo, den) - variations_at(chain, hi, den)
 
 
@@ -225,11 +226,15 @@ def _positive_leading(p):
     return poly_neg(q) if q[-1] < 0 else q
 
 
-def bracket_largest_root_above(p, num: int, den: int, chain=None) -> tuple[int, int, int]:
+def bracket_largest_root_above(p, num: int, den: int, chain=None,
+                               cauchy=None) -> tuple[int, int, int]:
     """Isolating bracket (lo, hi, den), of width < 1, for the unique root of
     squarefree p in (num/den, inf), den > 0.  `chain`, if given, is
     sturm_chain(p); the chain of -p is its negation, which has the same
-    sign variations, so either serves.
+    sign variations, so either serves.  Bisection starts from num/den and
+    the Cauchy bound of `cauchy`, p by default; a squarefree multiple of p
+    by a factor positive above num/den has the same signs and roots there,
+    so bisecting p from its bound gives the bracket bisecting it would.
 
     Raises ArithmeticError unless exactly one such root exists (it is then
     the largest real root), or if _BRACKET_STEPS bisections do not isolate it.
@@ -238,12 +243,13 @@ def bracket_largest_root_above(p, num: int, den: int, chain=None) -> tuple[int, 
     chain = sturm_chain(q) if chain is None else chain
     if variations_at(chain, num, den) - variations_at_pos_inf(chain) != 1:
         raise ArithmeticError("expected exactly one root above the bracket start")
-    # from num/den to the Cauchy bound 1 + max|c_i| / lc, over the
+    # from num/den to b's Cauchy bound 1 + max|c_i| / lc, over the
     # denominator den lc; beyond the largest root the (positive-leading)
     # polynomial is positive
-    lo = num * q[-1]
-    hi = (q[-1] + max(abs(c) for c in q[:-1])) * den
-    den *= q[-1]
+    b = q if cauchy is None else _positive_leading(cauchy)
+    lo = num * b[-1]
+    hi = (b[-1] + max(abs(c) for c in b[:-1])) * den
+    den *= b[-1]
     for _ in range(_BRACKET_STEPS):
         lo, hi, den = _halve(q, lo, hi, den)
         if lo == hi or (hi - lo < den
@@ -282,22 +288,30 @@ def cyclotomic(n: int) -> tuple[int, ...]:
     return tuple(p)
 
 
+@memo
+def _cyclotomic_candidates(n: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(d, phi(d), Phi_d) for every order d with phi(d) <= n, increasing in
+    d; phi(d) >= sqrt(d/2) forces d <= 2 n^2."""
+    return tuple((d, euler_phi(d), cyclotomic(d))
+                 for d in range(1, 2 * n * n + 3) if euler_phi(d) <= n)
+
+
 def _strip_cyclotomic(p) -> tuple[list[tuple[int, int]], list[int]]:
     """Divide every cyclotomic factor out of the integer polynomial p.
 
     Returns ([(order, multiplicity), ...], remainder), the remainder with
     positive leading coefficient; the candidates are all orders d with
-    phi(d) <= deg p, which forces d <= 2 deg^2 since phi(d) >= sqrt(d/2).
+    phi(d) <= deg p.
     """
-    rem = list(p)
+    rem = trim(p)
     if rem[-1] < 0:
         rem = poly_neg(rem)
     factors = []
-    for d in range(1, 2 * degree(p) ** 2 + 3):
-        if euler_phi(d) > degree(rem):
+    for d, phi, cyc in _cyclotomic_candidates(len(rem) - 1):
+        if phi >= len(rem):  # deg Phi_d > deg rem
             continue
         mult = 0
-        while (q := poly_int_div_exact(rem, list(cyclotomic(d)))) is not None:
+        while (q := poly_int_div_exact(rem, cyc)) is not None:
             rem = q
             mult += 1
         if mult:
@@ -323,15 +337,17 @@ def minimal_polynomial_of_root(p, bracket) -> list[int]:
     bracket (lo, hi, den).
 
     Premise: p is the squarefree characteristic polynomial of an isometry
-    of a (1, n) form with exactly one root > 1, which isometry._classify
-    establishes.  The other roots are then 1/lambda and roots on the unit
-    circle.  By Kronecker's theorem an irreducible integer factor whose
-    roots all lie on the unit circle is cyclotomic.  A factor holding
-    1/lambda but not lambda would have an integer constant term of
-    absolute value 1/lambda < 1, which is impossible.  So the minimal
-    polynomial of lambda is what remains of p once its cyclotomic factors
-    are divided out.  Root membership is still decided by an exact Sturm
-    count, so the result is certificate-grade.
+    of a (1, n) form with exactly one root > 1, which the caller
+    establishes by a Sturm count.  The other roots are then 1/lambda and
+    roots on the unit circle.  By Kronecker's theorem an irreducible
+    integer factor whose roots all lie on the unit circle is cyclotomic.
+    A factor holding 1/lambda but not lambda would have an integer
+    constant term of absolute value 1/lambda < 1, which is impossible.
+    So the minimal polynomial of lambda is what remains of p once its
+    cyclotomic factors are divided out.  Root membership is still decided
+    by an exact Sturm count, so the result is certificate-grade.
+    isometry._classify_charpoly applies the same argument to the
+    charpoly itself and does not call this function.
     """
     _factors, out = _strip_cyclotomic(primitive(p))
     if count_roots_in(out, bracket) != 1:

@@ -718,6 +718,176 @@ def test_loxodromic_bracket_is_the_one_refined_on_the_charpoly(which):
     assert checked >= 10
 
 
+def _parent_classify_charpoly(p):
+    """The charpoly stage as it was before the cyclotomic factors were
+    divided out first: a Sturm chain for the squarefree part, one for the
+    count and the bracket, and one more in minimal_polynomial_of_root."""
+    from hyperlat import polynomials as pol
+    q = pol.squarefree_part(p)
+    chain = pol.sturm_chain(q)
+    above = pol.count_roots_gt(q, 1, 1, chain)
+    if above > 1:
+        raise ArithmeticError(
+            "characteristic polynomial has more than one root > 1; input is "
+            "not an isometry of a (1,n) form")
+    if above == 1:
+        bracket = pol.bracket_largest_root_above(q, 1, 1, chain)
+        bracket = pol.refine_bracket(q, bracket, isometry._BRACKET_EPS)
+        minpoly = pol.minimal_polynomial_of_root(q, bracket)
+        return tuple(minpoly), bracket
+    factors = pol.cyclotomic_factorization(p)
+    if factors is None:
+        raise ArithmeticError(
+            "characteristic polynomial is neither expanding nor of finite "
+            "multiplicative type; input is not an isometry of a (1,n) form")
+    order_bound = math.lcm(*(d for d, _ in factors))
+    if order_bound > isometry.ORDER_CAP:
+        raise isometry.OrderCapExceeded(f"elliptic order bound {order_bound} exceeds cap")
+    return order_bound
+
+
+def _entropy_letters():
+    """Pell, U+<-2>, U+A2 and U+A2+<-2> letters: reflections and transvections."""
+    ua2m2 = [(g, f"g{k}") for k, g in enumerate(_memo_group("ua2m2")[0].generators)]
+    return {"pell": _letter_set("d12"), "um2": _letter_set("um2"),
+            "ua2": _ua2_letters(), "ua2m2": ua2m2 + [(ua2m2[-1][0].inverse(), "ti")]}
+
+
+def _word_charpolys(seed, count):
+    rng = random.Random(seed)
+    return [tuple(g.charpoly) for letters in _entropy_letters().values()
+            for g in _word_pool(rng, letters, count, max_len=7)]
+
+
+def _poly_product(*factors):
+    from hyperlat import polynomials as pol
+    out = [1]
+    for f in factors:
+        out = pol.poly_mul(out, list(f))
+    return tuple(out)
+
+
+# Salem factors: Lehmer's degree-10 polynomial and two of degrees 4 and 6
+SALEM = ((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1), (1, -1, -1, -1, 1),
+         (1, 0, -1, -1, -1, 0, 1))
+QUADRATIC = tuple((1, -k, 1) for k in range(3, 9))
+
+
+def _synthetic_charpolys(seed, count):
+    """prod Phi_d^m times a quadratic unit's or a Salem number's factor."""
+    from hyperlat import polynomials as pol
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        orders = rng.sample((1, 2, 3, 4, 5, 6, 8, 10, 12), rng.randint(0, 3))
+        cyclo = [pol.cyclotomic(d) for d in orders for _ in range(rng.randint(1, 3))]
+        out.append(_poly_product(rng.choice(QUADRATIC + SALEM), *cyclo))
+    return out
+
+
+def _faulty_charpolys():
+    from hyperlat import polynomials as pol
+    phi = pol.cyclotomic
+    return [
+        _poly_product((-2, 1), (-3, 1)),                        # two roots > 1
+        _poly_product((1, -3, 1), (1, -4, 1), phi(1)),
+        _poly_product((2, 1), phi(1)),                          # no root > 1
+        (1, 3, 1), _poly_product((3, 1), phi(1), phi(1), phi(4)),
+        _poly_product((1, -3, 1), (1, -3, 1), phi(1), phi(2)),  # squared Salem
+        _poly_product(SALEM[1], SALEM[1], phi(3)),
+        _poly_product((1, -3, 1), (1, -3, 1), (1, -3, 1)),
+        (-2, 1), _poly_product((-2, 1), phi(2)),                # bisection hits the root
+        _poly_product((-2, 1), phi(1), phi(6)),                 # a rational root > 1
+        _poly_product(*(phi(d) for d in (32, 9, 5, 7, 11, 13))),  # order 1441440
+        (1,),
+    ]
+
+
+def _stage_outcome(stage, p):
+    _classify_charpoly.cache_clear()
+    try:
+        return "value", stage(p)
+    except Exception as exc:  # the parent's fault, type and message, is the oracle
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("order_cap", [isometry.ORDER_CAP, 12])
+def test_stage_matches_the_three_chain_stage(order_cap, monkeypatch):
+    monkeypatch.setattr(isometry, "ORDER_CAP", order_cap)
+    polys = (_word_charpolys(53, 60) + _synthetic_charpolys(59, 300)
+             + _faulty_charpolys())
+    kinds = set()
+    for p in polys:
+        want = _stage_outcome(_parent_classify_charpoly, p)
+        assert _stage_outcome(_classify_charpoly, p) == want, p
+        kinds.add(want[0] if want[0] != "value" else type(want[1]))
+        if want[0] is ArithmeticError:
+            kinds.add(want[1].split(";")[0])
+    _classify_charpoly.cache_clear()
+    assert {tuple, int, isometry.OrderCapExceeded} <= kinds
+    assert {"characteristic polynomial has more than one root > 1",
+            "characteristic polynomial is neither expanding nor of finite "
+            "multiplicative type",
+            "bracket does not isolate a root of the non-cyclotomic part"} <= kinds
+
+
+def test_one_sturm_chain_per_loxodromic_charpoly_and_none_per_cyclotomic(monkeypatch):
+    from hyperlat import polynomials as pol
+    calls = []
+    for name in ("sturm_chain", "_strip_cyclotomic"):
+        real = getattr(pol, name)
+        monkeypatch.setattr(pol, name,
+                            lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
+    seen = set()
+    for p in _word_charpolys(61, 40) + _synthetic_charpolys(67, 100):
+        _classify_charpoly.cache_clear()
+        calls.clear()
+        loxodromic = isinstance(_classify_charpoly(p), tuple)
+        assert calls.count("_strip_cyclotomic") == 1
+        assert calls.count("sturm_chain") == (1 if loxodromic else 0), p
+        seen.add(loxodromic)
+    _classify_charpoly.cache_clear()
+    assert seen == {True, False}
+
+
+def test_classify_takes_one_matrix_power_unless_loxodromic(monkeypatch):
+    from hyperlat import polynomials as pol
+    powers = []
+    real_power, real_mul = pol.matrix_power, pol.mat_mul
+    monkeypatch.setattr(pol, "matrix_power",
+                        lambda m, k: powers.append(k) or real_power(m, k))
+    monkeypatch.setattr(pol, "mat_mul", lambda *a: powers.append("mat_mul") or real_mul(*a))
+    kinds = set()
+    rng = random.Random(71)
+    for letters in _entropy_letters().values():
+        for g in _word_pool(rng, letters, 40, max_len=7):
+            g = Isometry(g.orientation, g.matrix)
+            g.charpoly
+            powers.clear()
+            kind = _classify(g).kind
+            assert len(powers) == (0 if kind == LOXODROMIC else 1)
+            assert "mat_mul" not in powers
+            kinds.add(kind)
+    assert kinds == {ELLIPTIC, PARABOLIC, LOXODROMIC}
+
+
+def test_elliptic_order_is_the_least_identity_power():
+    orders = []
+    rng = random.Random(73)
+    for letters in _entropy_letters().values():
+        for g in _word_pool(rng, letters, 150, max_len=7):
+            cls = g.classification
+            if cls.kind != ELLIPTIC:
+                continue
+            ident, power, k = identity_matrix(len(g.matrix)), g.matrix, 1
+            while power != ident:
+                power, k = mat_mul(power, g.matrix), k + 1
+                assert k <= cls.order, (g.matrix, cls.order)
+            assert k == cls.order
+            orders.append(k)
+    assert len(orders) >= 50 and {2, 3, 4, 6} <= set(orders)
+
+
 def _word_keys(group, budget):
     mats, labels, inv_idx = groups._letters(group)
     inverse = {label: labels[k] for label, k in zip(labels, inv_idx)}
