@@ -8,8 +8,7 @@ See the README for the CLI surface.
 
 __version__ = "0.1.0"
 
-from .lattice import (GramLattice, LatticeVector, build_lattice, direct_sum,
-                      rank1, signature, standard_lattice)
+from .lattice import GramLattice, build_lattice, direct_sum, rank1, standard_lattice
 from .model import (BoundaryRay, ConeOrientation, Horoball, HyperboloidPoint,
                     boundary_from_ray, distance, from_ball, horoball_contains,
                     horoballs_disjoint, pick_cone, point_from_ray, to_ball,

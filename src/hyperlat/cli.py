@@ -14,7 +14,7 @@ the fault in a malformed input file.
 from __future__ import annotations
 
 import sys
-from math import inf, lcm, nan
+from math import gcd, inf, lcm, nan
 
 from _json import encode_basestring_ascii as _quote, make_scanner
 
@@ -27,7 +27,7 @@ from .forms import enumerate_norm_vectors, rational_isotropy, root_existence
 from .groups import (FGGroup, chamber_walk, dirichlet_domain,
                      limit_points_sample, orbit, tiling_check)
 from .isometry import Isometry, entropy, fixed_boundary_points, make_isometry
-from .lattice import GramLattice, build_lattice, signature
+from .lattice import GramLattice, build_lattice
 from .model import ConeOrientation, pick_cone, point_from_ray, to_ball
 from .plot import ball_csv, ball_svg, format_float
 
@@ -230,7 +230,7 @@ def _write(output: str | None, text: str) -> None:
 
 def cmd_info(args):
     lat = load_lattice(args.lattice)
-    p, q = signature(lat)
+    p, q = lat.signature
     even = all(lat.gram[i][i] % 2 == 0 for i in range(lat.rank))
     emit(args, "info", {
         "rank": lat.rank,
@@ -259,13 +259,13 @@ def cmd_enumerate(args):
     lat = load_lattice(args.lattice)
     vecs = enumerate_norm_vectors(lat, args.norm, args.height)
     if args.primitive:
-        vecs = [v for v in vecs if v.is_primitive]
+        vecs = [v for v in vecs if gcd(*v) == 1]
     emit(args, "enumerate", {
         "kind": "Enumeration",
         "norm": args.norm,
         "height_bound": args.height,
         "count": len(vecs),
-        "vectors": [list(v.coords) for v in vecs],
+        "vectors": [list(v) for v in vecs],
     }, {"lattice": args.lattice, "norm": args.norm, "height": args.height,
         "primitive": args.primitive})
 

@@ -22,7 +22,7 @@ from _operator import mul
 
 from . import linalg
 from .errors import DimensionBudgetExceeded, DimensionMismatch, InvalidParameter
-from .lattice import GramLattice, coords_of
+from .lattice import GramLattice
 from .model import ConeOrientation
 from .record import Record, cached_property, replace
 
@@ -241,7 +241,6 @@ def _tag_ray(cone: PolyhedralCone, ray) -> str:
 
 def ray_satisfies(cone: PolyhedralCone, ray, strict: bool = False) -> bool:
     """(w, ray) > 0 (strict) or >= 0 for every normal w: one dot per halfspace."""
-    ray = coords_of(ray)
     if len(ray) != cone.lattice.rank:
         raise DimensionMismatch(f"vectors must have length {cone.lattice.rank}")
     dot = linalg.dot

@@ -16,8 +16,7 @@ from .errors import InvalidParameter, WrongSignature
 from .forms import SearchVerdict, rational_isotropy, root_existence
 from .groups import FGGroup, conjugacy_key, elements_up_to, word_string
 from .isometry import LOXODROMIC, entropy
-from .lattice import GramLattice, build_lattice, direct_sum, rank1, \
-    signature, standard_lattice
+from .lattice import GramLattice, build_lattice, direct_sum, rank1, standard_lattice
 from .record import Record
 
 ISOTROPIC_FIBRATION_FLAG = (
@@ -35,7 +34,7 @@ UNRESOLVED = "Unresolved"
 
 
 def _require_hyperbolic(ns: GramLattice) -> None:
-    p, q = signature(ns)
+    p, q = ns.signature
     if p != 1:
         raise WrongSignature(f"expected signature (1, n), got ({p}, {q})")
 
@@ -103,7 +102,7 @@ def genus_one_fibration_test(ns: GramLattice, height: int = 10) -> FibrationVerd
         return FibrationVerdict(kind=NO_FIBRATION, isotropy=verdict.as_json())
     if verdict.witness is not None:
         return FibrationVerdict(kind=FIBRATION_EXISTS, isotropy=verdict.as_json(),
-                                witness=verdict.witness.coords)
+                                witness=verdict.witness)
     if ns.rank >= 5:
         return FibrationVerdict(kind=FIBRATION_EXISTS, isotropy=verdict.as_json())
     return FibrationVerdict(kind=UNRESOLVED, isotropy=verdict.as_json())
@@ -120,7 +119,7 @@ def uniform_lattice_family(k: int) -> tuple[GramLattice, GramLattice]:
     rank3 = build_lattice([[4, 0, 0], [0, -8, 0], [0, 0, -12 * k]])
     rank4 = build_lattice([[4, 0, 0, 0], [0, -8, 0, 0],
                            [0, 0, -12, 0], [0, 0, 0, -12 * k]])
-    if signature(rank3) != (1, 2) or signature(rank4) != (1, 3):
+    if rank3.signature != (1, 2) or rank4.signature != (1, 3):
         raise ArithmeticError("uniform family lattices must have signature (1, 2) and (1, 3)")
     return rank3, rank4
 
@@ -139,7 +138,7 @@ def convex_cocompact_rank5_family(selector: str, value: int) -> GramLattice:
         out = direct_sum(direct_sum(rank1(2 * 3 ** (2 * value - 1)), a2), a2)
     else:
         raise InvalidParameter(f"unknown family selector {selector!r}")
-    if signature(out) != (1, 4):
+    if out.signature != (1, 4):
         raise ArithmeticError("rank-5 family lattice must have signature (1, 4)")
     return out
 

@@ -12,8 +12,10 @@ Three engines, stacked by root_existence:
 * rational (an)isotropy via Hilbert symbols and the local-global principle,
   on the lattice's cached rational diagonal, which a certificate records.
 
-A "not found up to height H" outcome is never reported as nonexistence;
-only congruence or local obstructions certify absence.
+Vectors, the searches' results and the verdicts' witnesses among them,
+are plain tuples of ints.  A "not found up to height H" outcome is never
+reported as nonexistence; only congruence or local obstructions certify
+absence.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from math import isqrt, prod
 
 from . import linalg
 from .errors import BudgetExceeded, InputError, InvalidParameter, NoPositiveConeSet
-from .lattice import GramLattice, LatticeVector
+from .lattice import GramLattice
 from .record import Record
 
 INFINITE_PLACE = "infinity"
@@ -177,7 +179,7 @@ def _scan_box(gram, m, height, *, tested=0, first=False, accept=None):
     return out, tested
 
 
-def enumerate_norm_vectors(lattice: GramLattice, m: int, height: int) -> list[LatticeVector]:
+def enumerate_norm_vectors(lattice: GramLattice, m: int, height: int) -> list[tuple[int, ...]]:
     """All vectors v != 0 with sup-norm <= height and v.v = m.
 
     One representative per +-pair (first nonzero coordinate positive), in
@@ -185,12 +187,11 @@ def enumerate_norm_vectors(lattice: GramLattice, m: int, height: int) -> list[La
     more than ENUM_CAP candidate coordinate values; the last coordinate is
     solved from the others, and each solve counts as one candidate.
     """
-    hits, _ = _scan_box(lattice.gram, m, height)
-    return [LatticeVector(v) for v in hits]
+    return _scan_box(lattice.gram, m, height)[0]
 
 
 def first_norm_vector(lattice: GramLattice, m: int, height: int, *, tested: int = 0,
-                      accept=None) -> tuple[LatticeVector | None, int]:
+                      accept=None) -> tuple[tuple[int, ...] | None, int]:
     """The first vector enumerate_norm_vectors would list (and `accept`
     takes), or None, with the candidate count advanced from `tested`.
 
@@ -204,11 +205,11 @@ def first_norm_vector(lattice: GramLattice, m: int, height: int, *, tested: int 
         return None, tested
     if lattice.norm(hits[0]) != m:
         raise ArithmeticError("enumerated witness does not have the requested norm")
-    return LatticeVector(hits[0]), tested
+    return hits[0], tested
 
 
 def primitive_isotropic_vectors(lattice: GramLattice, height: int, *,
-                                orientation=None, in_cone: bool = False) -> list[LatticeVector]:
+                                orientation=None, in_cone: bool = False) -> list[tuple[int, ...]]:
     """Primitive norm-zero vectors up to the height bound.
 
     With in_cone=True each vector is reoriented to the closure of the
@@ -218,16 +219,15 @@ def primitive_isotropic_vectors(lattice: GramLattice, height: int, *,
         raise NoPositiveConeSet("cone filtering requested without a designated cone")
     hits = []
     for v in enumerate_norm_vectors(lattice, 0, height):
-        c = v.coords
-        if linalg.vec_content(c) != 1:
+        if linalg.vec_content(v) != 1:
             continue
         if in_cone:
             # never 0: the base has positive norm, so its orthogonal
             # complement is negative definite in signature (1, n)
-            if lattice.pair(c, orientation.base) < 0:
-                c = linalg.vec_neg(c)
-        hits.append(LatticeVector(c))
-    return sorted(hits, key=lambda v: v.coords)
+            if lattice.pair(v, orientation.base) < 0:
+                v = linalg.vec_neg(v)
+        hits.append(v)
+    return sorted(hits)
 
 
 # -- congruence certificates -----------------------------------------------------
@@ -378,7 +378,7 @@ def _hilbert(a: int, b: int, p) -> int:
 class IsotropyVerdict(Record):
     """Outcome of the rational isotropy decision, with proof data."""
 
-    def __init__(self, isotropic: bool, method: str, witness: LatticeVector | None = None,
+    def __init__(self, isotropic: bool, method: str, witness: tuple[int, ...] | None = None,
                  certificate: dict | None = None):
         object.__setattr__(self, "isotropic", isotropic)
         object.__setattr__(self, "method", method)
@@ -389,7 +389,7 @@ class IsotropyVerdict(Record):
         out = {"kind": "Isotropic" if self.isotropic else "Anisotropic",
                "method": self.method}
         if self.witness is not None:
-            out["witness"] = list(self.witness.coords)
+            out["witness"] = list(self.witness)
         if self.certificate is not None:
             out["certificate"] = self.certificate
         return out
@@ -464,7 +464,7 @@ def _failing_places(diag) -> list:
     return [p for p in _relevant_places(diag) if not _locally_isotropic(diag, p)]
 
 
-def _search_isotropic_witness(lattice: GramLattice, max_height: int) -> LatticeVector | None:
+def _search_isotropic_witness(lattice: GramLattice, max_height: int) -> tuple[int, ...] | None:
     """First primitive isotropic vector at the first doubling height that has one."""
     h, tested = 1, 0
     while h <= max_height:
@@ -521,7 +521,7 @@ class SearchVerdict(Record):
     """Witness / CertifiedNone / NoneUpToHeight for a norm-m vector search."""
 
     def __init__(self, kind: str, norm: int, height_bound: int | None = None,
-                 witness: LatticeVector | None = None, certificate: dict | None = None,
+                 witness: tuple[int, ...] | None = None, certificate: dict | None = None,
                  notes: tuple[str, ...] = ()):
         # kind is "witness" | "certified_none" | "none_up_to_height"
         object.__setattr__(self, "kind", kind)
@@ -538,7 +538,7 @@ class SearchVerdict(Record):
                "norm": self.norm,
                "height_bound": self.height_bound}
         if self.witness is not None:
-            out["witness"] = list(self.witness.coords)
+            out["witness"] = list(self.witness)
         if self.certificate is not None:
             out["certificate"] = self.certificate
         if self.notes:
@@ -608,7 +608,7 @@ def root_existence(lattice: GramLattice, root_norm: int = -2,
 def replay_verdict(lattice: GramLattice, verdict: SearchVerdict) -> bool:
     """Re-check the evidence carried by a search verdict."""
     if verdict.kind == "witness":
-        return lattice.norm(verdict.witness.coords) == verdict.norm
+        return lattice.norm(verdict.witness) == verdict.norm
     if verdict.kind == "certified_none":
         cert = verdict.certificate
         if cert["kind"] == "congruence":

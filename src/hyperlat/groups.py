@@ -515,7 +515,7 @@ def chamber_walk(orientation: ConeOrientation, x, *, root_norm: int = -2,
     ray = tuple(x.ray if isinstance(x, HyperboloidPoint) else x)
     if lat.norm(ray) <= 0 or lat.pair(ray, orientation.base) <= 0:
         raise InvalidParameter("walk start must lie in the positive cone")
-    roots = [v.coords for v in enumerate_norm_vectors(lat, root_norm, height)]
+    roots = enumerate_norm_vectors(lat, root_norm, height)
     roots.sort(key=lambda r: (max(abs(c) for c in r), r))
     if require_off_wall and any(lat.pair(ray, r) == 0 for r in roots):
         raise OnWall("start point lies on a reflection wall")

@@ -31,7 +31,7 @@ from . import linalg, polynomials as pol
 from .errors import (DimensionMismatch, EllipticHasNoBoundaryFixedPoint,
                      InvalidParameter, NonIntegralResult, NotOrthogonal,
                      OrderCapExceeded, WrongComponent, WrongNorm)
-from .lattice import GramLattice, coords_of
+from .lattice import GramLattice
 from .model import BoundaryRay, ConeOrientation
 from .record import Record, memo
 
@@ -91,7 +91,7 @@ class Isometry:
         return hash((self.orientation, self.matrix))
 
     def apply(self, v):
-        return linalg.mat_vec(self.matrix, coords_of(v))
+        return linalg.mat_vec(self.matrix, v)
 
     def compose(self, other: "Isometry") -> "Isometry":
         if self.orientation != other.orientation:
@@ -215,7 +215,7 @@ def _classify(g: Isometry) -> Classification:
         # a field of its own: sign() narrows the bracket it holds
         return Classification(kind=LOXODROMIC, scale_minpoly=minpoly,
                               scale_field=pol.RealAlgebraicField(minpoly, bracket))
-    if pol.identity_power_order(g.matrix, (shared,)) is not None:
+    if pol.identity_power_order(g.matrix, shared):
         return Classification(kind=ELLIPTIC, order=shared)
     return Classification(kind=PARABOLIC)
 
@@ -296,45 +296,37 @@ def _scale_eigenray(h: Isometry, fld) -> BoundaryRay:
 # -- element factories ------------------------------------------------------------
 
 def reflection(orientation: ConeOrientation, delta) -> Isometry:
-    """Reflection in a norm -2 vector: v -> v + (v, delta) delta."""
+    """Reflection in a norm -2 vector: v -> v + (v, delta) delta, whose
+    matrix is I + delta (G delta)^T."""
     lat = orientation.lattice
-    d = coords_of(delta)
-    if lat.norm(d) != -2:
-        raise WrongNorm(f"reflection vectors must have norm -2, got {lat.norm(d)}")
-    n = lat.rank
-    cols = []
-    for j in range(n):
-        e = tuple(1 if i == j else 0 for i in range(n))
-        pe = lat.pair(e, d)
-        cols.append(tuple(e[i] + pe * d[i] for i in range(n)))
-    mat = tuple(zip(*cols))
+    norm = lat.norm(delta)
+    if norm != -2:
+        raise WrongNorm(f"reflection vectors must have norm -2, got {norm}")
+    gd = linalg.mat_vec(lat.gram, delta)
+    mat = tuple(tuple(int(i == j) + di * gj for j, gj in enumerate(gd))
+                for i, di in enumerate(delta))
     return make_isometry(orientation, mat)
 
 
 def eichler_transvection(orientation: ConeOrientation, e, a) -> Isometry:
     """Unipotent isometry fixing the isotropic vector e.
 
-    v -> v + (v,e) a - (v,a) e - (a,a)/2 (v,e) e; integral when (a,a) is
+    v -> v + (v,e) a - (v,a) e - (a,a)/2 (v,e) e, whose matrix is
+    I + a (Ge)^T - e (Ga)^T - (a,a)/2 e (Ge)^T; integral when (a,a) is
     even, which is automatic in an even lattice.
     """
     lat = orientation.lattice
-    ev, av = coords_of(e), coords_of(a)
-    if lat.norm(ev) != 0:
+    if lat.norm(e) != 0:
         raise InvalidParameter("transvection axis must be isotropic")
-    if lat.pair(ev, av) != 0:
+    if lat.pair(e, a) != 0:
         raise InvalidParameter("transvection translation must be orthogonal to the axis")
-    aa = lat.norm(av)
+    aa = lat.norm(a)
     if aa % 2 != 0:
         raise NonIntegralResult("translation vector has odd norm; matrix not integral")
     half = aa // 2
-    n = lat.rank
-    cols = []
-    for j in range(n):
-        basis = tuple(1 if i == j else 0 for i in range(n))
-        pe = lat.pair(basis, ev)
-        pa = lat.pair(basis, av)
-        col = tuple(basis[i] + pe * av[i] - pa * ev[i] - half * pe * ev[i]
-                    for i in range(n))
-        cols.append(col)
-    mat = tuple(zip(*cols))
+    ge = linalg.mat_vec(lat.gram, e)
+    ga = linalg.mat_vec(lat.gram, a)
+    mat = tuple(tuple(int(i == j) + (ai - half * ei) * gej - ei * gaj
+                      for j, (gej, gaj) in enumerate(zip(ge, ga)))
+                for i, (ei, ai) in enumerate(zip(e, a)))
     return make_isometry(orientation, mat)

@@ -2,6 +2,8 @@
 
 A lattice here is Z^n with an integral nondegenerate symmetric bilinear
 form, represented by its Gram matrix; GramLattice.pair evaluates the form.
+A lattice vector is a plain tuple of ints, and every function that takes
+one accepts any int sequence of the lattice's rank.
 All arithmetic is arbitrary precision and exact; the signature comes from
 rational congruence diagonalization, never from numerical eigenvalues,
 done once per lattice and cached.
@@ -13,8 +15,6 @@ from . import linalg
 from .errors import Degenerate, DimensionMismatch, InvalidParameter, NotSymmetric
 from .record import Record, cached_property
 
-IntVec = linalg.IntVec
-
 
 class GramLattice(Record):
     """An integral nondegenerate symmetric bilinear form on Z^rank."""
@@ -24,8 +24,6 @@ class GramLattice(Record):
         object.__setattr__(self, "rank", rank)
 
     def pair(self, u, v) -> int:
-        u = coords_of(u)
-        v = coords_of(v)
         if len(u) != self.rank or len(v) != self.rank:
             raise DimensionMismatch(f"vectors must have length {self.rank}")
         return linalg.pairing(self.gram, u, v)
@@ -62,36 +60,6 @@ class GramLattice(Record):
         return f"GramLattice(rank={self.rank}, gram={[list(r) for r in self.gram]})"
 
 
-class LatticeVector(Record):
-    """An exact integer vector in an ambient lattice."""
-
-    def __init__(self, coords: IntVec):
-        object.__setattr__(self, "coords", coords)
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __len__(self):
-        return len(self.coords)
-
-    def __getitem__(self, i):
-        return self.coords[i]
-
-    @property
-    def is_primitive(self) -> bool:
-        return linalg.vec_content(self.coords) == 1
-
-    def __repr__(self):
-        return f"LatticeVector{self.coords}"
-
-
-def coords_of(v) -> IntVec:
-    """Accept LatticeVector or any int sequence; return a plain tuple."""
-    if isinstance(v, LatticeVector):
-        return v.coords
-    return tuple(v)
-
-
 def build_lattice(gram: list[list[int]] | linalg.IntMat) -> GramLattice:
     """Validate and wrap a Gram matrix.
 
@@ -110,11 +78,6 @@ def build_lattice(gram: list[list[int]] | linalg.IntMat) -> GramLattice:
     if lattice.determinant == 0:
         raise Degenerate("gram matrix has determinant 0")
     return lattice
-
-
-def signature(lattice: GramLattice) -> tuple[int, int]:
-    """Inertia (p, q) of the form; p + q = rank by nondegeneracy."""
-    return lattice.signature
 
 
 def direct_sum(l1: GramLattice, l2: GramLattice) -> GramLattice:
@@ -147,8 +110,8 @@ _CARTAN = {
 }
 
 
-def standard_lattice(name: str, m: int | None = None) -> GramLattice:
-    """Standard building blocks: U, A2, D4, E8 and rank-one <m>.
+def standard_lattice(name: str) -> GramLattice:
+    """Standard building blocks: U, A2, D4 and E8.
 
     Root lattices come out negative definite (root norm -2) because the
     hyperbolic lattices assembled from them have signature (1, n).
@@ -158,13 +121,12 @@ def standard_lattice(name: str, m: int | None = None) -> GramLattice:
         return build_lattice([[0, 1], [1, 0]])
     if key in _CARTAN:
         return build_lattice([[-x for x in row] for row in _CARTAN[key]])
-    if key == "RANK1":
-        if m is None or m == 0:
-            raise InvalidParameter("rank1 lattice needs a nonzero integer m")
-        return build_lattice([[m]])
     raise InvalidParameter(f"unknown standard lattice {name!r}")
 
 
 def rank1(m: int) -> GramLattice:
-    return standard_lattice("rank1", m)
+    """The rank-one lattice <m>."""
+    if m == 0:
+        raise InvalidParameter("rank1 lattice needs a nonzero integer m")
+    return build_lattice([[m]])
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from _operator import mul, neg, sub
+from _operator import mul, neg
 
 from .errors import InvalidParameter
 
@@ -62,10 +62,6 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return tuple([sum(map(mul, row, v)) for row in a])
-
-
-def vec_sub(u, v):
-    return tuple(map(sub, u, v))
 
 
 def vec_neg(v):

@@ -14,7 +14,7 @@ from . import linalg
 from .errors import (DifferentAmbient, InvalidParameter, NotInCone,
                      NotIsotropic, NotPrimitive, SameRay, WrongSignature)
 from .forms import first_norm_vector
-from .lattice import GramLattice, coords_of, signature
+from .lattice import GramLattice
 from .record import Record, cached_property
 
 
@@ -29,7 +29,7 @@ class ConeOrientation(Record):
     def __init__(self, lattice: GramLattice, base: tuple[int, ...]):
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "base", base)
-        p, q = signature(self.lattice)
+        p, q = self.lattice.signature
         if p != 1:
             raise WrongSignature(f"positive cone needs signature (1, n), got ({p}, {q})")
         if self.lattice.norm(self.base) <= 0:
@@ -65,13 +65,13 @@ class ConeOrientation(Record):
 def pick_cone(lattice: GramLattice, base=None) -> ConeOrientation:
     """Designate a positive cone, finding a small base vector when not given."""
     if base is not None:
-        return ConeOrientation(lattice=lattice, base=coords_of(base))
+        return ConeOrientation(lattice=lattice, base=tuple(base))
     tested = 0  # one candidate budget for the whole norm x height search
     for height in (1, 2, 3, 5, 8):
         for m in range(1, 4 * height * height + 1):
             best, tested = first_norm_vector(lattice, m, height, tested=tested)
             if best is not None:
-                return ConeOrientation(lattice=lattice, base=best.coords)
+                return ConeOrientation(lattice=lattice, base=best)
     raise InvalidParameter("no small positive-norm vector found; pass a base explicitly")
 
 

@@ -490,14 +490,6 @@ class AlgebraicNumber:
         return f"AlgebraicNumber({list(self.coeffs)})"
 
 
-def identity_power_order(mat, candidate_orders) -> int | None:
-    """Smallest k among sorted candidates with mat^k = I, else None."""
-    ident = identity_matrix(len(mat))
-    done = 0
-    for k in sorted(candidate_orders):
-        step = matrix_power(mat, k - done)
-        power = mat_mul(power, step) if done else step  # mat^k from mat^done
-        done = k
-        if power == ident:
-            return k
-    return None
+def identity_power_order(mat, k: int) -> bool:
+    """Whether mat^k = I."""
+    return matrix_power(mat, k) == identity_matrix(len(mat))

@@ -6,7 +6,7 @@ from hyperlat import (build_lattice, convex_cocompact_rank5_family, direct_sum,
                       eichler_transvection, entropy_report,
                       genus_one_fibration_test, group, k3_report,
                       lattice_criterion, make_isometry, pick_cone, rank1,
-                      signature, standard_lattice, uniform_lattice_family)
+                      standard_lattice, uniform_lattice_family)
 from hyperlat import linalg
 from hyperlat.criteria import _family_screen
 from hyperlat.errors import InvalidParameter, WrongSignature
@@ -20,7 +20,7 @@ FAMILY3 = build_lattice([[4, 0, 0], [0, -8, 0], [0, 0, -12]])
 def test_lattice_criterion_examples():
     assert lattice_criterion(FAMILY3).kind == "IsLattice"
     v = lattice_criterion(U_MINUS2)
-    assert v.kind == "NotLattice" and v.search.witness.coords == (0, 0, 1)
+    assert v.kind == "NotLattice" and v.search.witness == (0, 0, 1)
     cc = convex_cocompact_rank5_family("d4", 5)
     assert lattice_criterion(cc, height=1).kind == "NotLattice"
 
@@ -58,9 +58,9 @@ def test_uniform_family_examples():
 
 def test_cc_family_examples():
     d4 = convex_cocompact_rank5_family("d4", 5)
-    assert d4.gram[0][0] == 32 and signature(d4) == (1, 4)
+    assert d4.gram[0][0] == 32 and d4.signature == (1, 4)
     a2 = convex_cocompact_rank5_family("a2", 2)
-    assert a2.gram[0][0] == 54 and signature(a2) == (1, 4)
+    assert a2.gram[0][0] == 54 and a2.signature == (1, 4)
     with pytest.raises(InvalidParameter):
         convex_cocompact_rank5_family("d4", 4)
     with pytest.raises(InvalidParameter):

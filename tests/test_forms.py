@@ -11,8 +11,9 @@ import pytest
 from hyperlat import (build_lattice, direct_sum,
                       enumerate_norm_vectors, forms, hilbert_symbol, k3_report, linalg,
                       primitive_isotropic_vectors, rank1, rational_isotropy,
-                      root_existence, signature, standard_lattice)
-from hyperlat.errors import BudgetExceeded, InputError, InvalidParameter, NoPositiveConeSet
+                      root_existence, standard_lattice)
+from hyperlat.errors import (BudgetExceeded, DimensionMismatch, InputError, InvalidParameter,
+                             NoPositiveConeSet)
 from hyperlat.forms import (INFINITE_PLACE, first_norm_vector, replay_congruence,
                             replay_rational_certificate, replay_verdict,
                             squarefree_int)
@@ -41,10 +42,10 @@ def brute_box(lat, m, h):
 
 
 def test_enumerate_examples():
-    hits = [v.coords for v in enumerate_norm_vectors(U_MINUS2, -2, 1)]
+    hits = enumerate_norm_vectors(U_MINUS2, -2, 1)
     assert (0, 0, 1) in hits
     assert enumerate_norm_vectors(FAMILY3, -2, 10) == []
-    cc_hits = [v.coords for v in enumerate_norm_vectors(CC_D4, -2, 1)]
+    cc_hits = enumerate_norm_vectors(CC_D4, -2, 1)
     assert any(v[0] == 0 for v in cc_hits)  # a D4 basis root
 
 
@@ -55,7 +56,7 @@ def test_enumerate_matches_brute_force_and_order():
     for lat in lats:
         for m in (-4, -2, 0, 1, 2):
             h = rng.choice((2, 3))
-            got = [v.coords for v in enumerate_norm_vectors(lat, m, h)]
+            got = enumerate_norm_vectors(lat, m, h)
             assert got == brute_box(lat, m, h)
             assert got == sorted(got)  # lexicographic contract
 
@@ -67,19 +68,39 @@ def test_enumerate_budget(monkeypatch):
 
 
 def test_primitive_isotropic_examples():
-    hits = [v.coords for v in primitive_isotropic_vectors(U, 1)]
+    hits = primitive_isotropic_vectors(U, 1)
     assert set(hits) == {(1, 0), (0, 1)}
     assert primitive_isotropic_vectors(FAMILY3, 20) == []
-    hits3 = [v.coords for v in primitive_isotropic_vectors(U_MINUS2, 1)]
+    hits3 = primitive_isotropic_vectors(U_MINUS2, 1)
     assert (1, 0, 0) in hits3
 
 
 def test_primitive_isotropic_cone_filter():
     o = pick_cone(U, (1, 1))
     hits = primitive_isotropic_vectors(U, 2, orientation=o, in_cone=True)
-    assert all(U.pair(v.coords, (1, 1)) > 0 for v in hits)
+    assert all(U.pair(v, (1, 1)) > 0 for v in hits)
     with pytest.raises(NoPositiveConeSet):
         primitive_isotropic_vectors(U, 1, in_cone=True)
+
+
+def _is_int_tuple(v):
+    return type(v) is tuple and all(type(c) is int for c in v)
+
+
+def test_lattice_vectors_are_plain_int_tuples():
+    vectors = enumerate_norm_vectors(U_MINUS2, -2, 2)
+    vectors += primitive_isotropic_vectors(U_MINUS2, 2)
+    vectors.append(root_existence(U_MINUS2, -2, 2).witness)
+    vectors.append(rational_isotropy(U).witness)
+    vectors.append(first_norm_vector(CC_D4, -2, 1)[0])
+    vectors.append(pick_cone(U_MINUS2).base)
+    vectors.append(pick_cone(U_MINUS2, [1, 1, 0]).base)
+    assert len(vectors) > 7 and all(_is_int_tuple(v) for v in vectors), vectors
+    # the form takes any int sequence of the lattice's rank
+    assert U_MINUS2.pair([1, 2, 3], [0, 1, 1]) == U_MINUS2.pair((1, 2, 3), (0, 1, 1)) == -5
+    for u, v in (((1, 2), (0, 1, 1)), ([1, 2, 3], [0, 1]), ([1, 2, 3, 4], (0, 1, 1))):
+        with pytest.raises(DimensionMismatch):
+            U_MINUS2.pair(u, v)
 
 
 # -- congruence obstructions -------------------------------------------------------
@@ -307,7 +328,7 @@ def test_hilbert_symmetry_bimultiplicativity_product_formula():
 
 def test_isotropy_examples():
     v = rational_isotropy(U)
-    assert v.isotropic and U.norm(v.witness.coords) == 0
+    assert v.isotropic and U.norm(v.witness) == 0
 
     l2 = build_lattice([[2, 0], [0, -6]])
     v2 = rational_isotropy(l2)
@@ -317,7 +338,7 @@ def test_isotropy_examples():
 
     v3 = rational_isotropy(CC_A2)
     assert v3.isotropic and v3.method == "indefinite_rank_ge_5"
-    assert CC_A2.norm(v3.witness.coords) == 0
+    assert CC_A2.norm(v3.witness) == 0
 
 
 def _diagonal_lattice(diag):
@@ -385,8 +406,8 @@ def test_isotropy_witnesses_reverify():
     for lat in (U, U_MINUS2, CC_A2):
         v = rational_isotropy(lat)
         assert v.isotropic
-        assert lat.norm(v.witness.coords) == 0
-        g = math.gcd(*[abs(c) for c in v.witness.coords])
+        assert lat.norm(v.witness) == 0
+        g = math.gcd(*[abs(c) for c in v.witness])
         assert g == 1
 
 
@@ -399,12 +420,12 @@ def test_root_existence_examples():
     assert replay_verdict(FAMILY3, v)
 
     v2 = root_existence(U_MINUS2, -2, 3)
-    assert v2.kind == "witness" and v2.witness.coords == (0, 0, 1)
+    assert v2.kind == "witness" and v2.witness == (0, 0, 1)
     assert replay_verdict(U_MINUS2, v2)
 
     v3 = root_existence(CC_D4, -2, 1)
     assert v3.kind == "witness"
-    assert CC_D4.norm(v3.witness.coords) == -2
+    assert CC_D4.norm(v3.witness) == -2
 
 
 def test_root_existence_rational_stage():
@@ -432,7 +453,7 @@ def test_root_existence_imprimitive_divisor_classes():
     # the congruence stage must not certify absence.
     v = root_existence(U_MINUS2, -8, 2)
     assert v.kind == "witness"
-    assert U_MINUS2.norm(v.witness.coords) == -8
+    assert U_MINUS2.norm(v.witness) == -8
 
 
 def _old_rational_isotropy(lattice, witness_height):
@@ -551,7 +572,7 @@ def _random_forms(seed, count, hyperbolic=False):
             lat = build_lattice(rows)
         except Exception:
             continue  # degenerate
-        if not hyperbolic or signature(lat) == (1, n - 1):
+        if not hyperbolic or lat.signature == (1, n - 1):
             out.append(lat)
     return out
 
@@ -563,7 +584,7 @@ def _listing(lat, m, h):
     """Oracle: the brute-force box up to rank 5, the full DFS listing beyond."""
     if lat.rank <= 5:
         return brute_box(lat, m, h)
-    return [v.coords for v in enumerate_norm_vectors(lat, m, h)]
+    return enumerate_norm_vectors(lat, m, h)
 
 
 def _first_primitive(vectors):
@@ -577,7 +598,7 @@ def test_root_witness_is_first_of_full_listing(norm):
             verdict = root_existence(lat, norm, h)
             listing = _listing(lat, norm, h)
             if verdict.kind == "witness":
-                assert verdict.witness.coords == listing[0]
+                assert verdict.witness == listing[0]
             else:  # a certificate or an empty box: nothing to list either way
                 assert listing == []
 
@@ -588,7 +609,7 @@ def test_isotropic_witness_is_first_primitive_of_full_listing():
         # the witness search doubles the height: 1, then 2
         expected = (_first_primitive(_listing(lat, 0, 1))
                     or _first_primitive(_listing(lat, 0, 2)))
-        got = verdict.witness.coords if verdict.witness is not None else None
+        got = verdict.witness
         assert got == expected
         if expected is not None:
             assert verdict.isotropic
@@ -612,8 +633,8 @@ def test_pinned_witnesses_survive_large_heights():
     # the first hit is the same lex-first root at every height
     v = root_existence(CC_D4, -2, 100)
     assert v.kind == "witness"
-    assert v.witness.coords == brute_box(CC_D4, -2, 1)[0] == (0, 0, 0, 0, 1)
-    assert root_existence(U_MINUS2, -2, 100).witness.coords == (0, 0, 1)
+    assert v.witness == brute_box(CC_D4, -2, 1)[0] == (0, 0, 0, 0, 1)
+    assert root_existence(U_MINUS2, -2, 100).witness == (0, 0, 1)
 
 
 def test_budget_counts_candidates_tested(monkeypatch):
@@ -627,7 +648,7 @@ def test_budget_counts_candidates_tested(monkeypatch):
     assert 0 < tested <= 1000
     # a chained search carries its count: the budget covers the whole call
     witness, tested = first_norm_vector(U_MINUS2, -2, 3)
-    assert witness.coords == (0, 0, 1) and tested > 0
+    assert witness == (0, 0, 1) and tested > 0
     assert first_norm_vector(U_MINUS2, -2, 3, tested=500)[1] == 500 + tested
     monkeypatch.setattr(forms, "ENUM_CAP", 500)
     with pytest.raises(BudgetExceeded, match="500 candidates tested"):
@@ -768,7 +789,7 @@ def test_enumerate_identical_on_repeat():
     lat = build_lattice([[2, 1, 0], [1, -2, 1], [0, 1, -4]])
     first = enumerate_norm_vectors(lat, -2, 3)
     second = enumerate_norm_vectors(lat, -2, 3)
-    assert [v.coords for v in first] == [v.coords for v in second]
+    assert first == second
 
 
 def test_squarefree_int():

@@ -2,6 +2,7 @@
 chamber walks."""
 
 import random
+from operator import sub
 
 import pytest
 
@@ -44,7 +45,7 @@ def dirichlet_halfspace(h, g):
     moved = tuple(g.inverse().apply(h.ray))
     if moved == tuple(h.ray):
         raise FixedBasepoint("basepoint is fixed")
-    return linalg.primitive_vector(linalg.vec_sub(moved, h.ray))
+    return linalg.primitive_vector(tuple(map(sub, moved, h.ray)))
 
 
 def test_orbit_depth0():
@@ -252,8 +253,7 @@ def test_walk_image_stays_in_cone():
     lat = U_MINUS2
     assert lat.norm(result.point) == lat.norm((9, 14, 5))
     assert lat.pair(result.point, (1, 1, 0)) > 0
-    roots = [v.coords for v in
-             __import__("hyperlat").enumerate_norm_vectors(lat, -2, 1)]
+    roots = __import__("hyperlat").enumerate_norm_vectors(lat, -2, 1)
     assert all(lat.pair(result.point, r) >= 0 for r in roots)
 
 
@@ -617,7 +617,7 @@ def _random_orbit_cases(seed, count):
     while len(out) < count:
         o = rng.choice(lattices)
         lat = o.lattice
-        roots = [v.coords for v in enumerate_norm_vectors(lat, -2, 1)]
+        roots = enumerate_norm_vectors(lat, -2, 1)
         picked = rng.sample(roots, rng.randint(2, 4 if lat.rank < 5 else 3))
         gens = [reflection(o, r) for r in picked]
         if rng.random() < 0.4:
@@ -625,8 +625,8 @@ def _random_orbit_cases(seed, count):
         v = tuple(rng.randint(-4, 6) for _ in range(lat.rank))
         if rng.random() < 0.5:
             mirror = gens[0].apply(picked[1])  # the root of r1 r2 r1
-            v = linalg.vec_sub(tuple(-2 * c for c in v),
-                               tuple(lat.pair(v, mirror) * c for c in mirror))
+            v = tuple(map(sub, tuple(-2 * c for c in v),
+                          tuple(lat.pair(v, mirror) * c for c in mirror)))
         if not any(v) or lat.norm(v) <= 0:
             continue
         ray = linalg.primitive_vector(v)
@@ -667,7 +667,7 @@ def test_no_bisector_is_a_multiple_of_another():
     # without making them primitive or deduplicating them
     for case, (g, ray) in enumerate(ORBIT_CASES):
         points = _orbit_ball(g, ray, 1 + case % 4)
-        prims = {linalg.primitive_vector(linalg.vec_sub(p, ray)) for p in points[1:]}
+        prims = {linalg.primitive_vector(tuple(map(sub, p, ray))) for p in points[1:]}
         assert len(prims) == len(points) - 1
         assert not prims & {linalg.vec_neg(v) for v in prims}
 

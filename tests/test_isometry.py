@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hyperlat import (build_lattice, direct_sum,
+from hyperlat import (build_lattice, direct_sum, enumerate_norm_vectors,
                       eichler_transvection, entropy, fixed_boundary_points,
                       make_isometry, pick_cone, rank1, reflection, to_ball)
 from hyperlat.errors import (EllipticHasNoBoundaryFixedPoint,
@@ -942,3 +942,44 @@ def test_conjugate_words_share_a_key():
     # a word and its inverse share a key; words conjugate to neither do not
     assert conjugacy_key((1,), inverse) == conjugacy_key((-1,), inverse) == (-1,)
     assert len({conjugacy_key(w, inverse) for w in ((1,), (3,), (1, 2), (2, 1, 1), (1, -2))}) == 5
+
+
+# -- closed-form factories against the per-basis-vector loops ----------------------
+
+def _loop_reflection(lat, d):
+    """Oracle: column j of the reflection is e_j + (e_j, d) d."""
+    n = lat.rank
+    cols = []
+    for j in range(n):
+        e = tuple(1 if i == j else 0 for i in range(n))
+        pe = lat.pair(e, d)
+        cols.append(tuple(e[i] + pe * d[i] for i in range(n)))
+    return tuple(zip(*cols))
+
+
+def _loop_transvection(lat, ev, av):
+    """Oracle: column j is b + (b,e) a - (b,a) e - (a,a)/2 (b,e) e for b = e_j."""
+    half = lat.norm(av) // 2
+    n = lat.rank
+    cols = []
+    for j in range(n):
+        basis = tuple(1 if i == j else 0 for i in range(n))
+        pe = lat.pair(basis, ev)
+        pa = lat.pair(basis, av)
+        cols.append(tuple(basis[i] + pe * av[i] - pa * ev[i] - half * pe * ev[i]
+                          for i in range(n)))
+    return tuple(zip(*cols))
+
+
+def test_closed_form_factories_match_the_column_loops():
+    checked = 0
+    for o in (O_UM2, O_UA2, O_UA2M2):
+        lat = o.lattice
+        for root in enumerate_norm_vectors(lat, -2, 2):
+            for d in (root, tuple(-c for c in root)):
+                assert reflection(o, d).matrix == _loop_reflection(lat, d), d
+                checked += 1
+    assert checked > 100
+    for o, e, a in ((O_UM2, (1, 0, 0), (0, 0, 1)), (O_UM2, (0, 1, 0), (0, 0, 1)),
+                    (O_UA2M2, (1, 0, 0, 0, 0), (0, 0, 1, 0, 0))):
+        assert eichler_transvection(o, e, a).matrix == _loop_transvection(o.lattice, e, a)

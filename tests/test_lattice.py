@@ -4,8 +4,7 @@ import random
 
 import pytest
 
-from hyperlat import (build_lattice, direct_sum, rank1,
-                      signature, standard_lattice)
+from hyperlat import build_lattice, direct_sum, rank1, standard_lattice
 from hyperlat.errors import Degenerate, InvalidParameter, NotSymmetric
 from hyperlat.linalg import mat_mul, transpose
 
@@ -53,9 +52,9 @@ def test_build_rejects_non_integers():
 
 
 def test_signature_examples():
-    assert signature(U) == (1, 1)
-    assert signature(build_lattice([[2, 1], [1, 2]])) == (2, 0)
-    assert signature(build_lattice([[4, 0, 0], [0, -8, 0], [0, 0, -12]])) == (1, 2)
+    assert U.signature == (1, 1)
+    assert build_lattice([[2, 1], [1, 2]]).signature == (2, 0)
+    assert build_lattice([[4, 0, 0], [0, -8, 0], [0, 0, -12]]).signature == (1, 2)
 
 
 def test_direct_sum_u_minus2():
@@ -66,10 +65,10 @@ def test_direct_sum_u_minus2():
 def test_direct_sum_family_signatures():
     d4 = standard_lattice("D4")
     s = direct_sum(rank1(32), d4)
-    assert s.rank == 5 and signature(s) == (1, 4)
+    assert s.rank == 5 and s.signature == (1, 4)
     a2 = standard_lattice("A2")
     s2 = direct_sum(direct_sum(rank1(54), a2), a2)
-    assert s2.rank == 5 and signature(s2) == (1, 4)
+    assert s2.rank == 5 and s2.signature == (1, 4)
 
 
 def test_standard_rank1():
@@ -82,7 +81,7 @@ def test_standard_a2_is_negated_cartan():
     # oracle: the A2 Cartan matrix is [[2,-1],[-1,2]]
     a2 = standard_lattice("A2")
     assert a2.gram == ((-2, 1), (1, -2))
-    assert signature(a2) == (0, 2)
+    assert a2.signature == (0, 2)
 
 
 def test_standard_d4():
@@ -91,14 +90,14 @@ def test_standard_d4():
     # oracle: det(-C) = det(C) in even rank; det of the D4 Cartan matrix is 4
     assert cofactor_det([list(r) for r in d4.gram]) == 4
     assert d4.determinant == 4
-    assert signature(d4) == (0, 4)
+    assert d4.signature == (0, 4)
 
 
 def test_standard_e8():
     e8 = standard_lattice("E8")
     assert e8.rank == 8
     assert e8.determinant == 1
-    assert signature(e8) == (0, 8)
+    assert e8.signature == (0, 8)
 
 
 def test_inner_product_examples():
@@ -115,9 +114,9 @@ def test_signature_additive_under_direct_sum():
             build_lattice([[1, 0], [0, -2]])]
     for l1 in lats:
         for l2 in lats:
-            p1, q1 = signature(l1)
-            p2, q2 = signature(l2)
-            assert signature(direct_sum(l1, l2)) == (p1 + p2, q1 + q2)
+            p1, q1 = l1.signature
+            p2, q2 = l2.signature
+            assert direct_sum(l1, l2).signature == (p1 + p2, q1 + q2)
 
 
 def random_unimodular(n, rng, steps=6):
@@ -140,7 +139,7 @@ def test_signature_invariant_under_unimodular_change_of_basis():
         for _ in range(10):
             t = random_unimodular(lat.rank, rng)
             changed = mat_mul(transpose(t), mat_mul(lat.gram, t))
-            assert signature(build_lattice([list(r) for r in changed])) == signature(lat)
+            assert build_lattice([list(r) for r in changed]).signature == lat.signature
 
 
 def test_inner_product_symmetric_bilinear():

@@ -189,7 +189,7 @@ def test_horoball_lemma_properties(lat, base):
     o, points = _cone_samples(lat, base, rng, 100)
     cusps = primitive_isotropic_vectors(lat, 2, orientation=o, in_cone=True)
     assert len(cusps) >= 2
-    balls = [Horoball(center=boundary_from_ray(o, e.coords)) for e in cusps]
+    balls = [Horoball(center=boundary_from_ray(o, e)) for e in cusps]
     gens = _isometry_pool(lat, o)
     checked = 0
     for i, b1 in enumerate(balls):
@@ -324,7 +324,7 @@ def test_integer_projection_is_bit_identical(lat):
             cusps = primitive_isotropic_vectors(lat, 2, orientation=o, in_cone=True)
             assert cusps
             for e in cusps:
-                ray = boundary_from_ray(o, e.coords)
+                ray = boundary_from_ray(o, e)
                 assert to_ball(o, ray) == _fraction_to_ball(o, ray)
 
 

@@ -443,3 +443,9 @@ def test_rational_scalar_product_matches_field_product(minpoly, lo, hi):
         x * Fraction(1, 2)
     with pytest.raises(ValueError, match="monic"):
         polynomials.RealAlgebraicField([-2, 0, 2], (lo, hi, 1))
+
+
+def test_identity_power_order_tests_the_one_power_given():
+    quarter_turn = ((0, -1), (1, 0))
+    hits = [k for k in range(1, 13) if polynomials.identity_power_order(quarter_turn, k)]
+    assert hits == [4, 8, 12]

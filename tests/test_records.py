@@ -16,7 +16,7 @@ from hyperlat.errors import InvalidParameter, NotIsotropic, NotPrimitive, WrongS
 from hyperlat.forms import IsotropyVerdict, SearchVerdict
 from hyperlat.groups import FGGroup, WalkResult
 from hyperlat.isometry import Classification
-from hyperlat.lattice import GramLattice, LatticeVector
+from hyperlat.lattice import GramLattice
 from hyperlat.model import (BoundaryRay, ConeOrientation, DisjointnessWitness, Horoball,
                             HyperboloidPoint)
 from hyperlat.record import Record, memo, replace
@@ -31,7 +31,7 @@ def _orientation():
 
 
 def _search():
-    return SearchVerdict("witness", -2, 3, LatticeVector((0, 0, 1)), notes=("n",))
+    return SearchVerdict("witness", -2, 3, (0, 0, 1), notes=("n",))
 
 
 def _fibration():
@@ -42,14 +42,13 @@ def _fibration():
 # records holding a dict are unhashable, as they were as frozen dataclasses.
 FACTORIES = {
     GramLattice: lambda: GramLattice(gram=((0, 1), (1, 0)), rank=2),
-    LatticeVector: lambda: LatticeVector((1, 2)),
     ConeOrientation: _orientation,
     HyperboloidPoint: lambda: HyperboloidPoint(_orientation(), (1, 1)),
     BoundaryRay: lambda: BoundaryRay(_orientation(), (1, 0)),
     Horoball: lambda: Horoball(BoundaryRay(_orientation(), (1, 0))),
     DisjointnessWitness: lambda: DisjointnessWitness(disjoint=True, pairing=1),
     PolyhedralCone: lambda: PolyhedralCone(_u(), ((1, 0), (0, 1)), truncated_at=2),
-    IsotropyVerdict: lambda: IsotropyVerdict(True, "hilbert", LatticeVector((1, 0))),
+    IsotropyVerdict: lambda: IsotropyVerdict(True, "hilbert", (1, 0)),
     SearchVerdict: _search,
     Classification: lambda: Classification("elliptic", order=2),
     FGGroup: lambda: group(make_isometry(_orientation(), [[0, 1], [1, 0]])),
@@ -95,7 +94,6 @@ def test_records_of_different_classes_differ():
     point, cone = HyperboloidPoint(_u(), (1, 1)), ConeOrientation(_u(), (1, 1))
     assert point._key(point) == cone._key(cone)
     assert point != cone and cone != point
-    assert LatticeVector((1, 0)) != LatticeVector((0, 1))
     assert Classification("elliptic", order=2) != Classification("elliptic", order=3)
 
 
