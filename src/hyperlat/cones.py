@@ -34,23 +34,23 @@ TAG_OTHER = "other"
 
 
 class PolyhedralCone(Record):
-    """H-rep (always) plus optional V-rep with per-ray norm tags.
+    """H-rep (always) plus optional V-rep, whose per-ray norm tags are read
+    off the rays and the orientation.
 
     The V-rep lists extreme rays of the pointed part together with both
     signs of each lineality direction, so every listed ray genuinely
     satisfies all inequalities.  Only `extreme_rays` attaches rays, so a
-    cone with a V-rep is reduced to its facets.
+    cone with a V-rep is reduced to its facets.  The rays and facets do
+    not depend on the orientation; only the tags do.
     """
 
     def __init__(self, lattice: GramLattice, halfspaces: tuple[tuple[int, ...], ...],
                  rays: tuple[tuple[int, ...], ...] | None = None,
-                 ray_tags: tuple[str, ...] | None = None,
                  orientation: ConeOrientation | None = None,
                  truncated_at: int | None = None):
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "halfspaces", halfspaces)
         object.__setattr__(self, "rays", rays)
-        object.__setattr__(self, "ray_tags", ray_tags)
         object.__setattr__(self, "orientation", orientation)
         object.__setattr__(self, "truncated_at", truncated_at)
 
@@ -59,6 +59,12 @@ class PolyhedralCone(Record):
         """Each normal w as the plain linear functional G w, in halfspace order."""
         gram = self.lattice.gram
         return tuple(linalg.mat_vec(gram, w) for w in self.halfspaces)
+
+    @cached_property
+    def ray_tags(self) -> tuple[str, ...] | None:
+        """Each ray's tag, in ray order; None without a V-rep.  Without an
+        orientation every tag is "other"."""
+        return None if self.rays is None else tuple(_tag_ray(self, r) for r in self.rays)
 
 
 def double_description(normals, gram):
@@ -191,11 +197,10 @@ def _cut(row, i, rays, images, zsets, gram, r):
 
 
 def extreme_rays(cone: PolyhedralCone) -> PolyhedralCone:
-    """The cone reduced to its facets, with its V-rep (rays and tags).
+    """The cone reduced to its facets, with its V-rep.
 
     Lineality directions are reported as +-pairs of rays, which lie on every
-    hyperplane.  Tags need the cone's orientation; without one every tag is
-    "other".  A halfspace's mask is the set of listed rays on its
+    hyperplane.  A halfspace's mask is the set of listed rays on its
     hyperplane, read off their zero sets; it is kept when no other proper
     mask strictly contains its own (a facet), or when it holds every ray
     (an implicit equality).  The zero cone keeps every halfspace.
@@ -222,8 +227,7 @@ def extreme_rays(cone: PolyhedralCone) -> PolyhedralCone:
         facets = {whole} | {m for m in proper
                             if not any(o != m and o & m == m for o in proper)}
         halfspaces = tuple(w for w, m in zip(halfspaces, masks) if m in facets)
-    tags = tuple(_tag_ray(cone, ray) for ray in full)
-    return replace(cone, halfspaces=halfspaces, rays=tuple(full), ray_tags=tags)
+    return replace(cone, halfspaces=halfspaces, rays=tuple(full))
 
 
 def _tag_ray(cone: PolyhedralCone, ray) -> str:
@@ -262,16 +266,16 @@ def polytope_hypothesis_check(cone: PolyhedralCone,
     Reports the facet count, whether every vertex direction is rational
     (true by construction for integer rays; still computed), the cusp
     candidates (rational isotropic rays), and whether any ray escapes the
-    closed positive cone, which is what "not a polytope" means here.  A
-    cone that already carries its V-rep, tagged under this orientation, is
-    read as it is; any other is reduced and tagged afresh.
+    closed positive cone, which is what "not a polytope" means here.  Only
+    a cone without a V-rep is reduced; under another orientation the same
+    rays are tagged afresh.
     """
     o = orientation or cone.orientation
     if o is None:
         raise InvalidParameter("hypothesis check needs a cone orientation")
-    reduced = cone
-    if cone.ray_tags is None or o != cone.orientation:
-        reduced = extreme_rays(replace(cone, orientation=o))
+    reduced = cone if o == cone.orientation else replace(cone, orientation=o)
+    if reduced.rays is None:
+        reduced = extreme_rays(reduced)
     tags, rays = reduced.ray_tags, reduced.rays
     cusps = [list(r) for r, t in zip(rays, tags) if t == TAG_ISOTROPIC]
     escapes = [list(r) for r, t in zip(rays, tags) if t == TAG_OTHER]

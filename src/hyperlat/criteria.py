@@ -13,7 +13,7 @@ generators generating the full isometry image; that flag is never dropped.
 from __future__ import annotations
 
 from .errors import InvalidParameter, WrongSignature
-from .forms import SearchVerdict, rational_isotropy, root_existence
+from .forms import IsotropyVerdict, SearchVerdict, rational_isotropy, root_existence
 from .groups import FGGroup, conjugacy_key, elements_up_to, word_string
 from .isometry import LOXODROMIC, entropy
 from .lattice import GramLattice, build_lattice, direct_sum, rank1, standard_lattice
@@ -71,16 +71,19 @@ def lattice_criterion(ns: GramLattice, height: int = 10) -> LatticeVerdict:
 
 
 class FibrationVerdict(Record):
-    def __init__(self, kind: str, isotropy: dict, witness: tuple[int, ...] | None = None,
-                 assumption: str = ISOTROPIC_FIBRATION_FLAG):
+    assumption = ISOTROPIC_FIBRATION_FLAG
+
+    def __init__(self, kind: str, isotropy: IsotropyVerdict):
         # kind is NoGenusOneFibration | FibrationExists | Unresolved
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "isotropy", isotropy)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "assumption", assumption)
+
+    @property
+    def witness(self) -> tuple[int, ...] | None:
+        return self.isotropy.witness
 
     def as_json(self) -> dict:
-        out = {"kind": self.kind, "isotropy": self.isotropy,
+        out = {"kind": self.kind, "isotropy": self.isotropy.as_json(),
                "assumption": self.assumption}
         if self.witness is not None:
             out["witness"] = list(self.witness)
@@ -99,13 +102,12 @@ def genus_one_fibration_test(ns: GramLattice, height: int = 10) -> FibrationVerd
     _require_hyperbolic(ns)
     verdict = rational_isotropy(ns, witness_height=max(height, 8))
     if not verdict.isotropic:
-        return FibrationVerdict(kind=NO_FIBRATION, isotropy=verdict.as_json())
-    if verdict.witness is not None:
-        return FibrationVerdict(kind=FIBRATION_EXISTS, isotropy=verdict.as_json(),
-                                witness=verdict.witness)
-    if ns.rank >= 5:
-        return FibrationVerdict(kind=FIBRATION_EXISTS, isotropy=verdict.as_json())
-    return FibrationVerdict(kind=UNRESOLVED, isotropy=verdict.as_json())
+        kind = NO_FIBRATION
+    elif verdict.witness is not None or ns.rank >= 5:
+        kind = FIBRATION_EXISTS
+    else:
+        kind = UNRESOLVED
+    return FibrationVerdict(kind=kind, isotropy=verdict)
 
 
 # -- classified families ---------------------------------------------------------
@@ -213,11 +215,12 @@ _RANK_CONTEXT = {
 
 
 class EntropyReport(Record):
+    conditional_flags = (GENERATOR_FLAG,)
+
     def __init__(self, findings: tuple[EntropyFinding, ...], verdict: str,
-                 conditional_flags: tuple[str, ...] = (), context: str | None = None):
+                 context: str | None = None):
         object.__setattr__(self, "findings", findings)
         object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "conditional_flags", conditional_flags)
         object.__setattr__(self, "context", context)
 
     def as_json(self) -> dict:
@@ -265,7 +268,6 @@ def entropy_report(g: FGGroup, word_budget: int, rho: int) -> EntropyReport:
     else:
         verdict = f"no positive-entropy word found up to length {word_budget}"
     return EntropyReport(findings=tuple(findings), verdict=verdict,
-                         conditional_flags=(GENERATOR_FLAG,),
                          context=_RANK_CONTEXT.get(rho))
 
 
@@ -273,13 +275,17 @@ def entropy_report(g: FGGroup, word_budget: int, rho: int) -> EntropyReport:
 
 class CriterionReport(Record):
     def __init__(self, lattice_verdict: LatticeVerdict, fibration_verdict: FibrationVerdict,
-                 convex_cocompact: str, entropy: EntropyReport | None,
-                 conditional_flags: tuple[str, ...]):
+                 convex_cocompact: str, entropy: EntropyReport | None):
         object.__setattr__(self, "lattice_verdict", lattice_verdict)
         object.__setattr__(self, "fibration_verdict", fibration_verdict)
         object.__setattr__(self, "convex_cocompact", convex_cocompact)
         object.__setattr__(self, "entropy", entropy)
-        object.__setattr__(self, "conditional_flags", conditional_flags)
+
+    @property
+    def conditional_flags(self) -> tuple[str, ...]:
+        """The fibration assumption, then the entropy report's flags if any."""
+        extra = () if self.entropy is None else self.entropy.conditional_flags
+        return (self.fibration_verdict.assumption,) + extra
 
     def as_json(self) -> dict:
         out = {
@@ -306,15 +312,10 @@ def k3_report(ns: GramLattice, *, height: int = 10, generators: FGGroup | None =
     _require_hyperbolic(ns)
     lat_verdict = lattice_criterion(ns, height)
     fib_verdict = genus_one_fibration_test(ns, height)
-    flags = [ISOTROPIC_FIBRATION_FLAG]
-    ent = None
-    if generators is not None:
-        ent = entropy_report(generators, word_budget, rho)
-        flags.append(GENERATOR_FLAG)
+    ent = None if generators is None else entropy_report(generators, word_budget, rho)
     return CriterionReport(
         lattice_verdict=lat_verdict,
         fibration_verdict=fib_verdict,
         convex_cocompact=convex_cocompact_note(ns, fib_verdict),
         entropy=ent,
-        conditional_flags=tuple(flags),
     )

@@ -41,10 +41,6 @@ class BudgetExceeded(BudgetError):
     pass
 
 
-class NoPositiveConeSet(InputError):
-    pass
-
-
 # -- hyperbolic models ------------------------------------------------------
 
 class NotIsotropic(InputError):

@@ -20,10 +20,10 @@ absence.
 
 from __future__ import annotations
 
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
 from . import linalg
-from .errors import BudgetExceeded, InputError, InvalidParameter, NoPositiveConeSet
+from .errors import BudgetExceeded, InputError, InvalidParameter
 from .lattice import GramLattice
 from .record import Record
 
@@ -209,19 +209,17 @@ def first_norm_vector(lattice: GramLattice, m: int, height: int, *, tested: int 
 
 
 def primitive_isotropic_vectors(lattice: GramLattice, height: int, *,
-                                orientation=None, in_cone: bool = False) -> list[tuple[int, ...]]:
+                                orientation=None) -> list[tuple[int, ...]]:
     """Primitive norm-zero vectors up to the height bound.
 
-    With in_cone=True each vector is reoriented to the closure of the
-    designated positive cone; that requires an orientation.
+    With an orientation each vector is reoriented to the closure of its
+    positive cone.
     """
-    if in_cone and orientation is None:
-        raise NoPositiveConeSet("cone filtering requested without a designated cone")
     hits = []
     for v in enumerate_norm_vectors(lattice, 0, height):
-        if linalg.vec_content(v) != 1:
+        if gcd(*v) != 1:
             continue
-        if in_cone:
+        if orientation is not None:
             # never 0: the base has positive norm, so its orthogonal
             # complement is negative definite in signature (1, n)
             if lattice.pair(v, orientation.base) < 0:
@@ -469,7 +467,7 @@ def _search_isotropic_witness(lattice: GramLattice, max_height: int) -> tuple[in
     h, tested = 1, 0
     while h <= max_height:
         witness, tested = first_norm_vector(lattice, 0, h, tested=tested,
-                                            accept=lambda v: linalg.vec_content(v) == 1)
+                                            accept=lambda v: gcd(*v) == 1)
         if witness is not None:
             return witness
         h *= 2

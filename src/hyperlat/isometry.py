@@ -33,7 +33,7 @@ from .errors import (DimensionMismatch, EllipticHasNoBoundaryFixedPoint,
                      OrderCapExceeded, WrongComponent, WrongNorm)
 from .lattice import GramLattice
 from .model import BoundaryRay, ConeOrientation
-from .record import Record, memo
+from .record import Record, cached_property, memo
 
 ELLIPTIC = "elliptic"
 PARABOLIC = "parabolic"
@@ -46,13 +46,16 @@ _BRACKET_EPS = 10**16
 
 class Classification(Record):
     def __init__(self, kind: str, order: int | None = None,
-                 scale_minpoly: tuple[int, ...] | None = None,
                  scale_field: object | None = None):
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "order", order)                  # elliptic only
-        object.__setattr__(self, "scale_minpoly", scale_minpoly)  # loxodromic only
-        # the RealAlgebraicField of the scale
+        object.__setattr__(self, "order", order)  # elliptic only
+        # the RealAlgebraicField of the scale; loxodromic only
         object.__setattr__(self, "scale_field", scale_field)
+
+    @property
+    def scale_minpoly(self) -> tuple[int, ...] | None:
+        """The scale's minimal polynomial, read off its field; loxodromic only."""
+        return None if self.scale_field is None else tuple(self.scale_field.minpoly)
 
     def as_json(self) -> dict:
         out = {"class": self.kind}
@@ -63,7 +66,7 @@ class Classification(Record):
         return out
 
 
-class Isometry:
+class Isometry(Record):
     """Integer matrix preserving the form and the chosen cone component.
 
     Classification is computed lazily, exactly once per element; its
@@ -71,26 +74,17 @@ class Isometry:
     same exact charpoly, while the order test and fixed rays are its own.
     """
 
-    __slots__ = ("orientation", "matrix", "_charpoly", "_classification")
-
     def __init__(self, orientation: ConeOrientation, matrix):
-        self.orientation = orientation
-        self.matrix = matrix
-        self._charpoly = None
-        self._classification = None
+        object.__setattr__(self, "orientation", orientation)
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def lattice(self) -> GramLattice:
         return self.orientation.lattice
 
-    def __eq__(self, other):
-        return (isinstance(other, Isometry) and self.matrix == other.matrix
-                and self.orientation == other.orientation)
-
-    def __hash__(self):
-        return hash((self.orientation, self.matrix))
-
     def apply(self, v):
+        if len(v) != len(self.matrix):
+            raise DimensionMismatch(f"vectors must have length {len(self.matrix)}")
         return linalg.mat_vec(self.matrix, v)
 
     def compose(self, other: "Isometry") -> "Isometry":
@@ -114,17 +108,13 @@ class Isometry:
             return self.inverse().power(-k)
         return Isometry(self.orientation, linalg.matrix_power(self.matrix, k))
 
-    @property
+    @cached_property
     def charpoly(self) -> list[int]:
-        if self._charpoly is None:
-            self._charpoly = pol.charpoly(self.matrix)
-        return self._charpoly
+        return pol.charpoly(self.matrix)
 
-    @property
+    @cached_property
     def classification(self) -> Classification:
-        if self._classification is None:
-            self._classification = _classify(self)
-        return self._classification
+        return _classify(self)
 
     def __repr__(self):
         return f"Isometry({[list(r) for r in self.matrix]})"
@@ -213,7 +203,7 @@ def _classify(g: Isometry) -> Classification:
     if isinstance(shared, tuple):
         minpoly, bracket = shared
         # a field of its own: sign() narrows the bracket it holds
-        return Classification(kind=LOXODROMIC, scale_minpoly=minpoly,
+        return Classification(kind=LOXODROMIC,
                               scale_field=pol.RealAlgebraicField(minpoly, bracket))
     if pol.identity_power_order(g.matrix, shared):
         return Classification(kind=ELLIPTIC, order=shared)

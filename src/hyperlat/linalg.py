@@ -125,10 +125,6 @@ def adjugate(mat) -> IntMat:
                  for i in range(n))
 
 
-def vec_content(v) -> int:
-    return gcd(*v)
-
-
 def clear_denominators(v) -> list[int]:
     """v times the lcm of its denominators: ints, or rationals with
     `numerator` and `denominator`.  Integer vectors pass through."""

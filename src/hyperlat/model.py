@@ -162,7 +162,7 @@ class Horoball(Record):
             raise InvalidParameter("horoball bound must be a positive num/den pair")
         if not self.center.rational:
             raise NotIsotropic("horoball centers must be rational boundary rays")
-        if linalg.vec_content(self.center.ray) != 1:
+        if math.gcd(*self.center.ray) != 1:
             raise NotPrimitive("horoball center must be primitive integral")
 
 

@@ -88,7 +88,7 @@ def test_horoball_lemma():
     rng = random.Random(2025)
     triples = 0
     for lat, o in ((U_MINUS2, O_UM2), (U_A2, O_UA2)):
-        cusps = primitive_isotropic_vectors(lat, 2, orientation=o, in_cone=True)
+        cusps = primitive_isotropic_vectors(lat, 2, orientation=o)
         balls = [Horoball(center=boundary_from_ray(o, e)) for e in cusps]
         points = _cone_points(lat, o, rng, 90)
         for b1, b2 in itertools.combinations(balls, 2):

@@ -8,7 +8,7 @@ from hyperlat import (build_lattice, convex_cocompact_rank5_family, direct_sum,
                       lattice_criterion, make_isometry, pick_cone, rank1,
                       standard_lattice, uniform_lattice_family)
 from hyperlat import linalg
-from hyperlat.criteria import _family_screen
+from hyperlat.criteria import GENERATOR_FLAG, ISOTROPIC_FIBRATION_FLAG, _family_screen
 from hyperlat.errors import InvalidParameter, WrongSignature
 from hyperlat.forms import replay_congruence, replay_rational_certificate
 
@@ -82,7 +82,7 @@ def test_family_verification_k_up_to_31():
             assert replay_congruence(member, cert)
             fv = genus_one_fibration_test(member, height=4)
             assert fv.kind == "NoGenusOneFibration"
-            assert replay_rational_certificate(member, fv.isotropy["certificate"])
+            assert replay_rational_certificate(member, fv.isotropy.certificate)
 
 
 def test_cc_d4_family_has_roots_and_fibrations():
@@ -135,6 +135,23 @@ def test_k3_report_shape_and_determinism():
     assert j["lattice_verdict"]["kind"] == "IsLattice"
     assert j["fibration_verdict"]["kind"] == "NoGenusOneFibration"
     assert j["conditional_flags"]
+
+
+def test_derived_fields_read_off_the_stored_ones():
+    o = pick_cone(U_MINUS2, (1, 1, 0))
+    trans = group(eichler_transvection(o, (1, 0, 0), (0, 0, 1)))
+    anisotropic = uniform_lattice_family(1)[0]
+    fibration, generator = (ISOTROPIC_FIBRATION_FLAG,), (GENERATOR_FLAG,)
+    for ns, generators, flags in ((U_MINUS2, None, fibration),
+                                  (U_MINUS2, trans, fibration + generator),
+                                  (anisotropic, None, fibration)):
+        rep = k3_report(ns, height=4, generators=generators, word_budget=2)
+        fv = rep.fibration_verdict
+        assert fv.witness is fv.isotropy.witness
+        assert (fv.witness is None) == (ns is anisotropic)
+        assert rep.conditional_flags == flags
+        assert rep.as_json()["conditional_flags"] == list(rep.conditional_flags)
+        assert rep.as_json()["fibration_verdict"]["isotropy"] == fv.isotropy.as_json()
 
 
 def test_k3_report_rank5_family_note():

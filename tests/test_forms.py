@@ -12,8 +12,7 @@ from hyperlat import (build_lattice, direct_sum,
                       enumerate_norm_vectors, forms, hilbert_symbol, k3_report, linalg,
                       primitive_isotropic_vectors, rank1, rational_isotropy,
                       root_existence, standard_lattice)
-from hyperlat.errors import (BudgetExceeded, DimensionMismatch, InputError, InvalidParameter,
-                             NoPositiveConeSet)
+from hyperlat.errors import BudgetExceeded, DimensionMismatch, InputError, InvalidParameter
 from hyperlat.forms import (INFINITE_PLACE, first_norm_vector, replay_congruence,
                             replay_rational_certificate, replay_verdict,
                             squarefree_int)
@@ -77,10 +76,8 @@ def test_primitive_isotropic_examples():
 
 def test_primitive_isotropic_cone_filter():
     o = pick_cone(U, (1, 1))
-    hits = primitive_isotropic_vectors(U, 2, orientation=o, in_cone=True)
+    hits = primitive_isotropic_vectors(U, 2, orientation=o)
     assert all(U.pair(v, (1, 1)) > 0 for v in hits)
-    with pytest.raises(NoPositiveConeSet):
-        primitive_isotropic_vectors(U, 1, in_cone=True)
 
 
 def _is_int_tuple(v):

@@ -392,7 +392,7 @@ def test_dirichlet_domain_runs_one_double_description(make_group, ray, budget,
 def _old_polytope_hypothesis_check(cone, orientation=None):
     """The check as it was when it always recomputed the cone's V-rep."""
     o = orientation or cone.orientation
-    work = cones.extreme_rays(replace(cone, orientation=o, rays=None, ray_tags=None))
+    work = cones.extreme_rays(replace(cone, orientation=o, rays=None))
     reduced = _old_irredundant_halfspaces(work)
     tags = list(reduced.ray_tags or ())
     rays = list(reduced.rays or ())
@@ -433,12 +433,18 @@ def test_hypothesis_check_reduces_a_redundant_vrep():
     assert report["side_count"] == 2
 
 
-def test_hypothesis_check_retags_under_another_orientation():
+def test_hypothesis_check_retags_under_another_orientation(monkeypatch):
     dom = dirichlet_domain(PELL_GROUP, point_from_ray(O_D12, (1, 0)), 3)
     flipped = pick_cone(D12, (-1, 0))
+    want = _old_polytope_hypothesis_check(dom, flipped)
+    calls = []
+    real = cones.extreme_rays
+    monkeypatch.setattr(cones, "extreme_rays",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
     report = polytope_hypothesis_check(dom, flipped)
-    assert report == _old_polytope_hypothesis_check(dom, flipped)
+    assert report == want
     assert report["escaping_rays"] and not report["is_generalized_polytope"]
+    assert calls == []  # the same rays, tagged under the other orientation
 
 
 def _old_sample_cone_points(orientation, count, seed, *, box=50):

@@ -10,7 +10,7 @@ import pytest
 from hyperlat import (build_lattice, direct_sum, enumerate_norm_vectors,
                       eichler_transvection, entropy, fixed_boundary_points,
                       make_isometry, pick_cone, rank1, reflection, to_ball)
-from hyperlat.errors import (EllipticHasNoBoundaryFixedPoint,
+from hyperlat.errors import (DimensionMismatch, EllipticHasNoBoundaryFixedPoint,
                              NonIntegralResult, NotOrthogonal, WrongComponent,
                              WrongNorm)
 from hyperlat import groups, isometry
@@ -148,6 +148,15 @@ def test_reflection_examples():
     # fixes the orthogonal complement of delta
     assert s.apply((2, 9, 0)) == (2, 9, 0)
     assert mat_mul(s.matrix, s.matrix) == identity_matrix(3)
+
+
+def test_apply_refuses_a_vector_of_another_length():
+    # the matrix product alone would pad (1, 2) to (1, 2, 0) and cut
+    # (1, 2, 3, 4) to (1, 2, -3)
+    s = reflection(O_UM2, (0, 0, 1))
+    for v in ((1, 2), (1, 2, 3, 4)):
+        with pytest.raises(DimensionMismatch, match="vectors must have length 3"):
+            s.apply(v)
 
 
 def test_reflection_wrong_norm():

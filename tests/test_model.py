@@ -187,7 +187,7 @@ def test_horoball_lemma_properties(lat, base):
     """Sampled exact verification of the packing inequality and equivariance."""
     rng = random.Random(42)
     o, points = _cone_samples(lat, base, rng, 100)
-    cusps = primitive_isotropic_vectors(lat, 2, orientation=o, in_cone=True)
+    cusps = primitive_isotropic_vectors(lat, 2, orientation=o)
     assert len(cusps) >= 2
     balls = [Horoball(center=boundary_from_ray(o, e)) for e in cusps]
     gens = _isometry_pool(lat, o)
@@ -321,7 +321,7 @@ def test_integer_projection_is_bit_identical(lat):
                     pt = point_from_ray(o, ray)
                     assert to_ball(o, pt) == _fraction_to_ball(o, pt)
         if n > 2:  # <1>+<-2> has no rational isotropic vectors
-            cusps = primitive_isotropic_vectors(lat, 2, orientation=o, in_cone=True)
+            cusps = primitive_isotropic_vectors(lat, 2, orientation=o)
             assert cusps
             for e in cusps:
                 ray = boundary_from_ray(o, e)

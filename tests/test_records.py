@@ -15,7 +15,7 @@ from hyperlat.criteria import (CriterionReport, EntropyFinding, EntropyReport,
 from hyperlat.errors import InvalidParameter, NotIsotropic, NotPrimitive, WrongSignature
 from hyperlat.forms import IsotropyVerdict, SearchVerdict
 from hyperlat.groups import FGGroup, WalkResult
-from hyperlat.isometry import Classification
+from hyperlat.isometry import Classification, Isometry
 from hyperlat.lattice import GramLattice
 from hyperlat.model import (BoundaryRay, ConeOrientation, DisjointnessWitness, Horoball,
                             HyperboloidPoint)
@@ -35,7 +35,7 @@ def _search():
 
 
 def _fibration():
-    return FibrationVerdict("Unresolved", {"kind": "Isotropic"})
+    return FibrationVerdict("Unresolved", IsotropyVerdict(True, "hilbert", certificate={"p": [2]}))
 
 
 # Each factory builds a fresh record from fresh but equal field values;
@@ -51,6 +51,7 @@ FACTORIES = {
     IsotropyVerdict: lambda: IsotropyVerdict(True, "hilbert", (1, 0)),
     SearchVerdict: _search,
     Classification: lambda: Classification("elliptic", order=2),
+    Isometry: lambda: Isometry(_orientation(), ((0, 1), (1, 0))),
     FGGroup: lambda: group(make_isometry(_orientation(), [[0, 1], [1, 0]])),
     WalkResult: lambda: WalkResult((1, 1), ((0, 1),), True),
     LatticeVerdict: lambda: LatticeVerdict("NotLattice", _search()),
@@ -58,7 +59,7 @@ FACTORIES = {
     EntropyFinding: lambda: EntropyFinding("g1", "loxodromic", 1.5),
     EntropyReport: lambda: EntropyReport((EntropyFinding("g1", "elliptic", 0.0),), "none"),
     CriterionReport: lambda: CriterionReport(LatticeVerdict("NotLattice", _search()),
-                                             _fibration(), "note", None, ("flag",)),
+                                             _fibration(), "note", None),
 }
 UNHASHABLE = {FibrationVerdict, CriterionReport}
 
@@ -130,7 +131,7 @@ def test_replace_changes_only_named_fields():
     new = replace(cone, orientation=o, rays=((1, 0),))
     assert type(new) is PolyhedralCone
     assert new.orientation is o and new.rays == ((1, 0),)
-    for name in ("lattice", "halfspaces", "ray_tags", "truncated_at"):
+    for name in ("lattice", "halfspaces", "truncated_at"):
         assert getattr(new, name) is getattr(cone, name)
     assert cone.orientation is None and cone.rays is None
     with pytest.raises(TypeError):

@@ -69,6 +69,27 @@ def test_no_cap_or_budget_constant_is_a_function_default():
     assert _offenders(_defaults_to_a_budget) == []
 
 
+def _defines_value_methods(node):
+    if not isinstance(node, ast.ClassDef) or node.name in ("Record", "AlgebraicNumber"):
+        return False
+    for stmt in node.body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name in ("__eq__", "__hash__"):
+            return True
+        targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                   else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+        if any(isinstance(t, ast.Name) and t.id == "__slots__" for t in targets):
+            return True
+    return False
+
+
+def test_only_record_and_algebraic_numbers_define_value_methods():
+    # `record.Record` is the one value mechanism: its subclasses take equality
+    # and the hash over their fields from it, and keep a `__dict__` for
+    # `cached_property`; `polynomials.AlgebraicNumber`, an element of
+    # Z[alpha], also compares equal to the ints it coerces
+    assert _offenders(_defines_value_methods) == []
+
+
 # Modules a CLI run must not load: each costs start-up time in every
 # `hyperlat` process, and the CLI reads and writes JSON, parses its options
 # and caches its results without them.
