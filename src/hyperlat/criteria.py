@@ -157,18 +157,20 @@ def _family_screen(ns: GramLattice) -> list[str]:
     if ns.rank != 5:
         return notes
     det = ns.determinant
-    for k in range(5, 40):
-        if det == 2 ** (k + 2):
-            notes.append(
-                f"determinant/signature match the <2^{k}> + D4 family "
-                "(screen only, not an isomorphism test)")
-            break
-    for m in range(2, 20):
-        if det == 2 * 3 ** (2 * m + 1):
-            notes.append(
-                f"determinant/signature match the <2*3^{2*m-1}> + A2+A2 family "
-                "(screen only, not an isomorphism test)")
-            break
+    if det >= 2 ** 7 and det & (det - 1) == 0:  # 2^(k+2) with k >= 5
+        k = det.bit_length() - 3
+        notes.append(
+            f"determinant/signature match the <2^{k}> + D4 family "
+            "(screen only, not an isomorphism test)")
+    threes, e = det // 2, 0
+    while threes > 1 and threes % 3 == 0:
+        threes //= 3
+        e += 1
+    if det == 2 * 3 ** e and e >= 5 and e % 2:  # 2*3^(2m+1) with m >= 2
+        m = (e - 1) // 2
+        notes.append(
+            f"determinant/signature match the <2*3^{2*m-1}> + A2+A2 family "
+            "(screen only, not an isomorphism test)")
     return notes
 
 

@@ -51,10 +51,6 @@ class NotPrimitive(InputError):
     pass
 
 
-class SameRay(InputError):
-    pass
-
-
 class DifferentAmbient(InputError):
     pass
 

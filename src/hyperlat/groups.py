@@ -1,5 +1,5 @@
 """Finitely generated subgroups of O+(L): orbits, limit-point sampling,
-elementary-type detection, Dirichlet domains, tiling checks, chamber walks.
+Dirichlet domains, tiling checks, chamber walks.
 
 Dirichlet domains are always truncated at a word budget and carry that
 label; exactness of a truncated domain is not decidable here and is never
@@ -28,7 +28,7 @@ from .cones import PolyhedralCone, irredundant_halfspaces, ray_satisfies
 from .errors import (BudgetExceeded, DifferentAmbient, FixedBasepoint,
                      InvalidParameter, OnWall)
 from .forms import enumerate_norm_vectors
-from .isometry import ELLIPTIC, Isometry, fixed_boundary_points, reflection
+from .isometry import Isometry, reflection
 from .lattice import GramLattice
 from .model import ConeOrientation, HyperboloidPoint, point_from_ray, to_ball
 from .record import Record, cached_property, replace
@@ -268,78 +268,6 @@ def limit_points_sample(g: FGGroup, x: HyperboloidPoint, depth: int) -> list[tup
         norm = sum(v * v for v in mean) ** 0.5
         out.append(tuple(v / norm for v in mean))
     return sorted(out)
-
-
-# -- elementary type ---------------------------------------------------------------
-
-ELLIPTIC_TYPE = "EllipticType"
-PARABOLIC_TYPE = "ParabolicType"
-LOXODROMIC_TYPE = "LoxodromicType"
-NOT_DETECTED = "NotDetectedElementary"
-
-
-def _fixes_ray_projectively(gen: Isometry, ray, target=None) -> bool:
-    """Does g map the exact ray to a positive multiple of target (default:
-    the ray itself)?
-
-    g v is parallel to w iff every cross product (g v)_i w_p - (g v)_p w_i
-    vanishes at w's first nonzero coordinate p, and the multiple is then
-    positive iff (g v)_p and w_p have one sign.  Works for integer rays and
-    for algebraic-coordinate rays alike, without dividing.
-    """
-    image = linalg.mat_vec(gen.matrix, ray)
-    tgt = ray if target is None else target
-    p = next(i for i, c in enumerate(tgt) if c)
-    if any(a * tgt[p] - image[p] * b for a, b in zip(image, tgt)):
-        return False
-    return _sign(image[p]) == _sign(tgt[p])
-
-
-def _sign(x) -> int:
-    return (x > 0) - (x < 0) if isinstance(x, int) else x.sign()
-
-
-def elementary_type(g: FGGroup) -> str:
-    """Exact common-fixed-data analysis of the generator set.
-
-    EllipticType: all generators elliptic with a common interior fixed
-    point.  ParabolicType: a single common boundary ray, rational and
-    isotropic.  LoxodromicType: a common unordered pair of boundary rays.
-    Anything else is NotDetectedElementary, which deliberately includes
-    genuinely non-elementary groups; no discreteness claim is made.
-    """
-    lat = g.lattice
-    kinds = [gen.classification.kind for gen in g.generators]
-    if all(k == ELLIPTIC for k in kinds):
-        rows = [tuple(x - (i == j) for j, x in enumerate(row))
-                for gen in g.generators for i, row in enumerate(gen.matrix)]
-        kernel = linalg.kernel_basis(rows)
-        if kernel:
-            restricted = [[lat.pair(u, v) for v in kernel] for u in kernel]
-            # the restricted form may be degenerate, so it is no lattice
-            if any(d > 0 for d in linalg.congruence_diagonal(restricted)):
-                return ELLIPTIC_TYPE
-        return NOT_DETECTED
-    anchor = next(gen for gen, k in zip(g.generators, kinds) if k != ELLIPTIC)
-    candidates = fixed_boundary_points(anchor)
-    fixed = [ray for ray in candidates
-             if all(_fixes_ray_projectively(gen, ray.ray) for gen in g.generators)]
-    if len(fixed) == 1 and len(candidates) == 1 and fixed[0].rational:
-        return PARABOLIC_TYPE
-    if len(candidates) == 2:
-        pair_ok = all(_preserves_pair(gen, candidates) for gen in g.generators)
-        if pair_ok:
-            return LOXODROMIC_TYPE
-    return NOT_DETECTED
-
-
-def _preserves_pair(gen: Isometry, pair) -> bool:
-    r1, r2 = pair[0].ray, pair[1].ray
-    for ray in (r1, r2):
-        if not (_fixes_ray_projectively(gen, ray)
-                or _fixes_ray_projectively(gen, ray, r2 if ray is r1 else r1)):
-            return False
-    return True
 
 
 # -- Dirichlet domains ---------------------------------------------------------------

@@ -1,10 +1,9 @@
-"""Hyperboloid, ball, and upper half-space models over a signature-(1,n) lattice.
+"""Hyperboloid and ball models over a signature-(1,n) lattice.
 
 Points are primitive integer rays inside the chosen positive cone;
 numeric coordinates appear only at the final normalization step.
-Distances, membership and disjointness tests for horoballs compare
-squared quantities in integers, so every verdict here is
-certificate-grade.
+Distances and horoball membership compare squared quantities in
+integers, so every verdict here is certificate-grade.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 import math
 from . import linalg
 from .errors import (DifferentAmbient, InvalidParameter, NotInCone,
-                     NotIsotropic, NotPrimitive, SameRay, WrongSignature)
+                     NotIsotropic, NotPrimitive, WrongSignature)
 from .forms import first_norm_vector
 from .lattice import GramLattice
 from .record import Record, cached_property
@@ -183,32 +182,6 @@ def horoball_contains(ball: Horoball, x: HyperboloidPoint) -> bool:
     return p * p * den * den < num * num * lat.norm(x.ray)
 
 
-class DisjointnessWitness(Record):
-    def __init__(self, disjoint: bool, pairing: int):
-        object.__setattr__(self, "disjoint", disjoint)
-        # (e, e') on the primitive integral representatives
-        object.__setattr__(self, "pairing", pairing)
-
-
-def horoballs_disjoint(b1: Horoball, b2: Horoball) -> DisjointnessWitness:
-    """Disjointness of two standard horoballs at distinct integral cusps.
-
-    For distinct primitive isotropic e, e' in the cone closure, the pairing
-    (e, e') is a positive integer, and (e,e') <= 2 (x,e)(x,e') for every
-    point x; with bounds 1/2 this forces the horoballs apart.  The integer
-    pairing is returned as proof data.
-    """
-    if b1.center.orientation != b2.center.orientation:
-        raise DifferentAmbient("horoballs have different ambients")
-    lat = b1.center.orientation.lattice
-    e1, e2 = b1.center.ray, b2.center.ray
-    if e1 == e2:
-        raise SameRay("horoballs share their center ray")
-    p = lat.pair(e1, e2)
-    (n1, d1), (n2, d2) = b1.bound, b2.bound
-    return DisjointnessWitness(disjoint=p * d1 * d2 >= 2 * n1 * n2, pairing=p)
-
-
 # -- model conversions -----------------------------------------------------------
 
 def minkowski_coords(orientation: ConeOrientation, ray) -> tuple[float, ...]:
@@ -242,34 +215,3 @@ def to_ball(orientation: ConeOrientation, obj) -> tuple[float, ...]:
         a = minkowski_coords(orientation, ray)
         return tuple(x / a[0] for x in a[1:])
     raise InvalidParameter(f"cannot map {type(obj).__name__} to the ball model")
-
-
-def from_ball(orientation: ConeOrientation, ball_coords) -> tuple[float, ...]:
-    """Numeric hyperboloid coordinates (lattice basis) of a ball-model point."""
-    b = list(ball_coords)
-    nb2 = sum(x * x for x in b)
-    if nb2 >= 1.0:
-        raise InvalidParameter("ball-model points have Euclidean norm < 1")
-    a0 = (1.0 + nb2) / (1.0 - nb2)
-    rest = [2.0 * x / (1.0 - nb2) for x in b]
-    frame, _, scales = orientation.frame
-    coords = [0.0] * orientation.lattice.rank
-    for a, (u, d), s in zip([a0] + rest, frame, scales):
-        c = a / s
-        for i, x in enumerate(u):
-            coords[i] += c * (x / d)
-    return tuple(coords)
-
-
-def to_upper_half(orientation: ConeOrientation, obj) -> tuple[float, ...]:
-    """Upper half-space coordinates via inversion of the ball model.
-
-    The last coordinate is the height; the base point maps to height 1.
-    """
-    b = list(to_ball(orientation, obj))
-    denom = sum(x * x for x in b[:-1]) + (b[-1] - 1.0) ** 2
-    if denom == 0.0:
-        raise InvalidParameter("the pole of the inversion has no finite image")
-    out = [2.0 * x / denom for x in b[:-1]]
-    out.append((1.0 - sum(x * x for x in b)) / denom)
-    return tuple(out)

@@ -400,7 +400,7 @@ class RealAlgebraicField:
 
 class AlgebraicNumber:
     """Element of Z[alpha] for a RealAlgebraicField: integer coefficients,
-    exact ring arithmetic (+, -, *) and exact signs."""
+    exact addition, negation and multiplication, and exact signs."""
 
     __slots__ = ("field", "coeffs")
 
@@ -435,12 +435,6 @@ class AlgebraicNumber:
 
     def __neg__(self):
         return AlgebraicNumber(self.field, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
 
     def __mul__(self, other):
         if isinstance(other, int):

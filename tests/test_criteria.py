@@ -201,8 +201,26 @@ def test_family_screen_notes_unchanged(lat, family):
     assert _family_screen(lat) == [_screen_note(family)]
 
 
+@pytest.mark.parametrize("selector, value, family", [
+    ("d4", 5, "<2^5> + D4"), ("d4", 39, "<2^39> + D4"),
+    ("d4", 40, "<2^40> + D4"), ("d4", 100, "<2^100> + D4"),
+    ("a2", 2, "<2*3^3> + A2+A2"), ("a2", 19, "<2*3^37> + A2+A2"),
+    ("a2", 20, "<2*3^39> + A2+A2"), ("a2", 50, "<2*3^99> + A2+A2"),
+])
+def test_family_screen_matches_every_member_and_no_neighbour(selector, value, family):
+    member = convex_cocompact_rank5_family(selector, value)
+    assert _family_screen(member) == [_screen_note(family)]
+    for det in (member.determinant - 1, member.determinant + 1):
+        # <det> + <-1>^4 has signature (1, 4) and determinant det
+        neighbour = build_lattice([[det if i == j == 0 else -(i == j) for j in range(5)]
+                                   for i in range(5)])
+        assert neighbour.determinant == det
+        assert _family_screen(neighbour) == []
+
+
 def test_family_screen_misses():
-    assert _family_screen(direct_sum(rank1(2 ** 40), standard_lattice("D4"))) == []
+    # k = 4 lies below the D4 family
+    assert _family_screen(direct_sum(rank1(2 ** 4), standard_lattice("D4"))) == []
     assert _family_screen(direct_sum(rank1(6), direct_sum(standard_lattice("A2"),
                                                           standard_lattice("A2")))) == []
     assert _family_screen(FAMILY3) == []

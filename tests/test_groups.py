@@ -1,5 +1,4 @@
-"""Orbits, limit sampling, elementary types, Dirichlet domains, tiling,
-chamber walks."""
+"""Orbits, limit sampling, Dirichlet domains, tiling, chamber walks."""
 
 import random
 from operator import sub
@@ -7,15 +6,13 @@ from operator import sub
 import pytest
 
 from hyperlat import (build_lattice, chamber_walk, cones, dirichlet_domain,
-                      direct_sum, eichler_transvection,
-                      elementary_type, enumerate_norm_vectors, fixed_boundary_points,
+                      direct_sum, eichler_transvection, enumerate_norm_vectors,
                       group, groups, limit_points_sample, linalg, make_isometry, orbit,
                       pick_cone, point_from_ray, polytope_hypothesis_check, rank1,
                       reflection, standard_lattice, tiling_check)
 from hyperlat.cones import PolyhedralCone
 from hyperlat.errors import BudgetExceeded, FixedBasepoint, InvalidParameter, OnWall
-from hyperlat.groups import (_fixes_ray_projectively, _orbit_ball, elements_up_to,
-                             sample_cone_points)
+from hyperlat.groups import _orbit_ball, elements_up_to, sample_cone_points
 from hyperlat.model import to_ball
 from hyperlat.record import replace
 
@@ -94,35 +91,6 @@ def test_limits_transvection_single_cluster():
 def test_limits_finite_group_empty():
     x = point_from_ray(O_UM2, (2, 3, 1))
     assert limit_points_sample(group(MIRROR), x, 6) == []
-
-
-def test_elementary_types():
-    assert elementary_type(group(TRANSVECTION)) == "ParabolicType"
-    assert elementary_type(PELL_GROUP) == "LoxodromicType"
-    assert elementary_type(group(MIRROR)) == "EllipticType"
-    # two transvections along the same axis: still parabolic type
-    t2 = eichler_transvection(O_UM2, (1, 0, 0), (2, 0, 1))
-    assert elementary_type(group(TRANSVECTION, t2)) == "ParabolicType"
-    # a reflection whose mirror passes through the cusp still fixes it
-    s_fixing = reflection(O_UM2, (1, 0, 1))
-    assert U_MINUS2.pair((1, 0, 0), (1, 0, 1)) == 0
-    assert elementary_type(group(TRANSVECTION, s_fixing)) == "ParabolicType"
-    # a reflection moving the cusp: nothing detected
-    s_moving = reflection(O_UM2, (0, 1, 1))
-    assert elementary_type(group(TRANSVECTION, s_moving)) == "NotDetectedElementary"
-
-
-def test_fixes_ray_projectively_needs_a_positive_multiple():
-    # without division: parallel by cross products, positive by the signs at a pivot
-    expanding, contracting = (r.ray for r in fixed_boundary_points(PELL))
-    for ray in (expanding, contracting):
-        assert _fixes_ray_projectively(PELL, ray)
-        assert not _fixes_ray_projectively(PELL, ray, tuple(-c for c in ray))
-    assert not _fixes_ray_projectively(PELL, expanding, contracting)
-    (cusp,) = (r.ray for r in fixed_boundary_points(TRANSVECTION))
-    assert _fixes_ray_projectively(TRANSVECTION, cusp)
-    assert not _fixes_ray_projectively(TRANSVECTION, cusp, tuple(-c for c in cusp))
-    assert not _fixes_ray_projectively(MIRROR, (0, 1, 1))
 
 
 def test_dirichlet_halfspace_pell():

@@ -1,4 +1,4 @@
-"""Cone bookkeeping, distances, model conversions, horoballs."""
+"""Cone bookkeeping, distances, ball coordinates, horoball membership."""
 
 import functools
 import math
@@ -9,11 +9,9 @@ import pytest
 
 from hyperlat import (Horoball, boundary_from_ray, build_lattice,
                       direct_sum, distance,
-                      eichler_transvection, from_ball, horoball_contains,
-                      horoballs_disjoint, pick_cone, point_from_ray, rank1,
-                      reflection, standard_lattice, to_ball, to_upper_half)
-from hyperlat.errors import (DifferentAmbient, InvalidParameter, NotInCone, NotIsotropic,
-                             SameRay)
+                      eichler_transvection, horoball_contains, pick_cone,
+                      point_from_ray, rank1, reflection, standard_lattice, to_ball)
+from hyperlat.errors import DifferentAmbient, InvalidParameter, NotInCone, NotIsotropic
 from hyperlat.forms import primitive_isotropic_vectors
 from hyperlat.linalg import gram_schmidt_frame
 from hyperlat.model import HyperboloidPoint, minkowski_coords
@@ -79,9 +77,9 @@ def test_ball_conversions():
         if U_MINUS2.norm(v) <= 0 or U_MINUS2.pair(v, (1, 1, 0)) <= 0:
             continue
         x = point_from_ray(o, v)
-        back = from_ball(o, to_ball(o, x))
-        num = _numeric(x)
-        assert max(abs(p - q) for p, q in zip(back, num)) < 1e-10
+        # the ball radius of a point at distance d from the origin is tanh(d / 2)
+        radius = math.sqrt(sum(c * c for c in to_ball(o, x)))
+        assert abs(radius - math.tanh(distance(base, x) / 2)) < 1e-12
 
 
 def ball_distance(u, v) -> float:
@@ -122,16 +120,6 @@ def test_distance_symmetry_and_triangle():
                 assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-10
 
 
-def test_upper_half_space():
-    o = pick_cone(U_MINUS2, (1, 1, 0))
-    u = to_upper_half(o, point_from_ray(o, (1, 1, 0)))
-    assert abs(u[-1] - 1.0) < 1e-12  # base maps to height 1
-    # boundary rays (other than the pole) land at height 0
-    ray = boundary_from_ray(o, (1, 0, 0))
-    ub = to_upper_half(o, ray)
-    assert abs(ub[-1]) < 1e-9
-
-
 def test_horoball_membership_examples():
     o = pick_cone(U, (1, 1))
     ball = Horoball(center=boundary_from_ray(o, (1, 0)))
@@ -140,23 +128,10 @@ def test_horoball_membership_examples():
     # exact boundary (x,e) = 1/2 is excluded: x = (2,1) has pairing 1, norm 4
     assert not horoball_contains(ball, point_from_ray(o, (2, 1)))
 
-
-def test_horoballs_disjoint_examples():
-    o = pick_cone(U, (1, 1))
-    b1 = Horoball(center=boundary_from_ray(o, (1, 0)))
-    b2 = Horoball(center=boundary_from_ray(o, (0, 1)))
-    w = horoballs_disjoint(b1, b2)
-    assert w.disjoint and w.pairing == 1
-
     o3 = pick_cone(U_MINUS2, (1, 1, 0))
     assert U_MINUS2.norm((1, 2, 1)) == 2
     with pytest.raises(NotIsotropic):
         Horoball(center=boundary_from_ray(o3, (1, 2, 1)))
-    b3 = Horoball(center=boundary_from_ray(o3, (1, 0, 0)))
-    b4 = Horoball(center=boundary_from_ray(o3, (0, 1, 0)))
-    assert horoballs_disjoint(b3, b4).disjoint
-    with pytest.raises(SameRay):
-        horoballs_disjoint(b3, b3)
 
 
 def _cone_samples(lat, base, rng, count, box=30):
@@ -225,9 +200,9 @@ def test_numeric_points_normalized():
         if U_MINUS2.norm(v) <= 0 or U_MINUS2.pair(v, (1, 1, 0)) <= 0:
             continue
         x = point_from_ray(o, v)
-        for num in (_numeric(x), from_ball(o, to_ball(o, x))):
-            q = sum(num[i] * sum(gram[i][j] * num[j] for j in range(3)) for i in range(3))
-            assert abs(q - 1.0) <= 1e-9
+        num = _numeric(x)
+        q = sum(num[i] * sum(gram[i][j] * num[j] for j in range(3)) for i in range(3))
+        assert abs(q - 1.0) <= 1e-9
 
 
 def test_horoball_bound_is_data():
@@ -240,10 +215,6 @@ def test_horoball_bound_is_data():
                              point_from_ray(o, (1, 1)))
     assert not horoball_contains(Horoball(boundary_from_ray(o, (1, 0)), (7, 10)),
                                  point_from_ray(o, (1, 1)))
-    # bounds 1 and 1/2 need (e, e') >= 1 apart; bounds 1 and 1 need 2
-    b1 = Horoball(boundary_from_ray(o, (1, 0)), (1, 1))
-    assert horoballs_disjoint(b1, Horoball(boundary_from_ray(o, (0, 1)), (2, 4))).disjoint
-    assert not horoballs_disjoint(b1, Horoball(boundary_from_ray(o, (0, 1)), (1, 1))).disjoint
     with pytest.raises(InvalidParameter):
         Horoball(boundary_from_ray(o, (1, 0)), (1, 0))
 
@@ -328,20 +299,6 @@ def test_integer_projection_is_bit_identical(lat):
                 assert to_ball(o, ray) == _fraction_to_ball(o, ray)
 
 
-def _fraction_from_ball(orientation, ball_coords):
-    """from_ball on the `Fraction` frame."""
-    b = list(ball_coords)
-    nb2 = sum(x * x for x in b)
-    a0 = (1.0 + nb2) / (1.0 - nb2)
-    rest = [2.0 * x / (1.0 - nb2) for x in b]
-    frame, _, scales = _fraction_frame(orientation)
-    coords = [0.0] * orientation.lattice.rank
-    for a, f, s in zip([a0] + rest, frame, scales):
-        for i, fx in enumerate(f):
-            coords[i] += a / s * float(fx)
-    return tuple(coords)
-
-
 @pytest.mark.parametrize("lat", [D12, U_MINUS2, U_A2, direct_sum(U_A2, rank1(-2)),
                                  direct_sum(U, standard_lattice("E8"))],
                          ids=["<1>+<-2>", "U+<-2>", "U+A2", "U+A2+<-2>", "U+E8"])
@@ -363,6 +320,3 @@ def test_integer_frame_equals_the_fraction_frame(lat):
         assert [Fraction(m, d * d) for m, (_, d) in zip(norms, frame)] == want_norms
         assert scales == want_scales
         assert frame == gram_schmidt_frame(lat.gram, base)
-        for _ in range(5):
-            b = [rng.uniform(-0.5, 0.5) / n for _ in range(n - 1)]
-            assert from_ball(o, b) == _fraction_from_ball(o, b)

@@ -17,8 +17,7 @@ from hyperlat.forms import IsotropyVerdict, SearchVerdict
 from hyperlat.groups import FGGroup, WalkResult
 from hyperlat.isometry import Classification, Isometry
 from hyperlat.lattice import GramLattice
-from hyperlat.model import (BoundaryRay, ConeOrientation, DisjointnessWitness, Horoball,
-                            HyperboloidPoint)
+from hyperlat.model import BoundaryRay, ConeOrientation, Horoball, HyperboloidPoint
 from hyperlat.record import Record, memo, replace
 
 
@@ -46,7 +45,6 @@ FACTORIES = {
     HyperboloidPoint: lambda: HyperboloidPoint(_orientation(), (1, 1)),
     BoundaryRay: lambda: BoundaryRay(_orientation(), (1, 0)),
     Horoball: lambda: Horoball(BoundaryRay(_orientation(), (1, 0))),
-    DisjointnessWitness: lambda: DisjointnessWitness(disjoint=True, pairing=1),
     PolyhedralCone: lambda: PolyhedralCone(_u(), ((1, 0), (0, 1)), truncated_at=2),
     IsotropyVerdict: lambda: IsotropyVerdict(True, "hilbert", (1, 0)),
     SearchVerdict: _search,

@@ -47,9 +47,9 @@ def _diagonalises(node):
 
 def test_only_lattices_and_restricted_forms_are_diagonalised():
     # a lattice caches its rational diagonal and every other module reads
-    # that cache; groups diagonalises restricted forms, which may be degenerate
+    # that cache
     offenders = [where for where in _offenders(_diagonalises)
-                 if where.split(":")[0] not in ("lattice.py", "groups.py")]
+                 if where.split(":")[0] != "lattice.py"]
     assert offenders == []
 
 
@@ -88,6 +88,100 @@ def test_only_record_and_algebraic_numbers_define_value_methods():
     # `cached_property`; `polynomials.AlgebraicNumber`, an element of
     # Z[alpha], also compares equal to the ints it coerces
     assert _offenders(_defines_value_methods) == []
+
+
+def _module_tables():
+    """Per module: its top-level defs (functions, classes, assigned names) and
+    the names its relative imports bind, each to (module, name), or to
+    (module, None) for a submodule."""
+    modules = {path.stem for path in SOURCES}
+    defs, imports = {}, {}
+    for path in SOURCES:
+        mod = path.stem
+        defs[mod], imports[mod] = {}, {}
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs[mod][node.name] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defs[mod].update((t.id, node) for t in targets if isinstance(t, ast.Name))
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module:
+                        target = (node.module, alias.name)
+                    elif alias.name in modules:
+                        target = (alias.name, None)
+                    else:
+                        target = ("__init__", alias.name)
+                    imports[mod][alias.asname or alias.name] = target
+    return defs, imports
+
+
+def _resolve(defs, imports, mod, name):
+    """The top-level def that `name` means in `mod`, through re-exports."""
+    while name is not None and name not in defs[mod]:
+        if name not in imports[mod]:
+            return None
+        mod, name = imports[mod][name]
+    return mod, name
+
+
+def _references(node):
+    """Names and `name.attr` pairs a def reads, type annotations left out:
+    the package does not evaluate them."""
+    hints = {id(sub) for n in ast.walk(node)
+             for hint in (getattr(n, "annotation", None), getattr(n, "returns", None))
+             if hint is not None for sub in ast.walk(hint)}
+    for sub in ast.walk(node):
+        if id(sub) in hints:
+            continue
+        if isinstance(sub, ast.Name):
+            yield sub.id, None
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+            yield sub.value.id, sub.attr
+
+
+def _reached_from_cli_main():
+    """The (module, name) defs a static call graph reaches from `cli.main`;
+    reaching a class reaches its whole body."""
+    defs, imports = _module_tables()
+    seen, todo = set(), [("cli", "main")]
+    while todo:
+        key = todo.pop()
+        if key in seen:
+            continue
+        seen.add(key)
+        mod, name = key
+        if name is None:
+            continue
+        for base, attr in _references(defs[mod][name]):
+            target = _resolve(defs, imports, mod, base)
+            if target is None:
+                continue
+            todo.append(target)
+            if target[1] is None and attr is not None:
+                member = _resolve(defs, imports, target[0], attr)
+                if member is not None:
+                    todo.append(member)
+    return defs, imports, seen
+
+
+def test_every_public_name_is_reached_by_a_report():
+    # a public function no subcommand reaches and no acceptance test imports
+    # serves no report: it goes
+    defs, imports, seen = _reached_from_cli_main()
+    reached_modules = {mod for mod, _ in seen}
+    acceptance = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
+    imported = {alias.name for node in ast.walk(acceptance)
+                if isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[0] == "hyperlat" for alias in node.names}
+    unreached = []
+    for name in hyperlat.__all__:
+        target = _resolve(defs, imports, "__init__", name) or (name, None)
+        reached = target[0] in reached_modules if target[1] is None else target in seen
+        if not reached and name not in imported:
+            unreached.append(name)
+    assert unreached == []
 
 
 # Modules a CLI run must not load: each costs start-up time in every
