@@ -9,6 +9,10 @@ caps their count; `_orbit_ball`, behind orbits and Dirichlet domains,
 deduplicates the points w.x by exact ray and caps their count.  Both apply
 each letter only through the rows where it differs from the identity, and
 both take the letters from the group, which forms them once.
+Limit sampling keeps the far points of an orbit by one integer pairing
+with the cone base: a point p of norm N has ball radius r with
+r^2 = (c - 1) / (c + 1), c = (p, b) / sqrt(N (b, b)), so only the points
+with c near or above the far threshold are mapped to floats.
 Dirichlet bisectors, the differences p - h of the basepoint's orbit
 points, enter the double description unscaled.  Tiling checks draw the
 points inside a domain as positive integer combinations of its rays and
@@ -232,13 +236,29 @@ def limit_points_sample(g: FGGroup, x: HyperboloidPoint, depth: int) -> list[tup
     the angular tolerance widened by each point's positional uncertainty
     sqrt(2 (1 - r)) (the deviation scale of a parabolic approach arm).  The
     result is a sampling estimate, never the full limit set.
+
+    An orbit point p has the basepoint's norm N, so its ball radius is
+    r = sqrt((c - 1) / (c + 1)) with c = (p, b) / sqrt(N (b, b)), b the cone
+    base, and r > 1 - t exactly when c > C = (1 + (1 - t)^2) / (1 - (1 - t)^2).
+    One integer pairing with G b keeps the points with (p, b)^2 >= K N (b, b),
+    K = int(0.9 C^2); only these are mapped to the ball, in ray order.  A
+    point left out has c < 0.95 C, so 1 - r > 1.05 t, a gap no rounding of
+    the float test closes: the far points and every float are those of
+    mapping the whole orbit.
     """
     if depth < 1:
         raise InvalidParameter("depth must be >= 1")
+    if x.orientation != g.orientation:
+        raise DifferentAmbient("point and group live over different ambients")
     o = g.orientation
+    gb = linalg.mat_vec(o.lattice.gram, o.base)
+    s = (1.0 - LIMIT_RADIUS_TOL) ** 2
+    c_far = (1.0 + s) / (1.0 - s)
+    bound = int(0.9 * c_far * c_far) * o.lattice.norm(x.ray) * linalg.dot(o.base, gb)
+    dot = linalg.dot
     far = []
-    for pt in orbit(g, x, depth):
-        b = to_ball(o, pt)
+    for ray in sorted(p for p in _orbit_ball(g, x.ray, depth) if dot(p, gb) ** 2 >= bound):
+        b = to_ball(o, HyperboloidPoint(orientation=o, ray=ray))
         r = sum(v * v for v in b) ** 0.5
         if r > 1.0 - LIMIT_RADIUS_TOL:
             uncertainty = 2.0 * (2.0 * max(0.0, 1.0 - r)) ** 0.5
@@ -435,22 +455,29 @@ def chamber_walk(orientation: ConeOrientation, x, *, root_norm: int = -2,
     instead.  At most step_budget reflections are made, and the point they
     reach is tested too: `completed` says that it lies in the chamber.
     Budget exhaustion is flagged in the result, not raised; a negative
-    budget is refused.
+    budget is refused, and so is a root norm other than -2, the only norm
+    `reflection` reflects in.  Each step pairs x with the roots through one
+    product G x, a dot product per root.
     """
     if step_budget < 0:
         raise InvalidParameter("step budget must be >= 0")
+    if root_norm != -2:
+        raise InvalidParameter(f"chamber walks reflect in roots of norm -2, not {root_norm}")
     lat = orientation.lattice
     ray = tuple(x.ray if isinstance(x, HyperboloidPoint) else x)
     if lat.norm(ray) <= 0 or lat.pair(ray, orientation.base) <= 0:
         raise InvalidParameter("walk start must lie in the positive cone")
     roots = enumerate_norm_vectors(lat, root_norm, height)
     roots.sort(key=lambda r: (max(abs(c) for c in r), r))
-    if require_off_wall and any(lat.pair(ray, r) == 0 for r in roots):
+    dot = linalg.dot
+    gx = linalg.mat_vec(lat.gram, ray)
+    if require_off_wall and any(dot(gx, r) == 0 for r in roots):
         raise OnWall("start point lies on a reflection wall")
     word = []
     while True:
-        pick = next((r for r in roots if lat.pair(ray, r) < 0), None)
+        pick = next((r for r in roots if dot(gx, r) < 0), None)
         if pick is None or len(word) == step_budget:
             return WalkResult(point=ray, word=tuple(word), completed=pick is None)
         ray = tuple(reflection(orientation, pick).apply(ray))
+        gx = linalg.mat_vec(lat.gram, ray)
         word.append(pick)

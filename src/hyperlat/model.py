@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from . import linalg
-from .errors import (DifferentAmbient, InvalidParameter, NotInCone,
+from .errors import (BudgetExceeded, DifferentAmbient, InvalidParameter, NotInCone,
                      NotIsotropic, NotPrimitive, WrongSignature)
 from .forms import first_norm_vector
 from .lattice import GramLattice
@@ -203,15 +203,20 @@ def to_ball(orientation: ConeOrientation, obj) -> tuple[float, ...]:
     """Conformal ball coordinates of a point or boundary ray.
 
     The normalized cone base maps to the origin; boundary rays land on the
-    unit sphere.
+    unit sphere.  A ray whose frame coordinates do not fit in a float, such
+    as a deep point of a loxodromic orbit, raises BudgetExceeded.
     """
-    if isinstance(obj, HyperboloidPoint):
-        a = minkowski_coords(orientation, obj.ray)
-        s = math.sqrt(obj.norm)  # exact integer norm, one rounding
-        x0 = a[0] / s
-        return tuple(x / s / (1.0 + x0) for x in a[1:])
-    if isinstance(obj, BoundaryRay):
-        ray = obj.ray if obj.rational else [c.approx() for c in obj.ray]
-        a = minkowski_coords(orientation, ray)
-        return tuple(x / a[0] for x in a[1:])
+    try:
+        if isinstance(obj, HyperboloidPoint):
+            a = minkowski_coords(orientation, obj.ray)
+            s = math.sqrt(obj.norm)  # exact integer norm, one rounding
+            x0 = a[0] / s
+            return tuple(x / s / (1.0 + x0) for x in a[1:])
+        if isinstance(obj, BoundaryRay):
+            ray = obj.ray if obj.rational else [c.approx() for c in obj.ray]
+            a = minkowski_coords(orientation, ray)
+            return tuple(x / a[0] for x in a[1:])
+    except OverflowError:
+        raise BudgetExceeded("the ray's coordinates exceed the float range "
+                             "of the ball model") from None
     raise InvalidParameter(f"cannot map {type(obj).__name__} to the ball model")

@@ -19,11 +19,11 @@ numbers accumulate at 1).
 
 from __future__ import annotations
 
-from math import gcd, prod
+from math import gcd
 
 from _operator import mul
 
-from .linalg import bareiss_det, dot, factorize, identity_matrix, mat_mul, matrix_power
+from .linalg import bareiss_det, dot, identity_matrix, mat_mul, matrix_power
 from .record import memo
 
 # bisection steps bracket_largest_root_above may take before it gives up
@@ -270,9 +270,14 @@ def refine_bracket(p, bracket, eps_den: int) -> tuple[int, int, int]:
 
 # -- cyclotomic factors ---------------------------------------------------------
 
-@memo
-def euler_phi(n: int) -> int:
-    return prod((p - 1) * p ** (e - 1) for p, e in factorize(n))
+def _totients(top: int) -> list[int]:
+    """phi(d) for d = 0..top by one sieve: a prime p, met while phi(p) is
+    still p, takes a factor 1 - 1/p off phi of each of its multiples."""
+    phi = list(range(top + 1))
+    for p in range(2, top + 1):
+        if phi[p] == p:
+            phi[p::p] = [v - v // p for v in phi[p::p]]
+    return phi
 
 
 @memo
@@ -292,8 +297,8 @@ def cyclotomic(n: int) -> tuple[int, ...]:
 def _cyclotomic_candidates(n: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """(d, phi(d), Phi_d) for every order d with phi(d) <= n, increasing in
     d; phi(d) >= sqrt(d/2) forces d <= 2 n^2."""
-    return tuple((d, euler_phi(d), cyclotomic(d))
-                 for d in range(1, 2 * n * n + 3) if euler_phi(d) <= n)
+    phi = _totients(2 * n * n + 2)
+    return tuple((d, phi[d], cyclotomic(d)) for d in range(1, len(phi)) if phi[d] <= n)
 
 
 def _strip_cyclotomic(p) -> tuple[list[tuple[int, int]], list[int]]:

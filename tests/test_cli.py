@@ -501,7 +501,20 @@ DOMAIN_GROUPS = {
     "pell": ([[1, 0], [0, -2]], [[[3, 4], [2, 3]]]),
     "u-a2": ([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -2, 1], [0, 0, 1, -2]],
              [(0, 0, 1, 0), (0, 0, 0, 1), (1, -1, 0, 0)]),
+    "u-m2": ([[0, 1, 0], [1, 0, 0], [0, 0, -2]],
+             [(0, 0, 1), (1, -1, 0), (1, 0, 1), (0, 1, 1)]),
 }
+
+
+def _write_domain_group(tmp_path, name):
+    """{name}.json and {name}-group.json of one of DOMAIN_GROUPS."""
+    gram, gens = DOMAIN_GROUPS[name]
+    (tmp_path / f"{name}.json").write_text(json.dumps({"gram": gram}))
+    o = pick_cone(build_lattice(gram), None)
+    mats = [g if isinstance(g, list) else [list(r) for r in reflection(o, g).matrix]
+            for g in gens]
+    (tmp_path / f"{name}-group.json").write_text(
+        json.dumps({"generators": [{"matrix": m} for m in mats]}))
 
 
 # stdout sha1 of budget-10 Dirichlet domains and tiling checks: a double
@@ -519,18 +532,69 @@ DOMAIN_GROUPS = {
 ])
 def test_domain_report_bytes_are_pinned(tmp_path, argv, sha1):
     command, name, *rest = argv.split()
-    gram, gens = DOMAIN_GROUPS[name]
-    (tmp_path / f"{name}.json").write_text(json.dumps({"gram": gram}))
-    o = pick_cone(build_lattice(gram), None)
-    mats = [g if isinstance(g, list) else [list(r) for r in reflection(o, g).matrix]
-            for g in gens]
-    (tmp_path / f"{name}-group.json").write_text(
-        json.dumps({"generators": [{"matrix": m} for m in mats]}))
+    _write_domain_group(tmp_path, name)
     out = io.StringIO()
     with contextlib.chdir(tmp_path), contextlib.redirect_stdout(out):
         assert cli.main([command, "--lattice", f"{name}.json", "--group", f"{name}-group.json",
                          "--budget", "10", *rest]) == 0
     assert hashlib.sha1(out.getvalue().encode()).hexdigest() == sha1
+
+
+# stdout sha1 of limit samples and chamber walks, taken when every orbit point
+# was mapped to the ball and every root paired by a full Gram product: the
+# pairing prefilter and the walk through G x must leave every byte as it was.
+# Pell from (11,3) at depth 8 reaches a point just past the far threshold.
+@pytest.mark.parametrize("argv, sha1", [
+    ("limits pell --point=1,0 --depth 12", "db247ccf77924351fad520ed88662ab754df89cc"),
+    ("limits pell --point=11,3 --depth 8", "a18e74adbd17f2b33bc2137a20ac1d7e13534c58"),
+    ("limits u-m2 --point=3,5,1 --depth 9", "c325e244b2f4a323a21c63251a0569982f27b041"),
+    ("limits u-a2 --point=3,5,1,0 --depth 6", "1819af31668e64740a8a725106991a2ef11509af"),
+    ("limits u-a2-m2 --point=5,7,1,0,1 --depth 6",
+     "9656a462eb512c59c9d98e29b94981073c1d38ae"),
+    ("chamber-walk u-m2 --point=37,13,5 --height 6",
+     "7ebef8f74ad9fc88844801268d59301b03fc69fc"),
+    ("chamber-walk u-m2 --point=9,14,5 --height 1 --steps 1",
+     "cc245b33a0b53a77d194f1ba2a4bfd7e641c6878"),
+    ("chamber-walk u-a2-m2 --point=15,13,1,0,1 --v0=1,1,0,0,0 --height 3",
+     "5c3df233a9e4e25f956203597a1d8af5d66a89e9"),
+])
+def test_limit_and_walk_report_bytes_are_pinned(tmp_path, argv, sha1):
+    command, name, *rest = argv.split()
+    _write_domain_group(tmp_path, name)
+    group = [] if command == "chamber-walk" else ["--group", f"{name}-group.json"]
+    out = io.StringIO()
+    with contextlib.chdir(tmp_path), contextlib.redirect_stdout(out):
+        assert cli.main([command, "--lattice", f"{name}.json", *group, *rest]) == 0
+    assert hashlib.sha1(out.getvalue().encode()).hexdigest() == sha1
+
+
+@pytest.mark.parametrize("command", ["limits", "plot"])
+def test_orbit_points_beyond_floats_are_a_budget_error(files, command, capsys):
+    # the Pell orbit at depth 500 has coordinates near 10^383
+    argv = [command, "--lattice", "d12.json", "--group", "pell_group.json",
+            "--point=-1,0", "--depth", "500"]
+    if command == "plot":
+        argv += ["--out", "deep"]
+    with contextlib.chdir(files):
+        assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("budget error: the ray's coordinates exceed the float range "
+                            "of the ball model\n")
+    assert not list(files.glob("deep*"))
+
+
+@pytest.mark.parametrize("norm", ["0", "2", "-1", "-4"])
+def test_chamber_walk_refuses_a_norm_other_than_minus_two(files, norm, capsys, monkeypatch):
+    def no_search(*_args):
+        raise AssertionError("searched for roots")
+    monkeypatch.setattr("hyperlat.groups.enumerate_norm_vectors", no_search)
+    with contextlib.chdir(files):
+        assert cli.main(["chamber-walk", "--lattice", "um2.json", "--point=37,13,5",
+                         "--norm", norm]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: chamber walks reflect in roots of norm -2, not {norm}\n"
 
 
 def test_degenerate_lattice_rejected(files):

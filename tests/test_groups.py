@@ -788,3 +788,156 @@ def test_ray_satisfies_matches_the_pairing_definition():
                 assert cones.ray_satisfies(cone, ray, strict=strict) == want
                 outcomes.add((strict, want))
     assert len(outcomes) == 4
+
+
+# -- limit sampling and chamber walks by one integer pairing per candidate -------------
+
+def _old_limit_points_sample(g, x, depth):
+    """Oracle: the sampler that mapped every orbit point to the ball model."""
+    o = g.orientation
+    far = []
+    for pt in orbit(g, x, depth):
+        b = to_ball(o, pt)
+        r = sum(v * v for v in b) ** 0.5
+        if r > 1.0 - groups.LIMIT_RADIUS_TOL:
+            far.append((tuple(v / r for v in b), 2.0 * (2.0 * max(0.0, 1.0 - r)) ** 0.5))
+    parent = list(range(len(far)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(far)):
+        for j in range(i + 1, len(far)):
+            gap = sum((a - b) ** 2 for a, b in zip(far[i][0], far[j][0])) ** 0.5
+            if gap < groups.LIMIT_ANGLE_TOL + far[i][1] + far[j][1]:
+                parent[find(i)] = find(j)
+    clusters = {}
+    for i, (direction, _) in enumerate(far):
+        clusters.setdefault(find(i), []).append(direction)
+    out = []
+    for members in clusters.values():
+        mean = tuple(sum(v[i] for v in members) / len(members)
+                     for i in range(len(members[0])))
+        norm = sum(v * v for v in mean) ** 0.5
+        out.append(tuple(v / norm for v in mean))
+    return sorted(out)
+
+
+def _far_ratio(o, ray, p):
+    """c / C: c = (p, b) / sqrt(N (b, b)), whose ball radius is above
+    1 - LIMIT_RADIUS_TOL exactly when c exceeds C."""
+    s = (1.0 - groups.LIMIT_RADIUS_TOL) ** 2
+    lat = o.lattice
+    c = lat.pair(p, o.base) / (lat.norm(ray) * lat.norm(o.base)) ** 0.5
+    return c / ((1.0 + s) / (1.0 - s))
+
+
+# Pell basepoints with an orbit point of c within 10% of the far threshold C:
+# at 1.0001 C, 0.9901 C and 0.9502 C (mapped to the ball and tested in floats)
+# and at 0.9481 C and 0.9001 C (left out by the pairing)
+PELL_NEAR_FAR = [((11, 3), 8), ((15, 4), 8), ((29, 7), 8), ((25, 6), 8), ((29, 6), 8),
+                 ((16, 11), 7), ((4, 1), 8)]
+BENCH_LIMIT_CASES = [  # the groups, basepoints and depths of the benchmark's limits jobs
+    (PELL_GROUP, (1, 0), 12),
+    (_reflection_group("u-m2"), (3, 5, 1), 9),
+    (_reflection_group("u-a2"), (3, 5, 1, 0), 6),
+    (_reflection_group("u-a2-m2"), (5, 7, 1, 0, 1), 6),
+]
+LIMIT_CASES = (BENCH_LIMIT_CASES
+               + [(PELL_GROUP, ray, depth) for ray, depth in PELL_NEAR_FAR]
+               + [(PELL_GROUP, (3, 1), 10), (group(TRANSVECTION), (1, 1, 0), 1500),
+                  (group(MIRROR), (2, 3, 1), 6), (group(TRANSVECTION, MIRROR), (2, 3, 1), 30)]
+               + [(g, ray, 1 + case % 5) for case, (g, ray) in enumerate(ORBIT_CASES)])
+
+
+@pytest.mark.parametrize("g, ray, depth", LIMIT_CASES)
+def test_limit_sampling_matches_mapping_every_orbit_point(g, ray, depth):
+    x = point_from_ray(g.orientation, ray)
+    assert limit_points_sample(g, x, depth) == _old_limit_points_sample(g, x, depth)
+
+
+def test_near_far_pell_cases_straddle_the_threshold():
+    ratios = [max(_far_ratio(O_D12, ray, p) for p in _orbit_ball(PELL_GROUP, ray, depth))
+              for ray, depth in PELL_NEAR_FAR]
+    assert all(0.9 <= r <= 1.1 for r in ratios)
+    assert any(r < 0.948 for r in ratios)  # left out by the pairing
+    assert any(0.95 < r < 1 for r in ratios)  # mapped to the ball, not far
+    assert any(r > 1 for r in ratios)  # far
+
+
+@pytest.mark.parametrize("g, ray, depth", BENCH_LIMIT_CASES + [(PELL_GROUP, (11, 3), 8)])
+def test_limit_sampling_maps_only_the_points_that_pass_the_pairing(g, ray, depth,
+                                                                   monkeypatch):
+    mapped = []
+    monkeypatch.setattr(groups, "to_ball",
+                        lambda o, pt: mapped.append(pt.ray) or to_ball(o, pt))
+    o = g.orientation
+    limit_points_sample(g, point_from_ray(o, ray), depth)
+    s = (1.0 - groups.LIMIT_RADIUS_TOL) ** 2
+    bound = int(0.9 * ((1.0 + s) / (1.0 - s)) ** 2) * o.lattice.norm(ray) \
+        * o.lattice.norm(o.base)
+    passing = sorted(p for p in _orbit_ball(g, ray, depth)
+                     if o.lattice.pair(p, o.base) ** 2 >= bound)
+    assert mapped == passing
+    assert all(_far_ratio(o, ray, p) > 0.948 for p in mapped)
+    if g is not PELL_GROUP:
+        assert mapped == []  # no reflection-group point of the benchmark is far
+
+
+def _old_chamber_walk(orientation, ray, height, step_budget, require_off_wall):
+    """Oracle: the walk that paired the point with each root by `lat.pair`."""
+    lat = orientation.lattice
+    roots = enumerate_norm_vectors(lat, -2, height)
+    roots.sort(key=lambda r: (max(abs(c) for c in r), r))
+    if require_off_wall and any(lat.pair(ray, r) == 0 for r in roots):
+        raise OnWall("start point lies on a reflection wall")
+    word = []
+    while True:
+        pick = next((r for r in roots if lat.pair(ray, r) < 0), None)
+        if pick is None or len(word) == step_budget:
+            return ray, tuple(word), pick is None
+        ray = tuple(reflection(orientation, pick).apply(ray))
+        word.append(pick)
+
+
+def _walk_tuple(result):
+    return result.point, result.word, result.completed
+
+
+def _walk_outcome(walk):
+    try:
+        return walk()
+    except OnWall:
+        return "on wall"
+
+
+def test_chamber_walk_matches_pairing_each_root_on_random_starts():
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(120):
+        o = rng.choice([O_UM2, O_UA2, O_UA2M2])
+        lat = o.lattice
+        ray = tuple(rng.randint(-9, 30) for _ in range(lat.rank))
+        if lat.norm(ray) <= 0 or lat.pair(ray, o.base) <= 0:
+            continue
+        height = rng.randint(1, 3 if lat.rank == 5 else 5)
+        steps = rng.choice([0, 1, 3, 100])
+        for strict in (False, True):
+            got = _walk_outcome(lambda: _walk_tuple(chamber_walk(
+                o, ray, height=height, step_budget=steps, require_off_wall=strict)))
+            want = _walk_outcome(lambda: _old_chamber_walk(o, ray, height, steps, strict))
+            assert got == want
+            seen.add("on wall" if got == "on wall" else (len(got[1]) > 1, got[2]))
+    assert seen == {"on wall", (False, True), (True, True), (True, False), (False, False)}
+
+
+@pytest.mark.parametrize("norm", [0, 2, -1, -4])
+def test_chamber_walk_refuses_norms_it_cannot_reflect_in(norm, monkeypatch):
+    def no_search(*_args):
+        raise AssertionError("searched for roots")
+    monkeypatch.setattr(groups, "enumerate_norm_vectors", no_search)
+    with pytest.raises(InvalidParameter, match=f"norm -2, not {norm}$"):
+        chamber_walk(O_UM2, (37, 13, 5), root_norm=norm, height=6)

@@ -9,7 +9,8 @@ are sympy's RREF rows.  The `Fraction` Gauss-Jordan elimination that
 `row_echelon` replaced is kept here, checked against sympy, and so is the
 `Fraction` congruence diagonalization that the Bareiss `congruence_diagonal`
 replaced.  The integer `factorize` and everything derived from it are
-compared with the trial-division loops they replaced.
+compared with the trial-division loops they replaced, and the totient
+sieve behind the cyclotomic candidates with the loop it replaced.
 """
 
 import random
@@ -24,7 +25,7 @@ from hyperlat.forms import _square_divisors, squarefree_int
 from hyperlat.linalg import (congruence_diagonal, divisors, factorize, identity_matrix,
                              kernel_basis, mat_mul, mat_vec, matrix_power,
                              primitive_vector, rank, row_basis, row_echelon)
-from hyperlat.polynomials import euler_phi
+from hyperlat.polynomials import _cyclotomic_candidates, _totients, cyclotomic
 
 
 def _low_rank(rng, nrows, ncols, r, spread=5):
@@ -269,9 +270,23 @@ def test_factorization_and_what_derives_from_it_match_the_old_loops():
         assert _square_divisors(n) == [d for d in range(1, isqrt(abs(n)) + 1)
                                        if n % (d * d) == 0], n
         if n > 0:
-            assert euler_phi(n) == _old_euler_phi(n)
             small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
             assert divisors(n) == sorted(set(small + [n // d for d in small]))
+
+
+def test_totient_sieve_matches_the_old_loop():
+    phi = _totients(5000)
+    assert phi[0] == 0
+    assert phi[1:] == [_old_euler_phi(n) for n in range(1, 5001)]
+    assert _totients(0) == [0] and _totients(1) == [0, 1]
+
+
+def test_cyclotomic_candidates_match_the_per_order_construction():
+    # the table as it was built with one totient per order
+    for n in range(21):
+        want = tuple((d, _old_euler_phi(d), cyclotomic(d))
+                     for d in range(1, 2 * n * n + 3) if _old_euler_phi(d) <= n)
+        assert _cyclotomic_candidates(n) == want
 
 
 # -- the Bareiss congruence diagonal against the Fraction elimination it replaced ----
