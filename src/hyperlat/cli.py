@@ -24,7 +24,7 @@ from .criteria import (convex_cocompact_rank5_family, entropy_report, k3_report,
                        uniform_lattice_family)
 from .errors import BudgetError, HyperlatError, InputError, InvalidParameter
 from .forms import enumerate_norm_vectors, rational_isotropy, root_existence
-from .groups import (FGGroup, chamber_walk, dirichlet_domain,
+from .groups import (FGGroup, _limit_directions, chamber_walk, dirichlet_domain,
                      limit_points_sample, orbit, tiling_check)
 from .isometry import Isometry, entropy, fixed_boundary_points, make_isometry
 from .lattice import GramLattice, build_lattice
@@ -417,7 +417,9 @@ def cmd_plot(args):
     pts = orbit(grp, x, args.depth)
     tagged = [(to_ball(o, p), "orbit") for p in pts]
     tagged.append((to_ball(o, x), "basepoint"))
-    for d in limit_points_sample(grp, x, args.depth):
+    if args.depth < 1:  # refused as limit_points_sample refuses it
+        raise InvalidParameter("depth must be >= 1")
+    for d in _limit_directions(o, x.ray, [p.ray for p in pts]):  # the orbit's one search
         tagged.append((d, "limit"))
     csv_text = ball_csv(tagged, digits=args.precision)
     _write(args.out + ".csv", csv_text)

@@ -8,7 +8,10 @@ first twice: `elements_up_to` deduplicates elements by exact matrix and
 caps their count; `_orbit_ball`, behind orbits and Dirichlet domains,
 deduplicates the points w.x by exact ray and caps their count.  Both apply
 each letter only through the rows where it differs from the identity, and
-both take the letters from the group, which forms them once.
+both take the letters from the group, which forms them once.  The point
+search also marks on each point the letters known to lead to a seen point
+(the inverse of every letter that reached it) and skips them: they could
+only find known points, so no point is met in another order.
 Limit sampling keeps the far points of an orbit by one integer pairing
 with the cone base: a point p of norm N has ball radius r with
 r^2 = (c - 1) / (c + 1), c = (p, b) / sqrt(N (b, b)), so only the points
@@ -18,6 +21,8 @@ points, enter the double description unscaled.  Tiling checks draw the
 points inside a domain as positive integer combinations of its rays and
 the points of the whole positive cone as integer rays in a box; both take
 their integers from randint's draws, the same generator calls made in bulk.
+A sample y is tested against an element E's translate of the domain by the
+facet functionals pulled back once per element, (G w, E y) = (E^t G w) . y.
 """
 
 from __future__ import annotations
@@ -29,10 +34,10 @@ from _random import Random
 
 from . import linalg
 from .cones import PolyhedralCone, irredundant_halfspaces, ray_satisfies
-from .errors import (BudgetExceeded, DifferentAmbient, FixedBasepoint,
+from .errors import (BudgetExceeded, DifferentAmbient, DimensionMismatch, FixedBasepoint,
                      InvalidParameter, OnWall)
 from .forms import enumerate_norm_vectors
-from .isometry import Isometry, reflection
+from .isometry import Isometry
 from .lattice import GramLattice
 from .model import ConeOrientation, HyperboloidPoint, point_from_ray, to_ball
 from .record import Record, cached_property, replace
@@ -180,36 +185,44 @@ def _orbit_ball(g: FGGroup, ray, depth: int) -> list:
     order in which `elements_up_to` first reaches an element g with
     g^-1 x = p: the outer letter of g^-1 x is the inverse of the first
     letter the element search adds.  Looping over the letters by inverse
-    index, then over q, meets each point first at its least key.  The
-    letter that undoes the one that first reached q is skipped, since it
-    leads back to a known point.  ORBIT_CAP counts distinct points, x
-    included.
+    index, then over q, meets each point first at its least key.  Each
+    point keeps a mask of the letters known to lead to a seen point: when
+    letter k maps q to p, new or not, p gets the bit of k's inverse, which
+    maps it back to q, and a candidate whose letter's bit is set on its
+    point is skipped.  The letter that undoes the one that first reached q
+    is one such back-edge.  A skipped candidate lands on a seen point, so
+    the order in which new points are met, the points and the cap are
+    those of evaluating every candidate.  ORBIT_CAP counts distinct
+    points, x included.
     """
     cap = ORBIT_CAP
     mats, _labels, inv_idx = g.letters
     x = tuple(ray)
     moves = _moved_rows(mats)
     dot = linalg.dot
-    seen = {x: None}  # insertion-ordered
-    level = [(x, None)]  # (point, index of the letter that first reached it)
+    seen = {x: 0}  # insertion-ordered: point -> mask of its known back-edges
+    level = [x]
     for _ in range(depth):
         fresh = []
         for a in range(len(mats)):
             k = inv_idx[a]
             move = moves[k]
-            for q, last in level:
-                if last == a:
-                    continue  # letter k undoes letter a, which made q
+            bit, back = 1 << k, 1 << a
+            for q in level:
+                if seen[q] & bit:
+                    continue  # k.q is a seen point
                 p = list(q)
                 for i, row in move:
                     p[i] = dot(row, q)
                 p = tuple(p)
-                if p in seen:
+                mask = seen.get(p)
+                if mask is not None:
+                    seen[p] = mask | back
                     continue
                 if len(seen) >= cap:
                     raise BudgetExceeded(f"orbit cap {cap} hit during orbit search")
-                seen[p] = None
-                fresh.append((p, k))
+                seen[p] = back
+                fresh.append(p)
         level = fresh
     return list(seen)
 
@@ -250,14 +263,19 @@ def limit_points_sample(g: FGGroup, x: HyperboloidPoint, depth: int) -> list[tup
         raise InvalidParameter("depth must be >= 1")
     if x.orientation != g.orientation:
         raise DifferentAmbient("point and group live over different ambients")
-    o = g.orientation
+    return _limit_directions(g.orientation, x.ray, _orbit_ball(g, x.ray, depth))
+
+
+def _limit_directions(o: ConeOrientation, x_ray, rays) -> list[tuple[float, ...]]:
+    """`limit_points_sample` of the orbit points `rays` of x_ray, in any
+    order: the pairing filter, the ball map and the clustering."""
     gb = linalg.mat_vec(o.lattice.gram, o.base)
     s = (1.0 - LIMIT_RADIUS_TOL) ** 2
     c_far = (1.0 + s) / (1.0 - s)
-    bound = int(0.9 * c_far * c_far) * o.lattice.norm(x.ray) * linalg.dot(o.base, gb)
+    bound = int(0.9 * c_far * c_far) * o.lattice.norm(x_ray) * linalg.dot(o.base, gb)
     dot = linalg.dot
     far = []
-    for ray in sorted(p for p in _orbit_ball(g, x.ray, depth) if dot(p, gb) ** 2 >= bound):
+    for ray in sorted(p for p in rays if dot(p, gb) ** 2 >= bound):
         b = to_ball(o, HyperboloidPoint(orientation=o, ray=ray))
         r = sum(v * v for v in b) ** 0.5
         if r > 1.0 - LIMIT_RADIUS_TOL:
@@ -415,15 +433,24 @@ def tiling_check(cone: PolyhedralCone, g: FGGroup, samples: int, word_budget: in
     `sample_cone_points` on seed + 1.  Fewer than one sample, or a negative
     word budget, is refused: either would report a pass that checked
     nothing.
+
+    A translate E y meets a facet functional f = G w as f . E y = (E^t f) . y,
+    so each element's functionals are pulled back once, as the rows of F E
+    for the functionals' matrix F, and each (sample, element) pair costs at
+    most one dot product per facet.  A cone over a lattice of another rank
+    than the group's is refused.
     """
     o = g.orientation
-    elems = [e for e, _ in elements_up_to(g, word_budget)[1:]]
-    # the word ball is closed under inversion: some g^-1 moves pt inside iff some g does
-    overlaps = sum(any(ray_satisfies(cone, e.apply(pt.ray), strict=True) for e in elems)
-                   for pt in sample_domain_points(cone, samples, seed))
-    unreachable = sum(not ray_satisfies(cone, pt.ray)
-                      and not any(ray_satisfies(cone, e.apply(pt.ray)) for e in elems)
-                      for pt in sample_cone_points(o, samples, seed + 1))
+    if cone.lattice.rank != o.lattice.rank:
+        raise DimensionMismatch(f"vectors must have length {o.lattice.rank}")
+    fns = cone.functionals
+    pulled = [linalg.mat_mul(fns, e.matrix) for e, _ in elements_up_to(g, word_budget)[1:]]
+    # the word ball is closed under inversion: some g^-1 moves y inside iff some g does
+    overlaps = sum(any(all(sum(map(mul, f, y)) > 0 for f in fs) for fs in pulled)
+                   for y in (pt.ray for pt in sample_domain_points(cone, samples, seed)))
+    unreachable = sum(not ray_satisfies(cone, y)
+                      and not any(all(sum(map(mul, f, y)) >= 0 for f in fs) for fs in pulled)
+                      for y in (pt.ray for pt in sample_cone_points(o, samples, seed + 1)))
     return {
         "samples": samples,
         "word_budget": word_budget,
@@ -478,6 +505,7 @@ def chamber_walk(orientation: ConeOrientation, x, *, root_norm: int = -2,
         pick = next((r for r in roots if dot(gx, r) < 0), None)
         if pick is None or len(word) == step_budget:
             return WalkResult(point=ray, word=tuple(word), completed=pick is None)
-        ray = tuple(reflection(orientation, pick).apply(ray))
+        c = dot(gx, pick)
+        ray = tuple([v + c * r for v, r in zip(ray, pick)])  # the reflection v + (v, r) r
         gx = linalg.mat_vec(lat.gram, ray)
         word.append(pick)

@@ -6,8 +6,9 @@ is pure and allocation-cheap at desk scale (rank <= ~10); no floating point.
 Everything is fraction-free, in Python ints.  `row_basis` is the one row
 reduction; `rank`, `row_echelon` (an integer reduced echelon basis) and
 `kernel_basis` are read off it.  `congruence_diagonal` is a Bareiss
-elimination, cached per lattice as `GramLattice.congruence_diagonal`, and
-`gram_schmidt_frame` holds each vector as integers over one denominator.
+elimination, cached per lattice as `GramLattice.congruence_diagonal`;
+`adjugate` is one fraction-free Gauss-Jordan elimination of [M | I] and
+refuses a singular M; `gram_schmidt_frame` holds each vector as integers over one denominator.
 Rational input (anything with `numerator` and `denominator`) has its
 denominators cleared first.
 """
@@ -115,14 +116,34 @@ def bareiss_det(mat) -> int:
 
 
 def adjugate(mat) -> IntMat:
-    """Transposed cofactor matrix of an integer matrix: adj(M) M = det(M) I."""
+    """Transposed cofactor matrix of a nonsingular integer matrix:
+    adj(M) M = det(M) I.
+
+    One fraction-free Gauss-Jordan elimination of [M | I]: step k divides
+    every entry exactly by the previous pivot, the left block ends as
+    det(P M) I for the row swaps P, and the right block as det(P M) M^-1,
+    which is adj(M) times the sign of P.  A singular M has no pivot at
+    some step and raises ArithmeticError.
+    """
     n = len(mat)
-    if n == 1:
-        return ((1,),)
-    minors = [[[r[:j] + r[j + 1:] for r in mat[:i] + mat[i + 1:]] for j in range(n)]
-              for i in range(n)]
-    return tuple(tuple((-1) ** (i + j) * bareiss_det(minors[j][i]) for j in range(n))
-                 for i in range(n))
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    sign, prev = 1, 1
+    for k in range(n):
+        if a[k][k] == 0:
+            i = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if i is None:
+                raise ArithmeticError("singular matrix has no adjugate by elimination")
+            a[k], a[i] = a[i], a[k]
+            sign = -sign
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                row = a[i]
+                c = row[k]
+                a[i] = [(x * pivot - c * y) // prev for x, y in zip(row, pivot_row)]
+        prev = pivot
+    return tuple(tuple(x * sign for x in row[n:]) for row in a)
 
 
 def clear_denominators(v) -> list[int]:

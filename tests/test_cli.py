@@ -15,8 +15,8 @@ import time
 
 import pytest
 
-from hyperlat import (FGGroup, build_lattice, cli, direct_sum, eichler_transvection, linalg,
-                      pick_cone, reflection, standard_lattice)
+from hyperlat import (FGGroup, build_lattice, cli, direct_sum, eichler_transvection, groups,
+                      linalg, pick_cone, reflection, standard_lattice)
 from hyperlat.groups import elements_up_to
 from hyperlat.isometry import LOXODROMIC, _classify_charpoly
 
@@ -566,6 +566,33 @@ def test_limit_and_walk_report_bytes_are_pinned(tmp_path, argv, sha1):
     with contextlib.chdir(tmp_path), contextlib.redirect_stdout(out):
         assert cli.main([command, "--lattice", f"{name}.json", *group, *rest]) == 0
     assert hashlib.sha1(out.getvalue().encode()).hexdigest() == sha1
+
+
+# sha1 of the CSV and SVG that plot writes, taken when plot ran the orbit search
+# once for the orbit points and again for the limit directions: one search
+# must leave both files as they were.  Pell from (1,0) at depth 12 has two
+# limit directions, from (11,3) at depth 8 one, and the U+<-2> group none.
+@pytest.mark.parametrize("argv, csv_sha1, svg_sha1", [
+    ("pell --point=1,0 --depth 12", "429ebf8955e380c9a110227df4e7a80ad0c7fe08",
+     "ae2910bf2739f22408030f540143bde8f6b91c9b"),
+    ("pell --point=11,3 --depth 8", "f708f59c5a0f551f2bfc32ab2272ff96a76a5444",
+     "ae7d78ae44f59aad12e4fdb4c863b960e046f568"),
+    ("u-m2 --point=3,5,1 --depth 5", "903e5d12b7e86909e65762f289c7ada16350476b",
+     "c6a3a09e7c85743d05949fcb34d851005dfab580"),
+])
+def test_plot_files_are_pinned(tmp_path, argv, csv_sha1, svg_sha1, monkeypatch):
+    name, *rest = argv.split()
+    _write_domain_group(tmp_path, name)
+    searches = []
+    real_search = groups._orbit_ball
+    monkeypatch.setattr(groups, "_orbit_ball",
+                        lambda *a: searches.append(a) or real_search(*a))
+    with contextlib.chdir(tmp_path), contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["plot", "--lattice", f"{name}.json", "--group", f"{name}-group.json",
+                         *rest, "--out", "p"]) == 0
+    assert len(searches) == 1
+    assert hashlib.sha1((tmp_path / "p.csv").read_bytes()).hexdigest() == csv_sha1
+    assert hashlib.sha1((tmp_path / "p.svg").read_bytes()).hexdigest() == svg_sha1
 
 
 @pytest.mark.parametrize("command", ["limits", "plot"])

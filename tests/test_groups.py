@@ -10,8 +10,9 @@ from hyperlat import (build_lattice, chamber_walk, cones, dirichlet_domain,
                       group, groups, limit_points_sample, linalg, make_isometry, orbit,
                       pick_cone, point_from_ray, polytope_hypothesis_check, rank1,
                       reflection, standard_lattice, tiling_check)
-from hyperlat.cones import PolyhedralCone
-from hyperlat.errors import BudgetExceeded, FixedBasepoint, InvalidParameter, OnWall
+from hyperlat.cones import PolyhedralCone, ray_satisfies
+from hyperlat.errors import (BudgetExceeded, DimensionMismatch, FixedBasepoint,
+                             InvalidParameter, OnWall)
 from hyperlat.groups import _orbit_ball, elements_up_to, sample_cone_points
 from hyperlat.model import to_ball
 from hyperlat.record import replace
@@ -168,6 +169,60 @@ def test_tiling_negative_controls():
     enlarged = cone_from_halfspaces(D12, [(1, -1)], orientation=O_D12)
     report2 = tiling_check(enlarged, PELL_GROUP, 100, 8, seed=0)
     assert report2["overlap_count"] > 0
+
+
+def _old_tiling_check(cone, g, samples, word_budget, *, seed=0):
+    """Oracle: the tiling check that applied every element to every sample."""
+    elems = [e for e, _ in elements_up_to(g, word_budget)[1:]]
+    overlaps = sum(any(ray_satisfies(cone, e.apply(pt.ray), strict=True) for e in elems)
+                   for pt in groups.sample_domain_points(cone, samples, seed))
+    unreachable = sum(not ray_satisfies(cone, pt.ray)
+                      and not any(ray_satisfies(cone, e.apply(pt.ray)) for e in elems)
+                      for pt in sample_cone_points(g.orientation, samples, seed + 1))
+    return overlaps, unreachable
+
+
+TILED_DOMAINS = [  # (group, basepoint ray, Dirichlet budget, check budget)
+    (lambda: PELL_GROUP, (1, 0), 6, 8),
+    (lambda: _reflection_group("u-m2"), (3, 5, 1), 5, 4),
+    (lambda: _reflection_group("u-a2"), (3, 5, 1, 0), 5, 3),
+    (lambda: _reflection_group("u-a2-m2"), (5, 7, 1, 0, 1), 10, 3),
+]
+
+
+@pytest.mark.parametrize("make_group, ray, budget, check_budget", TILED_DOMAINS)
+def test_tiling_by_pulled_back_facets_matches_applying_each_element(
+        make_group, ray, budget, check_budget):
+    g = make_group()
+    dom = dirichlet_domain(g, point_from_ray(g.orientation, ray), budget)
+    outcomes = set()
+    for samples in (1, 5, 20):
+        for seed in (0, 1, 7):
+            report = tiling_check(dom, g, samples, check_budget, seed=seed)
+            got = report["overlap_count"], report["unreachable_count"]
+            assert got == _old_tiling_check(dom, g, samples, check_budget, seed=seed)
+            outcomes.add(got != (0, 0))
+    # the Pell domain tiles; each reflection group's domain fails some check
+    assert outcomes == {False} if g is PELL_GROUP else True in outcomes
+
+
+def test_tiling_of_shrunk_and_enlarged_domains_matches_applying_each_element():
+    shrunk = cone_from_halfspaces(D12, [(1, -1), (1, 1), (0, -1)], orientation=O_D12)
+    enlarged = cone_from_halfspaces(D12, [(1, -1)], orientation=O_D12)
+    counts = []
+    for cone in (shrunk, enlarged):
+        for samples, seed in ((1, 0), (5, 3), (20, 1), (100, 0)):
+            report = tiling_check(cone, PELL_GROUP, samples, 8, seed=seed)
+            got = report["overlap_count"], report["unreachable_count"]
+            assert got == _old_tiling_check(cone, PELL_GROUP, samples, 8, seed=seed)
+            counts.append(got)
+    assert counts[3][1] > 0 and counts[7][0] > 0  # the negative controls' counts
+
+
+def test_tiling_check_refuses_a_cone_of_another_rank():
+    dom = dirichlet_domain(PELL_GROUP, point_from_ray(O_D12, (1, 0)), 3)
+    with pytest.raises(DimensionMismatch, match="length 3"):
+        tiling_check(dom, group(MIRROR), 5, 2)
 
 
 def test_chamber_walk_already_inside():
@@ -705,9 +760,26 @@ def test_orbit_ball_evaluates_a_letter_at_its_non_identity_rows(monkeypatch):
     monkeypatch.setattr(linalg, "mat_vec", lambda *a: rows.append("mat_vec"))
     points = _orbit_ball(g, (2, 3, 1), 3)
     assert points == [(2, 3, 1), (2, 3, -1), (3, 2, 1), (3, 2, -1)]
-    # candidates: the mirror twice, the swap three times (the last two find
-    # known points); no identity row is evaluated and no matrix applied
-    assert sorted(rows) == [(0, 0, -1)] * 2 + [(0, 1, 0)] * 3 + [(1, 0, 0)] * 3
+    # candidates: the mirror and the swap twice each, on x and on the point
+    # the other letter reached; the swap of (2, 3, -1) finds the known
+    # (3, 2, -1) and marks its swap back, so at depth 3 both letters of
+    # (3, 2, -1) are known back-edges; no identity row is evaluated and no
+    # matrix applied
+    assert sorted(rows) == [(0, 0, -1)] * 2 + [(0, 1, 0)] * 2 + [(1, 0, 0)] * 2
+
+
+def test_orbit_ball_skips_known_back_edges_on_the_benchmark_group(monkeypatch):
+    # the rank-5 reflection group of the benchmark's Dirichlet jobs: with
+    # only the undo of each point's first letter skipped, the search
+    # evaluated 3186 letter rows; the back-edge masks leave 2205
+    g = _reflection_group("u-a2-m2")
+    g.letters
+    want = _orbit_ball(g, (5, 7, 1, 0, 1), 10)
+    rows = []
+    real_dot = linalg.dot
+    monkeypatch.setattr(linalg, "dot", lambda u, v: rows.append(None) or real_dot(u, v))
+    assert _orbit_ball(g, (5, 7, 1, 0, 1), 10) == want
+    assert (len(want), len(rows)) == (744, 2205)
 
 
 def test_domain_with_lineality_pins_its_vrep():

@@ -41,6 +41,48 @@ def test_adjugate_against_sympy(n):
         assert [list(row) for row in adj] == sympy.Matrix(gram).adjugate().tolist()
 
 
+def _cofactor_adjugate(mat):
+    """Oracle: adj(M)[i][j] = (-1)^(i+j) times the Bareiss determinant of
+    M without row j and column i."""
+    n = len(mat)
+    if n == 1:
+        return ((1,),)
+    return tuple(tuple((-1) ** (i + j) * bareiss_det(
+        [r[:i] + r[i + 1:] for r in mat[:j] + mat[j + 1:]]) for j in range(n))
+        for i in range(n))
+
+
+def _random_nonsingular(rng, n):
+    while True:
+        mat = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
+        if bareiss_det(mat) != 0:
+            return mat
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_adjugate_by_elimination_matches_the_cofactors(n):
+    # general and symmetric matrices, and a weighted reversal, whose
+    # elimination swaps rows at every step but the middle one
+    rng = random.Random(2000 + n)
+    reversal = tuple(tuple(i + 1 if i + j == n - 1 else 0 for j in range(n))
+                     for i in range(n))
+    mats = [_random_nonsingular(rng, n), _random_symmetric(rng, n), reversal]
+    for mat in mats:
+        adj = adjugate(mat)
+        assert adj == _cofactor_adjugate(mat)
+        det = bareiss_det(mat)
+        scalar = tuple(tuple(det * x for x in row) for row in identity_matrix(n))
+        assert mat_mul(adj, mat) == scalar == mat_mul(mat, adj)
+
+
+@pytest.mark.parametrize("mat", [((0,),), ((1, 2), (2, 4)), ((0, 0), (0, 0)),
+                                 ((1, 2, 3), (4, 5, 6), (7, 8, 9)),
+                                 ((0, 1, 0), (0, 0, 1), (0, 0, 0))])
+def test_adjugate_refuses_a_singular_matrix(mat):
+    with pytest.raises(ArithmeticError, match="singular"):
+        adjugate(mat)
+
+
 def _root_reflections(lat):
     """Reflections in the roots (1,-1,0..), (0,0,e_i), (1,0,e_1), (0,1,e_k)."""
     n = lat.rank
