@@ -8,7 +8,8 @@ reduction; `rank`, `row_echelon` (an integer reduced echelon basis) and
 `kernel_basis` are read off it.  `congruence_diagonal` is a Bareiss
 elimination, cached per lattice as `GramLattice.congruence_diagonal`;
 `adjugate` is one fraction-free Gauss-Jordan elimination of [M | I] and
-refuses a singular M; `gram_schmidt_frame` holds each vector as integers over one denominator.
+refuses a singular M; `gram_schmidt_frame` holds each vector as integers
+over one denominator.
 Rational input (anything with `numerator` and `denominator`) has its
 denominators cleared first.
 """
