@@ -46,8 +46,8 @@ _scan = make_scanner(_DecoderSettings)
 
 def load_json(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:  # missing, unreadable, or not UTF-8
         raise InputError(f"cannot read {path}: {exc}") from None
     body = text.strip(" \t\n\r")  # the whitespace JSON allows around a value
@@ -57,6 +57,8 @@ def load_json(path: str) -> dict:
         end = None
     if end != len(body):  # json.loads(text) raises; it names the fault and where
         import json
+        # as a text-mode read would see it, so line and column count the same
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -4,7 +4,8 @@ Three engines, stacked by root_existence:
 
 * bounded box enumeration with per-coordinate interval pruning, a
   penultimate coordinate confined to where a real last one exists (when
-  the trailing 2x2 block is definite) and a solved last coordinate,
+  the trailing 2x2 block is definite) and a last coordinate solved inside
+  the penultimate level's loop,
 * exhaustive residue scans over one modulus ladder, run only inside
   root_existence, with the last residue coordinate tested inline; a
   congruence certificate has one (modulus, norm) part per square class of
@@ -40,23 +41,27 @@ DEFAULT_WITNESS_HEIGHT = 8
 # -- box enumeration -----------------------------------------------------------
 
 def _norm_bounds_by_depth(gram, height):
-    """(lo, hi) bounds of sum_{i,j>=k} g_ij v_i v_j over the box, per depth k."""
+    """(lo, hi) bounds of sum_{i,j>=k} g_ij v_i v_j over the box, per depth k.
+
+    One suffix pass: depth k adds row k's diagonal and off-diagonal terms to
+    the bounds of depth k + 1.
+    """
     n = len(gram)
     h2 = height * height
-    bounds = []
-    for k in range(n + 1):
-        lo = hi = 0
-        for i in range(k, n):
-            gii = gram[i][i]
-            if gii >= 0:
-                hi += gii * h2
-            else:
-                lo += gii * h2
-            for j in range(i + 1, n):
-                spread = 2 * abs(gram[i][j]) * h2
-                lo -= spread
-                hi += spread
+    lo = hi = 0
+    bounds = [(0, 0)]
+    for k in range(n - 1, -1, -1):
+        row = gram[k]
+        gkk = row[k]
+        if gkk >= 0:
+            hi += gkk * h2
+        else:
+            lo += gkk * h2
+        spread = 2 * h2 * sum(abs(x) for x in row[k + 1:])
+        lo -= spread
+        hi += spread
         bounds.append((lo, hi))
+    bounds.reverse()
     return bounds
 
 
@@ -77,6 +82,12 @@ def _level_roots(g, l, c, lo, hi):
                    if r == 0 and lo <= t <= hi})
 
 
+def _over_budget(m, height, tested, count):
+    return BudgetExceeded(
+        f"box enumeration (norm {m}, height {height}): {tested} candidates "
+        f"tested, the next {count} would exceed the budget of {ENUM_CAP}")
+
+
 def _scan_box(gram, m, height, *, tested=0, first=False, accept=None):
     """DFS over canonical representatives (first nonzero coordinate > 0).
 
@@ -85,72 +96,89 @@ def _scan_box(gram, m, height, *, tested=0, first=False, accept=None):
     coordinate values tried.  The last coordinate is solved, not scanned:
     once the others are fixed the norm is a quadratic in it, so its at most
     two integer roots (every value, when the quadratic vanishes) come out
-    in increasing order and the level counts as one candidate.  When the
-    trailing 2x2 block is definite, the penultimate coordinate s runs only
-    over the integer interval where that quadratic has a real root (its
-    discriminant, a concave quadratic in s, is >= 0; Fincke-Pohst's bound
-    on the last two coordinates), and a node whose interval is empty
-    returns at once.  Every level but the last counts its whole canonical
-    range on entry, however much of it is then pruned or narrowed away.
-    `accept` filters hits; with first=True the scan stops at the first
-    accepted hit, which is then the lex-first one.  Raises BudgetExceeded
-    before more than ENUM_CAP candidates are tried.
+    in increasing order and the solve counts as one candidate.  The solve
+    runs inside the penultimate level's loop, one per surviving value of
+    the penultimate coordinate s, with no DFS frame of its own.  When the
+    trailing 2x2 block is definite, s runs only over the integer interval
+    where that quadratic has a real root (its discriminant, a concave
+    quadratic in s, is >= 0; Fincke-Pohst's bound on the last two
+    coordinates), and a node whose interval is empty returns at once.
+    Every level but the last counts its whole canonical range on entry,
+    however much of it is then pruned or narrowed away.  `accept` filters
+    hits; with first=True the scan stops at the first accepted hit, which
+    is then the lex-first one.  Raises BudgetExceeded before more than
+    ENUM_CAP candidates are tried.
     """
     if height < 1:
         raise InvalidParameter("height must be >= 1")
     cap = ENUM_CAP
     n = len(gram)
     last = n - 1
-    pen = last - 1
     glast = gram[last][last]
-    # a definite trailing 2x2 block (det2 > 0) narrows the penultimate level;
-    # at rank 1, pen wraps to the last index and det2 is 0
+    out = []
+    if n == 1:
+        if tested >= cap:
+            raise _over_budget(m, height, tested, 1)
+        for t in _level_roots(glast, 0, -m, 1, height):
+            if accept is None or accept((t,)):
+                out.append((t,))
+                if first:
+                    break
+        return out, tested + 1
+    pen = last - 1
     gpl = gram[pen][last]
+    # a definite trailing 2x2 block (det2 > 0) narrows the penultimate level
     det2 = gram[pen][pen] * glast - gpl * gpl
     bounds = _norm_bounds_by_depth(gram, height)
     steps = [[2 * x for x in row] for row in gram]
     lin = [0] * n  # lin[j] = 2 * sum_{i < depth} g_ij v_i, updated in place
     prefix = []
-    out = []
 
     def rec(depth, partial, zero_prefix):
         nonlocal tested
         lo = 0 if zero_prefix else -height
-        count = 1 if depth == last else height - lo + 1
+        count = height - lo + 1
         if tested + count > cap:
-            raise BudgetExceeded(
-                f"box enumeration (norm {m}, height {height}): {tested} candidates "
-                f"tested, the next {count} would exceed the budget of {cap}")
+            raise _over_budget(m, height, tested, count)
         tested += count
-        if depth == last:
-            for t in _level_roots(glast, lin[last], partial - m, lo, height):
-                if zero_prefix and t == 0:
-                    continue
-                v = (*prefix, t)
-                if accept is None or accept(v):
-                    out.append(v)
-                    if first:
-                        return True
-            return False
         ld = lin[depth]
         hi = height
-        if depth == pen and det2 > 0:
-            # a real last coordinate exists iff its quadratic's discriminant
-            # D(s) = (disc - (2 det2 s - half)^2) / det2 is >= 0, which for an
-            # integer s means |2 det2 s - half| <= isqrt(disc): an interval
-            lt = lin[last]
-            half = gpl * lt - glast * ld
-            disc = half * half + det2 * (lt * lt - 4 * glast * (partial - m))
-            if disc < 0:
-                return False
-            r = isqrt(disc)
-            den = 2 * det2
-            lo = max(lo, -((r - half) // den))
-            hi = min(hi, (half + r) // den)
-            if lo > hi:
-                return False
         qlo, qhi = bounds[depth + 1]
         gdd = gram[depth][depth]
+        if depth == pen:
+            lt = lin[last]
+            if det2 > 0:
+                # a real last coordinate exists iff its quadratic's discriminant
+                # D(s) = (disc - (2 det2 s - half)^2) / det2 is >= 0, which for
+                # an integer s means |2 det2 s - half| <= isqrt(disc): an interval
+                half = gpl * lt - glast * ld
+                disc = half * half + det2 * (lt * lt - 4 * glast * (partial - m))
+                if disc < 0:
+                    return False
+                r = isqrt(disc)
+                den = 2 * det2
+                lo = max(lo, -((r - half) // den))
+                hi = min(hi, (half + r) // den)
+            step = steps[depth][last]
+            for t in range(lo, hi + 1):
+                x = lt + step * t  # lin[last] at this t
+                slack = (x if x >= 0 else -x) * height
+                p = partial + (gdd * t + ld) * t
+                if p + qlo - slack <= m <= p + qhi + slack:
+                    # solve the last coordinate: one candidate
+                    if tested >= cap:
+                        raise _over_budget(m, height, tested, 1)
+                    tested += 1
+                    # after an all-zero prefix the canonical last coordinate is > 0
+                    lo_last = 1 if zero_prefix and t == 0 else -height
+                    for u in _level_roots(glast, x, p - m, lo_last, height):
+                        v = (*prefix, t, u)
+                        if accept is None or accept(v):
+                            out.append(v)
+                            if first:
+                                tested -= height - t  # the values after t were not tried
+                                return True
+            return False
         step = steps[depth]
         tail = range(depth + 1, n)
         for j in tail:

@@ -22,7 +22,8 @@ points inside a domain as positive integer combinations of its rays and
 the points of the whole positive cone as integer rays in a box; both take
 their integers from randint's draws, the same generator calls made in bulk.
 A sample y is tested against an element E's translate of the domain by the
-facet functionals pulled back once per element, (G w, E y) = (E^t G w) . y.
+facet functionals pulled back through E, (G w, E y) = (E^t G w) . y, each
+when a sample first reaches it.
 """
 
 from __future__ import annotations
@@ -421,6 +422,25 @@ def _randint_chunks(rng: Random, box: int):
         yield [v - box for v in map(rng.getrandbits, bits) if v < width]
 
 
+class _PulledBack(list):
+    """The rows of F E pulled back so far, for the facet functionals' matrix
+    F and one group element E, whose columns are `cols`."""
+
+    def __init__(self, matrix):
+        self.cols = linalg.transpose(matrix)
+
+    def meets_rest(self, fns, y, strict) -> bool:
+        """Whether y meets each functional after the rows held (> 0 when
+        strict, >= 0 otherwise), pulling each back as it is reached."""
+        for f in fns[len(self):]:
+            row = [sum(map(mul, f, col)) for col in self.cols]
+            self.append(row)
+            s = sum(map(mul, row, y))
+            if s < 0 or strict and s == 0:
+                return False
+        return True
+
+
 def tiling_check(cone: PolyhedralCone, g: FGGroup, samples: int, word_budget: int,
                  *, seed: int = 0) -> dict:
     """Sampled fundamental-domain diagnostics for a truncated domain.
@@ -435,21 +455,26 @@ def tiling_check(cone: PolyhedralCone, g: FGGroup, samples: int, word_budget: in
     nothing.
 
     A translate E y meets a facet functional f = G w as f . E y = (E^t f) . y,
-    so each element's functionals are pulled back once, as the rows of F E
-    for the functionals' matrix F, and each (sample, element) pair costs at
-    most one dot product per facet.  A cone over a lattice of another rank
-    than the group's is refused.
+    so each element's functionals are pulled back, as the rows of F E for
+    the functionals' matrix F, and each (sample, element) pair costs at
+    most one dot product per facet.  A pair tests the facets in order and
+    stops at the first one y fails, so each element's rows are pulled back
+    in order, each when a sample first reaches it: a check with few samples
+    pulls back few rows.  A cone over a lattice of another rank than the
+    group's is refused.
     """
     o = g.orientation
     if cone.lattice.rank != o.lattice.rank:
         raise DimensionMismatch(f"vectors must have length {o.lattice.rank}")
     fns = cone.functionals
-    pulled = [linalg.mat_mul(fns, e.matrix) for e, _ in elements_up_to(g, word_budget)[1:]]
+    pulled = [_PulledBack(e.matrix) for e, _ in elements_up_to(g, word_budget)[1:]]
     # the word ball is closed under inversion: some g^-1 moves y inside iff some g does
-    overlaps = sum(any(all(sum(map(mul, f, y)) > 0 for f in fs) for fs in pulled)
+    overlaps = sum(any(all(sum(map(mul, f, y)) > 0 for f in fs)
+                       and fs.meets_rest(fns, y, True) for fs in pulled)
                    for y in (pt.ray for pt in sample_domain_points(cone, samples, seed)))
     unreachable = sum(not ray_satisfies(cone, y)
-                      and not any(all(sum(map(mul, f, y)) >= 0 for f in fs) for fs in pulled)
+                      and not any(all(sum(map(mul, f, y)) >= 0 for f in fs)
+                                  and fs.meets_rest(fns, y, False) for fs in pulled)
                       for y in (pt.ray for pt in sample_cone_points(o, samples, seed + 1)))
     return {
         "samples": samples,

@@ -4,9 +4,10 @@ A lattice here is Z^n with an integral nondegenerate symmetric bilinear
 form, represented by its Gram matrix; GramLattice.pair evaluates the form.
 A lattice vector is a plain tuple of ints, and every function that takes
 one accepts any int sequence of the lattice's rank.
-All arithmetic is arbitrary precision and exact; the signature comes from
-rational congruence diagonalization, never from numerical eigenvalues,
-done once per lattice and cached.
+All arithmetic is arbitrary precision and exact.  One rational congruence
+diagonalization per lattice, a Bareiss elimination, gives the signature,
+the rational diagonal and the determinant, never numerical eigenvalues;
+it runs once, when `build_lattice` checks the determinant, and is cached.
 """
 
 from __future__ import annotations
@@ -32,8 +33,15 @@ class GramLattice(Record):
         return self.pair(v, v)
 
     @cached_property
+    def _elimination(self) -> tuple[tuple[int, ...], int]:
+        """`linalg.congruence_diagonal` of the Gram matrix: the one
+        elimination that gives the diagonal and the determinant."""
+        diag, det = linalg.congruence_diagonal(self.gram)
+        return tuple(diag), det
+
+    @cached_property
     def determinant(self) -> int:
-        return linalg.bareiss_det(self.gram)
+        return self._elimination[1]
 
     @cached_property
     def adjugate(self) -> linalg.IntMat:
@@ -42,9 +50,9 @@ class GramLattice(Record):
 
     @cached_property
     def congruence_diagonal(self) -> tuple[int, ...]:
-        """`linalg.congruence_diagonal` of the Gram matrix, which the
-        signature and the rational tests of `forms` read."""
-        return tuple(linalg.congruence_diagonal(self.gram))
+        """The rational diagonal of the Gram matrix, which the signature and
+        the rational tests of `forms` read."""
+        return self._elimination[0]
 
     @cached_property
     def signature(self) -> tuple[int, int]:

@@ -277,17 +277,19 @@ def kernel_basis(rows) -> list[IntVec]:
 
 # -- symmetric forms ----------------------------------------------------------
 
-def congruence_diagonal(gram) -> list[int]:
-    """Diagonal of a rational congruence diagonalization T^t G T, each entry
-    d_k as the integer num * den of d_k in lowest terms (d_k's sign and
-    squarefree class).
+def congruence_diagonal(gram) -> tuple[list[int], int]:
+    """(diagonal, det G): the diagonal of a rational congruence
+    diagonalization T^t G T, each entry d_k as the integer num * den of d_k
+    in lowest terms (d_k's sign and squarefree class), and the determinant.
 
     Symmetric pivoting; a zero pivot with a nonzero off-diagonal partner is
     repaired by the symmetric completion step v_i <- v_i + v_j, which makes
     the pivot 2*G[i][j] != 0.  Bareiss elimination: the trailing block is
     the rational Schur complement times the previous pivot, held in
     integers, and each step divides exactly by that pivot (ArithmeticError
-    if not); only the trailing block is read after each step.
+    if not); only the trailing block is read after each step.  Swaps and
+    completions are unimodular congruences, so det T^t G T = det G, which
+    is the last pivot, or 0 once a zero row is met.
     """
     n = len(gram)
     a = [list(row) for row in gram]
@@ -320,7 +322,7 @@ def congruence_diagonal(gram) -> list[int]:
                     raise ArithmeticError("inexact Bareiss division in congruence_diagonal")
                 a[i][j] = q
         prev = pivot
-    return diag
+    return diag, 0 if 0 in diag else prev
 
 
 def gram_schmidt_frame(gram, v0) -> list[tuple[IntVec, int]]:

@@ -455,7 +455,7 @@ def test_root_existence_imprimitive_divisor_classes():
 
 def _old_rational_isotropy(lattice, witness_height):
     """rational_isotropy as it was when it diagonalised on every call."""
-    diag = [squarefree_int(d) for d in linalg.congruence_diagonal(lattice.gram)]
+    diag = [squarefree_int(d) for d in linalg.congruence_diagonal(lattice.gram)[0]]
     if all(d > 0 for d in diag) or all(d < 0 for d in diag):
         return forms.IsotropyVerdict(
             isotropic=False, method="definite",
@@ -537,9 +537,9 @@ def test_k3_report_diagonalises_once(monkeypatch):
     real = linalg.congruence_diagonal
     monkeypatch.setattr(linalg, "congruence_diagonal",
                         lambda gram: calls.append(gram) or real(gram))
-    for lat in (build_lattice(FAMILY3.gram), build_lattice(U_MINUS2.gram)):
+    for gram in (FAMILY3.gram, U_MINUS2.gram):
         calls.clear()
-        k3_report(lat)
+        k3_report(build_lattice(gram))
         assert len(calls) == 1
 
 
@@ -780,6 +780,160 @@ def test_narrowed_level_without_a_real_last_coordinate(monkeypatch):
     # the hits have a head (x, y) with xy < 0
     gram = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 2, 1), (0, 0, 1, 2))
     assert forms._scan_box(gram, -2, 2)[0] == brute_box(GramLattice(gram, 4), -2, 2)
+
+
+def _old_norm_bounds_by_depth(gram, height):
+    """Oracle: the per-depth bounds summed afresh at every depth, O(n^3)."""
+    n = len(gram)
+    h2 = height * height
+    bounds = []
+    for k in range(n + 1):
+        lo = hi = 0
+        for i in range(k, n):
+            gii = gram[i][i]
+            if gii >= 0:
+                hi += gii * h2
+            else:
+                lo += gii * h2
+            for j in range(i + 1, n):
+                spread = 2 * abs(gram[i][j]) * h2
+                lo -= spread
+                hi += spread
+        bounds.append((lo, hi))
+    return bounds
+
+
+def _old_scan_box(gram, m, height, *, tested=0, first=False, accept=None):
+    """Oracle: the box DFS with a frame of its own for every last-level solve."""
+    cap = forms.ENUM_CAP
+    n = len(gram)
+    last = n - 1
+    pen = last - 1
+    glast = gram[last][last]
+    gpl = gram[pen][last]
+    det2 = gram[pen][pen] * glast - gpl * gpl
+    bounds = _old_norm_bounds_by_depth(gram, height)
+    steps = [[2 * x for x in row] for row in gram]
+    lin = [0] * n
+    prefix = []
+    out = []
+
+    def rec(depth, partial, zero_prefix):
+        nonlocal tested
+        lo = 0 if zero_prefix else -height
+        count = 1 if depth == last else height - lo + 1
+        if tested + count > cap:
+            raise BudgetExceeded(
+                f"box enumeration (norm {m}, height {height}): {tested} candidates "
+                f"tested, the next {count} would exceed the budget of {cap}")
+        tested += count
+        if depth == last:
+            for t in forms._level_roots(glast, lin[last], partial - m, lo, height):
+                if zero_prefix and t == 0:
+                    continue
+                v = (*prefix, t)
+                if accept is None or accept(v):
+                    out.append(v)
+                    if first:
+                        return True
+            return False
+        ld = lin[depth]
+        hi = height
+        if depth == pen and det2 > 0:
+            lt = lin[last]
+            half = gpl * lt - glast * ld
+            disc = half * half + det2 * (lt * lt - 4 * glast * (partial - m))
+            if disc < 0:
+                return False
+            r = math.isqrt(disc)
+            den = 2 * det2
+            lo = max(lo, -((r - half) // den))
+            hi = min(hi, (half + r) // den)
+            if lo > hi:
+                return False
+        qlo, qhi = bounds[depth + 1]
+        gdd = gram[depth][depth]
+        step = steps[depth]
+        tail = range(depth + 1, n)
+        for j in tail:
+            lin[j] += step[j] * (lo - 1)
+        for t in range(lo, hi + 1):
+            slack = 0
+            for j in tail:
+                x = lin[j] + step[j]
+                lin[j] = x
+                slack += x if x >= 0 else -x
+            slack *= height
+            p = partial + (gdd * t + ld) * t
+            if p + qlo - slack <= m <= p + qhi + slack:
+                prefix.append(t)
+                if rec(depth + 1, p, zero_prefix and t == 0):
+                    tested -= height - t
+                    return True
+                prefix.pop()
+        for j in tail:
+            lin[j] -= step[j] * hi
+        return False
+
+    rec(0, 0, True)
+    return out, tested
+
+
+def _scan_outcome(scan, gram, m, h, **options):
+    try:
+        return scan(gram, m, h, **options)
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+def test_norm_bounds_by_depth_match_the_cubic_loop():
+    rng = random.Random(29)
+    for case in range(400):
+        n = 1 + case % 10
+        gram = _random_form(rng, n, rng.randint(-4, 4))
+        h = rng.randint(1, 12)
+        assert forms._norm_bounds_by_depth(gram, h) == _old_norm_bounds_by_depth(gram, h)
+
+
+def test_inlined_last_level_matches_the_framed_dfs(monkeypatch):
+    # ranks 1 and 2 reach the special cases: no penultimate level at rank
+    # 1, the penultimate level at the root at rank 2
+    monkeypatch.setattr(forms, "ENUM_CAP", 10**9)
+    rng = random.Random(83)
+    hits = firsts = 0
+    for case in range(360):
+        if case % 4 == 3:  # rank 3 or 4 with a definite trailing block
+            gram = _definite_tail_form(rng, rng.choice((1, -1)))
+        else:
+            gram = _random_form(rng, 1 + case % 6, rng.randint(-4, 4))
+        n = len(gram)
+        h = rng.randint(1, 4 if n <= 4 else 2)
+        m = rng.randint(-8, 4)  # m = 0 lists vectors whose zero prefix is long
+        accept = ((lambda v: sum(v) % 2 == 0), (lambda v: v[-1] > 0), None)[case % 3]
+        tested = rng.choice((0, 0, 37))
+        for first in (False, True):
+            want = _old_scan_box(gram, m, h, tested=tested, first=first, accept=accept)
+            got = forms._scan_box(gram, m, h, tested=tested, first=first, accept=accept)
+            assert got == want, (gram, m, h, first)
+            hits += bool(got[0])
+            firsts += first and bool(got[0])
+    assert hits >= 350 and firsts >= 180
+
+
+def test_inlined_last_level_refuses_as_the_framed_dfs(monkeypatch):
+    rng = random.Random(89)
+    refused = 0
+    for case in range(300):
+        n = 1 + case % 6
+        gram = _random_form(rng, n, rng.randint(-4, 4))
+        h = rng.randint(1, 3)
+        m = rng.randint(-6, 4)
+        monkeypatch.setattr(forms, "ENUM_CAP", rng.randint(0, 120))
+        first = case % 2 == 1
+        want = _scan_outcome(_old_scan_box, gram, m, h, first=first)
+        assert _scan_outcome(forms._scan_box, gram, m, h, first=first) == want
+        refused += isinstance(want, str)
+    assert 50 <= refused <= 250
 
 
 def test_enumerate_identical_on_repeat():

@@ -219,6 +219,29 @@ def test_tiling_of_shrunk_and_enlarged_domains_matches_applying_each_element():
     assert counts[3][1] > 0 and counts[7][0] > 0  # the negative controls' counts
 
 
+def test_tiling_check_pulls_back_only_the_rows_samples_reach(monkeypatch):
+    made = []
+
+    class Recorded(groups._PulledBack):
+        def __init__(self, matrix):
+            super().__init__(matrix)
+            made.append((self, matrix))
+
+    monkeypatch.setattr(groups, "_PulledBack", Recorded)
+    g = _reflection_group("u-a2-m2")
+    dom = dirichlet_domain(g, point_from_ray(g.orientation, (5, 7, 1, 0, 1)), 10)
+    fns = dom.functionals
+    for samples, most in ((1, 0.5), (20, 1)):
+        made.clear()
+        tiling_check(dom, g, samples, 3, seed=0)
+        assert len(made) == 42 and len(fns) == 5
+        # each element holds a prefix of the rows of F E, and one sample
+        # reaches fewer than half of them
+        for rows, matrix in made:
+            assert rows == [list(row) for row in linalg.mat_mul(fns, matrix)[:len(rows)]]
+        assert 0 < sum(len(rows) for rows, _ in made) <= most * 42 * 5
+
+
 def test_tiling_check_refuses_a_cone_of_another_rank():
     dom = dirichlet_domain(PELL_GROUP, point_from_ray(O_D12, (1, 0)), 3)
     with pytest.raises(DimensionMismatch, match="length 3"):

@@ -150,6 +150,82 @@ def test_reader_refuses_a_top_level_that_is_not_an_object(tmp_path):
         cli.load_json(path)
 
 
+def _text_mode_load_json(path):
+    """Oracle: `cli.load_json` as it read the file in text mode."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+    body = text.strip(" \t\n\r")
+    try:
+        data, end = cli._scan(body, 0)
+    except (ValueError, StopIteration):
+        end = None
+    if end != len(body):
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InputError(
+                f"malformed JSON in {path}: {exc.msg} at line {exc.lineno} "
+                f"column {exc.colno}") from None
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: top level must be a JSON object")
+    return data
+
+
+def _load_outcome(load, path):
+    try:
+        return repr(load(path))
+    except InputError as exc:
+        return f"input error: {exc}"
+
+
+NEWLINE_TEXTS = [
+    '{\n  "gram": [[0, 1],\n           [1, 0]]\n}\n',
+    '\n\n{"a": [1,\n 2], "b": "x y"}\n\n',
+    '{\n  "gram": [[0, 1],\n  [1,\n',  # truncated on its third line
+    '{\n"a": 1,\n"b": 2,\n}\n',  # a trailing comma on the third line
+    '{"a": 1}\n\n{"b": 2}\n',  # trailing data two lines down
+    '{\n"name": "a\nb"\n}',  # a raw newline inside a string
+    '\n\n\n',
+    '[1,\n 2]\n',
+    '{"a":\n nul}',
+]
+
+
+def test_reader_sees_newlines_and_bytes_as_a_text_mode_read(tmp_path):
+    rng = random.Random(11)
+    kinds = dict.fromkeys(("cannot read", "malformed JSON", "top level must", "{"), 0)
+    files = []
+    for i, text in enumerate(NEWLINE_TEXTS + [MALFORMED[name] for name in MALFORMED]):
+        for j, newline in enumerate(("\n", "\r\n", "\r", None)):
+            if newline is None:  # each newline its own style
+                parts = text.split("\n")
+                raw = parts[0] + "".join(rng.choice(("\n", "\r\n", "\r")) + p
+                                         for p in parts[1:])
+            else:
+                raw = text.replace("\n", newline)
+            data = raw.encode("utf-8")
+            variants = [data, b"\xef\xbb\xbf" + data]
+            at = rng.randint(0, len(data))
+            variants += [data[:at] + bad + data[at:]
+                         for bad in (b"\xff", b"\xe9", b"\xc3(", b"\xe2\x82")]
+            variants.append(data + b"\xe2\x82")  # cut inside a character
+            for k, content in enumerate(variants):
+                path = tmp_path / f"t{i}-{j}-{k}.json"
+                path.write_bytes(content)
+                files.append(str(path))
+    path = tmp_path / "utf16.json"
+    path.write_bytes('{"a": 1}\r\n'.encode("utf-16"))
+    files += [str(path), str(tmp_path / "missing.json"), str(tmp_path)]
+    for path in files:
+        want = _load_outcome(_text_mode_load_json, path)
+        assert _load_outcome(cli.load_json, path) == want, path
+        kinds[next(kind for kind in kinds if kind in want)] += 1
+    assert min(kinds.values()) >= 4, kinds
+
+
 def test_negative_number_matches_the_regex_it_replaces():
     tokens = ["-", "-.", "-.5", "-1,0", "--x", "-٣", "-.٣", "-²", "-x",
               "", "1", ".5", "-..5", "-0", "-.-1", "- 1"]

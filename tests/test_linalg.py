@@ -20,11 +20,13 @@ from math import gcd, isqrt
 import pytest
 import sympy
 
-from hyperlat import linalg
+from hyperlat import build_lattice, linalg
+from hyperlat.errors import Degenerate
+from hyperlat.lattice import GramLattice
 from hyperlat.forms import _square_divisors, squarefree_int
-from hyperlat.linalg import (congruence_diagonal, divisors, factorize, identity_matrix,
-                             kernel_basis, mat_mul, mat_vec, matrix_power,
-                             primitive_vector, rank, row_basis, row_echelon)
+from hyperlat.linalg import (bareiss_det, congruence_diagonal, divisors, factorize,
+                             identity_matrix, kernel_basis, mat_mul, mat_vec, matrix_power,
+                             primitive_vector, rank, row_basis, row_echelon, to_int_matrix)
 from hyperlat.polynomials import _cyclotomic_candidates, _totients, cyclotomic
 
 
@@ -355,7 +357,8 @@ def test_congruence_diagonal_matches_the_fraction_diagonal():
     for _ in range(3000):
         gram = _random_symmetric(rng)
         want = _fraction_congruence_diagonal(gram, branches)
-        got = congruence_diagonal(gram)
+        got, det = congruence_diagonal(gram)
+        assert det == bareiss_det(gram), gram
         assert all(type(d) is int for d in got)
         # num * den of each entry in lowest terms, so the same sign and the
         # same squarefree class
@@ -365,10 +368,34 @@ def test_congruence_diagonal_matches_the_fraction_diagonal():
     assert degenerate >= 300
 
 
+def test_lattice_determinant_is_read_off_the_one_elimination(monkeypatch):
+    rng = random.Random(20001)
+    branches = {"swap": 0, "completion": 0, "zero": 0}
+    grams = [_random_symmetric(rng) for _ in range(2000)]
+    dets = [bareiss_det(gram) for gram in grams]
+    for gram in grams:
+        _fraction_congruence_diagonal(gram, branches)
+
+    def refuse(_mat):
+        raise AssertionError("a lattice ran a second elimination for its determinant")
+
+    monkeypatch.setattr(linalg, "bareiss_det", refuse)
+    for gram, det in zip(grams, dets):
+        assert GramLattice(to_int_matrix(gram), len(gram)).determinant == det, gram
+        if det == 0:
+            with pytest.raises(Degenerate):
+                build_lattice(gram)
+        else:
+            assert build_lattice(gram).determinant == det
+    assert min(branches.values()) >= 100, branches
+    assert 300 <= dets.count(0) <= 1700
+
+
 def test_congruence_diagonal_of_u_e8_plus_2():
     from hyperlat import direct_sum, rank1, standard_lattice
     lat = direct_sum(direct_sum(standard_lattice("U"), standard_lattice("E8")), rank1(2))
-    got = congruence_diagonal(lat.gram)
+    got, det = congruence_diagonal(lat.gram)
+    assert det == bareiss_det(lat.gram) == -2
     want = _fraction_congruence_diagonal(lat.gram, {"swap": 0, "completion": 0, "zero": 0})
     assert got == [d.numerator * d.denominator for d in want]
     assert sum(d > 0 for d in got) == 2 and sum(d < 0 for d in got) == 9
