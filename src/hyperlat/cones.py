@@ -9,14 +9,18 @@ current ray with one big-integer dot product: the rays' G x are packed
 into slots of width bits, wide enough that each (w, x) plus an offset of
 2^(width-1) fills its slot without a borrow or carry into the next, so
 the top bit of each slot is the sign test and a second subtraction finds
-the rays on the hyperplane; only a normal negative on some ray takes the
-per-ray step.  It returns each ray's zero set over the normals, and
-`extreme_rays` reads the facets off them.  All pivoting is fraction-free
-in integers; adjacency during double description uses the exhaustive
-combinatorial test, no heuristics.
+the rays on the hyperplane, which a passing normal keeps as its packed
+mask; only a normal negative on some ray takes the per-ray step, whose
+adjacency test reads per-ray zero sets, so the masks kept so far are
+folded into them first.  It returns each normal's mask over the rays, and
+`extreme_rays` reads the facets off them directly.  All pivoting is
+fraction-free in integers; adjacency during double description uses the
+exhaustive combinatorial test, no heuristics.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from _operator import mul
 
@@ -71,11 +75,12 @@ def double_description(normals, gram):
     """Exact V-representation of {x in Q^n : (w, x) >= 0 for every normal w}.
 
     (w, x) = w . G x for G = gram, symmetric and invertible; the identity
-    gives plain functionals.  Returns (rays, lineality, zero_sets): the
-    sorted primitive extreme rays of the pointed quotient, lifted back; a
-    primitive basis of the lineality space; for each ray the bitmask of
-    the normals i with (w_i, ray) = 0.  Positive multiples of the normals
-    give the same result.
+    gives plain functionals.  Returns (rays, lineality, masks): the sorted
+    primitive extreme rays of the pointed quotient, lifted back; a
+    primitive basis of the lineality space; for each normal w_i, in order,
+    the bitmask of the returned rays on its hyperplane, bit k for rays[k]
+    (the lineality lies on every hyperplane).  Positive multiples of the
+    normals give the same result.
     """
     normals = [tuple(w) for w in normals]
     n = len(gram)
@@ -87,15 +92,16 @@ def double_description(normals, gram):
     echelon, pivots = linalg.row_echelon([linalg.mat_vec(gram, b) for b in basis])
     lineality = linalg.echelon_kernel(echelon, pivots, n)
     if not pivots:
-        return [], lineality, []
-    zsets = _pointed_double_description(normals, gram, pivots)
-    rays = sorted(zsets)
-    return rays, lineality, [zsets[ray] for ray in rays]
+        return [], lineality, [0] * len(normals)
+    rays, masks = _pointed_double_description(normals, gram, pivots)
+    return rays, lineality, masks
 
 
 def _pointed_double_description(normals, gram, pivots):
-    """{ray: zero set over all rows} for the pointed part of {x : (w, x) >= 0},
-    its rays in the span of e_p at the pivot columns p; each carries G x.
+    """(rays, masks) for the pointed part of {x : (w, x) >= 0}: its sorted
+    rays, in the span of e_p at the pivot columns p, and for each row the
+    bitmask of the rays on its hyperplane, bit k for rays[k].  Each ray
+    carries G x while the rows are read.
 
     A row w is tested against every current ray x_j at once.  The images
     G x_j are packed into one int per coordinate c, sum_j (G x_j)[c]
@@ -110,8 +116,12 @@ def _pointed_double_description(normals, gram, pivots):
     (w, x_j) >= 0.  A row with every top bit set removes no ray; since
     every digit is >= 1, subtracting 1 from every slot borrows across none
     and clears the top bit of exactly the slots that held 0: the rays on
-    the row's hyperplane.  Any other row takes the exact per-ray step
-    `_cut`, and the rays are packed again after it.
+    the row's hyperplane, kept as the row's packed mask.  Any other row
+    takes the exact per-ray step `_cut`, whose adjacency test reads each
+    ray's zero set over the rows so far: the packed masks held are folded
+    into those zero sets first, and the rays are packed again after it.
+    The rows after the last cut are never folded: their packed masks,
+    over the final rays, become their masks directly.
     """
     n, r = len(gram), len(pivots)
     # seed with r linearly independent rows (so functionals) -> simplicial cone
@@ -134,13 +144,14 @@ def _pointed_double_description(normals, gram, pivots):
     for k in range(r):
         ys = iter(linalg.primitive_vector([sign * row[k] for row in adj]))
         rays.append(tuple(next(ys) if j in pivots else 0 for j in range(n)))
-    # G x of each ray and its zero set over the rows processed so far, as a
+    # G x of each ray and its zero set over the rows folded so far, as a
     # bitmask, in the order of `rays`; the three lists change together
     images = [linalg.mat_vec(gram, ray) for ray in rays]
     zsets = [sum(1 << i for i in seed_idx if sum(map(mul, normals[i], im)) == 0)
              for im in images]
     seeds = set(seed_idx)
-    n_max_w = n * max(abs(x) for w in normals for x in w)
+    n_max_w = n * max(map(abs, chain.from_iterable(normals)))
+    packed = []  # (row, packed mask) of the passing rows since the last pack
     cols = None
     for i, row in enumerate(normals):
         if i in seeds:
@@ -152,17 +163,49 @@ def _pointed_double_description(normals, gram, pivots):
             cols = [sum(x << s for x, s in zip(col, shifts)) for col in zip(*images)]
             low = sum(1 << s for s in shifts)
             high = low << (width - 1)
-        t = sum(map(mul, row, cols)) + high
+        t = sum(map(mul, row, cols), high)
         if t & high == high:
             zeros = high ^ ((t - low) & high)
-            while zeros:
-                bit = zeros & -zeros
-                zsets[bit.bit_length() // width - 1] |= 1 << i
-                zeros ^= bit
+            if zeros:
+                packed.append((i, zeros))
             continue
+        _fold(packed, zsets, width)
+        packed = []
         rays, images, zsets = _cut(row, i, rays, images, zsets, gram, r)
         cols = None
-    return dict(zip(rays, zsets))
+    # ray j of the current order is ray place[j] of the sorted one
+    order = sorted(range(len(rays)), key=rays.__getitem__)
+    place = [0] * len(rays)
+    for k, j in enumerate(order):
+        place[j] = k
+    masks = [0] * len(normals)
+    for j, zset in enumerate(zsets):
+        bit = 1 << place[j]
+        for i in _slots(zset, 1):
+            masks[i] |= bit
+    unpacked = {}  # the rows through a ray share a few packed masks
+    for i, zeros in packed:
+        mask = unpacked.get(zeros)
+        if mask is None:
+            mask = unpacked[zeros] = sum(1 << place[j] for j in _slots(zeros, width))
+        masks[i] = mask
+    return [rays[j] for j in order], masks
+
+
+def _slots(zeros, width):
+    """The slot indices j of the set top bits of a packed mask; with width
+    1, the indices of the set bits of a bitmask."""
+    while zeros:
+        bit = zeros & -zeros
+        yield bit.bit_length() // width - 1
+        zeros ^= bit
+
+
+def _fold(packed, zsets, width):
+    """Add each (row i, packed mask) to the zero sets of the rays it holds."""
+    for i, zeros in packed:
+        for j in _slots(zeros, width):
+            zsets[j] |= 1 << i
 
 
 def _cut(row, i, rays, images, zsets, gram, r):
@@ -200,33 +243,23 @@ def extreme_rays(cone: PolyhedralCone) -> PolyhedralCone:
     """The cone reduced to its facets, with its V-rep.
 
     Lineality directions are reported as +-pairs of rays, which lie on every
-    hyperplane.  A halfspace's mask is the set of listed rays on its
-    hyperplane, read off their zero sets; it is kept when no other proper
-    mask strictly contains its own (a facet), or when it holds every ray
-    (an implicit equality).  The zero cone keeps every halfspace.
+    hyperplane.  A halfspace's mask is the set of pointed rays on its
+    hyperplane, as the double description returns it; the lineality rays,
+    on every hyperplane, would add the same bits to every mask and change
+    no containment.  A halfspace is kept when no other proper mask strictly
+    contains its own (a facet), or when its mask holds every ray (an
+    implicit equality).  The zero cone keeps every halfspace.
     """
     if cone.lattice.rank > DIM_BUDGET:
         raise DimensionBudgetExceeded(
             f"double description budget is rank <= {DIM_BUDGET}")
     halfspaces = cone.halfspaces
-    rays, lineality, zero_sets = double_description(halfspaces, cone.lattice.gram)
-    every = (1 << len(halfspaces)) - 1
-    zsets = dict(zip(rays, zero_sets)) | {
-        v: every for line in lineality for v in (line, linalg.vec_neg(line))}
-    full = sorted(zsets)
-    if full:
-        masks = [0] * len(halfspaces)
-        for k, ray in enumerate(full):
-            zset = zsets[ray]
-            while zset:
-                low = zset & -zset
-                masks[low.bit_length() - 1] |= 1 << k
-                zset ^= low
-        whole = (1 << len(full)) - 1
-        proper = set(masks) - {whole}
-        facets = {whole} | {m for m in proper
-                            if not any(o != m and o & m == m for o in proper)}
-        halfspaces = tuple(w for w, m in zip(halfspaces, masks) if m in facets)
+    rays, lineality, masks = double_description(halfspaces, cone.lattice.gram)
+    whole = (1 << len(rays)) - 1
+    proper = set(masks) - {whole}
+    facets = {whole} | {m for m in proper if not any(o != m and o & m == m for o in proper)}
+    halfspaces = tuple(w for w, m in zip(halfspaces, masks) if m in facets)
+    full = sorted(rays + [v for line in lineality for v in (line, linalg.vec_neg(line))])
     return replace(cone, halfspaces=halfspaces, rays=tuple(full))
 
 

@@ -9,18 +9,23 @@ caps their count; `_orbit_ball`, behind orbits and Dirichlet domains,
 deduplicates the points w.x by exact ray and caps their count.  Both apply
 each letter only through the rows where it differs from the identity, and
 both take the letters from the group, which forms them once.  The point
-search also marks on each point the letters known to lead to a seen point
-(the inverse of every letter that reached it) and skips them: they could
-only find known points, so no point is met in another order.
+search runs in the offsets d = p - o from an origin o: a letter M maps d
+to M d + (M o - o), a dot product plus a constant per moved row.  It also
+marks on each point, in a list beside the points, the letters known to
+lead to a seen point (the inverse of every letter that reached it) and
+skips them: they could only find known points, so no point is met in
+another order.  Orbits and limit sampling search the points themselves
+(o = 0).
 Limit sampling keeps the far points of an orbit by one integer pairing
 with the cone base: a point p of norm N has ball radius r with
 r^2 = (c - 1) / (c + 1), c = (p, b) / sqrt(N (b, b)), so only the points
 with c near or above the far threshold are mapped to floats.
 Dirichlet bisectors, the differences p - h of the basepoint's orbit
-points, enter the double description unscaled.  Tiling checks draw the
-points inside a domain as positive integer combinations of its rays and
-the points of the whole positive cone as integer rays in a box; both take
-their integers from randint's draws, the same generator calls made in bulk.
+points, are the offsets of the point search from o = h and enter the
+double description unscaled.  Tiling checks draw the points inside a
+domain as positive integer combinations of its rays and the points of the
+whole positive cone as integer rays in a box; both take their integers
+from randint's draws, the same generator calls made in bulk.
 A sample y is tested against an element E's translate of the domain by the
 facet functionals pulled back through E, (G w, E y) = (E^t G w) . y, each
 when a sample first reaches it.
@@ -176,56 +181,66 @@ def word_string(word) -> str:
 
 # -- orbits and limit points ------------------------------------------------------
 
-def _orbit_ball(g: FGGroup, ray, depth: int) -> list:
-    """Distinct orbit points w.x over words w of length <= depth, x first.
+def _orbit_ball(g: FGGroup, ray, depth: int, origin=None) -> list:
+    """The distinct orbit points p = w.x over words w of length <= depth,
+    x's first, as the offsets p - origin (as the points, without one).
 
-    Breadth-first over points: a candidate costs one dot product per row
-    where its letter differs from the identity.  A level's new points p
-    come in the order of the least key (inv_idx[k], rank of q) over the
-    letters k and the previous level's points q with k.q = p.  That is the
-    order in which `elements_up_to` first reaches an element g with
-    g^-1 x = p: the outer letter of g^-1 x is the inverse of the first
-    letter the element search adds.  Looping over the letters by inverse
-    index, then over q, meets each point first at its least key.  Each
-    point keeps a mask of the letters known to lead to a seen point: when
-    letter k maps q to p, new or not, p gets the bit of k's inverse, which
-    maps it back to q, and a candidate whose letter's bit is set on its
-    point is skipped.  The letter that undoes the one that first reached q
-    is one such back-edge.  A skipped candidate lands on a seen point, so
-    the order in which new points are met, the points and the cap are
-    those of evaluating every candidate.  ORBIT_CAP counts distinct
-    points, x included.
+    The search runs relative to the origin o: letter k maps the offset
+    p - o to M_k (p - o) + (M_k o - o), the offset of M_k p, so a moved row
+    i costs one dot product plus the constant (M_k o - o)_i, computed once
+    per letter, and an unmoved row keeps its entry.  With x as the origin
+    the offsets after the first are exactly `dirichlet_domain`'s bisectors.
+
+    Breadth-first over points: a level's new points p come in the order of
+    the least key (inv_idx[k], rank of q) over the letters k and the
+    previous level's points q with k.q = p.  That is the order in which
+    `elements_up_to` first reaches an element g with g^-1 x = p: the outer
+    letter of g^-1 x is the inverse of the first letter the element search
+    adds.  Looping over the letters by inverse index, then over q, meets
+    each point first at its least key.  Each point keeps a mask of the
+    letters known to lead to a seen point, in a list beside the points:
+    when letter k maps q to p, new or not, p gets the bit of k's inverse,
+    which maps it back to q, and a candidate whose letter's bit is set on
+    its point is skipped.  The letter that undoes the one that first
+    reached q is one such back-edge.  A skipped candidate lands on a seen
+    point, so the order in which new points are met, the points and the
+    cap are those of evaluating every candidate.  ORBIT_CAP counts
+    distinct points, x included.
     """
     cap = ORBIT_CAP
     mats, _labels, inv_idx = g.letters
-    x = tuple(ray)
-    moves = _moved_rows(mats)
-    dot = linalg.dot
-    seen = {x: 0}  # insertion-ordered: point -> mask of its known back-edges
-    level = [x]
+    o = (0,) * len(ray) if origin is None else tuple(origin)
+    moves = [[(i, row, sum(map(mul, row, o)) - o[i]) for i, row in move]
+             for move in _moved_rows(mats)]
+    points = [tuple(map(sub, ray, o))]
+    masks = [0]  # masks[j]: the letters known to lead from points[j] to a seen point
+    seen = {points[0]: 0}  # offset -> its index in points
+    start, size = 0, 1  # size: len(points)
     for _ in range(depth):
-        fresh = []
+        end = size
         for a in range(len(mats)):
             k = inv_idx[a]
             move = moves[k]
             bit, back = 1 << k, 1 << a
-            for q in level:
-                if seen[q] & bit:
+            for j in range(start, end):
+                if masks[j] & bit:
                     continue  # k.q is a seen point
+                q = points[j]
                 p = list(q)
-                for i, row in move:
-                    p[i] = dot(row, q)
+                for i, row, c in move:
+                    p[i] = sum(map(mul, row, q), c)
                 p = tuple(p)
-                mask = seen.get(p)
-                if mask is not None:
-                    seen[p] = mask | back
+                known = seen.setdefault(p, size)  # p's index; size when p is new
+                if known < size:
+                    masks[known] |= back
                     continue
-                if len(seen) >= cap:
+                if size >= cap:
                     raise BudgetExceeded(f"orbit cap {cap} hit during orbit search")
-                seen[p] = back
-                fresh.append(p)
-        level = fresh
-    return list(seen)
+                size += 1
+                points.append(p)
+                masks.append(back)
+        start = end
+    return points
 
 
 def orbit(g: FGGroup, x: HyperboloidPoint, depth: int) -> list[HyperboloidPoint]:
@@ -317,7 +332,8 @@ def dirichlet_domain(g: FGGroup, h: HyperboloidPoint, word_budget: int) -> Polyh
     H-representation from the bisectors p - h of the distinct orbit points
     p != h over words of length <= budget (the ball is closed under
     inversion, so these are the g^-1 h), in the order `elements_up_to`
-    first reaches them; then reduced to facets via the exact
+    first reaches them: `_orbit_ball`'s offsets from h, as they come out
+    of it; then reduced to facets via the exact
     V-representation.  ORBIT_CAP counts distinct orbit points.  The result is
     a superset of the true domain and carries the truncation label.  A
     negative budget is refused.
@@ -337,9 +353,7 @@ def dirichlet_domain(g: FGGroup, h: HyperboloidPoint, word_budget: int) -> Polyh
     if any(gen.matrix != ident and tuple(gen.apply(h.ray)) == tuple(h.ray)
            for gen in g.generators):
         raise FixedBasepoint("a generator fixes the basepoint")
-    points = _orbit_ball(g, h.ray, word_budget)
-    x = points[0]
-    bisectors = tuple(tuple(map(sub, p, x)) for p in points[1:])
+    bisectors = tuple(islice(_orbit_ball(g, h.ray, word_budget, h.ray), 1, None))
     dom = irredundant_halfspaces(PolyhedralCone(
         g.lattice, bisectors, orientation=g.orientation, truncated_at=word_budget))
     return replace(dom, halfspaces=tuple(map(linalg.primitive_vector, dom.halfspaces)))

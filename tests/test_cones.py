@@ -13,7 +13,9 @@ from hyperlat.cones import (TAG_INTERIOR, TAG_ISOTROPIC, PolyhedralCone,
 from hyperlat.errors import DimensionBudgetExceeded
 from hyperlat.groups import _orbit_ball
 from hyperlat.linalg import (adjugate, bareiss_det, dot, identity_matrix, kernel_basis,
-                             mat_vec, primitive_vector, rank, row_basis, row_echelon)
+                             mat_vec, primitive_vector, rank, row_basis, row_echelon,
+                             vec_neg)
+from hyperlat.record import replace
 
 U = build_lattice([[0, 1], [1, 0]])
 D12 = build_lattice([[1, 0], [0, -2]])
@@ -66,12 +68,18 @@ def test_double_description_vs_brute_force_50_random_cones():
         n = rng.randint(2, 4)
         count = rng.randint(n, 8)
         fns = random_pointed_functionals(rng, n, count)
-        got_rays, lineality, zero_sets = double_description(fns, identity_matrix(n))
+        got_rays, lineality, masks = double_description(fns, identity_matrix(n))
         assert lineality == []
         expected = brute_extreme_rays(fns, n)
         assert sorted(got_rays) == expected, (fns, got_rays, expected)
-        assert zero_sets == _zero_sets(fns, identity_matrix(n), got_rays)
+        assert masks == _masks(fns, identity_matrix(n), got_rays)
         done += 1
+
+
+def _masks(normals, gram, rays):
+    """Oracle: for each normal w the bitmask of the rays with (w, ray) = 0."""
+    return [sum(1 << k for k, ray in enumerate(rays) if dot(mat_vec(gram, w), ray) == 0)
+            for w in normals]
 
 
 def _zero_sets(normals, gram, rays):
@@ -198,9 +206,9 @@ def test_double_description_matches_old_on_random_cones():
         n = rng.randint(1, 5)
         lineality_dim = rng.randint(0, n - 1) if k % 2 else 0
         fns = random_functionals(rng, n, rng.randint(1, 9), lineality_dim)
-        rays, lineality, zero_sets = double_description(fns, identity_matrix(n))
+        rays, lineality, masks = double_description(fns, identity_matrix(n))
         assert (rays, lineality) == _old_double_description(fns, n), fns
-        assert zero_sets == _zero_sets(fns, identity_matrix(n), rays)
+        assert masks == _masks(fns, identity_matrix(n), rays)
         seen_lineality += bool(lineality)
         # the same cone from lattice normals w, G w a positive multiple of f,
         # over a Gram matrix with det < 0 or with |det| > 1
@@ -208,7 +216,7 @@ def test_double_description_matches_old_on_random_cones():
         sign = 1 if bareiss_det(gram) > 0 else -1
         scales = [sign * rng.randint(1, 5) for _ in fns]
         normals = [tuple(c * x for x in mat_vec(adjugate(gram), f)) for c, f in zip(scales, fns)]
-        assert double_description(normals, gram) == (rays, lineality, zero_sets), fns
+        assert double_description(normals, gram) == (rays, lineality, masks), fns
     assert double_description([], identity_matrix(3)) == \
         _old_double_description([], 3) + ([],)
     assert seen_lineality >= 50
@@ -386,8 +394,10 @@ def _pointed_zero_sets(normals, gram, monkeypatch):
         return real_cut(row, i, rays, images, *rest)
 
     monkeypatch.setattr(cones, "_cut", cut)
-    got = cones._pointed_double_description(normals, gram, pivots)
+    rays, masks = cones._pointed_double_description(normals, gram, pivots)
     monkeypatch.undo()
+    assert rays == sorted(rays)
+    got = {ray: sum((m >> k & 1) << i for i, m in enumerate(masks)) for k, ray in enumerate(rays)}
     want = _per_ray_pointed_double_description(normals, gram, pivots)
     return got, want, cut_rows
 
@@ -395,8 +405,8 @@ def _pointed_zero_sets(normals, gram, monkeypatch):
 def _bisectors(grp, point, budget):
     """The normals `dirichlet_domain` feeds the double description: the
     orbit bisectors of the group, in their order."""
-    points = _orbit_ball(grp, point_from_ray(grp.orientation, point).ray, budget)
-    return [tuple(a - b for a, b in zip(p, points[0])) for p in points[1:]]
+    ray = point_from_ray(grp.orientation, point).ray
+    return _orbit_ball(grp, ray, budget, ray)[1:]
 
 
 REFLECTION_GROUPS = {
@@ -483,3 +493,104 @@ def test_packed_row_test_sends_only_the_cutting_rows_to_the_per_ray_step(monkeyp
     # 743 rows, 5 of them seeds: 4 of the other 738 remove a ray
     assert len(normals) == 743
     assert len(cut_rows) == 4
+
+
+def _old_extreme_rays(cone):
+    """Oracle: `extreme_rays` as it was when the double description gave
+    each ray's zero set over the normals, here from the pairing oracle, and
+    the facet test transposed them into masks over the rays and lineality."""
+    halfspaces, gram = cone.halfspaces, cone.lattice.gram
+    rays, lineality, _ = double_description(halfspaces, gram)
+    every = (1 << len(halfspaces)) - 1
+    zsets = dict(zip(rays, _zero_sets(halfspaces, gram, rays))) | {
+        v: every for line in lineality for v in (line, vec_neg(line))}
+    full = sorted(zsets)
+    if full:
+        masks = [0] * len(halfspaces)
+        for k, ray in enumerate(full):
+            zset = zsets[ray]
+            while zset:
+                low = zset & -zset
+                masks[low.bit_length() - 1] |= 1 << k
+                zset ^= low
+        whole = (1 << len(full)) - 1
+        proper = set(masks) - {whole}
+        facets = {whole} | {m for m in proper
+                            if not any(o != m and o & m == m for o in proper)}
+        halfspaces = tuple(w for w, m in zip(halfspaces, masks) if m in facets)
+    return replace(cone, halfspaces=halfspaces, rays=tuple(full))
+
+
+def _check_masks(normals, gram):
+    """The per-row masks against the pairing oracle and `extreme_rays`
+    against the old facet test; returns the double description."""
+    rays, lineality, masks = double_description(normals, gram)
+    assert masks == _masks(normals, gram, rays), (gram, normals)
+    cone = PolyhedralCone(build_lattice(gram), tuple(normals))
+    assert extreme_rays(cone) == _old_extreme_rays(cone), (gram, normals)
+    return rays, lineality, masks
+
+
+def test_row_masks_match_the_pairing_oracle_on_random_cones(monkeypatch):
+    rng = random.Random(35)
+    seen = dict.fromkeys(("lineality", "repeated", "zero cone", "last row cut", "late fold"), 0)
+    cut_rows, folded = [], []
+    real_cut, real_fold = cones._cut, cones._fold
+    monkeypatch.setattr(cones, "_cut", lambda row, i, *rest: cut_rows.append(i)
+                        or real_cut(row, i, *rest))
+    monkeypatch.setattr(cones, "_fold", lambda packed, *rest: folded.append(len(packed))
+                        or real_fold(packed, *rest))
+    for k in range(400):
+        n = rng.randint(1, 6)
+        gram = identity_matrix(n) if k % 2 else _random_gram(rng, n, negative=k % 4 == 0)
+        kind = k % 5
+        if kind == 0:  # rows in a proper subspace: a lineality space
+            span = [tuple(rng.randint(-3, 3) for _ in range(n))
+                    for _ in range(rng.randint(1, max(1, n - 1)))]
+            normals = [tuple(sum(rng.randint(-2, 2) * v[j] for v in span) for j in range(n))
+                       for _ in range(rng.randint(1, 10))]
+        elif kind == 2:  # w_1..w_n spanning and minus their sum: the zero cone
+            while True:
+                basis = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n)]
+                if rank(basis) == n:
+                    break
+            normals = basis + [tuple(-sum(col) for col in zip(*basis))]
+            normals += [tuple(rng.randint(-3, 3) for _ in range(n))
+                        for _ in range(rng.randint(0, 4))]
+            rng.shuffle(normals)
+        else:
+            normals = [tuple(rng.randint(-4, 4) for _ in range(n))
+                       for _ in range(rng.randint(1, 12))]
+        normals = [w for w in normals if any(w)] or [(1,) + (0,) * (n - 1)]
+        if kind == 1:  # duplicates and positive multiples
+            for _ in range(rng.randint(1, 4)):
+                w = rng.choice(normals)
+                normals.insert(rng.randrange(len(normals) + 1),
+                               tuple(rng.randint(1, 3) * x for x in w))
+        if kind == 3 and n > 1:  # a last row negative on a ray of the rows before it,
+            # after a multiple of an earlier row, which passes with its zeros
+            rays, lineality, _ = double_description(normals, gram)
+            if rays and not lineality:
+                normals.append(tuple(2 * x for x in rng.choice(normals)))
+                normals.append(vec_neg(mat_vec(gram, rng.choice(rays))))
+        del cut_rows[:], folded[:]
+        rays, lineality, masks = _check_masks(normals, gram)
+        seen["lineality"] += bool(lineality)
+        seen["repeated"] += len(set(map(primitive_vector, normals))) < len(normals)
+        seen["zero cone"] += not rays and not lineality
+        if cut_rows and cut_rows[-1] == len(normals) - 1:
+            seen["last row cut"] += 1
+            seen["late fold"] += folded[-1] > 0  # rows with zeros waited for the last cut
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("name", REFLECTION_GROUPS)
+def test_row_masks_match_the_pairing_oracle_on_dirichlet_bisectors(name):
+    lattice, roots, point = REFLECTION_GROUPS[name]
+    grp = group(*(reflection(pick_cone(lattice, None), d) for d in roots))
+    through = 0
+    for budget in range(3, 11):
+        normals = _bisectors(grp, point, budget)
+        _, _, masks = _check_masks(normals, lattice.gram)
+        through += sum(1 for m in masks if m)
+    assert through >= 100  # rows through a ray

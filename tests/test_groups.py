@@ -1,7 +1,7 @@
 """Orbits, limit sampling, Dirichlet domains, tiling, chamber walks."""
 
 import random
-from operator import sub
+from operator import add, sub
 
 import pytest
 
@@ -658,6 +658,23 @@ def _element_ball_points(g, ray, budget):
                               for elem, _ in elements_up_to(g, budget)))
 
 
+def _record_row_evaluations(monkeypatch):
+    """The list in which `_orbit_ball` then records, as plain tuples, the
+    letter rows it evaluates: each row of `_moved_rows` is wrapped in a
+    tuple type that logs every iteration over it."""
+    rows = []
+
+    class Row(tuple):
+        def __iter__(self):
+            rows.append(self[:])
+            return tuple.__iter__(self)
+
+    real = groups._moved_rows
+    monkeypatch.setattr(groups, "_moved_rows", lambda mats: [
+        [(i, Row(row)) for i, row in move] for move in real(mats)])
+    return rows
+
+
 def _random_orbit_cases(seed, count):
     """(group, basepoint ray) for random reflection groups on U+<-2>, U+A2
     and U+A2+<-2>; some groups get a product of two reflections as an extra
@@ -777,32 +794,34 @@ def test_orbit_ball_evaluates_a_letter_at_its_non_identity_rows(monkeypatch):
     g = group(MIRROR, reflection(O_UM2, (1, -1, 0)))
     letters = groups._letters(g)
     monkeypatch.setattr(groups, "_letters", lambda _g: letters)
-    rows = []
+    rows = _record_row_evaluations(monkeypatch)
     real_dot = linalg.dot
     monkeypatch.setattr(linalg, "dot", lambda u, v: rows.append(tuple(u)) or real_dot(u, v))
     monkeypatch.setattr(linalg, "mat_vec", lambda *a: rows.append("mat_vec"))
     points = _orbit_ball(g, (2, 3, 1), 3)
     assert points == [(2, 3, 1), (2, 3, -1), (3, 2, 1), (3, 2, -1)]
+    # each moved row once against the origin, for its letter's constant;
     # candidates: the mirror and the swap twice each, on x and on the point
     # the other letter reached; the swap of (2, 3, -1) finds the known
     # (3, 2, -1) and marks its swap back, so at depth 3 both letters of
     # (3, 2, -1) are known back-edges; no identity row is evaluated and no
     # matrix applied
-    assert sorted(rows) == [(0, 0, -1)] * 2 + [(0, 1, 0)] * 2 + [(1, 0, 0)] * 2
+    assert sorted(rows) == [(0, 0, -1)] * 3 + [(0, 1, 0)] * 3 + [(1, 0, 0)] * 3
 
 
 def test_orbit_ball_skips_known_back_edges_on_the_benchmark_group(monkeypatch):
     # the rank-5 reflection group of the benchmark's Dirichlet jobs: with
     # only the undo of each point's first letter skipped, the search
-    # evaluated 3186 letter rows; the back-edge masks leave 2205
+    # evaluated 3186 letter rows; the back-edge masks leave 2205, after
+    # one evaluation per moved row for the letters' constants
     g = _reflection_group("u-a2-m2")
     g.letters
-    want = _orbit_ball(g, (5, 7, 1, 0, 1), 10)
-    rows = []
-    real_dot = linalg.dot
-    monkeypatch.setattr(linalg, "dot", lambda u, v: rows.append(None) or real_dot(u, v))
-    assert _orbit_ball(g, (5, 7, 1, 0, 1), 10) == want
-    assert (len(want), len(rows)) == (744, 2205)
+    x = (5, 7, 1, 0, 1)
+    want = _orbit_ball(g, x, 10, x)
+    constants = sum(map(len, groups._moved_rows(g.letters[0])))
+    rows = _record_row_evaluations(monkeypatch)
+    assert _orbit_ball(g, x, 10, x) == want
+    assert (len(want), len(rows) - constants) == (744, 2205)
 
 
 def test_domain_with_lineality_pins_its_vrep():
@@ -816,6 +835,83 @@ def test_domain_with_lineality_pins_its_vrep():
     rays, lineality, zero_sets = cones.double_description(dom.halfspaces, U_A2.gram)
     assert (rays, lineality, zero_sets) == ([(0, 0, 1, 0)], [(1, 0, 0, 0), (0, 1, 0, 0),
                                                              (0, 0, 1, 2)], [0])
+
+
+def _old_orbit_ball(g, ray, depth):
+    """Oracle: `_orbit_ball` as it was when it searched the points w.x
+    themselves, with each point's back-edge mask in the dict of seen points."""
+    cap = groups.ORBIT_CAP
+    mats, _labels, inv_idx = g.letters
+    x = tuple(ray)
+    moves = groups._moved_rows(mats)
+    dot = linalg.dot
+    seen = {x: 0}
+    level = [x]
+    for _ in range(depth):
+        fresh = []
+        for a in range(len(mats)):
+            k = inv_idx[a]
+            move = moves[k]
+            bit, back = 1 << k, 1 << a
+            for q in level:
+                if seen[q] & bit:
+                    continue
+                p = list(q)
+                for i, row in move:
+                    p[i] = dot(row, q)
+                p = tuple(p)
+                mask = seen.get(p)
+                if mask is not None:
+                    seen[p] = mask | back
+                    continue
+                if len(seen) >= cap:
+                    raise BudgetExceeded(f"orbit cap {cap} hit during orbit search")
+                seen[p] = back
+                fresh.append(p)
+        level = fresh
+    return list(seen)
+
+
+OLD_BALL_CASES = [  # (group, basepoint ray): the three reflection groups of the
+    # cones tests at their basepoints, Pell, and groups with a transvection letter
+    (_reflection_group("u-m2"), (3, 5, 1)),
+    (_reflection_group("u-a2"), (3, 5, 1, 0)),
+    (_reflection_group("u-a2-m2"), (5, 7, 1, 0, 1)),
+    (PELL_GROUP, (1, 0)),
+    (PELL_GROUP, (3, 1)),
+    (group(TRANSVECTION), (2, 3, 1)),
+    (group(TRANSVECTION, MIRROR), (2, 3, 1)),
+]
+
+
+@pytest.mark.parametrize("g, ray", OLD_BALL_CASES)
+def test_relative_orbit_ball_matches_the_old_point_search(g, ray, monkeypatch):
+    sizes = []
+    for depth in range(11):
+        want = _old_orbit_ball(g, ray, depth)
+        assert _orbit_ball(g, ray, depth) == want, depth
+        offsets = _orbit_ball(g, ray, depth, ray)  # as `dirichlet_domain` searches
+        assert offsets[0] == (0,) * len(ray)
+        assert [tuple(map(add, ray, d)) for d in offsets] == want, depth
+        sizes.append(len(want))
+    # a cap inside each level that adds at least two points trips in its middle
+    tripped = 0
+    for depth in range(1, 11):
+        if sizes[depth] - sizes[depth - 1] < 2:
+            continue
+        cap = (sizes[depth - 1] + sizes[depth]) // 2
+        assert sizes[depth - 1] < cap < sizes[depth]
+        monkeypatch.setattr(groups, "ORBIT_CAP", cap)
+        with pytest.raises(BudgetExceeded) as old:
+            _old_orbit_ball(g, ray, depth)
+        for origin in (None, ray):
+            with pytest.raises(BudgetExceeded) as new:
+                _orbit_ball(g, ray, depth, origin)
+            assert str(new.value) == str(old.value) == f"orbit cap {cap} hit during orbit search"
+        assert len(_orbit_ball(g, ray, depth - 1)) == sizes[depth - 1]
+        monkeypatch.undo()
+        tripped += 1
+    assert tripped >= 1
 
 
 def test_orbit_cases_cover_stabilisers_and_extra_letters():
